@@ -49,14 +49,13 @@ from .linkage import (
 )
 from .lr_oracle import (
     admissible_count,
-    admissible_families,
     lr_coefficient_flagged,
     lr_multiplicity,
     lr_tableaux,
     wedge_hypotheses_hold,
 )
 from .minors import jacobi_identity_check, muir_identity_check
-from .superpoly import UsageError, ambient
+from .superpoly import UsageError, ambient, check_odd_prime
 from .weights_tableaux import (
     Weight,
     bideterminant_minus,
@@ -127,12 +126,6 @@ def _sizes(args, default=(2, 2)):
     m = args.m if args.m is not None else default[0]
     n = args.n if args.n is not None else default[1]
     return m, n
-
-
-def _check_char(p: int) -> int:
-    if p and (p < 3 or p % 2 == 0):
-        raise UsageError("the characteristic must be 0 or an odd prime")
-    return p
 
 
 def _config_echo(args, **extra) -> dict:
@@ -461,7 +454,6 @@ def suite_fwedge(args, rng) -> int:
 def suite_linkage(args, rng) -> int:
     m, n = _sizes(args)
     p = args.p if args.p else 3
-    _check_char(p)
     entries = []
     failures = 0
 
@@ -624,7 +616,6 @@ def emit_omega_grid(args) -> int:
 def emit_linkage_graph(args) -> int:
     m, n = _sizes(args)
     p = args.p if args.p else 3
-    _check_char(p)
     top = args.max_entry if args.max_entry is not None else 3
     weights = [w for w in _dominant_weights(m, n, top)]
     names = {render_weight(w): w for w in weights}
@@ -745,7 +736,6 @@ def cmd_phi1(args) -> int:
 
 def cmd_typicality(args) -> int:
     w = _require_weight(args)
-    _check_char(args.p)
     return _emit_artifact(
         args,
         {
@@ -777,7 +767,6 @@ def cmd_linkage(args) -> int:
     p = args.p
     if not p:
         raise UsageError("linkage needs --p (an odd prime)")
-    _check_char(p)
     linked = even_linked(w, other, p)
     chain = link_chain_search(
         w, other, p, args.max_steps if args.max_steps is not None else 6
@@ -870,6 +859,16 @@ def cmd_lr(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Rejected command lines end like every other malformed request: one
+    JSON error line on stderr and exit code 2."""
+
+    def error(self, message):
+        error = {"error": f"{self.prog}: {message}"}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, default=None, help="even block size")
     parser.add_argument("--n", type=int, default=None, help="odd block size")
@@ -901,7 +900,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="superinduce",
         description="Exact verification suites and artifacts for the induced-supermodule calculus.",
     )
@@ -950,7 +949,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_char(args.p)
+        if args.p:
+            check_odd_prime(args.p)
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -7,11 +7,12 @@ acts by the quotient rule; the two block determinants have cached
 derivatives, and directions that leave them inert never inflate the
 denominator exponents.
 
-Divided powers and rising-binomial operators in positive characteristic go
-through an integral lift: coefficients are raised to characteristic zero,
-the basic operator is iterated there, the factorial is divided off exactly,
-and the result is reduced back once its denominators are known to be
-invertible.
+Divided powers and rising-binomial operators go through the integral lift
+of the ambient's coefficient field: coefficients are raised to
+characteristic zero, the basic operator is iterated there, the factorial is
+divided off exactly, and the result is lowered back once its denominators
+are known to be invertible.  Over Q the lift and the lowering are the
+identity.
 
 The structured rewrite table in this module and the direct quotient-rule
 route are deliberately independent of each other; tests compare the two on
@@ -43,8 +44,8 @@ from .superpoly import (
     InternalError,
     SuperPolynomial,
     UsageError,
-    ambient,
     monomial_mul,
+    sort_with_sign,
 )
 
 
@@ -102,7 +103,6 @@ def _d_poly(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
     amb.index_parity(l)
     dpar = amb.gen_parity(k, l)
     acc: dict = {}
-    zero = amb.coeff(0)
     for mono, c in p.terms.items():
         nfac = len(mono)
         suff = [0] * (nfac + 1)
@@ -123,16 +123,8 @@ def _d_poly(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
             sign = s1 * s2
             if dpar and suff[t + 1]:
                 sign = -sign
-            cc = amb.coeff_mul(c, amb.coeff(e)) if e != 1 else c
-            if cc == 0:
-                continue
-            if sign < 0:
-                cc = amb.coeff_neg(cc)
-            s = amb.coeff_add(acc.get(m2, zero), cc)
-            if s == 0:
-                acc.pop(m2, None)
-            else:
-                acc[m2] = s
+            cc = c * e if e != 1 else c
+            acc[m2] = acc.get(m2, 0) + (cc if sign > 0 else -cc)
     return SuperPolynomial(amb, acc)
 
 
@@ -171,60 +163,38 @@ def _d_loc(x: LocalizedElement, k: int, l: int) -> LocalizedElement:
 # -- divided powers and binomials via the integral lift ------------------------------
 
 
-def _lift_poly(p: SuperPolynomial) -> SuperPolynomial:
-    amb0 = ambient(p.ambient.m, p.ambient.n, 0)
-    return SuperPolynomial(amb0, {mo: Fraction(c) for mo, c in p.terms.items()})
-
-
-def _reduce_poly_mod(p0: SuperPolynomial, char: int) -> SuperPolynomial:
-    ambp = ambient(p0.ambient.m, p0.ambient.n, char)
-    out = {}
-    for mo, c in p0.terms.items():
-        if c.denominator % char == 0:
-            raise InternalError(
-                "divided operator produced a coefficient that cannot be reduced"
-            )
-        v = ambp.coeff(c)
-        if v != 0:
-            out[mo] = v
-    return SuperPolynomial(ambp, out)
+def _through_lift(x: LocalizedElement, step) -> LocalizedElement:
+    """Run step on x with coefficients lifted to Q, then lower the result back
+    to x's field; in characteristic 0 both moves are the identity."""
+    field = x.ambient.field
+    out = step(LocalizedElement(field.lift(x.num), x.d_exp, x.d22_exp))
+    return LocalizedElement(field.lower(out.num), out.d_exp, out.d22_exp)
 
 
 def _apply_divided_loc(x: LocalizedElement, k: int, l: int, r: int) -> LocalizedElement:
-    amb = x.ambient
-    if amb.gen_parity(k, l):
+    if x.ambient.gen_parity(k, l):
         raise UsageError("divided powers are defined for even directions only")
     if r == 0:
         return x
-    if amb.char == 0:
-        cur = x
+
+    def divided(cur: LocalizedElement) -> LocalizedElement:
         for _ in range(r):
             cur = _d_loc(cur, k, l)
         return loc_scale(cur, Fraction(1, factorial(r)))
-    cur = LocalizedElement(_lift_poly(x.num), x.d_exp, x.d22_exp)
-    for _ in range(r):
-        cur = _d_loc(cur, k, l)
-    cur = loc_scale(cur, Fraction(1, factorial(r)))
-    return LocalizedElement(_reduce_poly_mod(cur.num, amb.char), cur.d_exp, cur.d22_exp)
+
+    return _through_lift(x, divided)
 
 
 def _apply_binomial_loc(x: LocalizedElement, k: int, r: int) -> LocalizedElement:
-    amb = x.ambient
     if r == 0:
         return x
 
-    def rising(start: LocalizedElement) -> LocalizedElement:
-        cur = start
+    def rising(cur: LocalizedElement) -> LocalizedElement:
         for i in range(r):
             cur = loc_add(_d_loc(cur, k, k), loc_scale(cur, i))
         return loc_scale(cur, Fraction(1, factorial(r)))
 
-    if amb.char == 0:
-        return rising(x)
-    lifted = rising(LocalizedElement(_lift_poly(x.num), x.d_exp, x.d22_exp))
-    return LocalizedElement(
-        _reduce_poly_mod(lifted.num, amb.char), lifted.d_exp, lifted.d22_exp
-    )
+    return _through_lift(x, rising)
 
 
 def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
@@ -287,21 +257,6 @@ class FDplus:
     cols: tuple
 
 
-def _normalize_strict(cols):
-    """Sort a column tuple, tracking the determinant sign; None on repeats."""
-    cols = tuple(cols)
-    if len(set(cols)) != len(cols):
-        return 1, None
-    arr = list(cols)
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                sign = -sign
-    return sign, tuple(arr)
-
-
 def structured_rule(amb: Ambient, factor, op: Op):
     """Derivative of a single formal factor, straight from the rewrite table.
 
@@ -353,12 +308,12 @@ def structured_rule(amb: Ambient, factor, op: Op):
                 continue
             if mixed_up:
                 for a in range(1, m + 1):
-                    sign, norm = _normalize_strict(cols[:t] + (a,) + cols[t + 1 :])
+                    sign, norm = sort_with_sign(cols[:t] + (a,) + cols[t + 1 :])
                     if norm is None:
                         continue
                     out.append((sign, (FDplus(norm), FY(a, l))))
             else:
-                sign, norm = _normalize_strict(cols[:t] + (l,) + cols[t + 1 :])
+                sign, norm = sort_with_sign(cols[:t] + (l,) + cols[t + 1 :])
                 if norm is not None:
                     out.append((sign, (FDplus(norm),)))
         return out

@@ -22,10 +22,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import factorial, gcd
 
-from .derivation import _d_loc, apply_loc, basic
+from .derivation import apply_loc, basic
 from .fraction import (
     LocalizedElement,
-    _den_power,
+    den_power,
     det_block22,
     embed_poly,
     is_polynomial,
@@ -45,13 +45,12 @@ from .superpoly import (
     InternalError,
     SuperPolynomial,
     UsageError,
-    ambient,
     exact_divide,
+    sort_with_sign,
 )
 from .weights_tableaux import (
     Weight,
     dminus,
-    dplus,
     enumerate_semistandard,
     bideterminant_minus,
     bideterminant_plus,
@@ -59,22 +58,6 @@ from .weights_tableaux import (
     is_admissible_pair,
     is_dominant,
 )
-
-
-def normalize_pairs(pairs):
-    """Sort mixed-slot pairs into the admissibility order (row, then column),
-    tracking the sign of the permutation; a repeated pair gives None."""
-    pairs = tuple(tuple(p) for p in pairs)
-    if len(set(pairs)) != len(pairs):
-        return 1, None
-    arr = list(pairs)
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                sign = -sign
-    return sign, tuple(arr)
 
 
 def pair_height(pairs) -> int:
@@ -156,16 +139,6 @@ def fe_eq(a: FloorElement, b: FloorElement) -> bool:
     return True
 
 
-def fe_coefficient(a: FloorElement, pairs) -> LocalizedElement:
-    sign, key = normalize_pairs(pairs)
-    if key is None:
-        return loc_zero(a.ambient)
-    got = a.terms.get(key)
-    if got is None:
-        return loc_zero(a.ambient)
-    return loc_scale(got, sign)
-
-
 def embed_floor(x: FloorElement) -> LocalizedElement:
     amb = x.ambient
     total = loc_zero(amb)
@@ -206,7 +179,8 @@ def _minor_power_product(amb: Ambient, plus_exps, minus_exps) -> LocalizedElemen
                 raise InternalError("negative exponent on a non-invertible minor")
             out = loc_mul(out, LocalizedElement(amb.one(), -e, 0))
         else:
-            out = loc_mul(out, loc_pow(embed_poly(dplus(amb, range(1, a + 1))), e))
+            minor = row_initial_minor(amb, range(1, a + 1))
+            out = loc_mul(out, loc_pow(embed_poly(minor), e))
     for b, e in enumerate(minus_exps, start=1):
         if e < 0:
             raise InternalError("negative exponent on a minus minor")
@@ -355,7 +329,7 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     for a, e in enumerate(plus_exps, start=1):
         if e < 0 and a < m:
             defect = loc_mul(
-                defect, loc_pow(embed_poly(dplus(amb, range(1, a + 1))), -e)
+                defect, loc_pow(embed_poly(row_initial_minor(amb, range(1, a + 1))), -e)
             )
             pos_plus.append(0)
         else:
@@ -375,7 +349,7 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
         new: dict = {}
         for word, c in words.items():
             for pair, c2 in factor.items():
-                sign, merged = normalize_pairs(word + (pair,))
+                sign, merged = sort_with_sign(word + (pair,))
                 if merged is None:
                     continue
                 add = loc_mul(c, c2)
@@ -547,23 +521,21 @@ def _cleared_vectors(amb: Ambient, locs):
     t = max((v.d22_exp for v in locs), default=0)
     out = []
     for v in locs:
-        p = v.num * _den_power(amb, s - v.d_exp, t - v.d22_exp)
+        p = v.num * den_power(amb, s - v.d_exp, t - v.d22_exp)
         out.append(dict(p.terms))
     return out
 
 
 def _echelon_insert(amb: Ambient, rows, vec):
     """Reduce vec against the echelon rows in place; returns the remainder."""
-    vec = dict(vec)
+    field = amb.field
+    vec = field.clean(vec)
     for pivot, row in rows.items():
         if pivot in vec:
-            factor = amb.coeff_mul(vec[pivot], amb.coeff_inv(row[pivot]))
+            factor = vec[pivot] * field.inv(row[pivot])
             for k, c in row.items():
-                s = amb.coeff_add(vec.get(k, amb.coeff(0)), amb.coeff_neg(amb.coeff_mul(factor, c)))
-                if s == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
+                vec[k] = vec.get(k, 0) - factor * c
+            vec = field.clean(vec)
     return vec
 
 
@@ -602,7 +574,7 @@ def rank_of_floor_elements(elems) -> int:
             if c is None:
                 continue
             s, t = exps[k]
-            p = c.num * _den_power(amb, s - c.d_exp, t - c.d22_exp)
+            p = c.num * den_power(amb, s - c.d_exp, t - c.d22_exp)
             for mono, v in p.terms.items():
                 vec[(k, mono)] = v
         rem = _echelon_insert(amb, rows, vec)
@@ -690,28 +662,21 @@ def _simple_lowering_directions(amb: Ambient):
     return dirs
 
 
-def _charp_divided_annihilates(emb: LocalizedElement, k: int, l: int, p: int) -> bool:
-    amb0 = ambient(emb.ambient.m, emb.ambient.n, 0)
-    lifted = LocalizedElement(
-        SuperPolynomial(amb0, {mo: Fraction(c) for mo, c in emb.num.terms.items()}),
-        emb.d_exp,
-        emb.d22_exp,
-    )
-    bound = lifted.num.total_degree() + 1
-    u = lifted
+def _divided_powers_vanish(emb: LocalizedElement, k: int, l: int) -> bool:
+    """Every divided power of d[k,l] kills emb.  In characteristic 0 this is
+    the first power alone; in characteristic p the powers are taken in the
+    integral lift and lowered back one at a time."""
+    field = emb.ambient.field
+    u = LocalizedElement(field.lift(emb.num), emb.d_exp, emb.d22_exp)
+    bound = u.num.total_degree() + 1
     r = 0
     while not u.is_zero():
         r += 1
         if r > bound:
             raise InternalError("divided-power iteration failed to terminate")
-        u = _d_loc(u, k, l)
-        fact = factorial(r)
-        for c in u.num.terms.values():
-            q = c / fact
-            if q.denominator % p == 0:
-                raise InternalError("divided power left the integral form")
-            if q.numerator % p != 0:
-                return False
+        u = apply_loc(basic(k, l), u)
+        if not field.lower(u.num.scale(Fraction(1, factorial(r)))).is_zero():
+            return False
     return True
 
 
@@ -722,15 +687,10 @@ def is_primitive(x: FloorElement) -> bool:
     emb = embed_floor(x)
     if loc_weight(emb) is None:
         raise UsageError("primitivity is defined for weight-homogeneous elements")
-    amb = x.ambient
-    for k, l in _simple_lowering_directions(amb):
-        if amb.char == 0:
-            if not apply_loc(basic(k, l), emb).is_zero():
-                return False
-        else:
-            if not _charp_divided_annihilates(emb, k, l, amb.char):
-                return False
-    return True
+    return all(
+        _divided_powers_vanish(emb, k, l)
+        for k, l in _simple_lowering_directions(x.ambient)
+    )
 
 
 # -- raw-model identity checks ---------------------------------------------------------

@@ -9,7 +9,7 @@ reduction is a separate, explicit operation.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 
 from .superpoly import (
     Ambient,
@@ -17,6 +17,9 @@ from .superpoly import (
     UsageError,
     exact_divide,
     leibniz_det,
+    parse_integer,
+    parse_poly,
+    render_poly,
     weight_of,
 )
 
@@ -38,7 +41,7 @@ def det_block22(amb: Ambient) -> SuperPolynomial:
     return amb._cache[key]
 
 
-def _den_power(amb: Ambient, s: int, t: int) -> SuperPolynomial:
+def den_power(amb: Ambient, s: int, t: int) -> SuperPolynomial:
     out = amb.one()
     if s:
         out = out * det_block11(amb) ** s
@@ -95,10 +98,6 @@ def loc_zero(amb: Ambient) -> LocalizedElement:
     return LocalizedElement(amb.zero())
 
 
-def loc_one(amb: Ambient) -> LocalizedElement:
-    return LocalizedElement(amb.one())
-
-
 def _mate(x: LocalizedElement, y: LocalizedElement):
     if x.ambient != y.ambient:
         raise UsageError("operands live in different ambients")
@@ -109,8 +108,8 @@ def loc_add(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
     amb = x.ambient
     s = max(x.d_exp, y.d_exp)
     t = max(x.d22_exp, y.d22_exp)
-    nx = x.num * _den_power(amb, s - x.d_exp, t - x.d22_exp)
-    ny = y.num * _den_power(amb, s - y.d_exp, t - y.d22_exp)
+    nx = x.num * den_power(amb, s - x.d_exp, t - x.d22_exp)
+    ny = y.num * den_power(amb, s - y.d_exp, t - y.d22_exp)
     return LocalizedElement(nx + ny, s, t)
 
 
@@ -135,8 +134,8 @@ def loc_eq(x: LocalizedElement, y: LocalizedElement) -> bool:
     """Value equality by cross-multiplication (no reduction required)."""
     _mate(x, y)
     amb = x.ambient
-    left = x.num * _den_power(amb, y.d_exp, y.d22_exp)
-    right = y.num * _den_power(amb, x.d_exp, x.d22_exp)
+    left = x.num * den_power(amb, y.d_exp, y.d22_exp)
+    right = y.num * den_power(amb, x.d_exp, x.d22_exp)
     return (left - right).is_zero()
 
 
@@ -182,7 +181,7 @@ def loc_divide_exact(x: LocalizedElement, d: LocalizedElement):
     amb = x.ambient
     if d.is_zero():
         raise UsageError("division by the zero element")
-    lifted = x.num * _den_power(amb, d.d_exp, d.d22_exp)
+    lifted = x.num * den_power(amb, d.d_exp, d.d22_exp)
     q = exact_divide(lifted, d.num)
     if q is None:
         return None
@@ -217,15 +216,10 @@ def loc_pow(x: LocalizedElement, e: int) -> LocalizedElement:
 
 
 def render_loc(x: LocalizedElement) -> str:
-    from .superpoly import render_poly
-
     return f"{render_poly(x.num)} / D^{x.d_exp} D22^{x.d22_exp}"
 
 
 def parse_loc(amb: Ambient, text: str) -> LocalizedElement:
-    from .superpoly import parse_poly
-    import re
-
     parts = text.rsplit("/", 1)
     if len(parts) == 1:
         return embed_poly(parse_poly(amb, text))
@@ -234,8 +228,5 @@ def parse_loc(amb: Ambient, text: str) -> LocalizedElement:
     m = re.fullmatch(r"(?:D\^(\d+))?(?:D22\^(\d+))?", den)
     if m is None or (m.group(1) is None and m.group(2) is None):
         raise UsageError(f"unrecognized denominator {parts[1]!r}")
-    return LocalizedElement(num, int(m.group(1) or 0), int(m.group(2) or 0))
-
-
-def scalar_fraction(amb: Ambient, value: Fraction | int) -> LocalizedElement:
-    return embed_poly(amb.scalar(value))
+    d_exp, d22_exp = (parse_integer(v or "0") for v in m.groups())
+    return LocalizedElement(num, d_exp, d22_exp)

@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
-from .superpoly import InternalError, UsageError
+from .superpoly import InternalError, UsageError, check_odd_prime
 from .weights_tableaux import (
     Weight,
     content_of_pairs,
@@ -25,13 +25,6 @@ from .weights_tableaux import (
 
 #: d-exponent of a sequence whose defining congruences hold vacuously.
 ALL = "all"
-
-
-def _check_odd_prime(p: int):
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        raise UsageError("characteristic must be an odd prime")
-    if any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
-        raise UsageError("characteristic must be an odd prime")
 
 
 def omega(w: Weight, i: int, j: int) -> int:
@@ -47,7 +40,7 @@ def omega_grid(w: Weight) -> list:
 def is_typical(w: Weight, p: int = 0) -> bool:
     if p == 0:
         return all(v != 0 for row in omega_grid(w) for v in row)
-    _check_odd_prime(p)
+    check_odd_prime(p)
     return all(v % p != 0 for row in omega_grid(w) for v in row)
 
 
@@ -121,7 +114,7 @@ def omega_via_form(w: Weight, i: int, j: int):
 def d_exponent(entries, p: int):
     """Largest d with every consecutive difference ≡ -1 mod p^d; vacuous
     congruences (fewer than two entries, or differences exactly -1) give ALL."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     entries = tuple(int(v) for v in entries)
     shifted = [a - b + 1 for a, b in zip(entries, entries[1:])]
     best = None
@@ -175,7 +168,7 @@ def odd_linked(w: Weight, I, J, p: int):
     """Chain condition for an index family: some rearrangement makes the grid
     entries vanish mod p sequentially along the accumulated shifts.  Returns
     (verdict, witness rearrangement or None)."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     I, J = tuple(I), tuple(J)
     content_of_pairs(w.m, w.n, I, J)  # validates lengths and ranges
     if not is_dominant(w) or not is_dominant(lambda_IJ(w, I, J)):
@@ -204,7 +197,7 @@ def odd_linked(w: Weight, I, J, p: int):
 def in_alcove(w: Weight, p: int) -> bool:
     """Strict alcove condition against the even coroots, evaluated per block:
     0 < entry_a - entry_b + (b - a) < p for a < b."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     for block in (w.plus, w.minus):
         k = len(block)
         for a in range(k):
@@ -218,7 +211,7 @@ def in_alcove(w: Weight, p: int) -> bool:
 def dot_equivalent(wa: Weight, wb: Weight, p: int) -> bool:
     """Affine-orbit equality per even block: sorted residues of the shifted
     entries mod p agree."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if (wa.m, wa.n) != (wb.m, wb.n):
         raise UsageError("weights must share block sizes")
     for blocka, blockb in ((wa.plus, wb.plus), (wa.minus, wb.minus)):
@@ -233,7 +226,7 @@ def link_chain_search(w: Weight, target: Weight, p: int, max_steps: int):
     """Breadth-first search over single-index shifts whose grid entry vanishes
     exactly, ending at a weight in the target's affine orbit; returns the list
     of (i, j) steps, or None when the bounded search exhausts."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if (w.m, w.n) != (target.m, target.n):
         raise UsageError("weights must share block sizes")
     if max_steps < 0:

@@ -18,7 +18,6 @@ from itertools import combinations, product
 from .superpoly import InternalError, UsageError
 from .weights_tableaux import (
     Weight,
-    content_of_pairs,
     is_admissible_pair,
     is_dominant,
     is_robust,
@@ -84,33 +83,35 @@ def _skew_cells(outer, inner) -> list:
     return cells
 
 
-def lr_coefficient_flagged(outer, inner, content, descending=False):
-    """Count lattice semistandard fillings of outer/inner with the given content.
-
-    Returns ``(count, flag)``.  ``flag`` is None when the preconditions hold
-    and a short reason string otherwise; a flagged call counts 0, which keeps
-    "no tableaux" distinguishable from "the question was malformed".
-
-    ``descending`` flips the per-cell candidate order.  The count may not
-    depend on it; the property suite recomputes both ways.
-    """
+def _checked_shapes(outer, inner, content):
+    """Normalized (outer, inner, content) and None, or None and a short
+    reason when the question is malformed."""
     try:
         outer = _normal_partition(outer, "outer shape")
         inner = _normal_partition(inner, "inner shape")
         content = _normal_partition(content, "content")
     except UsageError as exc:
-        return 0, str(exc)
+        return None, str(exc)
     if not contains(outer, inner):
-        return 0, "inner shape is not contained in the outer shape"
+        return None, "inner shape is not contained in the outer shape"
     if sum(outer) != sum(inner) + sum(content):
-        return 0, "cell count of the skew shape does not match the content size"
+        return None, "cell count of the skew shape does not match the content size"
+    return (outer, inner, content), None
 
+
+def _lattice_fillings(outer, inner, content, descending=False):
+    """Yield every lattice semistandard filling of outer/inner with the given
+    content, as the live list of rows (0 marks an inner cell); copy a filling
+    to keep it past the next step of the walk.
+
+    ``descending`` flips the per-cell candidate order.
+    """
     cells = _skew_cells(outer, inner)
     width = outer[0] if outer else 0
     letters = len(content)
+    values = range(letters, 0, -1) if descending else range(1, letters + 1)
     filling = [[0] * width for _ in range(len(outer))]
     counts = [0] * (letters + 1)
-    total = 0
 
     def feasible(r, c, e):
         if counts[e] + 1 > content[e - 1]:
@@ -129,22 +130,35 @@ def lr_coefficient_flagged(outer, inner, content, descending=False):
         return True
 
     def place(k):
-        nonlocal total
         if k == len(cells):
-            total += 1
+            yield filling
             return
         r, c = cells[k]
-        values = range(letters, 0, -1) if descending else range(1, letters + 1)
         for e in values:
             if feasible(r, c, e):
                 filling[r][c] = e
                 counts[e] += 1
-                place(k + 1)
+                yield from place(k + 1)
                 counts[e] -= 1
                 filling[r][c] = 0
 
-    place(0)
-    return total, None
+    yield from place(0)
+
+
+def lr_coefficient_flagged(outer, inner, content, descending=False):
+    """Count lattice semistandard fillings of outer/inner with the given content.
+
+    Returns ``(count, flag)``.  ``flag`` is None when the preconditions hold
+    and a short reason string otherwise; a flagged call counts 0, which keeps
+    "no tableaux" distinguishable from "the question was malformed".
+
+    ``descending`` flips the per-cell candidate order.  The count may not
+    depend on it; the property suite recomputes both ways.
+    """
+    shapes, flag = _checked_shapes(outer, inner, content)
+    if flag is not None:
+        return 0, flag
+    return sum(1 for _ in _lattice_fillings(*shapes, descending)), None
 
 
 def lr_coefficient(outer, inner, content) -> int:
@@ -152,51 +166,16 @@ def lr_coefficient(outer, inner, content) -> int:
 
 
 def lr_tableaux(outer, inner, content) -> list:
-    """The fillings themselves, each as a tuple of row tuples (0 = inner cell)."""
-    outer_n = _normal_partition(outer, "outer shape")
-    inner_n = _normal_partition(inner, "inner shape")
-    content_n = _normal_partition(content, "content")
-    found = []
-
-    # Re-run the counting walk, capturing leaves.  Cheap at desk scale and
-    # keeps the counter itself allocation-free.
-    if not contains(outer_n, inner_n) or sum(outer_n) != sum(inner_n) + sum(
-        content_n
-    ):
+    """The fillings themselves, each as a tuple of row tuples (0 = inner cell);
+    empty when ``lr_coefficient_flagged`` flags the question."""
+    shapes, flag = _checked_shapes(outer, inner, content)
+    if flag is not None:
         return []
-    cells = _skew_cells(outer_n, inner_n)
-    width = outer_n[0] if outer_n else 0
-    letters = len(content_n)
-    filling = [[0] * width for _ in range(len(outer_n))]
-    counts = [0] * (letters + 1)
-
-    def feasible(r, c, e):
-        if counts[e] + 1 > content_n[e - 1]:
-            return False
-        if e > 1 and counts[e] + 1 > counts[e - 1]:
-            return False
-        if c + 1 < outer_n[r] and filling[r][c + 1] and e > filling[r][c + 1]:
-            return False
-        if r > 0 and c < outer_n[r - 1] and filling[r - 1][c]:
-            if e <= filling[r - 1][c]:
-                return False
-        return True
-
-    def place(k):
-        if k == len(cells):
-            found.append(tuple(tuple(row[: outer_n[r]]) for r, row in enumerate(filling)))
-            return
-        r, c = cells[k]
-        for e in range(1, letters + 1):
-            if feasible(r, c, e):
-                filling[r][c] = e
-                counts[e] += 1
-                place(k + 1)
-                counts[e] -= 1
-                filling[r][c] = 0
-
-    place(0)
-    return found
+    outer = shapes[0]
+    return [
+        tuple(tuple(row[: outer[r]]) for r, row in enumerate(filling))
+        for filling in _lattice_fillings(*shapes)
+    ]
 
 
 # -- the two counting routes for index families -----------------------------------

@@ -24,13 +24,8 @@ from .superpoly import (
     SuperPolynomial,
     UsageError,
     leibniz_det,
-    _perm_sign,
+    perm_sign,
 )
-
-
-def minor(amb: Ambient, rows, cols) -> SuperPolynomial:
-    """Row-ordered determinant of the submatrix on the given rows and columns."""
-    return leibniz_det(amb, rows, cols)
 
 
 def row_initial_minor(amb: Ambient, cols) -> SuperPolynomial:
@@ -177,7 +172,7 @@ def loc_det(amb: Ambient, entries) -> LocalizedElement:
         term = embed_poly(amb.one())
         for r in range(n):
             term = loc_mul(term, entries[r][perm[r]])
-        if _perm_sign(perm) < 0:
+        if perm_sign(perm) < 0:
             term = LocalizedElement(-term.num, term.d_exp, term.d22_exp)
         out = loc_add(out, term)
     return out

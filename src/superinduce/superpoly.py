@@ -15,10 +15,11 @@ characteristic).  All arithmetic is exact; nothing here ever rounds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import isqrt
 
 
 class UsageError(ValueError):
@@ -29,36 +30,129 @@ class InternalError(RuntimeError):
     """An internal consistency guarantee failed; indicates a bug, not bad input."""
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+def check_odd_prime(p) -> int:
+    """Return p when it is an odd prime integer; raise UsageError otherwise."""
+    if (
+        not isinstance(p, int)
+        or p < 3
+        or p % 2 == 0
+        or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2))
+    ):
+        raise UsageError(f"characteristic must be an odd prime, got {p!r}")
+    return p
+
+
+def parse_integer(text: str) -> int:
+    """int(text) for a numeral in parsed text; UsageError when it has more
+    digits than int() converts."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"integer {text[:20]}... has too many digits") from exc
+
+
+def _numeral(x):
+    if not isinstance(x, str):
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"unrecognized coefficient {x!r}") from exc
+
+
+class Rationals:
+    """The field Q: Fraction coefficients.  Characteristic zero is its own
+    integral form, so the lift and the lowering return their argument."""
+
+    def intake(self, x):
+        """Normalize an int, Fraction or numeral string into the field."""
+        return Fraction(_numeral(x))
+
+    def clean(self, terms: dict) -> dict:
+        """Reduce raw sums and products of field elements; drop the zeros."""
+        return {mo: c for mo, c in terms.items() if c}
+
+    def inv(self, a):
+        if a == 0:
+            raise UsageError("division by zero coefficient")
+        return 1 / Fraction(a)
+
+    def lift(self, poly: "SuperPolynomial") -> "SuperPolynomial":
+        return poly
+
+    def lower(self, p0: "SuperPolynomial") -> "SuperPolynomial":
+        return p0
+
+
+class PrimeField:
+    """The field F_p for an odd prime p: integer coefficients in 0..p-1.
+
+    Divided powers are computed through the integral lift: coefficients are
+    raised to Q, the operator runs there, and the result is lowered back
+    once its denominators are known to be invertible mod p.
+    """
+
+    def __init__(self, p: int):
+        self.char = p
+
+    def intake(self, x):
+        """Normalize an int, Fraction or numeral string into the field."""
+        x = _numeral(x)
+        if isinstance(x, Fraction):
+            if x.denominator % self.char == 0:
+                raise UsageError(f"denominator of {x} is not invertible mod {self.char}")
+            return x.numerator * pow(x.denominator, -1, self.char) % self.char
+        return int(x) % self.char
+
+    def clean(self, terms: dict) -> dict:
+        """Reduce raw sums and products of field elements; drop the zeros."""
+        p = self.char
+        return {mo: r for mo, c in terms.items() if (r := c % p)}
+
+    def inv(self, a):
+        if a % self.char == 0:
+            raise UsageError("division by zero coefficient")
+        return pow(a, -1, self.char)
+
+    def lift(self, poly: "SuperPolynomial") -> "SuperPolynomial":
+        """The same polynomial with its coefficients read in Q."""
+        amb0 = ambient(poly.ambient.m, poly.ambient.n, 0)
+        return SuperPolynomial(amb0, {mo: Fraction(c) for mo, c in poly.terms.items()})
+
+    def lower(self, p0: "SuperPolynomial") -> "SuperPolynomial":
+        """Reduce a p-integral polynomial over Q into this field."""
+        try:
+            terms = {mo: self.intake(c) for mo, c in p0.terms.items()}
+        except UsageError as exc:
+            raise InternalError("a divided operator left the integral form") from exc
+        return SuperPolynomial(ambient(p0.ambient.m, p0.ambient.n, self.char), terms)
 
 
 @dataclass(frozen=True)
 class Ambient:
     """Sizes (m, n) and coefficient characteristic shared by a family of values.
 
-    Values created in distinct ambients never mix.  The ambient also owns a
-    cache used by higher layers for expensive per-ring data (determinants,
-    adjugate tables, localized generator images).
+    Values created in distinct ambients never mix.  The characteristic fixes
+    the coefficient field (Q or F_p) once, when the ambient is built.  The
+    ambient also owns a cache used by higher layers for expensive per-ring
+    data (determinants, adjugate tables, localized generator images).
     """
 
     m: int
     n: int
     char: int = 0
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    field: Rationals | PrimeField = dataclass_field(
+        init=False, compare=False, repr=False, hash=False
+    )
+    _cache: dict = dataclass_field(
+        default_factory=dict, compare=False, repr=False, hash=False
+    )
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise UsageError(f"sizes must be at least 1, got m={self.m}, n={self.n}")
-        if self.char != 0 and not _is_odd_prime(self.char):
-            raise UsageError(f"characteristic must be 0 or an odd prime, got {self.char}")
+        coeffs = PrimeField(check_odd_prime(self.char)) if self.char else Rationals()
+        object.__setattr__(self, "field", coeffs)
 
     @property
     def size(self) -> int:
@@ -72,41 +166,9 @@ class Ambient:
     def gen_parity(self, i: int, j: int) -> int:
         return (self.index_parity(i) + self.index_parity(j)) % 2
 
-    # -- coefficient field ------------------------------------------------
-
-    def coeff(self, x) -> Fraction | int:
+    def coeff(self, x):
         """Normalize an int/Fraction/str into this ambient's coefficient field."""
-        if self.char == 0:
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.char == 0:
-                raise UsageError(f"denominator of {x} is not invertible mod {self.char}")
-            return x.numerator * pow(x.denominator, -1, self.char) % self.char
-        return int(x) % self.char
-
-    def coeff_add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def coeff_mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
-
-    def coeff_neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
-
-    def coeff_inv(self, a):
-        if self.char == 0:
-            if a == 0:
-                raise UsageError("division by zero coefficient")
-            return Fraction(1) / a
-        if a % self.char == 0:
-            raise UsageError("division by zero coefficient")
-        return pow(a, -1, self.char)
-
-    def coeff_render(self, a) -> str:
-        return str(a)
-
-    def coeff_parse(self, text: str):
-        return self.coeff(Fraction(text))
+        return self.field.intake(x)
 
     # -- element factories -------------------------------------------------
 
@@ -117,10 +179,7 @@ class Ambient:
         return self.scalar(1)
 
     def scalar(self, c) -> "SuperPolynomial":
-        c = self.coeff(c)
-        if c == 0:
-            return self.zero()
-        return SuperPolynomial(self, {(): c})
+        return SuperPolynomial(self, {(): self.coeff(c)})
 
     def gen(self, i: int, j: int) -> "SuperPolynomial":
         self.gen_parity(i, j)  # range check
@@ -199,10 +258,10 @@ class SuperPolynomial:
     __slots__ = ("ambient", "terms")
 
     def __init__(self, ambient: Ambient, terms: dict):
+        # kernels combine coefficients with plain + - *; the field reduces
+        # them and drops zeros here, once per result
         self.ambient = ambient
-        self.terms = {mo: c for mo, c in terms.items() if c != 0}
-
-    # construction helpers keep dict cleanliness in one place
+        self.terms = ambient.field.clean(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -236,19 +295,13 @@ class SuperPolynomial:
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         self._check_mate(other)
-        amb = self.ambient
         out = dict(self.terms)
         for mo, c in other.terms.items():
-            s = amb.coeff_add(out.get(mo, amb.coeff(0)), c)
-            if s == 0:
-                out.pop(mo, None)
-            else:
-                out[mo] = s
-        return SuperPolynomial(amb, out)
+            out[mo] = out.get(mo, 0) + c
+        return SuperPolynomial(self.ambient, out)
 
     def __neg__(self):
-        amb = self.ambient
-        return SuperPolynomial(amb, {mo: amb.coeff_neg(c) for mo, c in self.terms.items()})
+        return SuperPolynomial(self.ambient, {mo: -c for mo, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SuperPolynomial):
@@ -256,11 +309,8 @@ class SuperPolynomial:
         return self + (-other)
 
     def scale(self, c) -> "SuperPolynomial":
-        amb = self.ambient
-        c = amb.coeff(c)
-        if c == 0:
-            return amb.zero()
-        return SuperPolynomial(amb, {mo: amb.coeff_mul(v, c) for mo, v in self.terms.items()})
+        c = self.ambient.coeff(c)
+        return SuperPolynomial(self.ambient, {mo: v * c for mo, v in self.terms.items()})
 
     def __mul__(self, other):
         amb = self.ambient
@@ -273,16 +323,9 @@ class SuperPolynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 sign, mo = monomial_mul(amb, ma, mb)
-                if mo is None:
-                    continue
-                c = amb.coeff_mul(ca, cb)
-                if sign < 0:
-                    c = amb.coeff_neg(c)
-                s = amb.coeff_add(out.get(mo, amb.coeff(0)), c)
-                if s == 0:
-                    out.pop(mo, None)
-                else:
-                    out[mo] = s
+                if mo is not None:
+                    c = ca * cb
+                    out[mo] = out.get(mo, 0) + (c if sign > 0 else -c)
         return SuperPolynomial(amb, out)
 
     def __rmul__(self, other):
@@ -368,7 +411,7 @@ def _commutative_divide(x: SuperPolynomial, b0: SuperPolynomial):
     """Exact division by a polynomial in even generators, leading-term style."""
     amb = x.ambient
     lead_b = max(b0.terms, key=lambda mo: _division_key(amb, mo))
-    lc_b_inv = amb.coeff_inv(b0.terms[lead_b])
+    lc_b_inv = amb.field.inv(b0.terms[lead_b])
     quo: dict = {}
     rem = SuperPolynomial(amb, dict(x.terms))
     while not rem.is_zero():
@@ -376,7 +419,7 @@ def _commutative_divide(x: SuperPolynomial, b0: SuperPolynomial):
         qm = _even_monomial_divide(u, lead_b)
         if qm is None:
             return None
-        qc = amb.coeff_mul(rem.terms[u], lc_b_inv)
+        qc = rem.terms[u] * lc_b_inv
         quo[qm] = qc
         rem = rem - SuperPolynomial(amb, {qm: qc}) * b0
     return SuperPolynomial(amb, quo)
@@ -446,7 +489,7 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
 # -- generic determinants ------------------------------------------------------
 
 
-def _perm_sign(perm) -> int:
+def perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
     for start in range(len(perm)):
@@ -461,6 +504,24 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def sort_with_sign(items):
+    """Sort a tuple, tracking the sign of the sorting permutation.
+
+    Returns (sign, sorted tuple), or (1, None) when an item repeats, since an
+    alternating form then vanishes.
+    """
+    arr = list(items)
+    if len(set(arr)) != len(arr):
+        return 1, None
+    sign = 1
+    for i in range(len(arr)):
+        for j in range(len(arr) - 1 - i):
+            if arr[j] > arr[j + 1]:
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                sign = -sign
+    return sign, tuple(arr)
 
 
 def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
@@ -486,7 +547,7 @@ def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
         prod = amb.gen(rows[0], cols[perm[0]])
         for a in range(1, t):
             prod = prod * amb.gen(rows[a], cols[perm[a]])
-        acc = acc + prod.scale(_perm_sign(perm))
+        acc = acc + prod.scale(perm_sign(perm))
     return acc
 
 
@@ -502,44 +563,41 @@ def render_poly(p: SuperPolynomial) -> str:
     parts = []
     for mono in ordered:
         c = p.terms[mono]
-        if amb.char == 0 and c < 0:
-            sign, mag = "-", -c
-        else:
-            sign, mag = "+", c
-        chunks = [amb.coeff_render(mag)]
+        # F_p coefficients live in 0..p-1, so only Q ever renders a minus
+        sign, mag = ("-", -c) if c < 0 else ("+", c)
+        chunks = [str(mag)]
         for (i, j), e in mono:
             chunks.append(f"c[{i},{j}]" + (f"^{e}" if e > 1 else ""))
         parts.append(sign + "·".join(chunks))
     return " ".join(parts)
 
 
-_FACTOR_RE = re.compile(r"^c\[(\d+),(\d+)\](?:\^(\d+))?$")
-_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
+_FACTOR = r"(?:c\[\d+,\d+\](?:\^\d+)?|\d+(?:/\d+)?)"
+_TERM = rf"{_FACTOR}(?:[·*]{_FACTOR})*"
+_POLY_RE = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
+_GEN_RE = re.compile(r"c\[(\d+),(\d+)\](?:\^(\d+))?")
 
 
 def parse_poly(amb: Ambient, text: str) -> SuperPolynomial:
-    """Parse the render_poly grammar; whitespace-insensitive, '*' accepted for '·'."""
+    """Parse the render_poly grammar; whitespace-insensitive, '*' accepted for '·'.
+
+    The whole string must match; anything else raises UsageError.
+    """
     squeezed = re.sub(r"\s+", "", text)
-    if squeezed in ("", "0"):
+    if not squeezed:
         return amb.zero()
-    if squeezed[0] not in "+-":
-        squeezed = "+" + squeezed
+    if not _POLY_RE.fullmatch(squeezed):
+        raise UsageError(f"unrecognized polynomial text {text!r}")
     total = amb.zero()
-    for sign, body in re.findall(r"([+-])([^+-]+)", squeezed):
-        if not body:
-            raise UsageError(f"dangling sign in polynomial text: {text!r}")
-        coeff = amb.coeff(1)
+    for sign, body in re.findall(r"([+-]?)([^+-]+)", squeezed):
+        coeff = amb.coeff(-1 if sign == "-" else 1)
         mono_poly = amb.one()
         for chunk in re.split(r"[·*]", body):
-            fm = _FACTOR_RE.match(chunk)
-            if fm:
-                i, j, e = int(fm.group(1)), int(fm.group(2)), int(fm.group(3) or 1)
-                mono_poly = mono_poly * (amb.gen(i, j) ** e)
-            elif _COEFF_RE.match(chunk):
-                coeff = amb.coeff_mul(coeff, amb.coeff_parse(chunk))
+            gm = _GEN_RE.fullmatch(chunk)
+            if gm:
+                i, j, e = (parse_integer(v) for v in (gm[1], gm[2], gm[3] or "1"))
+                mono_poly = mono_poly * amb.gen(i, j) ** e
             else:
-                raise UsageError(f"unrecognized factor {chunk!r} in polynomial text")
-        if sign == "-":
-            coeff = amb.coeff_neg(coeff)
+                coeff = coeff * amb.coeff(chunk)
         total = total + mono_poly.scale(coeff)
     return total

@@ -253,11 +253,6 @@ def enumerate_semistandard(shape, min_entry: int, max_entry: int):
 # -- bideterminants and the highest vector -----------------------------------------
 
 
-def dplus(amb: Ambient, cols) -> SuperPolynomial:
-    """Initial-rows minor of the raw generators on the given columns."""
-    return row_initial_minor(amb, cols)
-
-
 def dminus(amb: Ambient, cols) -> LocalizedElement:
     """Initial-rows minor of the twisted lower-right block: rows are the first
     len(cols) odd-block rows, columns the given absolute indices (> m)."""
@@ -277,7 +272,7 @@ def dminus(amb: Ambient, cols) -> LocalizedElement:
 def bideterminant_plus(amb: Ambient, t: Tableau) -> SuperPolynomial:
     out = amb.one()
     for col in tableau_columns(t):
-        out = out * dplus(amb, col)
+        out = out * row_initial_minor(amb, col)
     return out
 
 
@@ -306,10 +301,12 @@ def highest_vector(amb: Ambient, w: Weight) -> LocalizedElement:
     for a in range(1, m):
         e = w.plus[a - 1] - w.plus[a]
         if e:
-            out = loc_mul(out, loc_pow(embed_poly(dplus(amb, range(1, a + 1))), e))
+            minor = row_initial_minor(amb, range(1, a + 1))
+            out = loc_mul(out, loc_pow(embed_poly(minor), e))
     last = w.plus[m - 1]
     if last >= 0:
-        out = loc_mul(out, loc_pow(embed_poly(dplus(amb, range(1, m + 1))), last))
+        minor = row_initial_minor(amb, range(1, m + 1))
+        out = loc_mul(out, loc_pow(embed_poly(minor), last))
     else:
         out = loc_mul(out, LocalizedElement(amb.one(), -last, 0))
     for b in range(1, n + 1):

@@ -253,3 +253,70 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["typical"] is False and doc["grid"] == [[3, 2], [2, 1]]
+
+
+def _one_json_error_line(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert set(doc) == {"error"}
+    return doc
+
+
+# every subcommand takes --p; each one must refuse a composite characteristic
+COMPOSITE_P = [
+    ["verify", "lemmas", "--m", "1", "--n", "1", "--p", "9"],
+    ["verify", "identities", "--m", "2", "--p", "15"],
+    ["verify", "gen", "--count", "1", "--p", "9"],
+    ["verify", "phi1", "--lambda", "[2,1|1,0]", "--p", "15"],
+    ["verify", "fwedge", "--p", "9"],
+    ["verify", "linkage", "--p", "15"],
+    ["verify-lemmas", "--m", "1", "--n", "1", "--p", "9"],
+    ["verify-identities", "--m", "2", "--p", "15"],
+    ["emit", "highest-vector", "--lambda", "[2,1|1,0]", "--p", "9"],
+    ["emit", "pi-ij", "--lambda", "[2,1|1,0]", "--i", "1", "--j", "1", "--p", "15"],
+    ["emit", "pi-IJ", "--lambda", "[4,3|1,0]", "--pairs", "[[1,1]]", "--p", "9"],
+    ["emit", "omega-grid", "--lambda", "[2,1|1,0]", "--p", "15"],
+    ["emit", "linkage-graph", "--max-entry", "1", "--p", "9"],
+    ["primitive", "--lambda", "[2,1|1,0]", "--i", "1", "--j", "1", "--p", "15"],
+    ["primitive-k", "--lambda", "[4,3|1,0]", "--pairs", "[[1,1]]", "--p", "9"],
+    ["phi1", "--lambda", "[2,1|1,0]", "--p", "15"],
+    ["typicality", "--lambda", "[2,2|0,0]", "--p", "9"],
+    ["linkage", "--lambda", "[2,1|1,0]", "--mu", "[2,0|1,1]", "--p", "15"],
+    ["odd-chain", "--lambda", "[2,1|2,0]", "--pairs", "[[1,1]]", "--p", "9"],
+    ["alcove", "--lambda", "[2,1|1,0]", "--p", "15"],
+    ["lr", "--outer", "3", "--content", "1", "--p", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", COMPOSITE_P, ids=[" ".join(a[:2]) for a in COMPOSITE_P])
+def test_composite_characteristic_exits_2(capsys, argv):
+    assert main(list(argv)) == 2
+    assert "odd prime" in _one_json_error_line(capsys)["error"]
+
+
+def test_lr_tableaux_agrees_with_lr_on_malformed_shapes(capsys):
+    code, doc = run_json(capsys, "lr", "--outer", "2,3", "--content", "1")
+    assert code == 0 and doc["count"] == 0 and doc["flag"] is not None
+    code, listed = run_json(capsys, "lr", "--outer", "2,3", "--content", "1", "--tableaux")
+    assert code == 0
+    assert listed == {**doc, "tableaux": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alcove", "--lambda", "[1|0]", "--p", "True"],
+        ["emit", "omega-grid", "--lambda", "[2,1|1,0]", "--no-such-flag"],
+        ["verify", "no-such-suite"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_argparse_rejections_print_one_json_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    _one_json_error_line(capsys)

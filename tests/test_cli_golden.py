@@ -1,0 +1,47 @@
+"""Byte-identity guard for CLI output.
+
+Each case pins the exit code and the sha256 of stdout for one command.  The
+set covers characteristic-p rendering, divided-power primitivity and the
+verify suites that the benchmark's query pool leaves out.  A change that
+moves one of these hashes changes the JSON that users diff across runs.
+"""
+
+import hashlib
+
+import pytest
+
+from superinduce.cli import main
+
+GOLDEN = [
+    (["emit", "highest-vector", "--lambda", "[2,1|1,0]"], 0,
+     "dfb0ec2ec6c5ae01ace6b9866f0243221ca42b47cdb70a695ad7ed0259b9f485"),
+    (["emit", "highest-vector", "--lambda", "[2,1|1,0]", "--p", "3"], 0,
+     "d7ec3c86f778a4e4319b1494eab04eb4eed2cafdd663bde1e2334e4772ff9fbd"),
+    (["emit", "pi-ij", "--lambda", "[2,1|1,0]", "--i", "1", "--j", "1", "--p", "5"], 0,
+     "732180ee37b6a69dd21f315d5420d8633b771e989f5e84f5c82a904c686e203b"),
+    (["emit", "pi-ij", "--lambda", "[2,1|1,0]", "--i", "2", "--j", "1"], 0,
+     "a3fb9f93f97abfa0c3666571404c379c9dba8c558e6ed6802f6d1e7e9560270a"),
+    (["emit", "pi-IJ", "--lambda", "[4,3|1,0]", "--pairs", "[[1,1],[2,2]]"], 0,
+     "e601437a1ba4d1bce536358a32abc8edde3d5e2336a1f780dca8f40b84b8df37"),
+    (["emit", "pi-IJ", "--lambda", "[3,3|1,0]", "--pairs", "[[1,1],[2,2]]", "--p", "3"], 0,
+     "1fbed8bd39e4a4c741eeb0cec34539231b7d03dfffb14b5a480b8ffbe33cc108"),
+    (["primitive", "--lambda", "[2,1|1,0]", "--i", "1", "--j", "1", "--p", "3"], 0,
+     "70196a8bb6d80fdc33ddf5f7e681310209a2c2c51d3c8f23f2202c10d5e1b4dd"),
+    (["primitive-k", "--lambda", "[4,3|1,0]", "--pairs", "[[1,1],[2,2]]", "--p", "3"], 0,
+     "bac86da858bd0fefc2915b59bbc2930a4c31336f49d99d9cb4a722379e7531b4"),
+    (["phi1", "--lambda", "[2,1|1,0]", "--p", "3"], 0,
+     "80add2ba678a8a1dddd57bb37111cf89bba9688a9a8df330f9ef1afd2d07b459"),
+    (["verify", "lemmas", "--m", "1", "--n", "1", "--p", "3"], 0,
+     "c1c6b88ad21e78d06eaba0384aba5bfdf0477f8878f52a18c027369b80edcac7"),
+    (["verify", "identities", "--m", "2", "--p", "5"], 0,
+     "e9cbd7a6fc070b59113ac7250c0265b35a0d1ecdb178ce30fc7fd38330861010"),
+    (["verify", "gen", "--count", "2", "--seed", "5"], 0,
+     "d902252fbd9e3b97b9686ac34f679bdf3ed129730ec35aef78c1b70e69f4843b"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_cli_output_is_byte_identical(capsys, argv, code, digest):
+    got = main(list(argv))
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

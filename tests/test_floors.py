@@ -21,7 +21,6 @@ from superinduce.floors_primitives import (
     generation_identity_check,
     highest_vector_recursion_check,
     is_primitive,
-    normalize_pairs,
     pair_height,
     pi_IJ,
     pi_IJ_raw,
@@ -39,20 +38,20 @@ from superinduce.fraction import (
     loc_scale,
     loc_weight,
 )
-from superinduce.minors import twisted_generator, y_entry
-from superinduce.superpoly import UsageError, ambient
-from superinduce.weights_tableaux import dminus, dplus, highest_vector, make_weight
+from superinduce.minors import row_initial_minor, twisted_generator, y_entry
+from superinduce.superpoly import UsageError, ambient, sort_with_sign
+from superinduce.weights_tableaux import dminus, highest_vector, make_weight
 
 
 def test_normalize_pairs():
-    assert normalize_pairs(()) == (1, ())
-    assert normalize_pairs(((1, 3),)) == (1, ((1, 3),))
-    assert normalize_pairs(((2, 3), (1, 3))) == (-1, ((1, 3), (2, 3)))
-    assert normalize_pairs(((2, 4), (1, 3), (1, 4))) == (
+    assert sort_with_sign(()) == (1, ())
+    assert sort_with_sign(((1, 3),)) == (1, ((1, 3),))
+    assert sort_with_sign(((2, 3), (1, 3))) == (-1, ((1, 3), (2, 3)))
+    assert sort_with_sign(((2, 4), (1, 3), (1, 4))) == (
         1,
         ((1, 3), (1, 4), (2, 4)),
     )
-    sign, key = normalize_pairs(((1, 3), (1, 3)))
+    sign, key = sort_with_sign(((1, 3), (1, 3)))
     assert key is None
 
 
@@ -163,7 +162,7 @@ def test_pi_family_singleton_matches_first_floor():
 
 
 def _expected_combination(amb):
-    d3 = embed_poly(dplus(amb, (1, 2)) ** 3)
+    d3 = embed_poly(row_initial_minor(amb, (1, 2)) ** 3)
     dm3, dm4 = dminus(amb, (3,)), dminus(amb, (4,))
     return FloorElement(
         amb,
@@ -207,7 +206,7 @@ def test_equal_minus_rows_need_the_other_combination():
     assert loc_eq(defect, dminus(amb, (3,)))
     combo = divide_floor(fe_add(raw_a, fe_neg(raw_b)), defect)
     assert combo is not None
-    d2 = embed_poly(dplus(amb, (1, 2)) ** 2)
+    d2 = embed_poly(row_initial_minor(amb, (1, 2)) ** 2)
     coeff = loc_mul(embed_poly(amb.gen(1, 1)), loc_mul(d2, dminus(amb, (3, 4))))
     expected = FloorElement(
         amb,
@@ -264,7 +263,7 @@ def test_exterior_order_anticommutes():
 
 def test_generation_identity_spot():
     amb = ambient(2, 2)
-    w = loc_mul(embed_poly(dplus(amb, (1, 2))), dminus(amb, (3, 4)))
+    w = loc_mul(embed_poly(row_initial_minor(amb, (1, 2))), dminus(amb, (3, 4)))
     for k in (1, 2):
         for l in (3, 4):
             assert generation_identity_check(amb, w, k, l)

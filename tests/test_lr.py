@@ -83,9 +83,19 @@ def test_lr_tableaux_match_count_and_are_lattice():
         ((4, 2, 1), (2, 1), (2, 1, 1)),
         ((3, 3, 1), (2, 1), (2, 1, 1)),
     ]
-    for outer, inner, content in cases:
+    # malformed questions: both routes report no fillings, and the counter flags
+    flagged = [
+        ((2, 3), (), (1,)),
+        ((3, 1), (), (2, 1)),
+        ((2,), (3,), (1,)),
+        ((2, 1), (), (1, 2)),
+        ((2, -1), (), (1,)),
+    ]
+    for outer, inner, content in flagged:
+        assert lr_coefficient_flagged(outer, inner, content)[1] is not None
+    for outer, inner, content in cases + flagged:
         fillings = lr_tableaux(outer, inner, content)
-        assert len(fillings) == lr_coefficient(outer, inner, content)
+        assert len(fillings) == lr_coefficient_flagged(outer, inner, content)[0]
         padded_inner = inner + (0,) * (len(outer) - len(inner))
         for rows in fillings:
             word = []

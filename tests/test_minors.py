@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from superinduce import ambient, UsageError
+from superinduce import ambient, leibniz_det, UsageError
 from superinduce.fraction import det_block11, embed_poly, loc_eq, loc_mul
 from superinduce.minors import (
     adjugate_entry,
@@ -13,7 +13,6 @@ from superinduce.minors import (
     laplace_along_row,
     laplace_first_row,
     loc_det,
-    minor,
     muir_adjugate_sum_check,
     muir_identity_check,
     row_initial_minor,
@@ -79,7 +78,7 @@ def test_twisted_lower_right_kills_lower_left_content():
 def test_laplace_first_row_matches_leibniz():
     amb = ambient(2, 2)
     for rows, cols in [((1, 2), (1, 2)), ((1, 3), (2, 4)), ((2, 3, 4), (1, 2, 3))]:
-        assert laplace_first_row(amb, rows, cols) == minor(amb, rows, cols)
+        assert laplace_first_row(amb, rows, cols) == leibniz_det(amb, rows, cols)
 
 
 def test_laplace_along_row_guard():
@@ -89,17 +88,17 @@ def test_laplace_along_row_guard():
     with pytest.raises(UsageError):
         laplace_along_row(amb, rows, cols, 2)
     # row above is even: rows (1,3), cols (1,2): row 1 even entries, row 3 odd
-    assert laplace_along_row(amb, (1, 3), (1, 2), 2) == minor(amb, (1, 3), (1, 2))
+    assert laplace_along_row(amb, (1, 3), (1, 2), 2) == leibniz_det(amb, (1, 3), (1, 2))
     # and expansion along the first row never needs the guard
-    assert laplace_along_row(amb, rows, cols, 1) == minor(amb, rows, cols)
+    assert laplace_along_row(amb, rows, cols, 1) == leibniz_det(amb, rows, cols)
 
 
 def test_all_odd_second_row_expansion_flips_sign():
     # the reason for the guard: naive expansion along row 2 of an all-odd
     # 2x2 matrix yields the negative of the row-ordered determinant
     amb = ambient(2, 2)
-    det = minor(amb, (1, 2), (3, 4))
-    naive = -amb.gen(2, 3) * minor(amb, (1,), (4,)) + amb.gen(2, 4) * minor(
+    det = leibniz_det(amb, (1, 2), (3, 4))
+    naive = -amb.gen(2, 3) * leibniz_det(amb, (1,), (4,)) + amb.gen(2, 4) * leibniz_det(
         amb, (1,), (3,)
     )
     assert naive == -det

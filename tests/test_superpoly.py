@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superinduce.fraction import parse_loc, render_loc
 from superinduce.superpoly import (
     UsageError,
     ambient,
@@ -198,3 +199,69 @@ def test_render_parse_roundtrip_random(data):
 def test_parse_rejects_junk():
     with pytest.raises(UsageError):
         parse_poly(A22, "+2·d[1,1]")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["c[1,1]+", "c[1,1]++c[2,2]", "c[1,1]-", "-", "+", "1/0", "·c[1,1]", "c[1,1]·", "2c[1,1]"],
+)
+def test_parse_rejects_malformed_grammar(text):
+    with pytest.raises(UsageError):
+        parse_poly(A22, text)
+
+
+def test_parse_rejects_integers_too_long_to_convert():
+    long = "1" * 5000
+    for text in (f"c[{long},1]", f"c[1,1]^{long}", long):
+        with pytest.raises(UsageError):
+            parse_poly(A22, text)
+    with pytest.raises(UsageError):
+        parse_loc(A22, f"c[1,1] / D^{long}")
+
+
+_POLY_TOKENS = ["c[1,1]", "c[2,3]", "c[4,4]^2", "c[5,1]", "c[", "]", ",", "^", "^0",
+                "2", "3", "/", "1/0", "0", "+", "-", "·", "*", " "]
+_LOC_TOKENS = _POLY_TOKENS + [" / ", "D^2", "D22^1", "D^", "E^1"]
+
+
+def _parses_or_rejects(parse, render, amb, text):
+    try:
+        x = parse(amb, text)
+    except UsageError:
+        return
+    assert parse(amb, render(x)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(max_size=30), st.lists(st.sampled_from(_POLY_TOKENS), max_size=8).map("".join)),
+    st.sampled_from([0, 3]),
+)
+def test_parse_poly_roundtrips_or_raises_usage_error(text, char):
+    _parses_or_rejects(parse_poly, render_poly, ambient(2, 2, char), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(max_size=30), st.lists(st.sampled_from(_LOC_TOKENS), max_size=8).map("".join)),
+    st.sampled_from([0, 3]),
+)
+def test_parse_loc_roundtrips_or_raises_usage_error(text, char):
+    _parses_or_rejects(parse_loc, render_loc, ambient(2, 2, char), text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_field_lowering_is_a_ring_map_and_undoes_the_lift(data):
+    a3 = ambient(2, 2, 3)
+    field = a3.field
+    # p-integral polynomials over Q: denominators prime to 3
+    a = random_poly(A22, data).scale(Fraction(1, data.draw(st.sampled_from([1, 2, 4, 5]))))
+    b = random_poly(A22, data).scale(Fraction(1, data.draw(st.sampled_from([1, 2, 7]))))
+    assert field.lower(a + b) == field.lower(a) + field.lower(b)
+    assert field.lower(a * b) == field.lower(a) * field.lower(b)
+    x = random_poly(a3, data)
+    assert field.lift(x).ambient == A22
+    assert field.lower(field.lift(x)) == x
+    # over Q both moves hand back their argument
+    assert A22.field.lift(a) is a and A22.field.lower(a) is a

@@ -14,7 +14,6 @@ from superinduce.weights_tableaux import (
     bideterminant_plus,
     content_of_pairs,
     dminus,
-    dplus,
     enumerate_semistandard,
     highest_vector,
     is_admissible_pair,
