@@ -40,11 +40,12 @@ from .fraction import (
 )
 from .minors import loc_det, row_initial_minor, twisted_generator, y_entry
 from .superpoly import (
+    FIELD_MASK,
     Ambient,
     InternalError,
     SuperPolynomial,
     UsageError,
-    monomial_mul,
+    check_exponents,
     sort_with_sign,
 )
 
@@ -98,33 +99,40 @@ def render_op(op: Op) -> str:
 
 
 def _d_poly(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
+    """The basic derivation d[k,l] on a polynomial, term by term on packed
+    monomials: each factor c[a,k] of a term becomes c[a,l].
+
+    The sign has two parts, both popcount parities of the term's odd bits:
+    an odd operator passes the odd factors after c[a,k], and an odd c[a,l]
+    passes the odd factors strictly between c[a,k] and its own place.
+    """
     amb = p.ambient
-    amb.index_parity(k)
-    amb.index_parity(l)
-    dpar = amb.gen_parity(k, l)
+    dpar = amb.gen_parity(k, l)  # range-checks k and l
+    odd = amb.odd_mask
+    slots = []
+    for a in range(1, amb.size + 1):
+        uk, ul = amb.unit(a, k), amb.unit(a, l)
+        sign_mask = uk - 1 if dpar else 0
+        clash = 0
+        if uk != ul and amb.gen_parity(a, l):
+            lo, hi = min(uk, ul), max(uk, ul)
+            sign_mask ^= (hi - 1) & ~(2 * lo - 1)
+            clash = ul
+        slots.append((uk.bit_length() - 1, ul - uk, sign_mask, clash))
     acc: dict = {}
     for mono, c in p.terms.items():
-        nfac = len(mono)
-        suff = [0] * (nfac + 1)
-        for t in range(nfac - 1, -1, -1):
-            (i, j), e = mono[t]
-            suff[t] = (suff[t + 1] + amb.gen_parity(i, j) * e) % 2
-        for t in range(nfac):
-            (a, b), e = mono[t]
-            if b != k:
-                continue
-            left = mono[:t] + (((a, b), e - 1),) if e > 1 else mono[:t]
-            s1, m1 = monomial_mul(amb, left, (((a, l), 1),))
-            if m1 is None:
-                continue
-            s2, m2 = monomial_mul(amb, m1, mono[t + 1 :])
-            if m2 is None:
-                continue
-            sign = s1 * s2
-            if dpar and suff[t + 1]:
-                sign = -sign
+        mo_odd = mono & odd
+        for shift, delta, sign_mask, clash in slots:
+            e = (mono >> shift) & FIELD_MASK
+            if not e or mono & clash:
+                continue  # no factor c[a,k], or an odd c[a,l] squares to zero
             cc = c * e if e != 1 else c
-            acc[m2] = acc.get(m2, 0) + (cc if sign > 0 else -cc)
+            if (mo_odd & sign_mask).bit_count() & 1:
+                cc = -cc
+            mo = mono + delta
+            prev = acc.get(mo)
+            acc[mo] = cc if prev is None else prev + cc
+    check_exponents(amb, acc)
     return SuperPolynomial(amb, acc)
 
 

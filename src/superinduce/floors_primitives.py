@@ -46,6 +46,8 @@ from .superpoly import (
     SuperPolynomial,
     UsageError,
     exact_divide,
+    monomial_column_content,
+    monomial_items,
     sort_with_sign,
 )
 from .weights_tableaux import (
@@ -454,14 +456,14 @@ def extract_floors(x: LocalizedElement):
     substituted = amb.zero()
     for mono, c in num.terms.items():
         term = amb.scalar(c)
-        for (i, j), e in mono:
+        for (i, j), e in monomial_items(amb, mono):
             term = term * (_structured_image(amb, i, j) ** e)
         substituted = substituted + term
     grouped: dict = {}
     for mono, c in substituted.terms.items():
         y_word = []
         others = []
-        for (i, j), e in mono:
+        for (i, j), e in monomial_items(amb, mono):
             if i > m and j <= m:
                 return None  # lower-left content is not representable
             if i <= m < j:
@@ -506,10 +508,7 @@ def _weight_components(x: LocalizedElement):
     amb = x.ambient
     buckets: dict = {}
     for mono, c in x.num.terms.items():
-        cols = [0] * amb.size
-        for (_, j), e in mono:
-            cols[j - 1] += e
-        buckets.setdefault(tuple(cols), {})[mono] = c
+        buckets.setdefault(monomial_column_content(amb, mono), {})[mono] = c
     out = []
     for _, terms in sorted(buckets.items()):
         out.append(LocalizedElement(SuperPolynomial(amb, terms), x.d_exp, x.d22_exp))

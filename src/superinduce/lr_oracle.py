@@ -109,40 +109,46 @@ def _lattice_fillings(outer, inner, content, descending=False):
     cells = _skew_cells(outer, inner)
     width = outer[0] if outer else 0
     letters = len(content)
-    values = range(letters, 0, -1) if descending else range(1, letters + 1)
     filling = [[0] * width for _ in range(len(outer))]
     counts = [0] * (letters + 1)
 
-    def feasible(r, c, e):
-        if counts[e] + 1 > content[e - 1]:
-            return False
-        # lattice prefix: after placing e, letter e may not outnumber e-1
-        if e > 1 and counts[e] + 1 > counts[e - 1]:
-            return False
-        # the right neighbour was filled earlier in reading order
-        if c + 1 < outer[r] and filling[r][c + 1] and e > filling[r][c + 1]:
-            return False
-        # rows are filled top to bottom, so an empty cell above is inner shape
-        if r > 0 and c < outer[r - 1]:
-            above = filling[r - 1][c]
-            if above and e <= above:
-                return False
-        return True
+    def candidates(r, c):
+        # the right and upper neighbours come earlier in reading order, so
+        # the row and column conditions are bounds known on arrival; an upper
+        # neighbour holding 0 is inner shape and bounds nothing
+        hi = filling[r][c + 1] if c + 1 < outer[r] else letters
+        lo = filling[r - 1][c] + 1 if r > 0 and c < outer[r - 1] else 1
+        return iter(range(hi, lo - 1, -1) if descending else range(lo, hi + 1))
 
-    def place(k):
-        if k == len(cells):
+    if not cells:
+        yield filling
+        return
+    # depth-first over the cells in reading order: one entry per open cell,
+    # holding the letters not yet tried there, in place of a recursion per cell
+    last = len(cells) - 1
+    stack = [(*cells[0], candidates(*cells[0]))]
+    while stack:
+        r, c, untried = stack[-1]
+        row = filling[r]
+        e = row[c]
+        if e:  # withdraw the letter tried last in this cell
+            counts[e] -= 1
+            row[c] = 0
+        for e in untried:
+            # content, and the lattice prefix: e may not outnumber e-1
+            n = counts[e]
+            if n < content[e - 1] and (e == 1 or n < counts[e - 1]):
+                row[c] = e
+                counts[e] = n + 1
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) > last:
             yield filling
-            return
-        r, c = cells[k]
-        for e in values:
-            if feasible(r, c, e):
-                filling[r][c] = e
-                counts[e] += 1
-                yield from place(k + 1)
-                counts[e] -= 1
-                filling[r][c] = 0
-
-    yield from place(0)
+        else:
+            cell = cells[len(stack)]
+            stack.append((*cell, candidates(*cell)))
 
 
 def lr_coefficient_flagged(outer, inner, content, descending=False):

@@ -6,10 +6,22 @@ even when it is at most m and odd otherwise, and c[i,j] carries the parity
 |i| + |j| mod 2.  Even generators are central; odd generators anticommute
 with each other and square to zero.
 
-A monomial is a tuple of ((row, col), exponent) pairs sorted by (row, col),
-with odd generators restricted to exponent 1.  A polynomial is a dict from
-monomials to nonzero coefficients, tagged with its Ambient (sizes and
-characteristic).  All arithmetic is exact; nothing here ever rounds.
+A monomial is one int that packs its exponent vector (Monagan & Pearce):
+each generator owns a FIELD_BITS-wide field, c[1,1] the most significant and
+then row by row, so c[i,j] is the int 1 << (((s-i)*s + (s-j)) * FIELD_BITS)
+for s = m+n.  The product of monomials is their sum, and int order is the
+lexicographic order of exponent vectors read from c[1,1].  An odd generator
+uses only the low bit of its field (its exponent is 0 or 1), so the odd
+generators of a monomial form a bitmask (Dorst, Fontijne & Mann's bitmap
+blades): a shared odd generator is a nonzero AND, and the Koszul sign of a
+product is the parity of a popcount.  The top bit of every field is a guard:
+an exponent may be at most EXPONENT_CAP = 2**(FIELD_BITS-1) - 1, the sum of
+two such exponents never carries into the next field, and a result that sets
+a guard bit raises UsageError naming the cap.
+
+A polynomial is a dict from monomials to nonzero coefficients, tagged with
+its Ambient (sizes and characteristic).  All arithmetic is exact; nothing
+here ever rounds.
 """
 
 from __future__ import annotations
@@ -128,6 +140,19 @@ class PrimeField:
         return SuperPolynomial(ambient(p0.ambient.m, p0.ambient.n, self.char), terms)
 
 
+FIELD_BITS = 16
+EXPONENT_CAP = (1 << (FIELD_BITS - 1)) - 1
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def check_exponents(amb: "Ambient", monos) -> None:
+    """Raise UsageError when a packed result exceeds EXPONENT_CAP anywhere."""
+    guard = amb.guard_mask
+    for mo in monos:
+        if mo & guard:
+            raise UsageError(f"exponent exceeds the monomial exponent cap {EXPONENT_CAP}")
+
+
 @dataclass(frozen=True)
 class Ambient:
     """Sizes (m, n) and coefficient characteristic shared by a family of values.
@@ -147,12 +172,25 @@ class Ambient:
     _cache: dict = dataclass_field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
+    # packing tables: the bits of the odd generators, the guard bit of every
+    # field, and the generator of each field, least significant first
+    odd_mask: int = dataclass_field(init=False, compare=False, repr=False, hash=False)
+    guard_mask: int = dataclass_field(init=False, compare=False, repr=False, hash=False)
+    field_gens: tuple = dataclass_field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise UsageError(f"sizes must be at least 1, got m={self.m}, n={self.n}")
         coeffs = PrimeField(check_odd_prime(self.char)) if self.char else Rationals()
         object.__setattr__(self, "field", coeffs)
+        s = self.size
+        gens = tuple((i, j) for i in range(s, 0, -1) for j in range(s, 0, -1))
+        odd = sum(1 << (f * FIELD_BITS) for f, (i, j) in enumerate(gens)
+                  if (i > self.m) != (j > self.m))
+        guard = sum(1 << (f * FIELD_BITS) for f in range(s * s)) << (FIELD_BITS - 1)
+        object.__setattr__(self, "odd_mask", odd)
+        object.__setattr__(self, "guard_mask", guard)
+        object.__setattr__(self, "field_gens", gens)
 
     @property
     def size(self) -> int:
@@ -165,6 +203,12 @@ class Ambient:
 
     def gen_parity(self, i: int, j: int) -> int:
         return (self.index_parity(i) + self.index_parity(j)) % 2
+
+    def unit(self, i: int, j: int) -> int:
+        """The packed monomial c[i,j]."""
+        self.gen_parity(i, j)  # range check
+        s = self.size
+        return 1 << (((s - i) * s + (s - j)) * FIELD_BITS)
 
     def coeff(self, x):
         """Normalize an int/Fraction/str into this ambient's coefficient field."""
@@ -179,11 +223,10 @@ class Ambient:
         return self.scalar(1)
 
     def scalar(self, c) -> "SuperPolynomial":
-        return SuperPolynomial(self, {(): self.coeff(c)})
+        return SuperPolynomial(self, {0: self.coeff(c)})
 
     def gen(self, i: int, j: int) -> "SuperPolynomial":
-        self.gen_parity(i, j)  # range check
-        return SuperPolynomial(self, {(((i, j), 1),): self.coeff(1)})
+        return SuperPolynomial(self, {self.unit(i, j): self.coeff(1)})
 
 
 @lru_cache(maxsize=None)
@@ -194,59 +237,65 @@ def ambient(m: int, n: int, char: int = 0) -> Ambient:
 
 # -- monomials --------------------------------------------------------------
 
-Monomial = tuple  # tuple of ((row, col), exponent) pairs, sorted by (row, col)
+Monomial = int  # packed exponents, c[1,1] in the most significant field
+
+
+def monomial_items(amb: Ambient, mono: Monomial) -> list:
+    """The ((row, col), exponent) pairs of a monomial, sorted by (row, col)."""
+    gens = amb.field_gens
+    items = []
+    while mono:
+        f = (mono.bit_length() - 1) // FIELD_BITS
+        shift = f * FIELD_BITS
+        e = mono >> shift
+        items.append((gens[f], e))
+        mono -= e << shift
+    return items
 
 
 def monomial_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+    deg = 0
+    while mono:
+        deg += mono & FIELD_MASK
+        mono >>= FIELD_BITS
+    return deg
 
 
 def monomial_odd_degree(amb: Ambient, mono: Monomial) -> int:
     """Number of odd generator factors (each necessarily to the first power)."""
-    return sum(e for (i, j), e in mono if amb.gen_parity(i, j))
+    return (mono & amb.odd_mask).bit_count()
 
 
 def monomial_parity(amb: Ambient, mono: Monomial) -> int:
-    return monomial_odd_degree(amb, mono) % 2
+    return monomial_odd_degree(amb, mono) & 1
 
 
-def monomial_mul(amb: Ambient, ma: Monomial, mb: Monomial):
-    """Product of two canonical monomials: (sign, monomial) or (1, None) if zero.
+def koszul_mask(odd_bits: int) -> int:
+    """Bit h is set when an odd number of the given bits lie above h.
 
-    The sign counts Koszul crossings: each odd factor of the right word passes
-    every strictly greater odd factor of the left word on its way to canonical
-    position.  A shared odd generator squares to zero.
+    For a left factor with odd bits oa, the parity of (oa & koszul_mask(ob))
+    counts, mod 2, the pairs of an odd factor of the right word and a greater
+    odd factor of the left word: the crossings that bring the product into
+    canonical order.
     """
-    if not ma:
-        return 1, mb
-    if not mb:
-        return 1, ma
-    odd_a = [g for g, _ in ma if amb.gen_parity(*g)]
-    crossings = 0
-    merged = dict(ma)
-    for g, e in mb:
-        if amb.gen_parity(*g):
-            for h in odd_a:
-                if h > g:
-                    crossings += 1
-            if g in merged:
-                return 1, None
-        prev = merged.get(g, 0)
-        merged[g] = prev + e
-    sign = -1 if crossings & 1 else 1
-    return sign, tuple(sorted(merged.items()))
+    mask = 0
+    while odd_bits:
+        low = odd_bits & -odd_bits
+        mask ^= low - 1
+        odd_bits ^= low
+    return mask
 
 
-def _monomial_column_content(amb: Ambient, mono: Monomial) -> tuple:
+def monomial_column_content(amb: Ambient, mono: Monomial) -> tuple:
     counts = [0] * amb.size
-    for (_, j), e in mono:
+    for (_, j), e in monomial_items(amb, mono):
         counts[j - 1] += e
     return tuple(counts)
 
 
 def _monomial_row_content(amb: Ambient, mono: Monomial) -> tuple:
     counts = [0] * amb.size
-    for (i, _), e in mono:
+    for (i, _), e in monomial_items(amb, mono):
         counts[i - 1] += e
     return tuple(counts)
 
@@ -319,13 +368,19 @@ class SuperPolynomial:
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         self._check_mate(other)
+        odd = amb.odd_mask
+        right = [(mb, cb, mb & odd, koszul_mask(mb & odd)) for mb, cb in other.terms.items()]
         out: dict = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sign, mo = monomial_mul(amb, ma, mb)
-                if mo is not None:
-                    c = ca * cb
-                    out[mo] = out.get(mo, 0) + (c if sign > 0 else -c)
+            oa = ma & odd
+            for mb, cb, ob, kb in right:
+                if oa & ob:
+                    continue  # a shared odd generator squares to zero
+                mo = ma + mb
+                c = -ca * cb if (oa & kb).bit_count() & 1 else ca * cb
+                prev = out.get(mo)
+                out[mo] = c if prev is None else prev + c
+        check_exponents(amb, out)
         return SuperPolynomial(amb, out)
 
     def __rmul__(self, other):
@@ -357,7 +412,7 @@ def weight_of(p: SuperPolynomial):
     amb = p.ambient
     w = None
     for mono in p.terms:
-        cur = _monomial_column_content(amb, mono)
+        cur = monomial_column_content(amb, mono)
         if w is None:
             w = cur
         elif w != cur:
@@ -381,42 +436,36 @@ def row_content_of(p: SuperPolynomial):
 # -- exact division -----------------------------------------------------------
 
 
-def _division_key(amb: Ambient, mono: Monomial):
-    # graded lexicographic over the full generator grid; multiplicative, so a
-    # single-divisor remainder of zero is equivalent to exact divisibility
-    size = amb.size
-    vec = [0] * (size * size)
-    deg = 0
-    for (i, j), e in mono:
-        vec[(i - 1) * size + (j - 1)] = e
-        deg += e
-    return (deg, tuple(vec))
+def _division_key(mono: Monomial):
+    # graded lexicographic over the full generator grid (int order is the
+    # lexicographic order from c[1,1]); multiplicative, so a single-divisor
+    # remainder of zero is equivalent to exact divisibility
+    return (monomial_degree(mono), mono)
 
 
-def _even_monomial_divide(u: Monomial, v: Monomial):
-    """u / v for monomials in even generators only; None when not divisible."""
-    quo = dict(u)
-    for g, e in v:
-        r = quo.get(g, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            quo.pop(g, None)
-        else:
-            quo[g] = r
-    return tuple(sorted(quo.items()))
+def _even_monomial_divide(amb: Ambient, u: Monomial, v: Monomial):
+    """u / v for monomials in even generators only; None when not divisible.
+
+    Setting every guard bit of u first keeps each field's borrow inside the
+    field; a guard bit that survives marks a field where u covers v.
+    """
+    guard = amb.guard_mask
+    diff = (u | guard) - v
+    if diff & guard != guard:
+        return None
+    return diff ^ guard
 
 
 def _commutative_divide(x: SuperPolynomial, b0: SuperPolynomial):
     """Exact division by a polynomial in even generators, leading-term style."""
     amb = x.ambient
-    lead_b = max(b0.terms, key=lambda mo: _division_key(amb, mo))
+    lead_b = max(b0.terms, key=_division_key)
     lc_b_inv = amb.field.inv(b0.terms[lead_b])
     quo: dict = {}
     rem = SuperPolynomial(amb, dict(x.terms))
     while not rem.is_zero():
-        u = max(rem.terms, key=lambda mo: _division_key(amb, mo))
-        qm = _even_monomial_divide(u, lead_b)
+        u = max(rem.terms, key=_division_key)
+        qm = _even_monomial_divide(amb, u, lead_b)
         if qm is None:
             return None
         qc = rem.terms[u] * lc_b_inv
@@ -464,9 +513,8 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
         # grouping involves no signs
         groups: dict = {}
         for mo, c in layer.terms.items():
-            odd_word = tuple(pair for pair in mo if amb.gen_parity(*pair[0]))
-            even_word = tuple(pair for pair in mo if not amb.gen_parity(*pair[0]))
-            groups.setdefault(odd_word, {})[even_word] = c
+            odd_word = mo & amb.odd_mask
+            groups.setdefault(odd_word, {})[mo ^ odd_word] = c
         part = amb.zero()
         for odd_word, even_terms in groups.items():
             qe = _commutative_divide(SuperPolynomial(amb, even_terms), b0)
@@ -559,14 +607,14 @@ def render_poly(p: SuperPolynomial) -> str:
     if p.is_zero():
         return "0"
     amb = p.ambient
-    ordered = sorted(p.terms, key=lambda mo: _division_key(amb, mo), reverse=True)
+    ordered = sorted(p.terms, key=_division_key, reverse=True)
     parts = []
     for mono in ordered:
         c = p.terms[mono]
         # F_p coefficients live in 0..p-1, so only Q ever renders a minus
         sign, mag = ("-", -c) if c < 0 else ("+", c)
         chunks = [str(mag)]
-        for (i, j), e in mono:
+        for (i, j), e in monomial_items(amb, mono):
             chunks.append(f"c[{i},{j}]" + (f"^{e}" if e > 1 else ""))
         parts.append(sign + "·".join(chunks))
     return " ".join(parts)

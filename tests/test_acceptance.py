@@ -341,11 +341,9 @@ def test_criterion_8_primitivity_of_every_floor_vector_family(capsys):
 
         checked = 0
         for char in (0, 3, 5):
-            # in char p the annihilation includes all divided powers, which is
-            # slower per vector, so the mod-p pass keeps a shorter prefix
-            limit = None if char == 0 else 4
+            # in char p the annihilation includes all divided powers too
             amb_plus = ambient(2, 1, char)
-            for w in plus_weights[:limit]:
+            for w in plus_weights:
                 for i in (1, 2):
                     try:
                         vec = pi_plus(amb_plus, w, i)
@@ -354,7 +352,7 @@ def test_criterion_8_primitivity_of_every_floor_vector_family(capsys):
                     assert is_primitive(vec), (char, w, i)
                     checked += 1
             amb_minus = ambient(1, 2, char)
-            for w in minus_weights[:limit]:
+            for w in minus_weights:
                 for j in (1, 2):
                     try:
                         vec = pi_minus(amb_minus, w, j)
@@ -363,7 +361,7 @@ def test_criterion_8_primitivity_of_every_floor_vector_family(capsys):
                     assert is_primitive(vec), (char, w, j)
                     checked += 1
             amb = ambient(2, 2, char)
-            for w in grid_weights[:limit]:
+            for w in grid_weights:
                 for i in (1, 2):
                     for j in (1, 2):
                         try:

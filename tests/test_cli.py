@@ -115,6 +115,13 @@ def test_lr_command_counts_and_lists(capsys):
     assert code == 0 and doc["count"] == 2
 
 
+def test_lr_walk_is_not_bounded_by_the_recursion_limit(capsys):
+    # one cell per letter; a walk recursing per cell overflows the stack here
+    code, doc = run_json(capsys, "lr", "--outer", "1200", "--content", "1200")
+    assert code == 0
+    assert doc["count"] == 1 and doc["flag"] is None
+
+
 def test_linkage_graph_certificates(capsys):
     code, doc = run_json(
         capsys, "emit", "linkage-graph", "--p", "3", "--max-entry", "2"

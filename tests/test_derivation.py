@@ -36,6 +36,8 @@ from superinduce.derivation import (
     _den_derivative,
 )
 from superinduce.minors import y_entry
+from superinduce.superpoly import EXPONENT_CAP
+from word_oracle import SIZES, pack, random_words, unpack, word_derivative
 
 
 def test_generator_rule():
@@ -60,6 +62,35 @@ def test_even_exponent_pulls_down():
     assert apply_poly(basic(1, 2), amb.gen(1, 1) ** 3) == (
         amb.gen(1, 1) ** 2 * amb.gen(1, 2)
     ).scale(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(SIZES), st.sampled_from([0, 3]))
+def test_basic_derivation_matches_word_oracle(data, size, char):
+    amb = ambient(*size, char)
+    words = random_words(amb, data)
+    x = pack(amb, words)
+    for k, l in product(range(1, amb.size + 1), repeat=2):
+        got = apply_poly(basic(k, l), x)
+        assert unpack(got) == word_derivative(amb, words, k, l), (k, l)
+
+
+def test_odd_image_passes_the_odd_factors_it_moves_across():
+    # d[1,4] sends c11·c13 to (-1)^(|d||c13|) c14·c13 = -c14·c13 = +c13·c14:
+    # the odd operator passes c13 once and the new odd c14 passes it again
+    amb = ambient(2, 2)
+    x = amb.gen(1, 1) * amb.gen(1, 3)
+    assert apply_poly(basic(1, 4), x) == amb.gen(1, 3) * amb.gen(1, 4)
+
+
+def test_derivation_respects_the_exponent_cap():
+    amb = ambient(2, 1)
+    c11, c12 = amb.gen(1, 1), amb.gen(1, 2)
+    # d[2,1] turns the factor c12 into c11; at the cap that is one too many
+    below = c11 ** (EXPONENT_CAP - 1) * c12
+    assert apply_poly(basic(2, 1), below) == c11 ** EXPONENT_CAP
+    with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
+        apply_poly(basic(2, 1), c11 ** EXPONENT_CAP * c12)
 
 
 def _random_poly(amb, data, max_terms=3, max_factors=3):

@@ -1,12 +1,15 @@
 """Ground-floor arithmetic: signs, gradings, division, text round-trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superinduce.cli import main
 from superinduce.fraction import parse_loc, render_loc
 from superinduce.superpoly import (
+    EXPONENT_CAP,
     UsageError,
     ambient,
     exact_divide,
@@ -16,6 +19,7 @@ from superinduce.superpoly import (
     row_content_of,
     weight_of,
 )
+from word_oracle import SIZES, pack, random_words, unpack, word_mul
 
 
 A22 = ambient(2, 2)
@@ -265,3 +269,50 @@ def test_field_lowering_is_a_ring_map_and_undoes_the_lift(data):
     assert field.lower(field.lift(x)) == x
     # over Q both moves hand back their argument
     assert A22.field.lift(a) is a and A22.field.lower(a) is a
+
+
+# -- the packed kernel against the tuple-word oracle, and its exponent cap ------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(SIZES), st.sampled_from([0, 3]))
+def test_mul_matches_word_oracle(data, size, char):
+    amb = ambient(*size, char)
+    a = random_words(amb, data)
+    b = random_words(amb, data)
+    assert unpack(pack(amb, a) * pack(amb, b)) == word_mul(amb, a, b)
+
+
+def test_exponent_cap_is_reached_and_never_crossed():
+    c11, c12 = A22.gen(1, 1), A22.gen(1, 2)
+    top = c11 ** EXPONENT_CAP
+    assert render_poly(top) == f"+1·c[1,1]^{EXPONENT_CAP}"
+    assert exact_divide(top, c11 ** (EXPONENT_CAP - 1)) == c11
+    # c[1,2]'s field sits just below c[1,1]'s and never spills into it
+    assert render_poly(c12 ** EXPONENT_CAP * c11) == f"+1·c[1,1]·c[1,2]^{EXPONENT_CAP}"
+    for overflow in (lambda: c11 ** (EXPONENT_CAP + 1), lambda: top * c11,
+                     lambda: c12 ** EXPONENT_CAP * c12):
+        with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
+            overflow()
+    # odd generators square to zero before any exponent can grow
+    assert (A22.gen(1, 3) ** (EXPONENT_CAP + 1)).is_zero()
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_parse_poly_exponent_cap(char):
+    amb = ambient(2, 2, char)
+    assert parse_poly(amb, f"c[1,1]^{EXPONENT_CAP}") == amb.gen(1, 1) ** EXPONENT_CAP
+    with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
+        parse_poly(amb, f"c[1,1]^{EXPONENT_CAP + 1}")
+    with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
+        parse_loc(amb, f"c[2,2]^{EXPONENT_CAP + 1} / D^1")
+
+
+def test_cli_reports_the_exponent_cap(capsys):
+    assert main(["emit", "highest-vector", "--lambda", f"[{EXPONENT_CAP}|0]"]) == 0
+    assert f"c[1,1]^{EXPONENT_CAP} " in capsys.readouterr().out
+    assert main(["emit", "highest-vector", "--lambda", f"[{EXPONENT_CAP + 1}|0]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert str(EXPONENT_CAP) in json.loads(lines[0])["error"]
