@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
@@ -945,9 +946,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged (no append actions, no mutable
+# defaults), so one instance serves every call in a process
+_shared_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.p:
             check_odd_prime(args.p)

@@ -20,8 +20,9 @@ two such exponents never carries into the next field, and a result that sets
 a guard bit raises UsageError naming the cap.
 
 A polynomial is a dict from monomials to nonzero coefficients, tagged with
-its Ambient (sizes and characteristic).  All arithmetic is exact; nothing
-here ever rounds.
+its Ambient (sizes and characteristic).  A coefficient in Q is an int when it
+is integral and a Fraction with denominator > 1 otherwise; one in F_p is an
+int in 0..p-1.  All arithmetic is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -72,22 +73,34 @@ def _numeral(x):
         raise UsageError(f"unrecognized coefficient {x!r}") from exc
 
 
+def _integral_as_int(q):
+    """q as an int when it is integral, else q itself (a proper Fraction)."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """The field Q: Fraction coefficients.  Characteristic zero is its own
-    integral form, so the lift and the lowering return their argument."""
+    """The field Q.  An integral coefficient is a Python int and any other is
+    a Fraction with denominator > 1; int and Fraction mix exactly under
+    + - * and agree on ==, hash and str, so the kernels need not tell them
+    apart.  Characteristic zero is its own integral form, so the lift and the
+    lowering return their argument."""
 
     def intake(self, x):
         """Normalize an int, Fraction or numeral string into the field."""
-        return Fraction(_numeral(x))
+        if type(x) is int:
+            return x
+        return _integral_as_int(Fraction(_numeral(x)))
 
     def clean(self, terms: dict) -> dict:
-        """Reduce raw sums and products of field elements; drop the zeros."""
-        return {mo: c for mo, c in terms.items() if c}
+        """Reduce raw sums and products of field elements: an integral
+        Fraction becomes its numerator; drop the zeros."""
+        return {mo: c if type(c) is int else _integral_as_int(c)
+                for mo, c in terms.items() if c}
 
     def inv(self, a):
         if a == 0:
             raise UsageError("division by zero coefficient")
-        return 1 / Fraction(a)
+        return _integral_as_int(1 / Fraction(a))
 
     def lift(self, poly: "SuperPolynomial") -> "SuperPolynomial":
         return poly
@@ -127,9 +140,10 @@ class PrimeField:
         return pow(a, -1, self.char)
 
     def lift(self, poly: "SuperPolynomial") -> "SuperPolynomial":
-        """The same polynomial with its coefficients read in Q."""
+        """The same polynomial with its coefficients read in Q: the residues
+        0..p-1 are already integral elements of Q."""
         amb0 = ambient(poly.ambient.m, poly.ambient.n, 0)
-        return SuperPolynomial(amb0, {mo: Fraction(c) for mo, c in poly.terms.items()})
+        return SuperPolynomial(amb0, poly.terms)
 
     def lower(self, p0: "SuperPolynomial") -> "SuperPolynomial":
         """Reduce a p-integral polynomial over Q into this field."""

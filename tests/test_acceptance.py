@@ -166,8 +166,9 @@ def test_criterion_3_generation_on_random_bideterminant_products(capsys):
     with _criterion(3, 120, info, capsys):
         amb = ambient(2, 2)
         rng = random.Random(31)
-        for _ in range(50):
-            w = random_dominant_weight(2, 2, rng, max_entry=3)
+        # one stream: 50 draws with entries <= 3, then 50 more with entries <= 5
+        for max_entry in [3] * 50 + [5] * 50:
+            w = random_dominant_weight(2, 2, rng, max_entry=max_entry)
             tp = rng.choice(
                 list(enumerate_semistandard(tuple(v for v in w.plus if v > 0), 1, 2))
             )
@@ -181,7 +182,8 @@ def test_criterion_3_generation_on_random_bideterminant_products(capsys):
                 for l in (3, 4):
                     assert generation_identity_check(amb, element, k, l), (w, k, l)
         info["detail"] = (
-            "50 random bideterminant products at (2,2): every mixed derivative "
+            "100 random bideterminant products at (2,2), 50 with weight entries "
+            "<= 3 and 50 with entries <= 5: every mixed derivative "
             "is generated in even directions and the reversed direction vanishes"
         )
 

@@ -327,3 +327,24 @@ def test_argparse_rejections_print_one_json_line(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     _one_json_error_line(capsys)
+
+
+def test_consecutive_calls_share_no_parsed_state(capsys):
+    lr = ("lr", "--outer", "3,2,2,1", "--inner", "2,2,1", "--content", "2,1")
+    code, listed = run_json(capsys, *lr, "--tableaux")
+    assert code == 0 and len(listed["tableaux"]) == 2
+    code, plain = run_json(capsys, *lr)
+    assert code == 0 and plain == {k: v for k, v in listed.items() if k != "tableaux"}
+    # the shorthand's fixed suite and a seeded char-3 run leave no defaults behind
+    code, seeded = run_json(capsys, "verify-lemmas", "--m", "1", "--n", "1", "--p", "3", "--seed", "7")
+    assert code == 0 and seeded["config"] == {"m": 1, "n": 1, "p": 3, "seed": 7}
+    code, short = run_cli(capsys, "verify-lemmas", "--m", "1", "--n", "1")
+    assert code == 0
+    code, full = run_cli(capsys, "verify", "lemmas", "--m", "1", "--n", "1")
+    assert code == 0 and full == short
+    assert json.loads(full)["config"] == {"m": 1, "n": 1, "p": 0, "seed": 0}
+    # a rejected command line after successful ones still ends in one JSON line
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "1", "--n", "1"])
+    assert exc.value.code == 2
+    _one_json_error_line(capsys)

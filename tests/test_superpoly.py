@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superinduce.cli import main
-from superinduce.fraction import parse_loc, render_loc
+from superinduce.derivation import apply_loc, basic, divided
+from superinduce.fraction import LocalizedElement, parse_loc, render_loc
 from superinduce.superpoly import (
     EXPONENT_CAP,
+    SuperPolynomial,
     UsageError,
     ambient,
     exact_divide,
@@ -191,6 +193,77 @@ def test_render_parse_roundtrip_examples():
     assert parse_poly(A22, "+2*c[1,1]^2*c[1,2]-1/3*c[2,2]") == p
     assert render_poly(A22.zero()) == "0"
     assert parse_poly(A22, "0").is_zero()
+
+
+def test_render_parse_of_rational_coefficients():
+    x, y = A22.gen(1, 1), A22.gen(1, 3)
+    cases = [
+        (A22.scalar(Fraction(1, 2)), "+1/2"),
+        (x.scale(Fraction(-3, 4)), "-3/4·c[1,1]"),
+        (x.scale(Fraction(4, 2)), "+2·c[1,1]"),
+        ((x * A22.gen(2, 2)).scale(-Fraction(6, 3)), "-2·c[1,1]·c[2,2]"),
+        (
+            x.scale(Fraction(1, 2)) + y.scale(Fraction(-3, 4))
+            + A22.gen(2, 2).scale(Fraction(4, 2)) + (x * y).scale(-Fraction(6, 3)),
+            "-2·c[1,1]·c[1,3] +1/2·c[1,1] -3/4·c[1,3] +2·c[2,2]",
+        ),
+    ]
+    for p, text in cases:
+        assert render_poly(p) == text
+        back = parse_poly(A22, text)
+        assert back == p and render_poly(back) == text
+
+
+# -- Q coefficients: an int when integral, else a Fraction with denominator > 1 --
+
+
+def all_fraction(p):
+    """p with every stored coefficient a Fraction, bypassing the field's
+    normalization: the all-Fraction reference input."""
+    q = SuperPolynomial.__new__(SuperPolynomial)
+    q.ambient = p.ambient
+    q.terms = {mo: Fraction(c) for mo, c in p.terms.items()}
+    return q
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_coefficients_are_ints_unless_proper_fractions(data):
+    ratio = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    a = random_poly(A22, data).scale(data.draw(ratio))
+    b = random_poly(A22, data).scale(data.draw(ratio))
+    fa, fb = all_fraction(a), all_fraction(b)
+    for p in (a, b):
+        assert_canonical(p)
+    c = data.draw(ratio)
+    for got, want in (
+        (a * b, fa * fb),
+        (a + b, fa + fb),
+        (a - b, fa - fb),
+        (a.scale(c), fa.scale(c)),
+    ):
+        assert_canonical(got)
+        assert got == want
+    k = data.draw(st.integers(1, 4))
+    l = data.draw(st.integers(1, 4))
+    d_exp, d22_exp = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    ops = [basic(k, l)]
+    if (k <= 2) == (l <= 2):
+        ops.append(divided(k, l, data.draw(st.integers(1, 3))))
+    for op in ops:
+        got = apply_loc(op, LocalizedElement(a, d_exp, d22_exp))
+        want = apply_loc(op, LocalizedElement(fa, d_exp, d22_exp))
+        assert_canonical(got.num)
+        assert (got.num, got.d_exp, got.d22_exp) == (want.num, want.d_exp, want.d22_exp)
+    if not b.is_zero() and b.parity() == 0 and any(mo & A22.odd_mask == 0 for mo in b.terms):
+        q = exact_divide(a * b, b)
+        assert_canonical(q)
+        assert q == a == exact_divide(all_fraction(a * b), fb)
 
 
 @settings(max_examples=80, deadline=None)
