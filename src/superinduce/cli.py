@@ -1,6 +1,7 @@
 """Command-line surface: verification suites, emitters, and linkage queries.
 
-Every command prints a single JSON document with sorted keys; the same
+Every handler returns one JSON document and `main` hands it to `_publish`,
+which prints it with sorted keys (and writes it to ``--out``); the same
 configuration (seed included) produces byte-identical output, so reports can
 be diffed across runs.  Exit codes: 0 when every check passed, 1 when at
 least one verification failed, 2 for a malformed request.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from functools import lru_cache
@@ -142,26 +144,31 @@ def _config_echo(args, **extra) -> dict:
     return cfg
 
 
-def _finish(args, report: dict, failures: int) -> int:
-    report["failures"] = failures
-    report["ok"] = failures == 0
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0 if failures == 0 else 1
+def _publish(document: dict, out) -> int:
+    """Print a command's document, and write it to ``out`` first if given.
 
-
-def _emit_artifact(args, artifact: dict) -> int:
-    text = json.dumps(artifact, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0
-
-
-def _sorted_entries(entries) -> list:
-    return sorted(entries, key=lambda e: json.dumps(e, sort_keys=True))
+    A report is a document with ``entries``: its entries are sorted, and its
+    ``failures`` and ``ok`` are counted from their ``ok`` fields.  Returns the
+    exit code, 1 when any entry failed.  A reader that closes stdout early
+    changes neither the exit code nor ``out``.
+    """
+    failures = 0
+    if "entries" in document:
+        entries = sorted(document["entries"], key=lambda e: json.dumps(e, sort_keys=True))
+        failures = sum(not e["ok"] for e in entries)
+        document.update(entries=entries, failures=failures, ok=failures == 0)
+    text = json.dumps(document, indent=2, sort_keys=True)
+    if out:
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from exc
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stop the interpreter's final flush from raising on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1 if failures else 0
 
 
 # -- the verify suites --------------------------------------------------------------
@@ -213,57 +220,50 @@ def _rewrite_factors(amb):
     return factors
 
 
-def suite_lemmas(args, rng) -> int:
+def suite_lemmas(args, rng) -> dict:
     sizes = (
         [(args.m, args.n)]
         if args.m is not None and args.n is not None
         else [(1, 1), (2, 1), (1, 2), (2, 2)]
     )
     entries = []
-    failures = 0
     for m, n in sizes:
         amb = ambient(m, n, args.p)
         for factor in _rewrite_factors(amb):
             for k, l in product(range(1, m + n + 1), repeat=2):
-                ok = rewrite_rule_check(amb, factor, basic(k, l))
-                failures += not ok
                 entries.append(
                     {
                         "rule": _rewrite_rule_id(factor, m, k, l),
                         "size": [m, n],
                         "factor": _render_factor(factor),
                         "direction": [k, l],
-                        "ok": ok,
+                        "ok": rewrite_rule_check(amb, factor, basic(k, l)),
                     }
                 )
-    report = {
-        "command": "verify lemmas",
-        "config": _config_echo(args),
-        "entries": _sorted_entries(entries),
-    }
-    return _finish(args, report, failures)
+    return {"command": "verify lemmas", "config": _config_echo(args), "entries": entries}
 
 
-def suite_identities(args, rng) -> int:
+def _jacobi_entry(amb, i: int, k: int, a: int, b: int) -> dict:
+    ok = jacobi_identity_check(amb, i, k, a, b)
+    return {"rule": "jacobi", "m": amb.m, "tuple": [i, k, a, b], "ok": ok}
+
+
+def _muir_entry(amb, ks) -> dict:
+    ok = muir_identity_check(amb, ks, amb.m + 1)
+    return {"rule": "muir", "m": amb.m, "tuple": list(ks) + [amb.m + 1], "ok": ok}
+
+
+def suite_identities(args, rng) -> dict:
     entries = []
-    failures = 0
     exhaustive = [args.m] if args.m is not None else [1, 2, 3]
     for m in exhaustive:
         amb = ambient(m, 1, args.p)
         for i, k in combinations(range(1, m + 1), 2):
             for a, b in product(range(1, m + 1), repeat=2):
-                ok = jacobi_identity_check(amb, i, k, a, b)
-                failures += not ok
-                entries.append(
-                    {"rule": "jacobi", "m": m, "tuple": [i, k, a, b], "ok": ok}
-                )
+                entries.append(_jacobi_entry(amb, i, k, a, b))
         for j in range(0, m):
             for ks in product(range(1, m + 1), repeat=j):
-                ok = muir_identity_check(amb, ks, m + 1)
-                failures += not ok
-                entries.append(
-                    {"rule": "muir", "m": m, "tuple": list(ks) + [m + 1], "ok": ok}
-                )
+                entries.append(_muir_entry(amb, ks))
     if args.m is None:
         m = 4
         amb = ambient(m, 1, args.p)
@@ -271,24 +271,12 @@ def suite_identities(args, rng) -> int:
             if rng.random() < 0.5:
                 i, k = sorted(rng.sample(range(1, m + 1), 2))
                 a, b = rng.randint(1, m), rng.randint(1, m)
-                ok = jacobi_identity_check(amb, i, k, a, b)
-                entries.append(
-                    {"rule": "jacobi", "m": m, "tuple": [i, k, a, b], "ok": ok}
-                )
+                entries.append(_jacobi_entry(amb, i, k, a, b))
             else:
                 j = rng.randint(0, m - 1)
                 ks = tuple(rng.randint(1, m) for _ in range(j))
-                ok = muir_identity_check(amb, ks, m + 1)
-                entries.append(
-                    {"rule": "muir", "m": m, "tuple": list(ks) + [m + 1], "ok": ok}
-                )
-            failures += not ok
-    report = {
-        "command": "verify identities",
-        "config": _config_echo(args),
-        "entries": _sorted_entries(entries),
-    }
-    return _finish(args, report, failures)
+                entries.append(_muir_entry(amb, ks))
+    return {"command": "verify identities", "config": _config_echo(args), "entries": entries}
 
 
 def _positive_shape(block) -> tuple:
@@ -309,17 +297,14 @@ def _random_bideterminant(amb, rng, max_entry: int):
     return w, tp, tq, element
 
 
-def suite_gen(args, rng) -> int:
+def suite_gen(args, rng) -> dict:
     m, n = _sizes(args)
     amb = ambient(m, n, args.p)
     entries = []
-    failures = 0
     for _ in range(args.count if args.count is not None else 50):
         w, tp, tq, element = _random_bideterminant(amb, rng, max_entry=3)
         for k in range(1, m + 1):
             for l in range(m + 1, m + n + 1):
-                ok = generation_identity_check(amb, element, k, l)
-                failures += not ok
                 entries.append(
                     {
                         "rule": "floor-generation",
@@ -327,15 +312,10 @@ def suite_gen(args, rng) -> int:
                         "plus-tableau": [list(r) for r in tp.cells],
                         "minus-tableau": [list(r) for r in tq.cells],
                         "direction": [k, l],
-                        "ok": ok,
+                        "ok": generation_identity_check(amb, element, k, l),
                     }
                 )
-    report = {
-        "command": "verify gen",
-        "config": _config_echo(args),
-        "entries": _sorted_entries(entries),
-    }
-    return _finish(args, report, failures)
+    return {"command": "verify gen", "config": _config_echo(args), "entries": entries}
 
 
 def _phi1_weights(args, rng):
@@ -376,27 +356,15 @@ def _eigenvalue_entries(amb, w, char: int):
     return out
 
 
-def suite_phi1(args, rng) -> int:
+def suite_phi1(args, rng) -> dict:
     weights = _phi1_weights(args, rng)
-    chars = [args.p] if args.p else [0]
-    entries = []
-    failures = 0
-    grids = {}
-    for char in chars:
-        m, n = (weights[0].m, weights[0].n)
-        amb = ambient(m, n, char)
-        for w in weights:
-            grids[render_weight(w)] = omega_grid(w)
-            found = _eigenvalue_entries(amb, w, char)
-            failures += sum(not e["ok"] for e in found)
-            entries.extend(found)
-    report = {
+    amb = ambient(weights[0].m, weights[0].n, args.p)
+    return {
         "command": "verify phi1",
         "config": _config_echo(args),
-        "grids": grids,
-        "entries": _sorted_entries(entries),
+        "grids": {render_weight(w): omega_grid(w) for w in weights},
+        "entries": [e for w in weights for e in _eigenvalue_entries(amb, w, args.p)],
     }
-    return _finish(args, report, failures)
 
 
 def _dominant_weights(m: int, n: int, max_entry: int):
@@ -411,12 +379,11 @@ def _dominant_weights(m: int, n: int, max_entry: int):
     return [Weight(p, q) for p in plus_blocks for q in minus_blocks]
 
 
-def suite_fwedge(args, rng) -> int:
+def suite_fwedge(args, rng) -> dict:
     m, n = _sizes(args)
     top = args.max_entry if args.max_entry is not None else 3
     pair_pool = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     entries = []
-    failures = 0
     for w in _dominant_weights(m, n, top):
         seen = set()
         for size in range(1, len(pair_pool) + 1):
@@ -432,8 +399,6 @@ def suite_fwedge(args, rng) -> int:
                 seen.add(key)
                 direct = admissible_count(w, cont)
                 transposed = lr_multiplicity(w, I, J)
-                ok = direct == transposed
-                failures += not ok
                 entries.append(
                     {
                         "rule": "wedge-count",
@@ -441,22 +406,20 @@ def suite_fwedge(args, rng) -> int:
                         "content": key,
                         "direct": direct,
                         "transposed": transposed,
-                        "ok": ok,
+                        "ok": direct == transposed,
                     }
                 )
-    report = {
+    return {
         "command": "verify fwedge",
         "config": _config_echo(args, max_entry=top),
-        "entries": _sorted_entries(entries),
+        "entries": entries,
     }
-    return _finish(args, report, failures)
 
 
-def suite_linkage(args, rng) -> int:
+def suite_linkage(args, rng) -> dict:
     m, n = _sizes(args)
     p = args.p if args.p else 3
     entries = []
-    failures = 0
 
     for _ in range(args.count if args.count is not None else 100):
         w = random_dominant_weight(m, n, rng, max_entry=6)
@@ -465,7 +428,6 @@ def suite_linkage(args, rng) -> int:
             for i in range(1, m + 1)
             for j in range(1, n + 1)
         )
-        failures += not ok
         entries.append(
             {"rule": "omega-bridge", "weight": render_weight(w), "ok": ok}
         )
@@ -481,15 +443,13 @@ def suite_linkage(args, rng) -> int:
         for (i, j), (k, l) in combinations(shifts, 2):
             if not even_linked(lambda_ij(w, i, j), lambda_ij(w, k, l), p):
                 continue
-            ok = nakayama_consequence_check(w, i, j, k, l, p)
-            failures += not ok
             entries.append(
                 {
                     "rule": "residue-transport",
                     "weight": render_weight(w),
                     "pairs": [[i, j], [k, l]],
                     "p": p,
-                    "ok": ok,
+                    "ok": nakayama_consequence_check(w, i, j, k, l, p),
                 }
             )
 
@@ -509,7 +469,6 @@ def suite_linkage(args, rng) -> int:
                         ok = ok and omega(cur, a, b) == 0
                         cur = lambda_ij(cur, a, b)
                     ok = ok and dot_equivalent(cur, target, p)
-                failures += not ok
                 entries.append(
                     {
                         "rule": "chain-certificate",
@@ -521,12 +480,11 @@ def suite_linkage(args, rng) -> int:
                     }
                 )
 
-    report = {
+    return {
         "command": "verify linkage",
         "config": _config_echo(args, p=p, max_entry=top),
-        "entries": _sorted_entries(entries),
+        "entries": entries,
     }
-    return _finish(args, report, failures)
 
 
 _SUITES = {
@@ -539,7 +497,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     rng = random.Random(args.seed)
     return _SUITES[args.suite](args, rng)
 
@@ -547,39 +505,33 @@ def cmd_verify(args) -> int:
 # -- emitters -----------------------------------------------------------------------
 
 
-def emit_highest_vector(args) -> int:
+def emit_highest_vector(args) -> dict:
     w = _require_weight(args)
     amb = ambient(w.m, w.n, args.p)
-    return _emit_artifact(
-        args,
-        {
-            "kind": "highest-vector",
-            "weight": render_weight(w),
-            "element": render_loc(highest_vector(amb, w)),
-        },
-    )
+    return {
+        "kind": "highest-vector",
+        "weight": render_weight(w),
+        "element": render_loc(highest_vector(amb, w)),
+    }
 
 
-def emit_pi_ij(args) -> int:
+def emit_pi_ij(args) -> dict:
     w = _require_weight(args)
     if args.i is None or args.j is None:
         raise UsageError("emit pi-ij needs --i and --j")
     amb = ambient(w.m, w.n, args.p)
     vec = pi_ij(amb, w, args.i, args.j)
-    return _emit_artifact(
-        args,
-        {
-            "kind": "pi-ij",
-            "weight": render_weight(w),
-            "i": args.i,
-            "j": args.j,
-            "floor": 1,
-            "element": floor_element_to_json(vec),
-        },
-    )
+    return {
+        "kind": "pi-ij",
+        "weight": render_weight(w),
+        "i": args.i,
+        "j": args.j,
+        "floor": 1,
+        "element": floor_element_to_json(vec),
+    }
 
 
-def emit_pi_IJ(args) -> int:
+def emit_pi_IJ(args) -> dict:
     w = _require_weight(args)
     if args.pairs is None:
         raise UsageError("emit pi-IJ needs --pairs '[[i,j],...]'")
@@ -587,34 +539,28 @@ def emit_pi_IJ(args) -> int:
     amb = ambient(w.m, w.n, args.p)
     raw, defect = pi_IJ_raw(amb, w, I, J)
     vec = pi_IJ(amb, w, I, J)
-    return _emit_artifact(
-        args,
-        {
-            "kind": "pi-IJ",
-            "weight": render_weight(w),
-            "pairs": [[i, j] for i, j in zip(I, J)],
-            "defect": render_loc(defect),
-            "in_module": vec is not None,
-            "element": None if vec is None else floor_element_to_json(vec),
-            "cleared": floor_element_to_json(raw),
-        },
-    )
+    return {
+        "kind": "pi-IJ",
+        "weight": render_weight(w),
+        "pairs": [[i, j] for i, j in zip(I, J)],
+        "defect": render_loc(defect),
+        "in_module": vec is not None,
+        "element": None if vec is None else floor_element_to_json(vec),
+        "cleared": floor_element_to_json(raw),
+    }
 
 
-def emit_omega_grid(args) -> int:
+def emit_omega_grid(args) -> dict:
     w = _require_weight(args)
-    return _emit_artifact(
-        args,
-        {
-            "kind": "omega-grid",
-            "weight": render_weight(w),
-            "grid": omega_grid(w),
-            "typical": is_typical(w, args.p),
-        },
-    )
+    return {
+        "kind": "omega-grid",
+        "weight": render_weight(w),
+        "grid": omega_grid(w),
+        "typical": is_typical(w, args.p),
+    }
 
 
-def emit_linkage_graph(args) -> int:
+def emit_linkage_graph(args) -> dict:
     m, n = _sizes(args)
     p = args.p if args.p else 3
     top = args.max_entry if args.max_entry is not None else 3
@@ -641,18 +587,15 @@ def emit_linkage_graph(args) -> int:
                 edges.append(
                     {"from": name, "to": tname, "pair": [i, j], "omega": 0}
                 )
-    return _emit_artifact(
-        args,
-        {
-            "kind": "linkage-graph",
-            "m": m,
-            "n": n,
-            "p": p,
-            "max_entry": top,
-            "nodes": nodes,
-            "edges": edges,
-        },
-    )
+    return {
+        "kind": "linkage-graph",
+        "m": m,
+        "n": n,
+        "p": p,
+        "max_entry": top,
+        "nodes": nodes,
+        "edges": edges,
+    }
 
 
 _EMITTERS = {
@@ -664,34 +607,31 @@ _EMITTERS = {
 }
 
 
-def cmd_emit(args) -> int:
+def cmd_emit(args) -> dict:
     return _EMITTERS[args.kind](args)
 
 
 # -- direct queries -----------------------------------------------------------------
 
 
-def cmd_primitive(args) -> int:
+def cmd_primitive(args) -> dict:
     w = _require_weight(args)
     if args.i is None or args.j is None:
         raise UsageError("primitive needs --i and --j")
     amb = ambient(w.m, w.n, args.p)
     vec = pi_ij(amb, w, args.i, args.j)
-    return _emit_artifact(
-        args,
-        {
-            "kind": "primitive",
-            "weight": render_weight(w),
-            "i": args.i,
-            "j": args.j,
-            "p": args.p,
-            "element": floor_element_to_json(vec),
-            "primitive": is_primitive(vec),
-        },
-    )
+    return {
+        "kind": "primitive",
+        "weight": render_weight(w),
+        "i": args.i,
+        "j": args.j,
+        "p": args.p,
+        "element": floor_element_to_json(vec),
+        "primitive": is_primitive(vec),
+    }
 
 
-def cmd_primitive_k(args) -> int:
+def cmd_primitive_k(args) -> dict:
     w = _require_weight(args)
     if args.pairs is None:
         raise UsageError("primitive-k needs --pairs '[[i,j],...]'")
@@ -718,35 +658,29 @@ def cmd_primitive_k(args) -> int:
             artifact["element"] = floor_element_to_json(vec)
             artifact["polynomial"] = floor_is_polynomial(vec)
             artifact["primitive"] = is_primitive(vec)
-    return _emit_artifact(args, artifact)
+    return artifact
 
 
-def cmd_phi1(args) -> int:
+def cmd_phi1(args) -> dict:
     w = _require_weight(args)
     amb = ambient(w.m, w.n, args.p)
-    entries = _eigenvalue_entries(amb, w, args.p)
-    failures = sum(not e["ok"] for e in entries)
-    report = {
+    return {
         "command": "phi1",
         "config": _config_echo(args),
         "grid": omega_grid(w),
-        "entries": _sorted_entries(entries),
+        "entries": _eigenvalue_entries(amb, w, args.p),
     }
-    return _finish(args, report, failures)
 
 
-def cmd_typicality(args) -> int:
+def cmd_typicality(args) -> dict:
     w = _require_weight(args)
-    return _emit_artifact(
-        args,
-        {
-            "kind": "typicality",
-            "weight": render_weight(w),
-            "p": args.p,
-            "grid": omega_grid(w),
-            "typical": is_typical(w, args.p),
-        },
-    )
+    return {
+        "kind": "typicality",
+        "weight": render_weight(w),
+        "p": args.p,
+        "grid": omega_grid(w),
+        "typical": is_typical(w, args.p),
+    }
 
 
 def _block_certificate(entries, p: int):
@@ -760,7 +694,7 @@ def _block_certificate(entries, p: int):
     }
 
 
-def cmd_linkage(args) -> int:
+def cmd_linkage(args) -> dict:
     w = _require_weight(args)
     if args.other is None:
         raise UsageError("linkage needs --mu '[a,b,..|c,d,..]'")
@@ -772,31 +706,28 @@ def cmd_linkage(args) -> int:
     chain = link_chain_search(
         w, other, p, args.max_steps if args.max_steps is not None else 6
     )
-    return _emit_artifact(
-        args,
-        {
-            "kind": "linkage",
-            "lambda": render_weight(w),
-            "mu": render_weight(other),
-            "p": p,
-            "even_linked": linked,
-            "certificates": {
-                "lambda": {
-                    "plus": _block_certificate(w.plus, p),
-                    "minus": _block_certificate(w.minus, p),
-                },
-                "mu": {
-                    "plus": _block_certificate(other.plus, p),
-                    "minus": _block_certificate(other.minus, p),
-                },
+    return {
+        "kind": "linkage",
+        "lambda": render_weight(w),
+        "mu": render_weight(other),
+        "p": p,
+        "even_linked": linked,
+        "certificates": {
+            "lambda": {
+                "plus": _block_certificate(w.plus, p),
+                "minus": _block_certificate(w.minus, p),
             },
-            "dot_equivalent": dot_equivalent(w, other, p),
-            "chain": None if chain is None else [list(s) for s in chain],
+            "mu": {
+                "plus": _block_certificate(other.plus, p),
+                "minus": _block_certificate(other.minus, p),
+            },
         },
-    )
+        "dot_equivalent": dot_equivalent(w, other, p),
+        "chain": None if chain is None else [list(s) for s in chain],
+    }
 
 
-def cmd_odd_chain(args) -> int:
+def cmd_odd_chain(args) -> dict:
     w = _require_weight(args)
     if args.pairs is None:
         raise UsageError("odd-chain needs --pairs '[[i,j],...]'")
@@ -804,37 +735,29 @@ def cmd_odd_chain(args) -> int:
         raise UsageError("odd-chain needs --p (an odd prime)")
     I, J = _parse_pairs(args.pairs)
     holds, witness = odd_linked(w, I, J, args.p)
-    return _emit_artifact(
-        args,
-        {
-            "kind": "odd-chain",
-            "weight": render_weight(w),
-            "pairs": [[i, j] for i, j in zip(I, J)],
-            "p": args.p,
-            "holds": holds,
-            "witness": None
-            if witness is None
-            else [list(witness[0]), list(witness[1])],
-        },
-    )
+    return {
+        "kind": "odd-chain",
+        "weight": render_weight(w),
+        "pairs": [[i, j] for i, j in zip(I, J)],
+        "p": args.p,
+        "holds": holds,
+        "witness": None if witness is None else [list(witness[0]), list(witness[1])],
+    }
 
 
-def cmd_alcove(args) -> int:
+def cmd_alcove(args) -> dict:
     w = _require_weight(args)
     if not args.p:
         raise UsageError("alcove needs --p (an odd prime)")
-    return _emit_artifact(
-        args,
-        {
-            "kind": "alcove",
-            "weight": render_weight(w),
-            "p": args.p,
-            "inside": in_alcove(w, args.p),
-        },
-    )
+    return {
+        "kind": "alcove",
+        "weight": render_weight(w),
+        "p": args.p,
+        "inside": in_alcove(w, args.p),
+    }
 
 
-def cmd_lr(args) -> int:
+def cmd_lr(args) -> dict:
     if args.outer is None or args.content is None:
         raise UsageError("lr needs --outer and --content (and optionally --inner)")
     outer = _parse_partition(args.outer)
@@ -854,7 +777,7 @@ def cmd_lr(args) -> int:
             [list(row) for row in filling]
             for filling in lr_tableaux(outer, inner, content)
         ]
-    return _emit_artifact(args, artifact)
+    return artifact
 
 
 # -- parser -------------------------------------------------------------------------
@@ -956,7 +879,7 @@ def main(argv=None) -> int:
     try:
         if args.p:
             check_odd_prime(args.p)
-        return args.func(args)
+        return _publish(args.func(args), args.out)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

@@ -38,7 +38,7 @@ from .fraction import (
     loc_sub,
     loc_zero,
 )
-from .minors import loc_det, row_initial_minor, twisted_generator, y_entry
+from .minors import row_initial_minor, twisted_generator, y_entry
 from .superpoly import (
     FIELD_MASK,
     Ambient,
@@ -48,6 +48,7 @@ from .superpoly import (
     check_exponents,
     sort_with_sign,
 )
+from .weights_tableaux import dminus
 
 
 @dataclass(frozen=True)
@@ -334,12 +335,7 @@ def embed_formal_factor(amb: Ambient, factor) -> LocalizedElement:
     if isinstance(factor, FPhi):
         return twisted_generator(amb, factor.i, factor.j)
     if isinstance(factor, FDminus):
-        s = len(factor.cols)
-        entries = [
-            [twisted_generator(amb, amb.m + 1 + a, c) for c in factor.cols]
-            for a in range(s)
-        ]
-        return loc_det(amb, entries)
+        return dminus(amb, factor.cols)
     if isinstance(factor, FDplus):
         return embed_poly(row_initial_minor(amb, factor.cols))
     raise UsageError(f"unknown formal factor {factor!r}")

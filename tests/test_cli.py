@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,16 +83,20 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_failure_exit_code_plumbing(capsys):
-    from superinduce.cli import _finish
+    from superinduce.cli import _publish
 
-    class Args:
-        out = None
-
-    assert _finish(Args(), {"command": "x"}, 0) == 0
-    capsys.readouterr()
-    assert _finish(Args(), {"command": "x"}, 3) == 1
+    passing = [{"rule": "b", "ok": True}, {"rule": "a", "ok": True}]
+    assert _publish({"command": "x", "entries": passing}, None) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True and doc["failures"] == 0
+    assert [e["rule"] for e in doc["entries"]] == ["a", "b"]
+    failing = [{"rule": r, "ok": False} for r in "cde"]
+    assert _publish({"command": "x", "entries": passing + failing}, None) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False and doc["failures"] == 3
+    # an artifact has no entries, so no verdict is added to it
+    assert _publish({"kind": "x"}, None) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "x"}
 
 
 def test_lr_command_counts_and_lists(capsys):
@@ -230,6 +236,55 @@ def test_out_flag_duplicates_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text() == out
+    report = tmp_path / "lemmas.json"
+    code, out = run_cli(
+        capsys, "verify", "lemmas", "--m", "1", "--n", "1", "--out", str(report)
+    )
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert report.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit", "omega-grid", "--lambda", "[2,1|1,0]"],
+        ["verify", "lemmas", "--m", "1", "--n", "1"],
+    ],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "x.json"
+    assert main(argv + ["--out", str(target)]) == 2
+    assert "--out" in _one_json_error_line(capsys)["error"]
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["typicality", "--lambda", "[2,2|0,0]", "--p", "3"], False),
+        (["verify", "lemmas", "--m", "1", "--n", "1"], True),
+    ],
+)
+def test_closed_stdout_keeps_exit_code_and_out_file(tmp_path, argv, out):
+    # the read end is closed before the spawn, so every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    target = tmp_path / "doc.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superinduce.cli", *argv]
+            + (["--out", str(target)] if out else []),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if out:
+        assert json.loads(target.read_text())["ok"] is True
 
 
 def test_parser_covers_mandated_grammar():

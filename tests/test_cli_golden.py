@@ -37,6 +37,16 @@ GOLDEN = [
      "e9cbd7a6fc070b59113ac7250c0265b35a0d1ecdb178ce30fc7fd38330861010"),
     (["verify", "gen", "--count", "2", "--seed", "5"], 0,
      "d902252fbd9e3b97b9686ac34f679bdf3ed129730ec35aef78c1b70e69f4843b"),
+    (["emit", "omega-grid", "--lambda", "[2,1|1,0]"], 0,
+     "5c99169eee97eee1ebafc50e5b76f0bb75612f26576dbef2d9030a4feec87c3e"),
+    (["emit", "linkage-graph", "--p", "3", "--max-entry", "2"], 0,
+     "166bf37a7c51bb3e732be97aa244e996349b32609040e7f527b57adf00a38c1e"),
+    (["verify", "phi1", "--count", "2", "--seed", "4"], 0,
+     "a2e2870ac5f1cfedcfc2f0f184e1628df6afe97567c70a138d4e2641dea717c3"),
+    (["verify", "identities", "--count", "6", "--seed", "2"], 0,
+     "8560488b7a0cebc05e3c08baa6772a3a3562e6aab3b6f5a65c192fa3d2be8d8c"),
+    (["verify", "lemmas", "--m", "2", "--n", "1"], 0,
+     "96c808ea183ce225e14a91cb3c2d04299c565a1ae31318876b7cdba58290df1f"),
 ]
 
 
