@@ -358,7 +358,8 @@ def _eigenvalue_entries(amb, w, char: int):
 
 def suite_phi1(args, rng) -> dict:
     weights = _phi1_weights(args, rng)
-    amb = ambient(weights[0].m, weights[0].n, args.p)
+    m, n = (weights[0].m, weights[0].n) if weights else _sizes(args)
+    amb = ambient(m, n, args.p)
     return {
         "command": "verify phi1",
         "config": _config_echo(args),

@@ -36,6 +36,7 @@ from .fraction import (
     loc_mul,
     loc_scale,
     loc_sub,
+    loc_sum,
     loc_zero,
 )
 from .minors import row_initial_minor, twisted_generator, y_entry
@@ -342,13 +343,13 @@ def embed_formal_factor(amb: Ambient, factor) -> LocalizedElement:
 
 
 def embed_formal(amb: Ambient, expr) -> LocalizedElement:
-    total = loc_zero(amb)
+    terms = []
     for coeff, factors in expr:
         term = embed_poly(amb.one())
         for f in factors:
             term = loc_mul(term, embed_formal_factor(amb, f))
-        total = loc_add(total, loc_scale(term, coeff))
-    return total
+        terms.append(loc_scale(term, coeff))
+    return loc_sum(amb, terms)
 
 
 def rewrite_rule_check(amb: Ambient, factor, op: Op) -> bool:

@@ -19,13 +19,14 @@ instead of clearing denominators silently.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial, gcd
 
 from .derivation import apply_loc, basic
 from .fraction import (
     LocalizedElement,
-    den_power,
+    common_numerators,
     det_block22,
     embed_poly,
     is_polynomial,
@@ -35,8 +36,8 @@ from .fraction import (
     loc_mul,
     loc_pow,
     loc_scale,
+    loc_sum,
     loc_weight,
-    loc_zero,
     render_loc,
 )
 from .minors import row_initial_minor, twisted_generator, y_entry
@@ -143,13 +144,12 @@ def fe_eq(a: FloorElement, b: FloorElement) -> bool:
 
 def embed_floor(x: FloorElement) -> LocalizedElement:
     amb = x.ambient
-    total = loc_zero(amb)
-    for key, coeff in x.terms.items():
-        term = coeff
+    pieces = []
+    for key, term in x.terms.items():
         for i, j in key:
             term = loc_mul(term, y_entry(amb, i, j))
-        total = loc_add(total, term)
-    return total
+        pieces.append(term)
+    return loc_sum(amb, pieces)
 
 
 def floor_element_to_json(x: FloorElement) -> list:
@@ -355,10 +355,8 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
                 if merged is None:
                     continue
                 add = loc_mul(c, c2)
-                if sign < 0:
-                    add = loc_scale(add, -1)
-                new[merged] = loc_add(new[merged], add) if merged in new else add
-        words = new
+                new.setdefault(merged, []).append(add if sign > 0 else loc_scale(add, -1))
+        words = {key: loc_sum(amb, pieces) for key, pieces in new.items()}
     terms = {key: loc_mul(v_pos, c) for key, c in words.items()}
     return FloorElement(amb, len(I), terms), defect
 
@@ -453,14 +451,17 @@ def extract_floors(x: LocalizedElement):
         if num is None:
             return None
     m = amb.m
-    substituted = amb.zero()
+    # each power of a generator's image, and of a factor, is built once a call
+    image_pow = lru_cache(None)(lambda i, j, e: _structured_image(amb, i, j) ** e)
+    factor_pow = lru_cache(None)(lambda i, j, e: loc_pow(twisted_generator(amb, i, j), e))
+    substituted = []
     for mono, c in num.terms.items():
         term = amb.scalar(c)
         for (i, j), e in monomial_items(amb, mono):
-            term = term * (_structured_image(amb, i, j) ** e)
-        substituted = substituted + term
+            term = term * image_pow(i, j, e)
+        substituted.append(embed_poly(term))
     grouped: dict = {}
-    for mono, c in substituted.terms.items():
+    for mono, c in loc_sum(amb, substituted).num.terms.items():
         y_word = []
         others = []
         for (i, j), e in monomial_items(amb, mono):
@@ -475,15 +476,13 @@ def extract_floors(x: LocalizedElement):
         bucket[tuple(others)] = c
     floors: dict = {}
     for key, bucket in grouped.items():
-        coeff = loc_zero(amb)
+        pieces = []
         for others, c in bucket.items():
             piece = embed_poly(amb.scalar(c))
             for (i, j), e in others:
-                if i <= m and j <= m:
-                    piece = loc_mul(piece, embed_poly(amb.gen(i, j) ** e))
-                else:
-                    piece = loc_mul(piece, loc_pow(twisted_generator(amb, i, j), e))
-            coeff = loc_add(coeff, piece)
+                piece = loc_mul(piece, factor_pow(i, j, e))
+            pieces.append(piece)
+        coeff = loc_sum(amb, pieces)
         if coeff.is_zero():
             continue
         coeff = LocalizedElement(coeff.num, coeff.d_exp + x.d_exp, coeff.d22_exp)
@@ -515,16 +514,6 @@ def _weight_components(x: LocalizedElement):
     return out
 
 
-def _cleared_vectors(amb: Ambient, locs):
-    s = max((v.d_exp for v in locs), default=0)
-    t = max((v.d22_exp for v in locs), default=0)
-    out = []
-    for v in locs:
-        p = v.num * den_power(amb, s - v.d_exp, t - v.d22_exp)
-        out.append(dict(p.terms))
-    return out
-
-
 def _echelon_insert(amb: Ambient, rows, vec):
     """Reduce vec against the echelon rows in place; returns the remainder."""
     field = amb.field
@@ -541,8 +530,8 @@ def _echelon_insert(amb: Ambient, rows, vec):
 def in_span(target: LocalizedElement, candidates) -> bool:
     """Exact span membership of a localized element among candidates."""
     amb = target.ambient
-    vecs = _cleared_vectors(amb, list(candidates) + [target])
-    cand_vecs, target_vec = vecs[:-1], vecs[-1]
+    _, _, nums = common_numerators(amb, list(candidates) + [target])
+    cand_vecs, target_vec = [dict(p.terms) for p in nums[:-1]], dict(nums[-1].terms)
     rows: dict = {}
     for vec in cand_vecs:
         rem = _echelon_insert(amb, rows, vec)
@@ -556,26 +545,15 @@ def rank_of_floor_elements(elems) -> int:
     if not elems:
         return 0
     amb = elems[0].ambient
-    keys = sorted({k for e in elems for k in e.terms})
-    exps = {
-        k: (
-            max((e.terms[k].d_exp for e in elems if k in e.terms), default=0),
-            max((e.terms[k].d22_exp for e in elems if k in e.terms), default=0),
-        )
-        for k in keys
-    }
+    vecs: list = [{} for _ in elems]
+    for k in sorted({k for e in elems for k in e.terms}):
+        owners = [vec for vec, e in zip(vecs, elems) if k in e.terms]
+        _, _, nums = common_numerators(amb, [e.terms[k] for e in elems if k in e.terms])
+        for vec, p in zip(owners, nums):
+            vec.update(((k, mono), v) for mono, v in p.terms.items())
     rows: dict = {}
     rank = 0
-    for e in elems:
-        vec: dict = {}
-        for k in keys:
-            c = e.terms.get(k)
-            if c is None:
-                continue
-            s, t = exps[k]
-            p = c.num * den_power(amb, s - c.d_exp, t - c.d22_exp)
-            for mono, v in p.terms.items():
-                vec[(k, mono)] = v
+    for vec in vecs:
         rem = _echelon_insert(amb, rows, vec)
         if rem:
             rows[max(rem)] = rem
@@ -640,13 +618,12 @@ def phi_floor(x: FloorElement) -> FloorElement:
     """Apply the mixed derivations named by each exterior word to its
     coefficient, left to right, and re-extract the same floor."""
     amb = x.ambient
-    total = loc_zero(amb)
-    for key, coeff in x.terms.items():
-        cur = coeff
+    pieces = []
+    for key, cur in x.terms.items():
         for i, j in key:
             cur = apply_loc(basic(i, j), cur)
-        total = loc_add(total, cur)
-    floors = extract_floors(total)
+        pieces.append(cur)
+    floors = extract_floors(loc_sum(amb, pieces))
     if floors is None:
         raise InternalError("derivative left the structured subring")
     return floor_component(floors, amb, x.floor)
@@ -702,11 +679,11 @@ def generation_identity_check(amb: Ambient, w: LocalizedElement, k: int, l: int)
     if not (k <= amb.m < l):
         raise UsageError("the generation identity is for upward mixed directions")
     lhs = apply_loc(basic(k, l), w)
-    rhs = loc_zero(amb)
-    for a in range(1, amb.m + 1):
-        rhs = loc_add(rhs, loc_mul(apply_loc(basic(k, a), w), y_entry(amb, a, l)))
-    for b in range(amb.m + 1, amb.size + 1):
-        rhs = loc_add(rhs, loc_mul(apply_loc(basic(b, l), w), y_entry(amb, k, b)))
+    rhs = loc_sum(amb, [
+        *(loc_mul(apply_loc(basic(k, a), w), y_entry(amb, a, l)) for a in range(1, amb.m + 1)),
+        *(loc_mul(apply_loc(basic(b, l), w), y_entry(amb, k, b))
+          for b in range(amb.m + 1, amb.size + 1)),
+    ])
     if not loc_eq(lhs, rhs):
         return False
     return apply_loc(basic(l, k), w).is_zero()
@@ -720,11 +697,11 @@ def highest_vector_recursion_check(amb: Ambient, w: Weight, k: int, l: int) -> b
     v = highest_vector(amb, w)
     lhs = apply_loc(basic(k, l), v)
     lead = w.plus[k - 1] + w.minus[l - amb.m - 1]
-    rhs = loc_scale(loc_mul(v, y_entry(amb, k, l)), lead)
-    for s in range(k + 1, amb.m + 1):
-        rhs = loc_add(rhs, loc_mul(apply_loc(basic(k, s), v), y_entry(amb, s, l)))
-    for t in range(amb.m + 1, l):
-        rhs = loc_add(rhs, loc_mul(apply_loc(basic(t, l), v), y_entry(amb, k, t)))
+    rhs = loc_sum(amb, [
+        loc_scale(loc_mul(v, y_entry(amb, k, l)), lead),
+        *(loc_mul(apply_loc(basic(k, s), v), y_entry(amb, s, l)) for s in range(k + 1, amb.m + 1)),
+        *(loc_mul(apply_loc(basic(t, l), v), y_entry(amb, k, t)) for t in range(amb.m + 1, l)),
+    ])
     if not loc_eq(lhs, rhs):
         return False
     return apply_loc(basic(l, k), v).is_zero()

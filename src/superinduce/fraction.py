@@ -2,9 +2,15 @@
 
 D is the determinant of the upper-left m-by-m block C11 and D22 the
 determinant of the lower-right n-by-n block C22; both are even and central,
-so fractions num / (D^s · D22^t) multiply and compare by the usual
-cross-multiplication rules.  Exponents only ever grow during arithmetic —
-reduction is a separate, explicit operation.
+so fractions num / (D^s · D22^t) multiply by the usual rules.  Exponents only
+ever grow during arithmetic — reduction is a separate, explicit operation.
+Both determinants have a nonzero body, so neither is a zero divisor: two
+elements are equal exactly when their numerators agree once each is raised
+to the larger exponents, and that is how loc_eq compares them.  loc_sum is
+the one path for sums: it raises each numerator once, to the largest
+exponents among its nonzero pieces, and adds in one dict.  A fold of loc_add
+gives the same value, and the same exponents unless a partial sum cancels
+after a piece with larger exponents.
 """
 
 from __future__ import annotations
@@ -42,12 +48,11 @@ def det_block22(amb: Ambient) -> SuperPolynomial:
 
 
 def den_power(amb: Ambient, s: int, t: int) -> SuperPolynomial:
-    out = amb.one()
-    if s:
-        out = out * det_block11(amb) ** s
-    if t:
-        out = out * det_block22(amb) ** t
-    return out
+    """D^s · D22^t (cached per ambient)."""
+    key = ("den", s, t)
+    if key not in amb._cache:
+        amb._cache[key] = det_block11(amb) ** s * det_block22(amb) ** t
+    return amb._cache[key]
 
 
 class LocalizedElement:
@@ -103,13 +108,29 @@ def _mate(x: LocalizedElement, y: LocalizedElement):
         raise UsageError("operands live in different ambients")
 
 
+def common_numerators(amb: Ambient, xs):
+    """(s, t, nums): the largest exponents among xs, and each numerator over
+    D^s · D22^t."""
+    if any(x.ambient != amb for x in xs):
+        raise UsageError("operands live in different ambients")
+    s = max((x.d_exp for x in xs), default=0)
+    t = max((x.d22_exp for x in xs), default=0)
+    return s, t, [x.num if (x.d_exp, x.d22_exp) == (s, t)
+                  else x.num * den_power(amb, s - x.d_exp, t - x.d22_exp) for x in xs]
+
+
+def loc_sum(amb: Ambient, xs) -> LocalizedElement:
+    """The sum of localized elements over one common denominator."""
+    s, t, nums = common_numerators(amb, list(xs))
+    total: dict = {}
+    for p in nums:
+        for mo, c in p.terms.items():
+            total[mo] = total.get(mo, 0) + c
+    return LocalizedElement(SuperPolynomial(amb, total), s, t)
+
+
 def loc_add(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
-    _mate(x, y)
-    amb = x.ambient
-    s = max(x.d_exp, y.d_exp)
-    t = max(x.d22_exp, y.d22_exp)
-    nx = x.num * den_power(amb, s - x.d_exp, t - x.d22_exp)
-    ny = y.num * den_power(amb, s - y.d_exp, t - y.d22_exp)
+    s, t, (nx, ny) = common_numerators(x.ambient, (x, y))
     return LocalizedElement(nx + ny, s, t)
 
 
@@ -131,12 +152,10 @@ def loc_scale(x: LocalizedElement, c) -> LocalizedElement:
 
 
 def loc_eq(x: LocalizedElement, y: LocalizedElement) -> bool:
-    """Value equality by cross-multiplication (no reduction required)."""
-    _mate(x, y)
-    amb = x.ambient
-    left = x.num * den_power(amb, y.d_exp, y.d22_exp)
-    right = y.num * den_power(amb, x.d_exp, x.d22_exp)
-    return (left - right).is_zero()
+    """Value equality: the numerators over the larger exponents agree (no
+    reduction required; see the module docstring)."""
+    _, _, (nx, ny) = common_numerators(x.ambient, (x, y))
+    return nx == ny
 
 
 def is_polynomial(x: LocalizedElement):

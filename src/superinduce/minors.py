@@ -14,9 +14,9 @@ from .fraction import (
     LocalizedElement,
     det_block11,
     embed_poly,
-    loc_add,
+    loc_eq,
     loc_mul,
-    loc_zero,
+    loc_sum,
 )
 from .superpoly import (
     Ambient,
@@ -167,15 +167,15 @@ def loc_det(amb: Ambient, entries) -> LocalizedElement:
         for e in row:
             if e.parity() not in (0, None):
                 raise UsageError("localized determinant entries must be even")
-    out = loc_zero(amb)
+    terms = []
     for perm in permutations(range(n)):
         term = embed_poly(amb.one())
         for r in range(n):
             term = loc_mul(term, entries[r][perm[r]])
         if perm_sign(perm) < 0:
             term = LocalizedElement(-term.num, term.d_exp, term.d22_exp)
-        out = loc_add(out, term)
-    return out
+        terms.append(term)
+    return loc_sum(amb, terms)
 
 
 # -- identity checks ----------------------------------------------------------------
@@ -215,12 +215,10 @@ def muir_identity_check(amb: Ambient, ks, l: int) -> bool:
     if len(ks) + 1 > amb.m:
         raise UsageError("too many columns for the even block's rows")
     lhs = embed_poly(row_initial_minor(amb, ks + (l,)))
-    rhs = loc_zero(amb)
-    for a in range(1, amb.m + 1):
-        term = loc_mul(embed_poly(row_initial_minor(amb, ks + (a,))), y_entry(amb, a, l))
-        rhs = loc_add(rhs, term)
-    from .fraction import loc_eq
-
+    rhs = loc_sum(amb, [
+        loc_mul(embed_poly(row_initial_minor(amb, ks + (a,))), y_entry(amb, a, l))
+        for a in range(1, amb.m + 1)
+    ])
     return loc_eq(lhs, rhs)
 
 

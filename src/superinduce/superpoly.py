@@ -471,20 +471,24 @@ def _even_monomial_divide(amb: Ambient, u: Monomial, v: Monomial):
 
 
 def _commutative_divide(x: SuperPolynomial, b0: SuperPolynomial):
-    """Exact division by a polynomial in even generators, leading-term style."""
+    """Exact division by a polynomial in even generators, leading-term style.
+    Each quotient term updates the one remainder dict in place (Monagan &
+    Pearce); the field reduces the touched coefficients and drops zeros."""
     amb = x.ambient
+    field = amb.field
     lead_b = max(b0.terms, key=_division_key)
-    lc_b_inv = amb.field.inv(b0.terms[lead_b])
+    lc_b_inv = field.inv(b0.terms[lead_b])
     quo: dict = {}
-    rem = SuperPolynomial(amb, dict(x.terms))
-    while not rem.is_zero():
-        u = max(rem.terms, key=_division_key)
+    rem = dict(x.terms)
+    while rem:
+        u = max(rem, key=_division_key)
         qm = _even_monomial_divide(amb, u, lead_b)
         if qm is None:
             return None
-        qc = rem.terms[u] * lc_b_inv
-        quo[qm] = qc
-        rem = rem - SuperPolynomial(amb, {qm: qc}) * b0
+        qc = quo[qm] = rem[u] * lc_b_inv
+        touched = {qm + mb: cb for mb, cb in b0.terms.items()}
+        check_exponents(amb, touched)
+        rem.update(field.clean({mo: rem.pop(mo, 0) - qc * cb for mo, cb in touched.items()}))
     return SuperPolynomial(amb, quo)
 
 

@@ -8,6 +8,8 @@ readable at a glance even in a captured run.
 
 import random
 import time
+
+import pytest
 from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -56,7 +58,7 @@ from superinduce.weights_tableaux import (
 
 
 @contextmanager
-def _criterion(number: int, budget: float, info: dict, capsys):
+def _criterion(number, budget: float, info: dict, capsys):
     started = time.monotonic()
     done = False
     try:
@@ -382,4 +384,37 @@ def test_criterion_8_primitivity_of_every_floor_vector_family(capsys):
         info["detail"] = (
             f"{checked} floor vectors (single-row, grid, and robust family "
             "forms) are primitive, chars 0, 3, 5 with divided powers included"
+        )
+
+
+# Criterion 9 widens criteria 4 and 8 past (2,2): three weights drawn at seed
+# 41 with entries at most 3, every defined first-floor cell.  The weights are
+# drawn, never picked, and each case has its own ceiling, set before any run.
+CRITERION_9_BUDGET_S = 120
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("m,n", [(3, 1), (1, 3)])
+def test_criterion_9_first_floor_eigenvalues_and_primitivity_beyond_2_2(capsys, m, n, char):
+    info = {}
+    with _criterion(f"9 ({m},{n}) char {char}", CRITERION_9_BUDGET_S, info, capsys):
+        rng = random.Random(41)
+        weights = [random_dominant_weight(m, n, rng, max_entry=3) for _ in range(3)]
+        amb = ambient(m, n, char)
+        cells = []
+        for w in weights:
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    try:
+                        vec = pi_ij(amb, w, i, j)
+                    except UsageError:
+                        continue
+                    assert not vec.is_zero(), (w, i, j)
+                    value = omega(w, i, j)
+                    assert fe_eq(phi_floor(vec), fe_scale(vec, value)), (w, i, j)
+                    assert is_primitive(vec), (w, i, j)
+                    cells.append((w, i, j))
+        info["detail"] = (
+            f"{len(cells)} defined first-floor cells of {len(weights)} weights at "
+            f"({m},{n}) char {char} carry their grid eigenvalue and are primitive"
         )

@@ -170,6 +170,16 @@ def test_phi1_command_reports_grid(capsys):
     assert all(e["ok"] for e in doc["entries"])
 
 
+def test_verify_phi1_without_weights_is_an_empty_report(capsys):
+    # no --lambda and sizes other than (2,2), so --count 0 leaves no weight
+    code, doc = run_json(capsys, "verify", "phi1", "--m", "1", "--n", "1", "--count", "0")
+    assert code == 0
+    assert (doc["entries"], doc["grids"], doc["failures"], doc["ok"]) == ([], {}, 0, True)
+    # the ambient is still built, so a bad characteristic is still refused
+    assert main(["verify", "phi1", "--m", "1", "--n", "1", "--count", "0", "--p", "9"]) == 2
+    assert "odd prime" in _one_json_error_line(capsys)["error"]
+
+
 def test_primitive_query(capsys):
     code, doc = run_json(
         capsys, "primitive", "--lambda", "[2,1|1,0]", "--i", "1", "--j", "1"

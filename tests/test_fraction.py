@@ -18,6 +18,7 @@ from superinduce.fraction import (
     loc_mul,
     loc_pow,
     loc_sub,
+    loc_sum,
     loc_weight,
     parse_loc,
     reduce_loc,
@@ -183,3 +184,96 @@ def test_reduce_preserves_value(data):
     r = reduce_loc(x)
     assert loc_eq(r, x)
     assert r.d_exp <= x.d_exp and r.d22_exp <= x.d22_exp
+
+
+# -- one common denominator: loc_sum and loc_eq --------------------------------------
+
+
+def _draw_loc(data, amb, max_exp=2):
+    """A localized element with a small random numerator (possibly zero)."""
+    gens = [(i, j) for i in range(1, amb.size + 1) for j in range(1, amb.size + 1)]
+    p = amb.zero()
+    for _ in range(data.draw(st.integers(0, 3))):
+        term = amb.scalar(data.draw(st.integers(-3, 3)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            term = term * amb.gen(*data.draw(st.sampled_from(gens)))
+        p = p + term
+    return LocalizedElement(
+        p, data.draw(st.integers(0, max_exp)), data.draw(st.integers(0, max_exp))
+    )
+
+
+def _draw_pieces(data, amb):
+    """Pieces for a sum: random elements, zeros with nonzero exponents, and
+    the negatives of earlier pieces over larger denominators, so partial sums
+    cancel."""
+    d, d22 = det_block11(amb), det_block22(amb)
+    pieces = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        kind = data.draw(st.sampled_from(["random", "zero", "cancel"]))
+        if kind == "zero":
+            pieces.append(LocalizedElement(amb.zero(), 2, 1))
+        elif kind == "cancel" and pieces:
+            x = data.draw(st.sampled_from(pieces))
+            s, t = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+            pieces.append(LocalizedElement(-x.num * d**s * d22**t, x.d_exp + s, x.d22_exp + t))
+        else:
+            pieces.append(_draw_loc(data, amb))
+    return pieces
+
+
+def _cross_multiplied_eq(x, y):
+    """Oracle: x == y when x.num·D^s'·D22^t' equals y.num·D^s·D22^t."""
+    amb = x.ambient
+    d, d22 = det_block11(amb), det_block22(amb)
+    left = x.num * d**y.d_exp * d22**y.d22_exp
+    right = y.num * d**x.d_exp * d22**x.d22_exp
+    return (left - right).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([0, 3]))
+def test_loc_sum_equals_the_loc_add_fold(data, char):
+    amb = ambient(2, 2, char)
+    pieces = _draw_pieces(data, amb)
+    total = loc_sum(amb, pieces)
+    fold = LocalizedElement(amb.zero())
+    for x in pieces:
+        fold = loc_add(fold, x)
+    assert loc_eq(total, fold) and _cross_multiplied_eq(total, fold)
+    nonzero = [x for x in pieces if not x.is_zero()]
+    if not total.is_zero():
+        assert total.d_exp == max((x.d_exp for x in nonzero), default=0)
+        assert total.d22_exp == max((x.d22_exp for x in nonzero), default=0)
+    else:
+        assert (total.d_exp, total.d22_exp) == (0, 0)
+
+
+def test_loc_sum_of_nothing_is_zero_and_checks_ambients():
+    amb = ambient(2, 2)
+    assert loc_sum(amb, []) == LocalizedElement(amb.zero())
+    with pytest.raises(UsageError):
+        loc_sum(amb, [embed_poly(ambient(2, 2, 3).one())])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([0, 3]))
+def test_loc_eq_agrees_with_cross_multiplication(data, char):
+    amb = ambient(2, 2, char)
+    d, d22 = det_block11(amb), det_block22(amb)
+    x = _draw_loc(data, amb)
+    how = data.draw(st.sampled_from(["independent", "rescaled", "perturbed"]))
+    if how == "independent":
+        y = _draw_loc(data, amb)
+    else:
+        # the same value over a larger denominator, or that plus a unit term
+        s, t = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        y = LocalizedElement(x.num * d**s * d22**t, x.d_exp + s, x.d22_exp + t)
+        if how == "perturbed":
+            y = loc_add(y, LocalizedElement(amb.gen(1, 1), data.draw(st.integers(0, 2)), 0))
+    assert loc_eq(x, y) == _cross_multiplied_eq(x, y)
+    assert loc_eq(y, x) == loc_eq(x, y)
+    if how == "rescaled":
+        assert loc_eq(x, y)
+    if how == "perturbed":
+        assert not loc_eq(x, y)

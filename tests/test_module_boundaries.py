@@ -25,3 +25,38 @@ def test_no_module_imports_another_modules_private_name():
     ]
     assert len(imported) > 50  # the walk reaches the package's own imports
     assert [hit for hit in imported if hit[2].startswith("_")] == []
+
+
+def _loc_add_folds(path: Path):
+    """(function, line) for every `x = loc_add(x, ...)` (or with x second)
+    inside the body of a for or while loop."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in (n for stmt in loop.body + loop.orelse for n in ast.walk(stmt)):
+                if not (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "loc_add"
+                ):
+                    continue
+                targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                args = {a.id for a in node.value.args if isinstance(a, ast.Name)}
+                if targets & args:
+                    yield func.name, node.lineno
+
+
+def test_sums_of_localized_elements_go_through_loc_sum():
+    # a fold of loc_add raises the growing partial sum to a new common
+    # denominator at every step; fraction.loc_sum does it once for all pieces
+    folds = {
+        (path.name, name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _loc_add_folds(path)
+    }
+    assert folds == set()

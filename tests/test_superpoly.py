@@ -389,3 +389,68 @@ def test_cli_reports_the_exponent_cap(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert str(EXPONENT_CAP) in json.loads(lines[0])["error"]
+
+
+# -- exact division with an in-place remainder -----------------------------------------
+
+
+def _even_and_odd_gens(amb):
+    pairs = [(i, j) for i in range(1, amb.size + 1) for j in range(1, amb.size + 1)]
+    even = [amb.gen(i, j) for i, j in pairs if amb.gen_parity(i, j) == 0]
+    odd = [amb.gen(i, j) for i, j in pairs if amb.gen_parity(i, j) == 1]
+    return even, odd
+
+
+def _draw_even_divisor(data, amb):
+    """(b, body): an even b whose body (its odd-free part) is nonzero; the
+    rest of b is a sum of even-generator monomials times two odd generators."""
+    even, odd = _even_and_odd_gens(amb)
+    body = amb.scalar(data.draw(st.integers(1, 2))) * amb.gen(1, 1) ** data.draw(st.integers(0, 2))
+    for _ in range(data.draw(st.integers(0, 2))):
+        body = body + data.draw(st.sampled_from(even)) * data.draw(st.sampled_from(even))
+    nil = amb.zero()
+    for _ in range(data.draw(st.integers(0, 2))):
+        term = data.draw(st.sampled_from(odd)) * data.draw(st.sampled_from(odd))
+        nil = nil + term * data.draw(st.sampled_from(even + [amb.one()]))
+    return body + nil, body
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([0, 3]))
+def test_exact_divide_recovers_the_cofactor(data, char):
+    amb = ambient(2, 2, char)
+    a = random_poly(amb, data, max_terms=3)
+    b, body = _draw_even_divisor(data, amb)
+    if body.is_zero():  # the body's coefficient vanished mod p
+        return
+    assert b.parity() == 0
+    assert exact_divide(a * b, b) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([0, 3]))
+def test_exact_divide_refuses_a_monomial_the_leading_term_misses(data, char):
+    # b divides a·b + m only if it divides m; the odd-free layer of q·b = m is
+    # q0·body = m in the polynomial ring of the even generators, which forces
+    # body's leading monomial to divide m, and a degree below it cannot
+    amb = ambient(2, 2, char)
+    even, _ = _even_and_odd_gens(amb)
+    a = random_poly(amb, data, max_terms=3)
+    b, body = _draw_even_divisor(data, amb)
+    if body.is_zero() or body.total_degree() == 0:
+        return
+    m = amb.scalar(data.draw(st.integers(1, 2)))
+    for _ in range(data.draw(st.integers(0, body.total_degree() - 1))):
+        m = m * data.draw(st.sampled_from(even))
+    assert exact_divide(a * b + m, b) is None
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_exact_divide_keeps_the_exponent_cap(char):
+    amb = ambient(2, 2, char)
+    c11, c22 = amb.gen(1, 1), amb.gen(2, 2)
+    # the leading term of c11^2 + c22^2 is c11^2, so the first quotient term
+    # is c22^cap and its product with c22^2 crosses the cap
+    with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
+        exact_divide(c11**2 * c22**EXPONENT_CAP, c11**2 + c22**2)
+    assert exact_divide(c11**2 * c22**(EXPONENT_CAP - 2), c11**2 + c22**2) is None
