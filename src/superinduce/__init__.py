@@ -20,7 +20,6 @@ from .superpoly import (
     leibniz_det,
     parse_poly,
     render_poly,
-    row_content_of,
     weight_of,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "leibniz_det",
     "parse_poly",
     "render_poly",
-    "row_content_of",
     "weight_of",
 ]

@@ -84,11 +84,6 @@ def binomial(k: int, r: int) -> Op:
     return Op("binomial", k, k, r)
 
 
-def matrix_unit_to_op(k: int, l: int) -> Op:
-    """The basic operator realizing the (k,l) matrix unit: indices swap."""
-    return Op("basic", l, k)
-
-
 def render_op(op: Op) -> str:
     if op.kind == "basic":
         return f"d[{op.k},{op.l}]"
@@ -139,11 +134,8 @@ def _d_poly(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
 
 
 def _den_derivative(amb: Ambient, which: int, k: int, l: int) -> SuperPolynomial:
-    key = ("dden", which, k, l)
-    if key not in amb._cache:
-        base = det_block11(amb) if which == 11 else det_block22(amb)
-        amb._cache[key] = _d_poly(base, k, l)
-    return amb._cache[key]
+    base = det_block11 if which == 11 else det_block22
+    return amb.cached(("dden", which, k, l), lambda: _d_poly(base(amb), k, l))
 
 
 def _d_loc(x: LocalizedElement, k: int, l: int) -> LocalizedElement:
@@ -220,12 +212,6 @@ def apply_poly(op: Op, p: SuperPolynomial) -> SuperPolynomial:
     if out.d_exp or out.d22_exp:
         raise InternalError("polynomial input acquired a denominator")
     return out.num
-
-
-def apply_seq(ops, x: LocalizedElement) -> LocalizedElement:
-    for op in ops:
-        x = apply_loc(op, x)
-    return x
 
 
 # -- the structured rewrite table -----------------------------------------------------

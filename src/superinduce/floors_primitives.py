@@ -27,7 +27,7 @@ from .derivation import apply_loc, basic
 from .fraction import (
     LocalizedElement,
     common_numerators,
-    det_block22,
+    den_power,
     embed_poly,
     is_polynomial,
     loc_add,
@@ -57,14 +57,12 @@ from .weights_tableaux import (
     enumerate_semistandard,
     bideterminant_minus,
     bideterminant_plus,
+    exponent_ledger,
     highest_vector,
     is_admissible_pair,
     is_dominant,
+    minor_power_product,
 )
-
-
-def pair_height(pairs) -> int:
-    return sum(j - i for i, j in pairs)
 
 
 class FloorElement:
@@ -162,35 +160,6 @@ def floor_element_to_json(x: FloorElement) -> list:
 # -- the distinguished first-floor vectors --------------------------------------------
 
 
-def _exponent_ledger(w: Weight):
-    plus = [w.plus[a] - w.plus[a + 1] for a in range(w.m - 1)] + [w.plus[-1]]
-    minus = [w.minus[b] - w.minus[b + 1] for b in range(w.n - 1)] + [w.minus[-1]]
-    return plus, minus
-
-
-def _minor_power_product(amb: Ambient, plus_exps, minus_exps) -> LocalizedElement:
-    """Product of nested leading minors to the given powers; only the full
-    even-block minor may carry a negative power (it folds into the
-    denominator)."""
-    out = embed_poly(amb.one())
-    for a, e in enumerate(plus_exps, start=1):
-        if e == 0:
-            continue
-        if e < 0:
-            if a != amb.m:
-                raise InternalError("negative exponent on a non-invertible minor")
-            out = loc_mul(out, LocalizedElement(amb.one(), -e, 0))
-        else:
-            minor = row_initial_minor(amb, range(1, a + 1))
-            out = loc_mul(out, loc_pow(embed_poly(minor), e))
-    for b, e in enumerate(minus_exps, start=1):
-        if e < 0:
-            raise InternalError("negative exponent on a minus minor")
-        if e:
-            out = loc_mul(out, loc_pow(dminus(amb, range(amb.m + 1, amb.m + b + 1)), e))
-    return out
-
-
 def rho_pair(amb: Ambient, i: int, j: int) -> dict:
     """The weight-free part of the (i,j) vector: a map from mixed pairs to
     localized coefficients.  The minus index j is relative (1..n)."""
@@ -239,11 +208,11 @@ def pi_ij(amb: Ambient, w: Weight, i: int, j: int) -> FloorElement:
     if w.minus[-1] < 0:
         raise UsageError("normalize away the determinant twist first")
     _check_pi_preconditions(w, i, j)
-    plus_exps, minus_exps = _exponent_ledger(w)
+    plus_exps, minus_exps = exponent_ledger(w)
     plus_exps[i - 1] -= 1
     if j > 1:
         minus_exps[j - 2] -= 1
-    prefactor = _minor_power_product(amb, plus_exps, minus_exps)
+    prefactor = minor_power_product(amb, plus_exps, minus_exps)
     terms = {
         (pair,): loc_mul(prefactor, c) for pair, c in rho_pair(amb, i, j).items()
     }
@@ -258,9 +227,9 @@ def pi_plus(amb: Ambient, w: Weight, i: int) -> FloorElement:
         raise UsageError("weight must be dominant with nonnegative minus entry")
     _check_pi_preconditions(w, i, 1)
     m = amb.m
-    plus_exps, _ = _exponent_ledger(w)
+    plus_exps, _ = exponent_ledger(w)
     plus_exps[i - 1] -= 1
-    prefac = _minor_power_product(amb, plus_exps, [0])
+    prefac = minor_power_product(amb, plus_exps, [0])
     phi_pow = loc_pow(twisted_generator(amb, m + 1, m + 1), w.minus[0])
     terms = {}
     for k in range(i, m + 1):
@@ -285,10 +254,10 @@ def pi_minus(amb: Ambient, w: Weight, j: int) -> FloorElement:
         head = embed_poly(amb.gen(1, 1) ** lead)
     else:
         head = LocalizedElement(amb.one(), -lead, 0)
-    _, minus_exps = _exponent_ledger(w)
+    _, minus_exps = exponent_ledger(w)
     if j > 1:
         minus_exps[j - 2] -= 1
-    head = loc_mul(head, _minor_power_product(amb, [0], minus_exps))
+    head = loc_mul(head, minor_power_product(amb, [0], minus_exps))
     terms = {}
     for k in range(1, j + 1):
         cols = tuple(1 + u for u in range(1, j + 1) if u != k)
@@ -321,7 +290,7 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     if w.minus[-1] < 0:
         raise UsageError("normalize away the determinant twist first")
     m = amb.m
-    plus_exps, minus_exps = _exponent_ledger(w)
+    plus_exps, minus_exps = exponent_ledger(w)
     for i_s, j_s in zip(I, J):
         plus_exps[i_s - 1] -= 1
         if j_s > 1:
@@ -344,7 +313,7 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
             pos_minus.append(0)
         else:
             pos_minus.append(e)
-    v_pos = _minor_power_product(amb, pos_plus, pos_minus)
+    v_pos = minor_power_product(amb, pos_plus, pos_minus)
     words = {(): embed_poly(amb.one())}
     for i_s, j_s in zip(I, J):
         factor = rho_pair(amb, i_s, j_s)
@@ -421,22 +390,17 @@ def floor_is_polynomial(x: FloorElement) -> bool:
 
 
 def _structured_image(amb: Ambient, i: int, j: int) -> SuperPolynomial:
-    key = ("floorsub", i, j)
-    if key in amb._cache:
-        return amb._cache[key]
     m = amb.m
-    if j <= m:
-        img = amb.gen(i, j)
-    elif i <= m:
-        img = amb.zero()
+
+    def build():
+        if j <= m:
+            return amb.gen(i, j)
+        img = amb.zero() if i <= m else amb.gen(i, j)
         for a in range(1, m + 1):
             img = img + amb.gen(i, a) * amb.gen(a, j)
-    else:
-        img = amb.gen(i, j)
-        for a in range(1, m + 1):
-            img = img + amb.gen(i, a) * amb.gen(a, j)
-    amb._cache[key] = img
-    return img
+        return img
+
+    return amb.cached(("floorsub", i, j), build)
 
 
 def extract_floors(x: LocalizedElement):
@@ -447,7 +411,7 @@ def extract_floors(x: LocalizedElement):
     amb = x.ambient
     num = x.num
     if x.d22_exp:
-        num = exact_divide(num, det_block22(amb) ** x.d22_exp)
+        num = exact_divide(num, den_power(amb, 0, x.d22_exp))
         if num is None:
             return None
     m = amb.m

@@ -3,7 +3,7 @@
 D is the determinant of the upper-left m-by-m block C11 and D22 the
 determinant of the lower-right n-by-n block C22; both are even and central,
 so fractions num / (D^s · D22^t) multiply by the usual rules.  Exponents only
-ever grow during arithmetic — reduction is a separate, explicit operation.
+ever grow during arithmetic; is_polynomial divides them out explicitly.
 Both determinants have a nonzero body, so neither is a zero divisor: two
 elements are equal exactly when their numerators agree once each is raised
 to the larger exponents, and that is how loc_eq compares them.  loc_sum is
@@ -32,27 +32,19 @@ from .superpoly import (
 
 def det_block11(amb: Ambient) -> SuperPolynomial:
     """D: determinant of the even block C11 (cached per ambient)."""
-    key = "det11"
-    if key not in amb._cache:
-        amb._cache[key] = leibniz_det(amb, range(1, amb.m + 1), range(1, amb.m + 1))
-    return amb._cache[key]
+    rng = range(1, amb.m + 1)
+    return amb.cached("det11", lambda: leibniz_det(amb, rng, rng))
 
 
 def det_block22(amb: Ambient) -> SuperPolynomial:
     """D22: determinant of the even block C22 (cached per ambient)."""
-    key = "det22"
-    if key not in amb._cache:
-        rng = range(amb.m + 1, amb.size + 1)
-        amb._cache[key] = leibniz_det(amb, rng, rng)
-    return amb._cache[key]
+    rng = range(amb.m + 1, amb.size + 1)
+    return amb.cached("det22", lambda: leibniz_det(amb, rng, rng))
 
 
 def den_power(amb: Ambient, s: int, t: int) -> SuperPolynomial:
     """D^s · D22^t (cached per ambient)."""
-    key = ("den", s, t)
-    if key not in amb._cache:
-        amb._cache[key] = det_block11(amb) ** s * det_block22(amb) ** t
-    return amb._cache[key]
+    return amb.cached(("den", s, t), lambda: det_block11(amb) ** s * det_block22(amb) ** t)
 
 
 class LocalizedElement:
@@ -103,11 +95,6 @@ def loc_zero(amb: Ambient) -> LocalizedElement:
     return LocalizedElement(amb.zero())
 
 
-def _mate(x: LocalizedElement, y: LocalizedElement):
-    if x.ambient != y.ambient:
-        raise UsageError("operands live in different ambients")
-
-
 def common_numerators(amb: Ambient, xs):
     """(s, t, nums): the largest exponents among xs, and each numerator over
     D^s · D22^t."""
@@ -143,7 +130,6 @@ def loc_sub(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
 
 
 def loc_mul(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
-    _mate(x, y)
     return LocalizedElement(x.num * y.num, x.d_exp + y.d_exp, x.d22_exp + y.d22_exp)
 
 
@@ -160,34 +146,9 @@ def loc_eq(x: LocalizedElement, y: LocalizedElement) -> bool:
 
 def is_polynomial(x: LocalizedElement):
     """The polynomial the element equals, or None when denominators are essential."""
-    p = x.num
-    amb = x.ambient
-    if x.d_exp:
-        p = exact_divide(p, det_block11(amb) ** x.d_exp)
-        if p is None:
-            return None
-    if x.d22_exp:
-        p = exact_divide(p, det_block22(amb) ** x.d22_exp)
-        if p is None:
-            return None
-    return p
-
-
-def reduce_loc(x: LocalizedElement) -> LocalizedElement:
-    """Cancel as many D / D22 powers as exactly divide the numerator."""
-    amb = x.ambient
-    num, s, t = x.num, x.d_exp, x.d22_exp
-    while s > 0:
-        q = exact_divide(num, det_block11(amb))
-        if q is None:
-            break
-        num, s = q, s - 1
-    while t > 0:
-        q = exact_divide(num, det_block22(amb))
-        if q is None:
-            break
-        num, t = q, t - 1
-    return LocalizedElement(num, s, t)
+    if not (x.d_exp or x.d22_exp):
+        return x.num
+    return exact_divide(x.num, den_power(x.ambient, x.d_exp, x.d22_exp))
 
 
 def loc_divide_exact(x: LocalizedElement, d: LocalizedElement):
@@ -196,7 +157,6 @@ def loc_divide_exact(x: LocalizedElement, d: LocalizedElement):
     The divisor's numerator must be even with nonzero body; the quotient keeps
     x's denominator exponents while d's invert into numerator powers.
     """
-    _mate(x, d)
     amb = x.ambient
     if d.is_zero():
         raise UsageError("division by the zero element")

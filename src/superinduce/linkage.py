@@ -175,12 +175,10 @@ def odd_linked(w: Weight, I, J, p: int):
         raise UsageError("odd linkage is defined between dominant endpoints")
     if not I:
         return True, ((), ())
-    seen = set()
-    for perm_i in permutations(I):
-        for perm_j in permutations(J):
-            if (perm_i, perm_j) in seen:
-                continue
-            seen.add((perm_i, perm_j))
+    # distinct rearrangements only, in first-occurrence order
+    perms_j = list(dict.fromkeys(permutations(J)))
+    for perm_i in dict.fromkeys(permutations(I)):
+        for perm_j in perms_j:
             cur = w
             for a, b in zip(perm_i, perm_j):
                 if omega(cur, a, b) % p != 0:

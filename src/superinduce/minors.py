@@ -34,20 +34,6 @@ def row_initial_minor(amb: Ambient, cols) -> SuperPolynomial:
     return leibniz_det(amb, range(1, len(cols) + 1), cols)
 
 
-def laplace_first_row(amb: Ambient, rows, cols) -> SuperPolynomial:
-    """Expansion along the first row; valid for any entry parities."""
-    rows, cols = tuple(rows), tuple(cols)
-    if not rows:
-        return amb.one()
-    out = amb.zero()
-    rest_rows = rows[1:]
-    for b, col in enumerate(cols):
-        rest_cols = cols[:b] + cols[b + 1 :]
-        term = amb.gen(rows[0], col) * leibniz_det(amb, rest_rows, rest_cols)
-        out = out + (term if b % 2 == 0 else -term)
-    return out
-
-
 def laplace_along_row(amb: Ambient, rows, cols, t: int) -> SuperPolynomial:
     """Expansion along row position t (1-based); every row above t must be even."""
     rows, cols = tuple(rows), tuple(cols)
@@ -72,30 +58,29 @@ def laplace_along_row(amb: Ambient, rows, cols, t: int) -> SuperPolynomial:
 
 
 def _adjugate_table(amb: Ambient):
-    key = "adjugate"
-    if key in amb._cache:
-        return amb._cache[key]
-    m = amb.m
-    all_rows = tuple(range(1, m + 1))
-    table = {}
-    for i in all_rows:
-        for a in all_rows:
-            rows = tuple(r for r in all_rows if r != a)
-            cols = tuple(c for c in all_rows if c != i)
-            cof = leibniz_det(amb, rows, cols)
-            table[(i, a)] = cof if (i + a) % 2 == 0 else -cof
-    if m <= 3:
-        d = det_block11(amb)
+    def build():
+        m = amb.m
+        all_rows = tuple(range(1, m + 1))
+        table = {}
         for i in all_rows:
-            for s in all_rows:
-                total = amb.zero()
-                for a in all_rows:
-                    total = total + table[(i, a)] * amb.gen(a, s)
-                expect = d if i == s else amb.zero()
-                if total != expect:
-                    raise InternalError("adjugate table fails its defining law")
-    amb._cache[key] = table
-    return table
+            for a in all_rows:
+                rows = tuple(r for r in all_rows if r != a)
+                cols = tuple(c for c in all_rows if c != i)
+                cof = leibniz_det(amb, rows, cols)
+                table[(i, a)] = cof if (i + a) % 2 == 0 else -cof
+        if m <= 3:
+            d = det_block11(amb)
+            for i in all_rows:
+                for s in all_rows:
+                    total = amb.zero()
+                    for a in all_rows:
+                        total = total + table[(i, a)] * amb.gen(a, s)
+                    expect = d if i == s else amb.zero()
+                    if total != expect:
+                        raise InternalError("adjugate table fails its defining law")
+        return table
+
+    return amb.cached("adjugate", build)
 
 
 def adjugate_entry(amb: Ambient, i: int, a: int) -> SuperPolynomial:
@@ -122,15 +107,14 @@ def y_entry(amb: Ambient, i: int, j: int) -> LocalizedElement:
         raise UsageError("y rows must lie in the even block")
     if not 1 <= j <= amb.size:
         raise UsageError("column index out of range")
-    key = ("y", i, j)
-    if key in amb._cache:
-        return amb._cache[key]
-    num = amb.zero()
-    for a in range(1, amb.m + 1):
-        num = num + adjugate_entry(amb, i, a) * amb.gen(a, j)
-    out = LocalizedElement(num, 1, 0)
-    amb._cache[key] = out
-    return out
+
+    def build():
+        num = amb.zero()
+        for a in range(1, amb.m + 1):
+            num = num + adjugate_entry(amb, i, a) * amb.gen(a, j)
+        return LocalizedElement(num, 1, 0)
+
+    return amb.cached(("y", i, j), build)
 
 
 def twisted_generator(amb: Ambient, k: int, l: int) -> LocalizedElement:
@@ -141,21 +125,19 @@ def twisted_generator(amb: Ambient, k: int, l: int) -> LocalizedElement:
     """
     if not (1 <= k <= amb.size and 1 <= l <= amb.size):
         raise UsageError("generator index out of range")
-    key = ("phi", k, l)
-    if key in amb._cache:
-        return amb._cache[key]
     m = amb.m
-    if k <= m < l:
-        out = y_entry(amb, k, l)
-    elif k <= m or l <= m:
-        out = embed_poly(amb.gen(k, l))
-    else:
+
+    def build():
+        if k <= m < l:
+            return y_entry(amb, k, l)
+        if k <= m or l <= m:
+            return embed_poly(amb.gen(k, l))
         num = amb.gen(k, l) * det_block11(amb)
         for a in range(1, m + 1):
             num = num - amb.gen(k, a) * y_entry(amb, a, l).num
-        out = LocalizedElement(num, 1, 0)
-    amb._cache[key] = out
-    return out
+        return LocalizedElement(num, 1, 0)
+
+    return amb.cached(("phi", k, l), build)
 
 
 def loc_det(amb: Ambient, entries) -> LocalizedElement:

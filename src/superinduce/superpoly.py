@@ -173,8 +173,9 @@ class Ambient:
 
     Values created in distinct ambients never mix.  The characteristic fixes
     the coefficient field (Q or F_p) once, when the ambient is built.  The
-    ambient also owns a cache used by higher layers for expensive per-ring
-    data (determinants, adjugate tables, localized generator images).
+    ambient also owns the cache of expensive per-ring data (determinants,
+    adjugate tables, localized generator images); higher layers reach it only
+    through cached().
     """
 
     m: int
@@ -223,6 +224,13 @@ class Ambient:
         self.gen_parity(i, j)  # range check
         s = self.size
         return 1 << (((s - i) * s + (s - j)) * FIELD_BITS)
+
+    def cached(self, key, build):
+        """The per-ring value stored under key, built by build() on first use."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def coeff(self, x):
         """Normalize an int/Fraction/str into this ambient's coefficient field."""
@@ -304,13 +312,6 @@ def monomial_column_content(amb: Ambient, mono: Monomial) -> tuple:
     counts = [0] * amb.size
     for (_, j), e in monomial_items(amb, mono):
         counts[j - 1] += e
-    return tuple(counts)
-
-
-def _monomial_row_content(amb: Ambient, mono: Monomial) -> tuple:
-    counts = [0] * amb.size
-    for (i, _), e in monomial_items(amb, mono):
-        counts[i - 1] += e
     return tuple(counts)
 
 
@@ -427,19 +428,6 @@ def weight_of(p: SuperPolynomial):
     w = None
     for mono in p.terms:
         cur = monomial_column_content(amb, mono)
-        if w is None:
-            w = cur
-        elif w != cur:
-            return None
-    return w if w is not None else tuple([0] * amb.size)
-
-
-def row_content_of(p: SuperPolynomial):
-    """Common row-content vector of all terms, or None when inhomogeneous."""
-    amb = p.ambient
-    w = None
-    for mono in p.terms:
-        cur = _monomial_row_content(amb, mono)
         if w is None:
             w = cur
         elif w != cur:

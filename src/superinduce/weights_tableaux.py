@@ -69,29 +69,17 @@ def weight_add(a: Weight, b: Weight) -> Weight:
     )
 
 
-def weight_scale(a: Weight, c: int) -> Weight:
-    return Weight(tuple(c * x for x in a.plus), tuple(c * x for x in a.minus))
-
-
-def delta_plus(m: int, n: int, i: int) -> Weight:
-    if not 1 <= i <= m:
-        raise UsageError("plus-block index out of range")
-    return Weight(tuple(1 if a == i else 0 for a in range(1, m + 1)), (0,) * n)
-
-
-def delta_minus(m: int, n: int, j: int) -> Weight:
-    if not 1 <= j <= n:
-        raise UsageError("minus-block index out of range")
-    return Weight((0,) * m, tuple(1 if b == j else 0 for b in range(1, n + 1)))
-
-
 def lambda_ij(w: Weight, i: int, j: int) -> Weight:
     """The weight after one step in direction (i, j): subtract at plus-i,
     add at minus-j."""
-    return weight_add(
-        weight_add(w, weight_scale(delta_plus(w.m, w.n, i), -1)),
-        delta_minus(w.m, w.n, j),
-    )
+    if not 1 <= i <= w.m:
+        raise UsageError("plus-block index out of range")
+    if not 1 <= j <= w.n:
+        raise UsageError("minus-block index out of range")
+    plus, minus = list(w.plus), list(w.minus)
+    plus[i - 1] -= 1
+    minus[j - 1] += 1
+    return Weight(tuple(plus), tuple(minus))
 
 
 def content_of_pairs(m: int, n: int, I, J) -> Weight:
@@ -145,7 +133,7 @@ def is_admissible_pair(w: Weight, I, J) -> bool:
     return is_dominant(lambda_IJ(w, I, J))
 
 
-# -- text and JSON forms ---------------------------------------------------------
+# -- text forms -----------------------------------------------------------------
 
 
 def render_weight(w: Weight) -> str:
@@ -162,17 +150,6 @@ def parse_weight(text: str) -> Weight:
     plus = tuple(int(v) for v in m.group(1).split(","))
     minus = tuple(int(v) for v in m.group(2).split(","))
     return Weight(plus, minus)
-
-
-def weight_to_json(w: Weight) -> dict:
-    return {"plus": list(w.plus), "minus": list(w.minus)}
-
-
-def weight_from_json(obj) -> Weight:
-    try:
-        return make_weight(obj["plus"], obj["minus"])
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed weight object {obj!r}") from exc
 
 
 # -- tableaux ---------------------------------------------------------------------
@@ -201,17 +178,6 @@ def tableau_columns(t: Tableau):
     for b in range(width):
         cols.append(tuple(row[b] for row in t.cells if len(row) > b))
     return cols
-
-
-def tableau_to_json(t: Tableau) -> dict:
-    return {"shape": list(t.shape), "cells": [list(r) for r in t.cells]}
-
-
-def tableau_from_json(obj) -> Tableau:
-    try:
-        return Tableau(tuple(obj["shape"]), tuple(tuple(r) for r in obj["cells"]))
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed tableau object {obj!r}") from exc
 
 
 def is_semistandard(t: Tableau) -> bool:
@@ -262,11 +228,9 @@ def dminus(amb: Ambient, cols) -> LocalizedElement:
             raise UsageError("columns of the minus minor must lie beyond the even block")
     if len(cols) > amb.n:
         raise UsageError("too many columns for the odd block's rows")
-    entries = [
-        [twisted_generator(amb, amb.m + 1 + a, c) for c in cols]
-        for a in range(len(cols))
-    ]
-    return loc_det(amb, entries)
+    rows = range(amb.m + 1, amb.m + len(cols) + 1)
+    return amb.cached(("dminus", cols), lambda: loc_det(
+        amb, [[twisted_generator(amb, r, c) for c in cols] for r in rows]))
 
 
 def bideterminant_plus(amb: Ambient, t: Tableau) -> SuperPolynomial:
@@ -283,6 +247,37 @@ def bideterminant_minus(amb: Ambient, t: Tableau) -> LocalizedElement:
     return out
 
 
+def exponent_ledger(w: Weight):
+    """(plus, minus): the power of each nested leading minor in the highest
+    vector, the consecutive differences of each block of the weight."""
+    plus = [w.plus[a] - w.plus[a + 1] for a in range(w.m - 1)] + [w.plus[-1]]
+    minus = [w.minus[b] - w.minus[b + 1] for b in range(w.n - 1)] + [w.minus[-1]]
+    return plus, minus
+
+
+def minor_power_product(amb: Ambient, plus_exps, minus_exps) -> LocalizedElement:
+    """Product of nested leading minors to the given powers; only the full
+    even-block minor may carry a negative power (it folds into the
+    denominator)."""
+    out = embed_poly(amb.one())
+    for a, e in enumerate(plus_exps, start=1):
+        if e == 0:
+            continue
+        if e < 0:
+            if a != amb.m:
+                raise InternalError("negative exponent on a non-invertible minor")
+            out = loc_mul(out, LocalizedElement(amb.one(), -e, 0))
+        else:
+            minor = row_initial_minor(amb, range(1, a + 1))
+            out = loc_mul(out, loc_pow(embed_poly(minor), e))
+    for b, e in enumerate(minus_exps, start=1):
+        if e < 0:
+            raise InternalError("negative exponent on a minus minor")
+        if e:
+            out = loc_mul(out, loc_pow(dminus(amb, range(amb.m + 1, amb.m + b + 1)), e))
+    return out
+
+
 def highest_vector(amb: Ambient, w: Weight) -> LocalizedElement:
     """Product of nested leading minors with exponents the consecutive
     differences of the weight; a negative last plus entry folds into the
@@ -296,25 +291,8 @@ def highest_vector(amb: Ambient, w: Weight) -> LocalizedElement:
         raise UsageError(
             "last minus entry is negative; normalize away the determinant twist first"
         )
-    m, n = amb.m, amb.n
-    out = embed_poly(amb.one())
-    for a in range(1, m):
-        e = w.plus[a - 1] - w.plus[a]
-        if e:
-            minor = row_initial_minor(amb, range(1, a + 1))
-            out = loc_mul(out, loc_pow(embed_poly(minor), e))
-    last = w.plus[m - 1]
-    if last >= 0:
-        minor = row_initial_minor(amb, range(1, m + 1))
-        out = loc_mul(out, loc_pow(embed_poly(minor), last))
-    else:
-        out = loc_mul(out, LocalizedElement(amb.one(), -last, 0))
-    for b in range(1, n + 1):
-        e = w.minus[b - 1] - (w.minus[b] if b < n else 0)
-        if e:
-            out = loc_mul(out, loc_pow(dminus(amb, range(m + 1, m + b + 1)), e))
-    got = loc_weight(out)
-    if got != w.as_tuple():
+    out = minor_power_product(amb, *exponent_ledger(w))
+    if loc_weight(out) != w.as_tuple():
         raise InternalError("highest vector has the wrong weight")
     return out
 

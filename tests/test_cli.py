@@ -233,6 +233,24 @@ def test_odd_chain_witness_rearrangement(capsys):
     assert doc["witness"] == [[2, 1], [1, 1]]
 
 
+def test_odd_chain_with_repeated_pairs_finishes():
+    # 8 pairs with every entry repeated: 8!^2 rearrangement pairs, of which
+    # only 70^2 are distinct
+    pairs = "[[1,1],[1,2],[2,1],[2,2],[1,1],[1,2],[2,1],[2,2]]"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "superinduce.cli", "odd-chain",
+         "--lambda", "[40,40|0,0]", "--pairs", pairs, "--p", "3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert (doc["holds"], doc["witness"]) == (False, None)
+
+
 def test_out_flag_duplicates_stdout(tmp_path, capsys):
     target = tmp_path / "grid.json"
     code, out = run_cli(

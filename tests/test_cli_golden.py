@@ -47,6 +47,14 @@ GOLDEN = [
      "8560488b7a0cebc05e3c08baa6772a3a3562e6aab3b6f5a65c192fa3d2be8d8c"),
     (["verify", "lemmas", "--m", "2", "--n", "1"], 0,
      "96c808ea183ce225e14a91cb3c2d04299c565a1ae31318876b7cdba58290df1f"),
+    (["emit", "highest-vector", "--lambda", "[1,-2|0,0]"], 0,
+     "3210fdc54c25b2d3d57ef448a67181a2ca52b74c621095e8ed13f86300dea1bf"),
+    (["emit", "highest-vector", "--lambda", "[3,2,1|1]", "--p", "5"], 0,
+     "8a695dc3d5e5843cd948113193eb55e79698092b2c87ab9583f2cc71c1e47b6e"),
+    (["emit", "highest-vector", "--lambda", "[2|2,1,0]"], 0,
+     "5a15a0b3a92f724547c374f382b5cf5fe45ac13367badc52820ac71793198f76"),
+    (["primitive-k", "--lambda", "[3,3|1,0]", "--pairs", "[[1,1],[2,2]]"], 0,
+     "394d8a6039338baad5f5d026fae7a376822a6a4b3e7d3a2760c8fe1a6f69a191"),
 ]
 
 

@@ -23,14 +23,12 @@ from superinduce.derivation import (
     Op,
     apply_loc,
     apply_poly,
-    apply_seq,
     basic,
     binomial,
     bracket_check,
     divided,
     embed_formal,
     embed_formal_factor,
-    matrix_unit_to_op,
     rewrite_rule_check,
     structured_rule,
     _den_derivative,
@@ -211,12 +209,6 @@ def test_bracket_identity(data):
     assert bracket_check(x, a, b)
 
 
-def test_matrix_unit_translation():
-    op = matrix_unit_to_op(2, 3)
-    assert (op.k, op.l) == (3, 2)
-    assert op.kind == "basic"
-
-
 def test_divided_power_char0():
     amb = ambient(2, 1)
     p = amb.gen(1, 1) ** 2
@@ -258,13 +250,6 @@ def test_binomial_charp():
     # factorial and one factor are divisible by 3
     p = amb.gen(1, 1) ** 4
     assert apply_poly(binomial(1, 3), p) == p.scale(20)
-
-
-def test_apply_seq_composes():
-    amb = ambient(2, 1)
-    x = embed_poly(amb.gen(1, 1) * amb.gen(1, 2))
-    one_by_one = apply_loc(basic(2, 1), apply_loc(basic(1, 1), x))
-    assert loc_eq(apply_seq([basic(1, 1), basic(2, 1)], x), one_by_one)
 
 
 # -- rewrite table spot checks (the exhaustive sweep lives in the acceptance tests) --

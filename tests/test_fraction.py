@@ -21,7 +21,6 @@ from superinduce.fraction import (
     loc_sum,
     loc_weight,
     parse_loc,
-    reduce_loc,
     render_loc,
 )
 
@@ -71,8 +70,7 @@ def test_no_automatic_reduction_but_explicit_reduce_works():
     d = det_block11(amb)
     x = LocalizedElement(d * amb.gen(1, 1), 1, 0)
     assert x.d_exp == 1  # construction keeps the exponent
-    r = reduce_loc(x)
-    assert r.d_exp == 0 and r.num == amb.gen(1, 1)
+    assert is_polynomial(x) == amb.gen(1, 1)
 
 
 def test_is_polynomial():
@@ -176,14 +174,13 @@ def test_reduce_preserves_value(data):
     )
     s_extra = data.draw(st.integers(0, 2))
     t_extra = data.draw(st.integers(0, 2))
-    x = LocalizedElement(
-        base * d**s_extra * d22**t_extra,
-        s_extra + data.draw(st.integers(0, 1)),
-        t_extra,
-    )
-    r = reduce_loc(x)
-    assert loc_eq(r, x)
-    assert r.d_exp <= x.d_exp and r.d22_exp <= x.d22_exp
+    bump = data.draw(st.integers(0, 1))
+    x = LocalizedElement(base * d**s_extra * d22**t_extra, s_extra + bump, t_extra)
+    p = is_polynomial(x)
+    if bump and not base.is_zero():
+        assert p is None  # base has lower degree than D, so D does not divide it
+    else:
+        assert p == base and loc_eq(embed_poly(p), x)
 
 
 # -- one common denominator: loc_sum and loc_eq --------------------------------------
@@ -254,6 +251,12 @@ def test_loc_sum_of_nothing_is_zero_and_checks_ambients():
     assert loc_sum(amb, []) == LocalizedElement(amb.zero())
     with pytest.raises(UsageError):
         loc_sum(amb, [embed_poly(ambient(2, 2, 3).one())])
+    # the polynomial product and exact_divide reject the mixed pair
+    other = embed_poly(ambient(2, 2, 3).gen(1, 1))
+    with pytest.raises(UsageError, match="different ambients"):
+        loc_mul(embed_poly(amb.gen(1, 1)), other)
+    with pytest.raises(UsageError, match="different ambients"):
+        loc_divide_exact(LocalizedElement(amb.gen(1, 1), 1, 0), other)
 
 
 @settings(max_examples=80, deadline=None)

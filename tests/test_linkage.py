@@ -3,7 +3,7 @@ predicates, and the chain searches."""
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -31,7 +31,6 @@ from superinduce.weights_tableaux import (
     normalize_berezinian,
     random_dominant_weight,
     weight_add,
-    weight_scale,
 )
 
 
@@ -71,9 +70,8 @@ def test_omega_bridge_and_twist_invariance():
         w = random_dominant_weight(m, n, rng, max_entry=6)
         i, j = rng.randint(1, m), rng.randint(1, n)
         assert omega_via_form(w, i, j) == omega(w, i, j)
-        beta = make_weight((1,) * m, (-1,) * n)
         t = rng.randint(-3, 3)
-        twisted = weight_add(w, weight_scale(beta, t))
+        twisted = weight_add(w, make_weight((t,) * m, (-t,) * n))
         assert omega(twisted, i, j) == omega(w, i, j)
     # the normalization shift is a twist, so the grid is stable under it
     w = make_weight((2, 1), (1, 1))
@@ -194,6 +192,42 @@ def test_odd_linked_cases():
     assert witness == ((2, 1), (1, 1))
     with pytest.raises(UsageError):
         odd_linked(w2, (1, 1), (1, 2), p)  # shifted weight not dominant
+
+
+def _odd_linked_brute(w, I, J, p):
+    """Every pair of rearrangements in product order, repeats included; the
+    first that vanishes step by step is the witness."""
+    for perm_i in permutations(I):
+        for perm_j in permutations(J):
+            cur = w
+            for a, b in zip(perm_i, perm_j):
+                if omega(cur, a, b) % p != 0:
+                    break
+                cur = lambda_ij(cur, a, b)
+            else:
+                return True, (perm_i, perm_j)
+    return False, None
+
+
+def test_odd_linked_matches_brute_force_on_verdict_and_witness():
+    rng = random.Random(11)
+    verdicts = set()
+    checked = 0
+    while checked < 200:
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        p = rng.choice((3, 5, 7))
+        w = random_dominant_weight(m, n, rng, max_entry=8)
+        k = rng.randint(1, 4)
+        I = tuple(sorted(rng.randint(1, m) for _ in range(k)))
+        J = tuple(rng.randint(1, n) for _ in range(k))
+        try:
+            got = odd_linked(w, I, J, p)
+        except UsageError:
+            continue  # an endpoint is not dominant
+        assert got == _odd_linked_brute(w, I, J, p), (w, I, J, p)
+        verdicts.add(got[0])
+        checked += 1
+    assert verdicts == {True, False}
 
 
 def test_alcove_examples():

@@ -11,7 +11,6 @@ from superinduce.minors import (
     adjugate_law_check,
     jacobi_identity_check,
     laplace_along_row,
-    laplace_first_row,
     loc_det,
     muir_adjugate_sum_check,
     muir_identity_check,
@@ -78,7 +77,7 @@ def test_twisted_lower_right_kills_lower_left_content():
 def test_laplace_first_row_matches_leibniz():
     amb = ambient(2, 2)
     for rows, cols in [((1, 2), (1, 2)), ((1, 3), (2, 4)), ((2, 3, 4), (1, 2, 3))]:
-        assert laplace_first_row(amb, rows, cols) == leibniz_det(amb, rows, cols)
+        assert laplace_along_row(amb, rows, cols, 1) == leibniz_det(amb, rows, cols)
 
 
 def test_laplace_along_row_guard():

@@ -27,6 +27,32 @@ def test_no_module_imports_another_modules_private_name():
     assert [hit for hit in imported if hit[2].startswith("_")] == []
 
 
+def _cache_access(path: Path):
+    """(innermost enclosing function, line) for every read or write of an
+    attribute named `_cache`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: nested functions come later
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_cache":
+            yield owner.get(node, "<module>"), node.lineno
+
+
+def test_per_ring_cache_is_reached_only_through_ambient_cached():
+    # Ambient.cached is the one check-and-store path for per-ring values, and
+    # the one place where cache hits and misses can be counted
+    access = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "superpoly.py"
+        for name, _ in _cache_access(path)
+    }
+    assert access == set()
+    assert {name for name, _ in _cache_access(SRC / "superpoly.py")} == {"cached"}
+
+
 def _loc_add_folds(path: Path):
     """(function, line) for every `x = loc_add(x, ...)` (or with x second)
     inside the body of a for or while loop."""

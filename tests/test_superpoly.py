@@ -18,7 +18,6 @@ from superinduce.superpoly import (
     leibniz_det,
     parse_poly,
     render_poly,
-    row_content_of,
     weight_of,
 )
 from word_oracle import SIZES, pack, random_words, unpack, word_mul
@@ -110,7 +109,6 @@ def test_distributivity(data):
 def test_weight_and_row_content():
     p = A22.gen(1, 1) * A22.gen(2, 3)
     assert weight_of(p) == (1, 0, 1, 0)
-    assert row_content_of(p) == (1, 1, 0, 0)
     q = p + A22.gen(1, 2)
     assert weight_of(q) is None
     assert weight_of(A22.zero()) == (0, 0, 0, 0)
