@@ -20,6 +20,7 @@ import random
 import sys
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from pathlib import Path
 
 from .derivation import FDminus, FDplus, FPhi, FY, basic, rewrite_rule_check
@@ -55,7 +56,7 @@ from .lr_oracle import (
     lr_coefficient_flagged,
     lr_multiplicity,
     lr_tableaux,
-    wedge_hypotheses_hold,
+    wedge_content_holds,
 )
 from .minors import jacobi_identity_check, muir_identity_check
 from .superpoly import UsageError, ambient, check_odd_prime
@@ -368,7 +369,31 @@ def suite_phi1(args, rng) -> dict:
     }
 
 
-def _dominant_weights(m: int, n: int, max_entry: int):
+#: Most checks one dominant-weight sweep may make: its weights (entries in
+#: 0..--max-entry) times the checks each weight gets.  The largest sweep in the
+#: tests and the benchmark pool, verify fwedge at (3,2) with entries <= 6,
+#: makes 148,176.
+SWEEP_CAP = 500_000
+
+
+def _dominant_weights(m: int, n: int, max_entry: int, checks_per_weight: int):
+    """Every dominant weight with entries in 0..max_entry, once its count
+    times ``checks_per_weight`` is known to stay within ``SWEEP_CAP``."""
+    if m < 1 or n < 1:
+        raise UsageError("block sizes --m and --n must be positive")
+    if max_entry < 0:
+        return []
+    checks = checks_per_weight
+    for size in (m, n):
+        if checks > SWEEP_CAP:
+            break
+        checks *= comb(max_entry + size, size)
+    if checks > SWEEP_CAP:
+        raise UsageError(
+            f"sweep exceeds the cap of {SWEEP_CAP} checks (dominant weights with "
+            f"entries <= {max_entry}, {checks_per_weight} checks each); lower "
+            "--max-entry, --m or --n"
+        )
     plus_blocks = [
         tuple(reversed(c))
         for c in combinations_with_replacement(range(max_entry + 1), m)
@@ -380,36 +405,51 @@ def _dominant_weights(m: int, n: int, max_entry: int):
     return [Weight(p, q) for p in plus_blocks for q in minus_blocks]
 
 
+def _families_by_content(m: int, n: int) -> dict:
+    """The first nonempty family of distinct pairs of each content, in
+    combinations order of the lexicographic pair pool, keyed by the rendered
+    content: ``{key: (I, J, content)}``.
+
+    Families in this order are ordered (``is_ordered_family``), so the wedge
+    hypotheses and both counts read only the weight and the content: the
+    first family of a content stands for every later one.
+    """
+    pair_pool = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    firsts = {}
+    for size in range(1, len(pair_pool) + 1):
+        for chosen in combinations(pair_pool, size):
+            I = tuple(i for i, _ in chosen)
+            J = tuple(j for _, j in chosen)
+            cont = content_of_pairs(m, n, I, J)
+            firsts.setdefault(render_weight(cont), (I, J, cont))
+    return firsts
+
+
 def suite_fwedge(args, rng) -> dict:
     m, n = _sizes(args)
     top = args.max_entry if args.max_entry is not None else 3
-    pair_pool = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    # a per-weight count past the cap fails it alike, so clamp the exponent
+    families = 2 ** min(m * n, SWEEP_CAP.bit_length()) - 1
+    weights = _dominant_weights(m, n, top, families)
+    # no weights, no families: a negative --max-entry sweeps nothing at any size
+    firsts = _families_by_content(m, n) if weights else {}
     entries = []
-    for w in _dominant_weights(m, n, top):
-        seen = set()
-        for size in range(1, len(pair_pool) + 1):
-            for chosen in combinations(pair_pool, size):
-                I = tuple(i for i, _ in chosen)
-                J = tuple(j for _, j in chosen)
-                if not wedge_hypotheses_hold(w, I, J):
-                    continue
-                cont = content_of_pairs(m, n, I, J)
-                key = render_weight(cont)
-                if key in seen:
-                    continue
-                seen.add(key)
-                direct = admissible_count(w, cont)
-                transposed = lr_multiplicity(w, I, J)
-                entries.append(
-                    {
-                        "rule": "wedge-count",
-                        "weight": render_weight(w),
-                        "content": key,
-                        "direct": direct,
-                        "transposed": transposed,
-                        "ok": direct == transposed,
-                    }
-                )
+    for w in weights:
+        for key, (I, J, cont) in firsts.items():
+            if not wedge_content_holds(w, cont):
+                continue
+            direct = admissible_count(w, cont)
+            transposed = lr_multiplicity(w, I, J)
+            entries.append(
+                {
+                    "rule": "wedge-count",
+                    "weight": render_weight(w),
+                    "content": key,
+                    "direct": direct,
+                    "transposed": transposed,
+                    "ok": direct == transposed,
+                }
+            )
     return {
         "command": "verify fwedge",
         "config": _config_echo(args, max_entry=top),
@@ -420,6 +460,9 @@ def suite_fwedge(args, rng) -> dict:
 def suite_linkage(args, rng) -> dict:
     m, n = _sizes(args)
     p = args.p if args.p else 3
+    top = args.max_entry if args.max_entry is not None else 3
+    # residue transport checks each cell and each pair of cells of a weight
+    weights = _dominant_weights(m, n, top, comb(m * n + 1, 2))
     entries = []
 
     for _ in range(args.count if args.count is not None else 100):
@@ -433,16 +476,15 @@ def suite_linkage(args, rng) -> dict:
             {"rule": "omega-bridge", "weight": render_weight(w), "ok": ok}
         )
 
-    top = args.max_entry if args.max_entry is not None else 3
-    for w in _dominant_weights(m, n, top):
-        shifts = [
-            (i, j)
-            for i in range(1, m + 1)
-            for j in range(1, n + 1)
-            if is_dominant(lambda_ij(w, i, j))
-        ]
-        for (i, j), (k, l) in combinations(shifts, 2):
-            if not even_linked(lambda_ij(w, i, j), lambda_ij(w, k, l), p):
+    for w in weights:
+        shifts = {}
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                shifted = lambda_ij(w, i, j)
+                if is_dominant(shifted):
+                    shifts[i, j] = shifted
+        for ((i, j), a), ((k, l), b) in combinations(shifts.items(), 2):
+            if not even_linked(a, b, p):
                 continue
             entries.append(
                 {
@@ -454,7 +496,7 @@ def suite_linkage(args, rng) -> dict:
                 }
             )
 
-    for w in _dominant_weights(m, n, min(top, 2)):
+    for w in _dominant_weights(m, n, min(top, 2), m * n):
         for i in range(1, m + 1):
             for j in range(1, n + 1):
                 if omega(w, i, j) != 0:
@@ -565,7 +607,7 @@ def emit_linkage_graph(args) -> dict:
     m, n = _sizes(args)
     p = args.p if args.p else 3
     top = args.max_entry if args.max_entry is not None else 3
-    weights = [w for w in _dominant_weights(m, n, top)]
+    weights = _dominant_weights(m, n, top, m * n)
     names = {render_weight(w): w for w in weights}
     nodes = [
         {

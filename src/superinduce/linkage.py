@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from .superpoly import InternalError, UsageError, check_odd_prime
@@ -70,9 +71,11 @@ def positive_odd_roots(m: int, n: int):
     return roots
 
 
+@lru_cache(maxsize=None)
 def rho_weight(m: int, n: int):
     """Half-sum of positive even roots minus half-sum of positive odd roots,
-    as a length m+n tuple of rationals; cross-checked against the closed form."""
+    as a length m+n tuple of rationals; cross-checked against the closed form
+    on the first call for each size."""
     total = [Fraction(0)] * (m + n)
     for root in positive_even_roots(m, n):
         for k, v in enumerate(root):

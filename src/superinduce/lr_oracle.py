@@ -18,10 +18,13 @@ from itertools import combinations, product
 from .superpoly import InternalError, UsageError
 from .weights_tableaux import (
     Weight,
+    absorbs_content,
+    content_of_pairs,
     is_admissible_pair,
     is_dominant,
-    is_robust,
+    is_ordered_family,
     lambda_IJ,
+    weight_add,
 )
 
 
@@ -247,19 +250,24 @@ def hook_partition(w: Weight) -> tuple:
     return _normal_partition(w.plus + tail, "folded weight")
 
 
+def wedge_content_holds(w: Weight, content: Weight) -> bool:
+    """The wedge hypotheses of every ordered family with this content: the
+    shifted weight stays dominant, the weight absorbs the content, the last
+    minus entry is nonnegative, and the last plus entry of the shifted weight
+    still dominates the minus block size."""
+    if w.minus[-1] < 0 or w.plus[-1] + content.plus[-1] < w.n:
+        return False
+    return absorbs_content(w, content) and is_dominant(weight_add(w, content))
+
+
 def wedge_hypotheses_hold(w: Weight, I, J) -> bool:
-    """Hypotheses under which the two counting routes must agree:
-    the family is admissible, the weight absorbs its content, and the last
-    plus entry of the shifted weight still dominates the minus block size."""
+    """Hypotheses under which the two counting routes must agree: the family
+    is ordered (``is_ordered_family``) and its content passes
+    ``wedge_content_holds``."""
     I, J = tuple(I), tuple(J)
-    if not is_admissible_pair(w, I, J):
-        return False
-    if not is_robust(w, I, J):
-        return False
-    if w.minus[-1] < 0:
-        return False
-    shifted = lambda_IJ(w, I, J)
-    return shifted.plus[-1] >= w.n
+    return is_ordered_family(I, J) and wedge_content_holds(
+        w, content_of_pairs(w.m, w.n, I, J)
+    )
 
 
 def lr_multiplicity(w: Weight, I, J) -> int:

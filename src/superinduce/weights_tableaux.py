@@ -103,26 +103,29 @@ def lambda_IJ(w: Weight, I, J) -> Weight:
     return weight_add(w, content_of_pairs(w.m, w.n, I, J))
 
 
-def is_robust(w: Weight, I, J) -> bool:
-    """The consecutive gaps of the weight absorb the index multiplicities, so
-    no denominators beyond the standard ones appear downstream."""
-    cont = content_of_pairs(w.m, w.n, I, J)
+def absorbs_content(w: Weight, content: Weight) -> bool:
+    """The consecutive gaps of the weight absorb the multiplicities of the
+    content, so no denominators beyond the standard ones appear downstream."""
     m, n = w.m, w.n
     for s in range(1, m):
-        if w.plus[s - 1] - w.plus[s] < -cont.plus[s - 1]:
+        if w.plus[s - 1] - w.plus[s] < -content.plus[s - 1]:
             return False
-    if w.plus[m - 1] < -cont.plus[m - 1]:
+    if w.plus[m - 1] < -content.plus[m - 1]:
         return False
     for t in range(2, n + 1):
-        if w.minus[t - 2] - w.minus[t - 1] < cont.minus[t - 1]:
+        if w.minus[t - 2] - w.minus[t - 1] < content.minus[t - 1]:
             return False
     return True
 
 
-def is_admissible_pair(w: Weight, I, J) -> bool:
-    """Plus indices weakly increase, ties force strictly increasing minus
-    indices, and the shifted weight stays dominant."""
-    I, J = tuple(I), tuple(J)
+def is_robust(w: Weight, I, J) -> bool:
+    """The weight absorbs the content of the index family (``absorbs_content``)."""
+    return absorbs_content(w, content_of_pairs(w.m, w.n, I, J))
+
+
+def is_ordered_family(I, J) -> bool:
+    """The families pair up, plus indices weakly increase, and ties force
+    strictly increasing minus indices."""
     if len(I) != len(J):
         return False
     for s in range(1, len(I)):
@@ -130,7 +133,14 @@ def is_admissible_pair(w: Weight, I, J) -> bool:
             return False
         if I[s - 1] == I[s] and J[s - 1] >= J[s]:
             return False
-    return is_dominant(lambda_IJ(w, I, J))
+    return True
+
+
+def is_admissible_pair(w: Weight, I, J) -> bool:
+    """An ordered family (``is_ordered_family``) whose shifted weight stays
+    dominant."""
+    I, J = tuple(I), tuple(J)
+    return is_ordered_family(I, J) and is_dominant(lambda_IJ(w, I, J))
 
 
 # -- text forms -----------------------------------------------------------------

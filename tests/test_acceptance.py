@@ -418,3 +418,36 @@ def test_criterion_9_first_floor_eigenvalues_and_primitivity_beyond_2_2(capsys, 
             f"{len(cells)} defined first-floor cells of {len(weights)} weights at "
             f"({m},{n}) char {char} carry their grid eigenvalue and are primitive"
         )
+
+
+# Criterion 10 widens criterion 5 past (2,2): every family of distinct pairs
+# at (3,1), (1,3), (3,2) and (2,3), every dominant weight with entries at most
+# 6, deduplicated by content per weight.  The ceiling was set before any run.
+CRITERION_10_BUDGET_S = 120
+
+
+def test_criterion_10_wedge_multiplicities_beyond_2_2(capsys):
+    info = {}
+    with _criterion(10, CRITERION_10_BUDGET_S, info, capsys):
+        checked = {}
+        for m, n in [(3, 1), (1, 3), (3, 2), (2, 3)]:
+            count = 0
+            for w in _dominant_weights(m, n, 6):
+                seen = set()
+                for I, J in _pair_families(m, n, m * n):
+                    if not wedge_hypotheses_hold(w, I, J):
+                        continue
+                    cont = content_of_pairs(m, n, I, J)
+                    key = (cont.plus, cont.minus)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    assert admissible_count(w, cont) == lr_multiplicity(w, I, J), (w, I, J)
+                    count += 1
+            checked[m, n] = count
+        assert checked == {(3, 1): 1225, (1, 3): 917, (3, 2): 6833, (2, 3): 4721}
+        info["detail"] = (
+            f"{sum(checked.values())} deduplicated (weight, content) instances with "
+            "entries <= 6 at (3,1), (1,3), (3,2), (2,3) agree with the "
+            "transposed-shape tableau count"
+        )

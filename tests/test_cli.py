@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from superinduce.cli import build_parser, main
+from superinduce.cli import SWEEP_CAP, build_parser, main, suite_fwedge
 from superinduce.floors_primitives import (
     FloorElement,
     fe_eq,
@@ -14,8 +17,13 @@ from superinduce.floors_primitives import (
     pi_ij,
 )
 from superinduce.fraction import parse_loc
+from superinduce.lr_oracle import admissible_count, lr_multiplicity, wedge_hypotheses_hold
 from superinduce.superpoly import ambient
-from superinduce.weights_tableaux import make_weight
+from superinduce.weights_tableaux import (
+    content_of_pairs,
+    make_weight,
+    render_weight,
+)
 
 
 def run_cli(capsys, *argv):
@@ -431,3 +439,106 @@ def test_consecutive_calls_share_no_parsed_state(capsys):
         main(["verify", "--m", "1", "--n", "1"])
     assert exc.value.code == 2
     _one_json_error_line(capsys)
+
+
+def _per_family_fwedge_entries(m, n, top):
+    """The fwedge sweep family by family: every family of distinct pairs is
+    tested against every weight, and a per-weight set keeps the first family
+    of each content."""
+    pool = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    entries = []
+    for plus in combinations(range(top + m), m):
+        for minus in combinations(range(top + n), n):
+            # strictly increasing picks minus their offsets: weakly
+            # decreasing blocks with entries in 0..top, in sweep order
+            w = make_weight(
+                reversed([v - k for k, v in enumerate(plus)]),
+                reversed([v - k for k, v in enumerate(minus)]),
+            )
+            seen = set()
+            for size in range(1, len(pool) + 1):
+                for chosen in combinations(pool, size):
+                    I = tuple(i for i, _ in chosen)
+                    J = tuple(j for _, j in chosen)
+                    if not wedge_hypotheses_hold(w, I, J):
+                        continue
+                    cont = content_of_pairs(m, n, I, J)
+                    key = render_weight(cont)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    direct = admissible_count(w, cont)
+                    transposed = lr_multiplicity(w, I, J)
+                    entries.append(
+                        {
+                            "rule": "wedge-count",
+                            "weight": render_weight(w),
+                            "content": key,
+                            "direct": direct,
+                            "transposed": transposed,
+                            "ok": direct == transposed,
+                        }
+                    )
+    return entries
+
+
+FWEDGE_SIZES = [(m, n) for m in range(1, 4) for n in range(1, 4) if m * n <= 6]
+
+
+# entries <= 2 leave most sizes with n >= 2 without a single entry (the shifted
+# weight's last plus entry must reach n), so entries <= 4 run too
+@pytest.mark.parametrize("top", [2, 4])
+@pytest.mark.parametrize("m, n", FWEDGE_SIZES)
+def test_fwedge_suite_equals_the_per_family_sweep(m, n, top):
+    args = build_parser().parse_args(
+        ["verify", "fwedge", "--m", str(m), "--n", str(n), "--max-entry", str(top)]
+    )
+    entries = suite_fwedge(args, random.Random(0))["entries"]
+    assert entries == _per_family_fwedge_entries(m, n, top)
+    assert entries or top == 2
+
+
+def test_sweep_cap_admits_the_largest_recorded_sweep():
+    # verify fwedge at (3,2) with entries <= 6, in the benchmark's query pool
+    assert comb(6 + 3, 3) * comb(6 + 2, 2) * (2 ** 6 - 1) == 148_176 <= SWEEP_CAP
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "fwedge", "--m", "4", "--n", "4"],
+        ["verify", "linkage", "--p", "3", "--max-entry", "1000"],
+    ],
+)
+def test_oversized_sweeps_exit_2_naming_the_cap(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "superinduce.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert f"cap of {SWEEP_CAP} checks" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["emit", "linkage-graph", "--m", "3", "--n", "3", "--max-entry", "1000"], "cap of"),
+        (["verify", "fwedge", "--m", "40", "--n", "40", "--max-entry", "0"], "cap of"),
+        (["verify", "fwedge", "--m", "-1"], "must be positive"),
+        (["emit", "linkage-graph", "--n", "0"], "must be positive"),
+    ],
+)
+def test_sweep_sizes_are_checked_before_the_sweep(capsys, argv, words):
+    assert main(argv) == 2
+    assert words in _one_json_error_line(capsys)["error"]
+
+
+def test_negative_max_entry_sweeps_no_weights(capsys):
+    code, doc = run_json(capsys, "verify", "fwedge", "--m", "5", "--n", "5", "--max-entry", "-1")
+    assert (code, doc["entries"]) == (0, [])

@@ -55,6 +55,12 @@ GOLDEN = [
      "5a15a0b3a92f724547c374f382b5cf5fe45ac13367badc52820ac71793198f76"),
     (["primitive-k", "--lambda", "[3,3|1,0]", "--pairs", "[[1,1],[2,2]]"], 0,
      "394d8a6039338baad5f5d026fae7a376822a6a4b3e7d3a2760c8fe1a6f69a191"),
+    (["verify", "fwedge", "--m", "3", "--n", "2", "--max-entry", "3"], 0,
+     "1081e82c26516fd5f4515533f96f42b9dd349add019584f0ecb8da480fb60826"),
+    (["verify", "fwedge", "--m", "1", "--n", "3", "--max-entry", "4"], 0,
+     "d3927d3201fd6ebac794ff5c8409f823ae2b1e3df508bb29f362b10afab89a68"),
+    (["verify", "linkage", "--m", "3", "--n", "2", "--p", "5", "--count", "10"], 0,
+     "caa119d13209c0a1c589c4315242b00431f8407a1a70ca9884fd4599569a5c32"),
 ]
 
 

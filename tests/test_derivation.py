@@ -1,6 +1,5 @@
 """The right-derivation engine: signs, quotient rule, divided powers, rewrite table."""
 
-from fractions import Fraction
 from itertools import product
 
 import pytest

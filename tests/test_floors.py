@@ -35,7 +35,6 @@ from superinduce.fraction import (
     loc_eq,
     loc_mul,
     loc_scale,
-    loc_weight,
 )
 from superinduce.minors import row_initial_minor, twisted_generator, y_entry
 from superinduce.superpoly import UsageError, ambient, sort_with_sign

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superinduce import ambient, parse_poly, render_poly, UsageError
+from superinduce import ambient, parse_poly, UsageError
 from superinduce.fraction import (
     LocalizedElement,
     det_block11,

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superinduce.lr_oracle import (
     admissible_count,
@@ -18,7 +19,9 @@ from superinduce.lr_oracle import (
 from superinduce.superpoly import UsageError
 from superinduce.weights_tableaux import (
     content_of_pairs,
+    is_admissible_pair,
     is_dominant,
+    lambda_IJ,
     make_weight,
 )
 
@@ -233,3 +236,54 @@ def test_wedge_counts_agree_exhaustively_small():
                             )
                             seen += 1
     assert seen > 30
+
+
+def _composed_wedge_hypotheses(w, I, J):
+    """The wedge hypotheses as four separate conditions, robustness written
+    out on the index multiplicities: the oracle for the content predicate."""
+    I, J = tuple(I), tuple(J)
+    if not is_admissible_pair(w, I, J):
+        return False
+    m, n = w.m, w.n
+    for s in range(1, m):
+        if w.plus[s - 1] - w.plus[s] < I.count(s):
+            return False
+    if w.plus[m - 1] < I.count(m):
+        return False
+    for t in range(2, n + 1):
+        if w.minus[t - 2] - w.minus[t - 1] < J.count(t):
+            return False
+    return w.minus[-1] >= 0 and lambda_IJ(w, I, J).plus[-1] >= n
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except UsageError:
+        return UsageError
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_wedge_hypotheses_equal_their_composition(data):
+    # weights need not be dominant or nonnegative; families may be unsorted,
+    # repeat pairs, differ in length, or leave the index ranges
+    m = data.draw(st.integers(1, 3), label="m")
+    n = data.draw(st.integers(1, 3), label="n")
+    entry = st.integers(-3, 8)
+    w = make_weight(
+        data.draw(st.lists(entry, min_size=m, max_size=m), label="plus"),
+        data.draw(st.lists(entry, min_size=n, max_size=n), label="minus"),
+    )
+    index_pair = st.tuples(
+        st.integers(1, m) | st.integers(0, m + 1), st.integers(1, n) | st.integers(0, n + 1)
+    )
+    pairs = data.draw(st.lists(index_pair, max_size=5), label="pairs")
+    shape = data.draw(st.sampled_from(["as drawn", "sorted", "unequal"]), label="shape")
+    if shape == "sorted":
+        pairs = sorted(set(pairs))
+    I = [i for i, _ in pairs]
+    J = [j for _, j in pairs] + ([1] if shape == "unequal" else [])
+    assert _outcome(wedge_hypotheses_hold, w, I, J) == _outcome(
+        _composed_wedge_hypotheses, w, I, J
+    )

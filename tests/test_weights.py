@@ -10,7 +10,6 @@ from superinduce.fraction import embed_poly, loc_eq, loc_mul, loc_weight
 from superinduce.minors import loc_det, twisted_generator
 from superinduce.weights_tableaux import (
     Tableau,
-    Weight,
     bideterminant_minus,
     bideterminant_plus,
     content_of_pairs,
