@@ -427,7 +427,9 @@ def _families_by_content(m: int, n: int) -> dict:
 
 def suite_fwedge(args, rng) -> dict:
     m, n = _sizes(args)
-    top = args.max_entry if args.max_entry is not None else 3
+    # the last-plus hypothesis needs entries of at least n plus the content,
+    # so a default below n + 1 would sweep without a single check
+    top = args.max_entry if args.max_entry is not None else max(3, n + 1)
     # a per-weight count past the cap fails it alike, so clamp the exponent
     families = 2 ** min(m * n, SWEEP_CAP.bit_length()) - 1
     weights = _dominant_weights(m, n, top, families)
@@ -917,11 +919,21 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = lru_cache(maxsize=None)(build_parser)
 
 
+#: Largest --count a random suite accepts (verify gen, phi1, identities and
+#: the omega bridge of linkage).  Defaults, tests and the benchmark pool use
+#: at most 100.
+COUNT_CAP = 1_000
+
+
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         if args.p:
             check_odd_prime(args.p)
+        if args.count is not None and not 0 <= args.count <= COUNT_CAP:
+            raise UsageError(
+                f"--count must lie in 0..{COUNT_CAP} (COUNT_CAP), got {args.count}"
+            )
         return _publish(args.func(args), args.out)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -19,9 +19,10 @@ instead of clearing denominators silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import factorial, gcd
+from operator import mul
 
 from .derivation import apply_loc, basic
 from .fraction import (
@@ -42,11 +43,14 @@ from .fraction import (
 )
 from .minors import row_initial_minor, twisted_generator, y_entry
 from .superpoly import (
+    FIELD_BITS,
+    FIELD_MASK,
     Ambient,
     InternalError,
     SuperPolynomial,
     UsageError,
     exact_divide,
+    koszul_mask,
     monomial_column_content,
     monomial_items,
     sort_with_sign,
@@ -403,6 +407,24 @@ def _structured_image(amb: Ambient, i: int, j: int) -> SuperPolynomial:
     return amb.cached(("floorsub", i, j), build)
 
 
+def _block_masks(amb: Ambient):
+    """Packed field masks (columns <= m, y slots, z slots, lower-left slots):
+    the change of generators fixes every column <= m, and extraction grades
+    by the y slots, collects the z slots and rejects the lower-left ones."""
+    m = amb.m
+
+    def mask(keep):
+        return sum(FIELD_MASK << (f * FIELD_BITS)
+                   for f, (i, j) in enumerate(amb.field_gens) if keep(i, j))
+
+    return amb.cached("blockmasks", lambda: (
+        mask(lambda i, j: j <= m),
+        mask(lambda i, j: i <= m < j),
+        mask(lambda i, j: i > m and j > m),
+        mask(lambda i, j: i > m >= j),
+    ))
+
+
 def extract_floors(x: LocalizedElement):
     """Rewrite a raw element over the generators {even block, y slots, twisted
     z slots} and grade by y content: returns {floor: FloorElement}, or None
@@ -414,44 +436,53 @@ def extract_floors(x: LocalizedElement):
         num = exact_divide(num, den_power(amb, 0, x.d22_exp))
         if num is None:
             return None
-    m = amb.m
+    left_mask, y_mask, z_mask, lower_left = _block_masks(amb)
+    odd = amb.odd_mask
     # each power of a generator's image, and of a factor, is built once a call
-    image_pow = lru_cache(None)(lambda i, j, e: _structured_image(amb, i, j) ** e)
-    factor_pow = lru_cache(None)(lambda i, j, e: loc_pow(twisted_generator(amb, i, j), e))
-    substituted = []
+    image_pow = lru_cache(None)(lambda g, e: _structured_image(amb, *g) ** e)
+    factor_pow = lru_cache(None)(lambda g, e: loc_pow(twisted_generator(amb, *g), e))
+    # a term is its left part (columns <= m, fixed by the substitution) times
+    # its right part, up to the Koszul sign of the right part's odd y slots
+    # passing the left part's odd lower-left factors: one product per right part
+    by_right: dict = {}
     for mono, c in num.terms.items():
-        term = amb.scalar(c)
-        for (i, j), e in monomial_items(amb, mono):
-            term = term * image_pow(i, j, e)
-        substituted.append(embed_poly(term))
+        left = mono & left_mask
+        right = mono ^ left
+        if (left & odd & koszul_mask(right & odd)).bit_count() & 1:
+            c = -c
+        by_right.setdefault(right, {})[left] = c
+    substituted: dict = {}
+    for right, lefts in by_right.items():
+        part = SuperPolynomial(amb, lefts)
+        if right:
+            part = part * reduce(mul, (image_pow(*g) for g in monomial_items(amb, right)))
+        for mo, c in part.terms.items():
+            substituted[mo] = substituted.get(mo, 0) + c
+    # the coefficient of a y word is the sum over z parts of the even-block
+    # polynomial times the z part's image, which is built once and shared
     grouped: dict = {}
-    for mono, c in loc_sum(amb, substituted).num.terms.items():
-        y_word = []
-        others = []
-        for (i, j), e in monomial_items(amb, mono):
-            if i > m and j <= m:
-                return None  # lower-left content is not representable
-            if i <= m < j:
-                y_word.append((i, j))
-            else:
-                others.append(((i, j), e))
-        key = tuple(y_word)  # canonical monomial order is the admissible order
-        bucket = grouped.setdefault(key, {})
-        bucket[tuple(others)] = c
+    for mono, c in SuperPolynomial(amb, substituted).terms.items():
+        if mono & lower_left:
+            return None  # lower-left content is not representable
+        y_part = mono & y_mask
+        z_part = mono & z_mask
+        grouped.setdefault(y_part, {}).setdefault(z_part, {})[mono ^ y_part ^ z_part] = c
+    z_image = lru_cache(None)(
+        lambda z_part: reduce(loc_mul, (factor_pow(*g) for g in monomial_items(amb, z_part))))
+
+    def piece(z_part, evens):
+        even = embed_poly(SuperPolynomial(amb, evens))
+        return loc_mul(even, z_image(z_part)) if z_part else even
+
     floors: dict = {}
-    for key, bucket in grouped.items():
-        pieces = []
-        for others, c in bucket.items():
-            piece = embed_poly(amb.scalar(c))
-            for (i, j), e in others:
-                piece = loc_mul(piece, factor_pow(i, j, e))
-            pieces.append(piece)
-        coeff = loc_sum(amb, pieces)
+    for y_part, by_z in grouped.items():
+        coeff = loc_sum(amb, [piece(z_part, evens) for z_part, evens in by_z.items()])
         if coeff.is_zero():
             continue
         coeff = LocalizedElement(coeff.num, coeff.d_exp + x.d_exp, coeff.d22_exp)
-        r = len(key)
-        floors.setdefault(r, {})[key] = coeff
+        # canonical monomial order is the admissible order
+        key = tuple(pair for pair, _ in monomial_items(amb, y_part))
+        floors.setdefault(len(key), {})[key] = coeff
     return {
         r: FloorElement(amb, r, terms)
         for r, terms in sorted(floors.items())

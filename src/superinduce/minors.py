@@ -23,6 +23,7 @@ from .superpoly import (
     InternalError,
     SuperPolynomial,
     UsageError,
+    check_det_size,
     leibniz_det,
     perm_sign,
 )
@@ -141,8 +142,10 @@ def twisted_generator(amb: Ambient, k: int, l: int) -> LocalizedElement:
 
 
 def loc_det(amb: Ambient, entries) -> LocalizedElement:
-    """Leibniz determinant of a square matrix of even localized elements."""
+    """Leibniz determinant of a square matrix of even localized elements; more
+    than DET_CAP rows raise UsageError."""
     n = len(entries)
+    check_det_size(n)
     for row in entries:
         if len(row) != n:
             raise UsageError("determinant needs a square matrix")

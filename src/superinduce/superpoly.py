@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 from math import isqrt
 
@@ -460,22 +461,38 @@ def _even_monomial_divide(amb: Ambient, u: Monomial, v: Monomial):
 
 def _commutative_divide(x: SuperPolynomial, b0: SuperPolynomial):
     """Exact division by a polynomial in even generators, leading-term style.
-    Each quotient term updates the one remainder dict in place (Monagan &
-    Pearce); the field reduces the touched coefficients and drops zeros."""
+
+    x may carry odd generators: adding a monomial of b0 neither signs a term
+    nor changes its odd word, so each odd word divides on its own in one pass.
+    The leading terms come off a heap keyed by (-degree, -monomial), a popped
+    monomial that has left the remainder is skipped, and a new monomial's
+    degree is deg(qm) + deg(mb) (Monagan & Pearce).  Each quotient term
+    updates the one remainder dict in place; the field reduces the touched
+    coefficients and drops zeros."""
     amb = x.ambient
     field = amb.field
-    lead_b = max(b0.terms, key=_division_key)
-    lc_b_inv = field.inv(b0.terms[lead_b])
+    b_terms = [(mb, cb, monomial_degree(mb)) for mb, cb in b0.terms.items()]
+    lead_b, lc_b, deg_b = max(b_terms, key=lambda t: (t[2], t[0]))
+    lc_b_inv = field.inv(lc_b)
     quo: dict = {}
     rem = dict(x.terms)
-    while rem:
-        u = max(rem, key=_division_key)
+    heap = [(-monomial_degree(mo), -mo) for mo in rem]
+    heapify(heap)
+    while heap:
+        neg_deg, neg_u = heappop(heap)
+        u = -neg_u
+        if u not in rem:
+            continue
         qm = _even_monomial_divide(amb, u, lead_b)
         if qm is None:
             return None
         qc = quo[qm] = rem[u] * lc_b_inv
-        touched = {qm + mb: cb for mb, cb in b0.terms.items()}
+        deg_q = -neg_deg - deg_b
+        touched = {qm + mb: cb for mb, cb, _ in b_terms}
         check_exponents(amb, touched)
+        for mb, _, db in b_terms:
+            if qm + mb not in rem:
+                heappush(heap, (-deg_q - db, -qm - mb))
         rem.update(field.clean({mo: rem.pop(mo, 0) - qc * cb for mo, cb in touched.items()}))
     return SuperPolynomial(amb, quo)
 
@@ -514,19 +531,10 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
         if rem.is_zero():
             break
         k = min(monomial_odd_degree(amb, mo) for mo in rem.terms)
-        layer = _odd_layer(rem, k)
-        # group the layer by its odd word; even generators are central, so the
-        # grouping involves no signs
-        groups: dict = {}
-        for mo, c in layer.terms.items():
-            odd_word = mo & amb.odd_mask
-            groups.setdefault(odd_word, {})[mo ^ odd_word] = c
-        part = amb.zero()
-        for odd_word, even_terms in groups.items():
-            qe = _commutative_divide(SuperPolynomial(amb, even_terms), b0)
-            if qe is None:
-                return None
-            part = part + qe * SuperPolynomial(amb, {odd_word: amb.coeff(1)})
+        # one leading-term division clears the whole layer, odd word by odd word
+        part = _commutative_divide(_odd_layer(rem, k), b0)
+        if part is None:
+            return None
         quo = quo + part
         rem = rem - part * b
         if not rem.is_zero():
@@ -578,17 +586,33 @@ def sort_with_sign(items):
     return sign, tuple(arr)
 
 
+#: Most rows a Leibniz determinant may have: it sums t! products, and 8! is
+#: 40,320.  The tests, demos and benchmark use at most 4 rows.
+DET_CAP = 8
+
+
+def check_det_size(t: int) -> None:
+    """Raise UsageError when a t-row Leibniz sum exceeds DET_CAP."""
+    if t > DET_CAP:
+        raise UsageError(
+            f"determinant of {t} rows exceeds the cap DET_CAP = {DET_CAP} rows "
+            "(a Leibniz sum has t! terms)"
+        )
+
+
 def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
     """Determinant of the submatrix with the given rows/cols of (c[i,j]).
 
     The defining sum runs over permutations with factors multiplied in row
     order, which fixes the value when odd entries are present.  Repeated rows
-    or columns return zero by convention.
+    or columns return zero by convention.  More than DET_CAP rows raise
+    UsageError.
     """
     rows = tuple(rows)
     cols = tuple(cols)
     if len(rows) != len(cols):
         raise UsageError("minor specification must have equally many rows and columns")
+    check_det_size(len(rows))
     for idx in (*rows, *cols):
         amb.index_parity(idx)
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
@@ -596,13 +620,15 @@ def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
     t = len(rows)
     if t == 0:
         return amb.one()
-    acc = amb.zero()
+    acc: dict = {}
     for perm in permutations(range(t)):
         prod = amb.gen(rows[0], cols[perm[0]])
         for a in range(1, t):
             prod = prod * amb.gen(rows[a], cols[perm[a]])
-        acc = acc + prod.scale(perm_sign(perm))
-    return acc
+        sign = perm_sign(perm)
+        for mo, c in prod.terms.items():
+            acc[mo] = acc.get(mo, 0) + sign * c
+    return SuperPolynomial(amb, acc)
 
 
 # -- text format ----------------------------------------------------------------

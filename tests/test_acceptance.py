@@ -451,3 +451,37 @@ def test_criterion_10_wedge_multiplicities_beyond_2_2(capsys):
             "entries <= 6 at (3,1), (1,3), (3,2), (2,3) agree with the "
             "transposed-shape tableau count"
         )
+
+
+# Criterion 11 widens criterion 4 to the first sizes with two rows on each
+# side of the wall: every defined first-floor cell of every dominant weight
+# with entries at most 2 at (2,3) and at most 1 at (3,2), chars 0 and 3.
+# Entries <= 2 at (3,2) ran past 900 s, so that size keeps the smaller bound.
+# Each case has its own ceiling, set before any run.
+CRITERION_11_BUDGET_S = 120
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("m,n,top", [(2, 3, 2), (3, 2, 1)])
+def test_criterion_11_first_floor_eigenvalues_at_every_small_weight(capsys, m, n, top, char):
+    info = {}
+    with _criterion(f"11 ({m},{n}) char {char}", CRITERION_11_BUDGET_S, info, capsys):
+        amb = ambient(m, n, char)
+        weights = list(_dominant_weights(m, n, top))
+        cells = 0
+        for w in weights:
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    try:
+                        vec = pi_ij(amb, w, i, j)
+                    except UsageError:
+                        continue
+                    assert not vec.is_zero(), (w, i, j)
+                    value = omega(w, i, j)
+                    assert fe_eq(phi_floor(vec), fe_scale(vec, value)), (w, i, j)
+                    cells += 1
+        assert cells > 0
+        info["detail"] = (
+            f"{cells} defined first-floor cells of all {len(weights)} dominant weights "
+            f"with entries <= {top} at ({m},{n}) char {char} carry their grid eigenvalue"
+        )

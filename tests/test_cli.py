@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from superinduce.cli import SWEEP_CAP, build_parser, main, suite_fwedge
+from superinduce.cli import COUNT_CAP, SWEEP_CAP, build_parser, main, suite_fwedge
 from superinduce.floors_primitives import (
     FloorElement,
     fe_eq,
@@ -18,7 +18,7 @@ from superinduce.floors_primitives import (
 )
 from superinduce.fraction import parse_loc
 from superinduce.lr_oracle import admissible_count, lr_multiplicity, wedge_hypotheses_hold
-from superinduce.superpoly import ambient
+from superinduce.superpoly import DET_CAP, ambient
 from superinduce.weights_tableaux import (
     content_of_pairs,
     make_weight,
@@ -542,3 +542,52 @@ def test_sweep_sizes_are_checked_before_the_sweep(capsys, argv, words):
 def test_negative_max_entry_sweeps_no_weights(capsys):
     code, doc = run_json(capsys, "verify", "fwedge", "--m", "5", "--n", "5", "--max-entry", "-1")
     assert (code, doc["entries"]) == (0, [])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_fwedge_sweep_checks_something_or_exits_2(capsys, m, n):
+    # the last-plus hypothesis needs entries of at least n plus the content
+    code = main(["verify", "fwedge", "--m", str(m), "--n", str(n)])
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert "cap of" in json.loads(err)["error"]
+        return
+    doc = json.loads(out)
+    assert (code, doc["config"]["max_entry"]) == (0, max(3, n + 1))
+    assert len(doc["entries"]) >= 1
+
+
+def _module_run(argv, timeout):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "superinduce.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=timeout,
+    )
+
+
+def _one_error_line(proc) -> str:
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_huge_count_exits_2_naming_the_cap():
+    proc = _module_run(["verify", "linkage", "--m", "1", "--n", "1", "--count", "100000000"], 30)
+    assert f"0..{COUNT_CAP} (COUNT_CAP)" in _one_error_line(proc)
+
+
+@pytest.mark.parametrize("suite", ["gen", "phi1", "identities", "linkage"])
+@pytest.mark.parametrize("count", [-1, COUNT_CAP + 1])
+def test_count_outside_the_cap_is_a_usage_error(capsys, suite, count):
+    assert main(["verify", suite, "--m", "1", "--n", "1", "--count", str(count)]) == 2
+    assert "COUNT_CAP" in _one_json_error_line(capsys)["error"]
+
+
+def test_oversized_determinant_exits_2_naming_the_cap():
+    proc = _module_run(["emit", "highest-vector", "--lambda", "[1,1,1,1,1,1,1,1,1|0]"], 30)
+    assert f"DET_CAP = {DET_CAP}" in _one_error_line(proc)

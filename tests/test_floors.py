@@ -2,6 +2,7 @@
 first-floor vectors, extraction back out of the raw ring, and primitivity."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superinduce.derivation import apply_loc, basic
 from superinduce.floors_primitives import (
@@ -31,13 +32,22 @@ from superinduce.floors_primitives import (
 )
 from superinduce.fraction import (
     LocalizedElement,
+    den_power,
     embed_poly,
     loc_eq,
     loc_mul,
+    loc_pow,
     loc_scale,
+    loc_sum,
 )
 from superinduce.minors import row_initial_minor, twisted_generator, y_entry
-from superinduce.superpoly import UsageError, ambient, sort_with_sign
+from superinduce.superpoly import (
+    UsageError,
+    ambient,
+    exact_divide,
+    monomial_items,
+    sort_with_sign,
+)
 from superinduce.weights_tableaux import dminus, highest_vector, make_weight
 
 
@@ -98,6 +108,118 @@ def test_extract_rejects_lower_left_content():
     floors = extract_floors(dminus(amb, (2,)))
     assert floors is not None and list(floors) == [0]
     assert loc_eq(floors[0].terms[()], twisted_generator(amb, 2, 2))
+
+
+def _per_monomial_extract(x):
+    """Extraction term by term: every monomial's generator images multiplied
+    out on their own, every piece's factors multiplied on their own.  Returns
+    {floor: {word: (numerator, d_exp, d22_exp)}}, or None."""
+    amb = x.ambient
+    m = amb.m
+    num = x.num
+    if x.d22_exp:
+        num = exact_divide(num, den_power(amb, 0, x.d22_exp))
+        if num is None:
+            return None
+
+    def image(i, j):
+        if j <= m:
+            return amb.gen(i, j)
+        img = amb.zero() if i <= m else amb.gen(i, j)
+        for a in range(1, m + 1):
+            img = img + amb.gen(i, a) * amb.gen(a, j)
+        return img
+
+    substituted = []
+    for mono, c in num.terms.items():
+        term = amb.scalar(c)
+        for (i, j), e in monomial_items(amb, mono):
+            term = term * image(i, j) ** e
+        substituted.append(embed_poly(term))
+    grouped = {}
+    for mono, c in loc_sum(amb, substituted).num.terms.items():
+        y_word, others = [], []
+        for (i, j), e in monomial_items(amb, mono):
+            if i > m and j <= m:
+                return None
+            if i <= m < j:
+                y_word.append((i, j))
+            else:
+                others.append(((i, j), e))
+        grouped.setdefault(tuple(y_word), {})[tuple(others)] = c
+    floors = {}
+    for key, bucket in grouped.items():
+        pieces = []
+        for others, c in bucket.items():
+            piece = embed_poly(amb.scalar(c))
+            for (i, j), e in others:
+                piece = loc_mul(piece, loc_pow(twisted_generator(amb, i, j), e))
+            pieces.append(piece)
+        coeff = loc_sum(amb, pieces)
+        if not coeff.is_zero():
+            exps = (coeff.d_exp + x.d_exp, coeff.d22_exp)
+            floors.setdefault(len(key), {})[key] = (coeff.num, *exps)
+    return floors
+
+
+def _structured_element(data, amb, lower_left: bool):
+    """A sum of products of twisted generators (lower-left ones only when
+    asked), over a random power of D, optionally times D22^t over D22^t."""
+    m, s = amb.m, amb.size
+    slots = [(i, j) for i in range(1, s + 1) for j in range(1, s + 1)
+             if lower_left or not (i > m >= j)]
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        term = embed_poly(amb.scalar(data.draw(st.integers(-3, 3))))
+        for _ in range(data.draw(st.integers(0, 3))):
+            term = loc_mul(term, twisted_generator(amb, *data.draw(st.sampled_from(slots))))
+        terms.append(term)
+    x = loc_sum(amb, terms)
+    x = LocalizedElement(x.num, x.d_exp + data.draw(st.integers(0, 1)), x.d22_exp)
+    if data.draw(st.booleans()):  # mixed directions keep a structured element structured
+        k = data.draw(st.integers(1, m))
+        x = apply_loc(basic(k, data.draw(st.integers(m + 1, s))), x)
+    t = data.draw(st.integers(0, 2))
+    if t:
+        x = LocalizedElement(x.num * den_power(amb, 0, t), x.d_exp, x.d22_exp + t)
+    return x
+
+
+def _as_triples(floors):
+    return {
+        r: {key: (c.num, c.d_exp, c.d22_exp) for key, c in fe.terms.items()}
+        for r, fe in floors.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([(2, 1), (1, 2), (2, 2), (3, 1)]), st.sampled_from([0, 3]))
+def test_extract_floors_matches_per_monomial_extraction(data, size, char):
+    amb = ambient(*size, char)
+    x = _structured_element(data, amb, lower_left=data.draw(st.booleans()))
+    if data.draw(st.booleans()):  # a D22 exponent the numerator need not clear
+        x = LocalizedElement(x.num, x.d_exp, x.d22_exp + 1)
+    expected = _per_monomial_extract(x)
+    got = extract_floors(x)
+    assert (None if got is None else _as_triples(got)) == expected
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("size", [(2, 1), (1, 2), (2, 2), (3, 1)])
+def test_extract_floors_matches_per_monomial_extraction_on_each_outcome(size, char):
+    amb = ambient(*size, char)
+    m = amb.m
+    structured = loc_mul(twisted_generator(amb, 1, m + 1), twisted_generator(amb, m + 1, m + 1))
+    cleared = LocalizedElement(structured.num * den_power(amb, 0, 2), structured.d_exp, 2)
+    for x in (structured, cleared):
+        got = extract_floors(x)
+        assert _as_triples(got) == _per_monomial_extract(x)
+        assert list(got) == [1] and list(got[1].terms) == [((1, m + 1),)]
+        assert loc_eq(got[1].terms[((1, m + 1),)], twisted_generator(amb, m + 1, m + 1))
+    for x in (embed_poly(amb.gen(m + 1, 1) * amb.gen(1, m + 1)),
+              LocalizedElement(structured.num, 0, 1)):
+        assert _per_monomial_extract(x) is None
+        assert extract_floors(x) is None
 
 
 def test_pi_smallest_case():

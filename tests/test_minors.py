@@ -1,10 +1,12 @@
 """Adjugate table, Laplace expansions, and the minor identities."""
 
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 
 from superinduce import ambient, leibniz_det, UsageError
+from superinduce.superpoly import DET_CAP
 from superinduce.fraction import det_block11, embed_poly, loc_eq, loc_mul
 from superinduce.minors import (
     adjugate_entry,
@@ -158,3 +160,16 @@ def test_loc_det_even_entries():
     assert loc_eq(d, byhand)
     with pytest.raises(UsageError):
         loc_det(amb, [[embed_poly(amb.gen(1, 3))]])
+
+
+def test_determinants_past_the_cap_are_usage_errors():
+    amb = ambient(DET_CAP + 1, 1)
+    rows = range(1, DET_CAP + 2)
+    with pytest.raises(UsageError, match="DET_CAP"):
+        leibniz_det(amb, rows, rows)
+    one = embed_poly(amb.one())
+    with pytest.raises(UsageError, match="DET_CAP"):
+        loc_det(amb, [[one] * (DET_CAP + 1) for _ in rows])
+    # the cap itself is admitted: a Leibniz sum over every permutation
+    top = range(1, DET_CAP + 1)
+    assert len(leibniz_det(amb, top, top).terms) == factorial(DET_CAP)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from superinduce.cli import main
 from superinduce.derivation import apply_loc, basic, divided
-from superinduce.fraction import LocalizedElement, parse_loc, render_loc
+from superinduce.fraction import LocalizedElement, den_power, parse_loc, render_loc
 from superinduce.superpoly import (
     EXPONENT_CAP,
     SuperPolynomial,
@@ -20,6 +20,7 @@ from superinduce.superpoly import (
     render_poly,
     weight_of,
 )
+from superinduce.weights_tableaux import dminus
 from word_oracle import SIZES, pack, random_words, unpack, word_mul
 
 
@@ -168,6 +169,44 @@ def test_exact_divide_roundtrip(data):
     # a*b / b recovers a exactly because the ring has no zero divisors among
     # even-bodied elements
     assert q == a
+
+
+def _odd_layers(p):
+    amb = p.ambient
+    return {(mo & amb.odd_mask).bit_count() for mo in p.terms}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]), st.sampled_from([0, 3]))
+def test_exact_divide_recovers_a_by_minus_minor_numerators(data, size, char):
+    # dminus numerators are even with odd terms, so a·b spreads over several
+    # odd layers, each with several odd words
+    amb = ambient(*size, char)
+    m = amb.m
+    t = data.draw(st.integers(1, amb.n))
+    cols = data.draw(st.permutations(range(m + 1, amb.size + 1)))[:t]
+    b = dminus(amb, cols).num * den_power(amb, data.draw(st.integers(0, 1)), 0)
+    a = random_poly(amb, data, max_terms=4)
+    assert exact_divide(a * b, b) == a
+    # the body of b is not constant, so b is no unit and a·b + 1 stays undivided
+    assert exact_divide(a * b + amb.one(), b) is None
+
+
+def test_exact_divide_reaches_monomials_the_dividend_lacks():
+    # (x - y)(x + y) = x^2 - y^2: the first quotient step brings in x·y,
+    # which is the next leading term although the dividend has no such term
+    x, y, odd = A22.gen(1, 1), A22.gen(2, 2), A22.gen(1, 3)
+    assert exact_divide(x * x - y * y, x + y) == x - y
+    assert exact_divide((x * x - y * y) * odd, x + y) == (x - y) * odd
+    assert exact_divide(x * x + y * y, x + y) is None
+
+
+def test_exact_divide_property_spans_layers():
+    amb = ambient(2, 2)
+    b = dminus(amb, (3, 4)).num
+    a = amb.gen(1, 3) + amb.gen(2, 4) * amb.gen(3, 1) + amb.gen(1, 1)
+    assert len(_odd_layers(b)) >= 3 and len(_odd_layers(a * b)) >= 3
+    assert exact_divide(a * b, b) == a
 
 
 def test_leibniz_det_basics():
