@@ -21,6 +21,7 @@ import sys
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
+from operator import add
 from pathlib import Path
 
 from .derivation import FDminus, FDplus, FPhi, FY, basic, rewrite_rule_check
@@ -39,7 +40,7 @@ from .floors_primitives import (
 from .fraction import embed_poly, loc_mul, render_loc
 from .linkage import (
     ALL,
-    d_exponent,
+    block_key,
     dot_equivalent,
     even_linked,
     in_alcove,
@@ -52,10 +53,12 @@ from .linkage import (
     omega_via_form,
 )
 from .lr_oracle import (
-    admissible_count,
+    conjugate,
+    hook_partition,
     lr_coefficient_flagged,
-    lr_multiplicity,
     lr_tableaux,
+    ordered_families,
+    transposed_count,
     wedge_content_holds,
 )
 from .minors import jacobi_identity_check, muir_identity_check
@@ -406,23 +409,26 @@ def _dominant_weights(m: int, n: int, max_entry: int, checks_per_weight: int):
 
 
 def _families_by_content(m: int, n: int) -> dict:
-    """The first nonempty family of distinct pairs of each content, in
-    combinations order of the lexicographic pair pool, keyed by the rendered
-    content: ``{key: (I, J, content)}``.
+    """Each content of a nonempty family of distinct pairs, in the order its
+    first family comes in the combinations of the lexicographic pair pool,
+    with every ordered family of that content: ``{key: (content, families)}``
+    under the rendered content.
 
-    Families in this order are ordered (``is_ordered_family``), so the wedge
-    hypotheses and both counts read only the weight and the content: the
-    first family of a content stands for every later one.
+    The wedge hypotheses read only the weight and the content, and so does
+    the transposed count; the direct count tests each family against the
+    weight.  No weight enters the table, so one serves the whole sweep.
     """
     pair_pool = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    firsts = {}
+    table = {}
     for size in range(1, len(pair_pool) + 1):
         for chosen in combinations(pair_pool, size):
             I = tuple(i for i, _ in chosen)
             J = tuple(j for _, j in chosen)
             cont = content_of_pairs(m, n, I, J)
-            firsts.setdefault(render_weight(cont), (I, J, cont))
-    return firsts
+            key = render_weight(cont)
+            if key not in table:
+                table[key] = (cont, ordered_families(cont))
+    return table
 
 
 def suite_fwedge(args, rng) -> dict:
@@ -434,18 +440,25 @@ def suite_fwedge(args, rng) -> dict:
     families = 2 ** min(m * n, SWEEP_CAP.bit_length()) - 1
     weights = _dominant_weights(m, n, top, families)
     # no weights, no families: a negative --max-entry sweeps nothing at any size
-    firsts = _families_by_content(m, n) if weights else {}
+    table = _families_by_content(m, n) if weights else {}
     entries = []
     for w in weights:
-        for key, (I, J, cont) in firsts.items():
+        name = render_weight(w)
+        outer = None  # the transposed count's outer shape, once a weight
+        for key, (cont, ordered) in table.items():
             if not wedge_content_holds(w, cont):
                 continue
-            direct = admissible_count(w, cont)
-            transposed = lr_multiplicity(w, I, J)
+            if outer is None:
+                outer = conjugate(hook_partition(w))
+            direct = sum(is_admissible_pair(w, K, L) for K, L in ordered)
+            # the shifted weight's blocks, already known to be dominant
+            plus = tuple(map(add, w.plus, cont.plus))
+            minus = tuple(map(add, w.minus, cont.minus))
+            transposed = transposed_count(outer, plus, minus)
             entries.append(
                 {
                     "rule": "wedge-count",
-                    "weight": render_weight(w),
+                    "weight": name,
                     "content": key,
                     "direct": direct,
                     "transposed": transposed,
@@ -479,19 +492,22 @@ def suite_linkage(args, rng) -> dict:
         )
 
     for w in weights:
-        shifts = {}
+        name = render_weight(w)
+        # one even-block key per dominant shift: equal keys, same even block
+        keys = []
         for i in range(1, m + 1):
             for j in range(1, n + 1):
                 shifted = lambda_ij(w, i, j)
                 if is_dominant(shifted):
-                    shifts[i, j] = shifted
-        for ((i, j), a), ((k, l), b) in combinations(shifts.items(), 2):
-            if not even_linked(a, b, p):
+                    key = (block_key(shifted.plus, p), block_key(shifted.minus, p))
+                    keys.append(((i, j), key))
+        for ((i, j), a), ((k, l), b) in combinations(keys, 2):
+            if a != b:
                 continue
             entries.append(
                 {
                     "rule": "residue-transport",
-                    "weight": render_weight(w),
+                    "weight": name,
                     "pairs": [[i, j], [k, l]],
                     "p": p,
                     "ok": nakayama_consequence_check(w, i, j, k, l, p),
@@ -542,7 +558,38 @@ _SUITES = {
 }
 
 
+#: Options of the common set that a sweep never reads, by argparse
+#: destination.  Passing one is a UsageError naming it, not a silent no-op.
+_UNREAD_OPTIONS = {
+    "fwedge": ("weight", "i", "j", "pairs", "count", "max_steps"),
+    "linkage": ("weight", "i", "j", "pairs", "max_steps"),
+}
+
+
+#: Largest --m and --n of the suites that build a ring from them.  The ring's
+#: packing tables grow with the square of its size, so --m 1000000 ran out of
+#: memory; a larger block also needs determinants past superpoly.DET_CAP.
+#: Sizes within the cap are not bounded in time: verify lemmas at (3,3) takes
+#: about 110 s.
+RING_SIZE_CAP = 8
+_RING_SUITES = ("lemmas", "identities", "gen", "phi1")
+
+
 def cmd_verify(args) -> dict:
+    if args.suite in _RING_SUITES:
+        for option, size in (("--m", args.m), ("--n", args.n)):
+            if size is not None and size > RING_SIZE_CAP:
+                raise UsageError(
+                    f"{option} must not exceed {RING_SIZE_CAP} (RING_SIZE_CAP) for "
+                    f"verify {args.suite}, got {size}"
+                )
+    unread = [
+        "--lambda" if dest == "weight" else "--" + dest.replace("_", "-")
+        for dest in _UNREAD_OPTIONS.get(args.suite, ())
+        if getattr(args, dest) is not None
+    ]
+    if unread:
+        raise UsageError(f"verify {args.suite} does not read {', '.join(unread)}")
     rng = random.Random(args.seed)
     return _SUITES[args.suite](args, rng)
 
@@ -729,14 +776,10 @@ def cmd_typicality(args) -> dict:
 
 
 def _block_certificate(entries, p: int):
-    d = d_exponent(entries, p)
+    d, residues = block_key(entries, p)
     if d == ALL:
         return {"d": "all", "residues": None}
-    modulus = p ** (d + 1)
-    return {
-        "d": d,
-        "residues": sorted((e - idx) % modulus for idx, e in enumerate(entries, 1)),
-    }
+    return {"d": d, "residues": list(residues)}
 
 
 def cmd_linkage(args) -> dict:
@@ -802,12 +845,22 @@ def cmd_alcove(args) -> dict:
     }
 
 
+#: Most cells --outer may have: the walk keeps one row list per row of the
+#: outer shape, so a part of 10**30 cells ran out of memory.
+LR_CELL_CAP = 100_000
+
+
 def cmd_lr(args) -> dict:
     if args.outer is None or args.content is None:
         raise UsageError("lr needs --outer and --content (and optionally --inner)")
     outer = _parse_partition(args.outer)
     inner = _parse_partition(args.inner) if args.inner is not None else ()
     content = _parse_partition(args.content)
+    cells = sum(v for v in outer if v > 0)
+    if cells > LR_CELL_CAP:
+        raise UsageError(
+            f"--outer has {cells} cells, past the cap of {LR_CELL_CAP} (LR_CELL_CAP)"
+        )
     count, flag = lr_coefficient_flagged(outer, inner, content)
     artifact = {
         "kind": "lr",

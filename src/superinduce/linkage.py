@@ -95,8 +95,9 @@ def bilinear_form(u, v, m: int, n: int):
     u, v = tuple(u), tuple(v)
     if len(u) != m + n or len(v) != m + n:
         raise UsageError("vectors must have length m+n")
-    plus = sum(a * b for a, b in zip(u[:m], v[:m]))
-    minus = sum(a * b for a, b in zip(u[m:], v[m:]))
+    # a root has two nonzero coordinates: skip the products that vanish
+    plus = sum(a * b for a, b in zip(u[:m], v[:m]) if a and b)
+    minus = sum(a * b for a, b in zip(u[m:], v[m:]) if a and b)
     return plus - minus
 
 
@@ -132,6 +133,20 @@ def d_exponent(entries, p: int):
     return ALL if best is None else best
 
 
+def block_key(entries, p: int) -> tuple:
+    """Donkin's key of the block of one general linear factor:
+    ``(d, residues)`` with d the d-exponent and residues the sorted shifted
+    entries ``entry - index`` mod p^(d+1), or the sorted shifted entries
+    themselves when d is ALL.  Two weights of one length share a block
+    exactly when their keys are equal."""
+    d = d_exponent(entries, p)
+    shifted = [v - i for i, v in enumerate(entries, start=1)]
+    if d == ALL:
+        return ALL, tuple(sorted(shifted))
+    mod = p ** (d + 1)
+    return d, tuple(sorted(v % mod for v in shifted))
+
+
 def donkin_linked(mu, nu, p: int) -> bool:
     """Same block for one general linear factor: equal d-exponents and a
     permutation matching the shifted entries mod p^(d+1).  Multiset equality
@@ -139,15 +154,7 @@ def donkin_linked(mu, nu, p: int) -> bool:
     mu, nu = tuple(int(v) for v in mu), tuple(int(v) for v in nu)
     if len(mu) != len(nu):
         raise UsageError("block weights must have the same length")
-    da, db = d_exponent(mu, p), d_exponent(nu, p)
-    if da != db:
-        return False
-    shifted_mu = [v - i for i, v in enumerate(mu, start=1)]
-    shifted_nu = [v - i for i, v in enumerate(nu, start=1)]
-    if da == ALL:
-        return sorted(shifted_mu) == sorted(shifted_nu)
-    mod = p ** (da + 1)
-    return sorted(v % mod for v in shifted_mu) == sorted(v % mod for v in shifted_nu)
+    return block_key(mu, p) == block_key(nu, p)
 
 
 def even_linked(wa: Weight, wb: Weight, p: int) -> bool:
@@ -223,29 +230,47 @@ def dot_equivalent(wa: Weight, wb: Weight, p: int) -> bool:
     return True
 
 
+#: Most weights one chain search may reach.  A step along (i, j) keeps that
+#: grid entry at 0, so the reachable set grows like a power of the step bound;
+#: every search in the tests, the demos and the benchmark pool reaches at most
+#: 15.
+CHAIN_NODE_CAP = 20_000
+
+
 def link_chain_search(w: Weight, target: Weight, p: int, max_steps: int):
     """Breadth-first search over single-index shifts whose grid entry vanishes
     exactly, ending at a weight in the target's affine orbit; returns the list
-    of (i, j) steps, or None when the bounded search exhausts."""
+    of (i, j) steps, or None when the bounded search exhausts.  Reaching more
+    than ``CHAIN_NODE_CAP`` weights is a UsageError."""
     check_odd_prime(p)
     if (w.m, w.n) != (target.m, target.n):
         raise UsageError("weights must share block sizes")
     if max_steps < 0:
         raise UsageError("step bound must be nonnegative")
-    queue = deque([(w, ())])
-    visited = {w}
+    # each reached weight keeps the weight and the step it was reached from
+    parent = {w: None}
+    queue = deque([(w, 0)])
     while queue:
-        node, chain = queue.popleft()
+        node, depth = queue.popleft()
         if dot_equivalent(node, target, p):
-            return list(chain)
-        if len(chain) >= max_steps:
+            chain = []
+            while parent[node] is not None:
+                node, step = parent[node]
+                chain.append(step)
+            return chain[::-1]
+        if depth >= max_steps:
             continue
         for i in range(1, w.m + 1):
             for j in range(1, w.n + 1):
                 if omega(node, i, j) != 0:
                     continue
                 nxt = lambda_ij(node, i, j)
-                if nxt not in visited:
-                    visited.add(nxt)
-                    queue.append((nxt, chain + ((i, j),)))
+                if nxt not in parent:
+                    if len(parent) >= CHAIN_NODE_CAP:
+                        raise UsageError(
+                            f"chain search reached the cap of {CHAIN_NODE_CAP} weights "
+                            "(CHAIN_NODE_CAP); lower --max-steps"
+                        )
+                    parent[nxt] = (node, (i, j))
+                    queue.append((nxt, depth + 1))
     return None

@@ -24,7 +24,6 @@ from .weights_tableaux import (
     is_dominant,
     is_ordered_family,
     lambda_IJ,
-    weight_add,
 )
 
 
@@ -42,20 +41,27 @@ def _normal_partition(seq, what: str) -> tuple:
     return parts
 
 
-def conjugate(partition) -> tuple:
-    """Transpose of a partition: column lengths read off as row lengths."""
-    parts = _normal_partition(partition, "partition")
+def _transpose(parts: tuple) -> tuple:
+    """Transpose of a normalized partition."""
     if not parts:
         return ()
     return tuple(sum(1 for v in parts if v > c) for c in range(parts[0]))
 
 
+def conjugate(partition) -> tuple:
+    """Transpose of a partition: column lengths read off as row lengths."""
+    return _transpose(_normal_partition(partition, "partition"))
+
+
+def _fits(outer: tuple, inner: tuple) -> bool:
+    """Containment of normalized partitions."""
+    return len(inner) <= len(outer) and all(o >= i for o, i in zip(outer, inner))
+
+
 def contains(outer, inner) -> bool:
-    outer = _normal_partition(outer, "outer shape")
-    inner = _normal_partition(inner, "inner shape")
-    if len(inner) > len(outer):
-        return False
-    return all(o >= i for o, i in zip(outer, inner))
+    return _fits(
+        _normal_partition(outer, "outer shape"), _normal_partition(inner, "inner shape")
+    )
 
 
 def is_horizontal_strip(outer, inner) -> bool:
@@ -66,7 +72,7 @@ def is_horizontal_strip(outer, inner) -> bool:
     """
     outer = _normal_partition(outer, "outer shape")
     inner = _normal_partition(inner, "inner shape")
-    if not contains(outer, inner):
+    if not _fits(outer, inner):
         return False
     padded = inner + (0,) * (len(outer) - len(inner))
     return all(outer[r + 1] <= padded[r] for r in range(len(outer) - 1))
@@ -86,6 +92,16 @@ def _skew_cells(outer, inner) -> list:
     return cells
 
 
+def _shape_flag(outer: tuple, inner: tuple, content: tuple):
+    """None when normalized shapes pose a well-formed question, else a short
+    reason."""
+    if not _fits(outer, inner):
+        return "inner shape is not contained in the outer shape"
+    if sum(outer) != sum(inner) + sum(content):
+        return "cell count of the skew shape does not match the content size"
+    return None
+
+
 def _checked_shapes(outer, inner, content):
     """Normalized (outer, inner, content) and None, or None and a short
     reason when the question is malformed."""
@@ -95,10 +111,9 @@ def _checked_shapes(outer, inner, content):
         content = _normal_partition(content, "content")
     except UsageError as exc:
         return None, str(exc)
-    if not contains(outer, inner):
-        return None, "inner shape is not contained in the outer shape"
-    if sum(outer) != sum(inner) + sum(content):
-        return None, "cell count of the skew shape does not match the content size"
+    flag = _shape_flag(outer, inner, content)
+    if flag is not None:
+        return None, flag
     return (outer, inner, content), None
 
 
@@ -190,17 +205,16 @@ def lr_tableaux(outer, inner, content) -> list:
 # -- the two counting routes for index families -----------------------------------
 
 
-def admissible_families(w: Weight, content: Weight) -> list:
-    """All admissible (K|L) with the given content, in canonical order.
+def ordered_families(content: Weight) -> list:
+    """Every ordered family (K|L) with the given content, in canonical order;
+    no weight enters, so one list serves every weight.
 
-    An index family is determined by the set of its pairs: equal first
+    An ordered family is determined by the set of its pairs: equal first
     entries force distinct second entries, so the family is a 0/1 matrix
     with row sums given by the plus content and column sums by the minus
     content.  The canonical ordering sorts pairs lexicographically.
     """
-    if content.m != w.m or content.n != w.n:
-        raise UsageError("content must have the same block sizes as the weight")
-    m, n = w.m, w.n
+    n = content.n
     row_sums = tuple(-v for v in content.plus)
     col_sums = content.minus
     if any(v < 0 or v > n for v in row_sums):
@@ -220,9 +234,18 @@ def admissible_families(w: Weight, content: Weight) -> list:
         pairs.sort()
         K = tuple(i for i, _ in pairs)
         L = tuple(j for _, j in pairs)
-        if is_admissible_pair(w, K, L):
-            families.append((K, L))
+        if not is_ordered_family(K, L):
+            raise InternalError("a 0/1 matrix read in canonical order is not ordered")
+        families.append((K, L))
     return families
+
+
+def admissible_families(w: Weight, content: Weight) -> list:
+    """All admissible (K|L) with the given content, in canonical order: the
+    ``ordered_families`` of the content that pass ``is_admissible_pair``."""
+    if content.m != w.m or content.n != w.n:
+        raise UsageError("content must have the same block sizes as the weight")
+    return [(K, L) for K, L in ordered_families(content) if is_admissible_pair(w, K, L)]
 
 
 def admissible_count(w: Weight, content: Weight) -> int:
@@ -250,14 +273,26 @@ def hook_partition(w: Weight) -> tuple:
     return _normal_partition(w.plus + tail, "folded weight")
 
 
+def _dominant_sum(a: tuple, b: tuple) -> bool:
+    """``is_dominant`` of one block of the sum of two weights, without
+    building the sum."""
+    return all(x + y >= u + v for x, y, u, v in zip(a, b, a[1:], b[1:]))
+
+
 def wedge_content_holds(w: Weight, content: Weight) -> bool:
     """The wedge hypotheses of every ordered family with this content: the
     shifted weight stays dominant, the weight absorbs the content, the last
     minus entry is nonnegative, and the last plus entry of the shifted weight
     still dominates the minus block size."""
-    if w.minus[-1] < 0 or w.plus[-1] + content.plus[-1] < w.n:
+    if len(content.plus) != len(w.plus) or len(content.minus) != len(w.minus):
+        raise UsageError("weights have different block sizes")
+    if w.minus[-1] < 0 or w.plus[-1] + content.plus[-1] < len(w.minus):
         return False
-    return absorbs_content(w, content) and is_dominant(weight_add(w, content))
+    return (
+        absorbs_content(w, content)
+        and _dominant_sum(w.plus, content.plus)
+        and _dominant_sum(w.minus, content.minus)
+    )
 
 
 def wedge_hypotheses_hold(w: Weight, I, J) -> bool:
@@ -270,6 +305,22 @@ def wedge_hypotheses_hold(w: Weight, I, J) -> bool:
     )
 
 
+def transposed_count(outer: tuple, plus, minus) -> int:
+    """Lattice fillings of ``outer`` over the conjugate of the shifted plus
+    block ``plus``, with the shifted minus block ``minus`` as content.
+
+    ``outer`` is the conjugate of the unshifted weight's ``hook_partition``,
+    so it is already normalized.  Under the wedge hypotheses the shapes are contained and
+    their sizes match; anything else is an InternalError.
+    """
+    inner = _transpose(_normal_partition(plus, "shifted plus block"))
+    content = _normal_partition(minus, "shifted minus block")
+    flag = _shape_flag(outer, inner, content)
+    if flag is not None:
+        raise InternalError(f"transposed shapes degenerated: {flag}")
+    return sum(1 for _ in _lattice_fillings(outer, inner, content))
+
+
 def lr_multiplicity(w: Weight, I, J) -> int:
     """The multiplicity of the shifted weight's even-module in the induced
     module, computed purely on transposed shapes.
@@ -280,11 +331,4 @@ def lr_multiplicity(w: Weight, I, J) -> int:
     if not wedge_hypotheses_hold(w, I, J):
         raise UsageError("the transposed-shape count needs the wedge hypotheses")
     shifted = lambda_IJ(w, I, J)
-    outer = conjugate(hook_partition(w))
-    inner = conjugate(_normal_partition(shifted.plus, "shifted plus block"))
-    content = _normal_partition(shifted.minus, "shifted minus block")
-    count, flag = lr_coefficient_flagged(outer, inner, content)
-    if flag is not None:
-        # the hypotheses guarantee containment and matching sizes
-        raise InternalError(f"transposed shapes degenerated: {flag}")
-    return count
+    return transposed_count(conjugate(hook_partition(w)), shifted.plus, shifted.minus)

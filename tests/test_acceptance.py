@@ -39,7 +39,12 @@ from superinduce.linkage import (
     omega,
     omega_via_form,
 )
-from superinduce.lr_oracle import admissible_count, lr_multiplicity, wedge_hypotheses_hold
+from superinduce.lr_oracle import (
+    admissible_count,
+    lr_multiplicity,
+    wedge_content_holds,
+    wedge_hypotheses_hold,
+)
 from superinduce.minors import jacobi_identity_check, muir_identity_check
 from superinduce.superpoly import UsageError, ambient
 from superinduce.weights_tableaux import (
@@ -49,6 +54,7 @@ from superinduce.weights_tableaux import (
     content_of_pairs,
     enumerate_semistandard,
     is_admissible_pair,
+    is_ordered_family,
     is_robust,
     lambda_IJ,
     lambda_ij,
@@ -484,4 +490,38 @@ def test_criterion_11_first_floor_eigenvalues_at_every_small_weight(capsys, m, n
         info["detail"] = (
             f"{cells} defined first-floor cells of all {len(weights)} dominant weights "
             f"with entries <= {top} at ({m},{n}) char {char} carry their grid eigenvalue"
+        )
+
+
+# Criterion 12 runs criterion 5's wedge-count check at the sizes where the
+# default `verify fwedge` sweep stops at its cap: every dominant weight with
+# entries at most 6 at (3,3), (4,2) and (2,4), against the first family of
+# each content (every family of a content gives the same two counts), through
+# the public routes.  The counts were recorded on the code before the shared
+# sweep tables; the ceiling was set before any run.
+CRITERION_12_BUDGET_S = 120
+
+
+@pytest.mark.parametrize("m,n,expected", [(3, 3, 13284), (4, 2, 18242), (2, 4, 5712)])
+def test_criterion_12_wedge_multiplicities_at_the_capped_sizes(capsys, m, n, expected):
+    info = {}
+    with _criterion(f"12 ({m},{n})", CRITERION_12_BUDGET_S, info, capsys):
+        firsts = {}
+        for I, J in _pair_families(m, n, m * n):
+            cont = content_of_pairs(m, n, I, J)
+            firsts.setdefault((cont.plus, cont.minus), (I, J, cont))
+        # each first family is ordered, so its wedge hypotheses are its
+        # content's (wedge_hypotheses_hold)
+        assert all(is_ordered_family(I, J) for I, J, _ in firsts.values())
+        checked = 0
+        for w in _dominant_weights(m, n, 6):
+            for I, J, cont in firsts.values():
+                if not wedge_content_holds(w, cont):
+                    continue
+                assert admissible_count(w, cont) == lr_multiplicity(w, I, J), (w, I, J)
+                checked += 1
+        assert checked == expected
+        info["detail"] = (
+            f"{checked} (weight, content) instances with entries <= 6 at ({m},{n}) "
+            "agree with the transposed-shape tableau count"
         )

@@ -9,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from superinduce.cli import COUNT_CAP, SWEEP_CAP, build_parser, main, suite_fwedge
+import superinduce.cli as cli
+from superinduce.cli import (
+    COUNT_CAP,
+    LR_CELL_CAP,
+    RING_SIZE_CAP,
+    SWEEP_CAP,
+    build_parser,
+    main,
+    suite_fwedge,
+    suite_linkage,
+)
 from superinduce.floors_primitives import (
     FloorElement,
     fe_eq,
@@ -17,11 +27,23 @@ from superinduce.floors_primitives import (
     pi_ij,
 )
 from superinduce.fraction import parse_loc
+from superinduce.linkage import (
+    CHAIN_NODE_CAP,
+    dot_equivalent,
+    even_linked,
+    link_chain_search,
+    nakayama_consequence_check,
+    omega,
+    omega_via_form,
+)
 from superinduce.lr_oracle import admissible_count, lr_multiplicity, wedge_hypotheses_hold
 from superinduce.superpoly import DET_CAP, ambient
 from superinduce.weights_tableaux import (
     content_of_pairs,
+    is_dominant,
+    lambda_ij,
     make_weight,
+    random_dominant_weight,
     render_weight,
 )
 
@@ -591,3 +613,164 @@ def test_count_outside_the_cap_is_a_usage_error(capsys, suite, count):
 def test_oversized_determinant_exits_2_naming_the_cap():
     proc = _module_run(["emit", "highest-vector", "--lambda", "[1,1,1,1,1,1,1,1,1|0]"], 30)
     assert f"DET_CAP = {DET_CAP}" in _one_error_line(proc)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "linkage", "--m", "2", "--n", "2", "--p", "3", "--max-steps", "0"],
+         "--max-steps"),
+        (["verify", "linkage", "--m", "2", "--n", "2", "--p", "3", "--max-steps", "1"],
+         "--max-steps"),
+        (["verify", "linkage", "--p", "3", "--lambda", "[2,1|1,0]"], "--lambda"),
+        (["verify", "fwedge", "--lambda", "[9,9|9]"], "--lambda"),
+        (["verify", "fwedge", "--m", "1", "--n", "1", "--max-steps", "2"], "--max-steps"),
+        (["verify", "fwedge", "--m", "1", "--n", "1", "--count", "2"], "--count"),
+        (["verify", "fwedge", "--pairs", "[[1,1]]"], "--pairs"),
+    ],
+)
+def test_sweeps_reject_options_they_never_read(capsys, argv, option):
+    assert main(argv) == 2
+    error = _one_json_error_line(capsys)["error"]
+    assert option in error and "does not read" in error
+
+
+def test_both_fwedge_routes_run_for_every_entry(monkeypatch):
+    calls = {"wedge": 0, "admissible": 0, "transposed": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "wedge_content_holds", counting("wedge", cli.wedge_content_holds))
+    monkeypatch.setattr(cli, "is_admissible_pair", counting("admissible", cli.is_admissible_pair))
+    monkeypatch.setattr(cli, "transposed_count", counting("transposed", cli.transposed_count))
+    m, n, top = 3, 2, 4
+    args = build_parser().parse_args(
+        ["verify", "fwedge", "--m", str(m), "--n", str(n), "--max-entry", str(top)]
+    )
+    entries = suite_fwedge(args, random.Random(0))["entries"]
+    table = cli._families_by_content(m, n)
+    weights = cli._dominant_weights(m, n, top, 1)
+    # the predicate once per (weight, content), the transposed count once an
+    # entry, and the admissibility test once per family of each entry's content
+    assert calls["wedge"] == len(weights) * len(table)
+    assert calls["transposed"] == len(entries) > 0
+    assert calls["admissible"] == sum(len(table[e["content"]][1]) for e in entries)
+    assert all(e["direct"] >= 1 for e in entries)
+
+
+def _per_pair_linkage_entries(m, n, p, count, seed):
+    """verify linkage as it ran before block keys: every pair of dominant
+    shifts of a weight filtered through even_linked."""
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(count):
+        w = random_dominant_weight(m, n, rng, max_entry=6)
+        ok = all(
+            omega_via_form(w, i, j) == omega(w, i, j)
+            for i in range(1, m + 1)
+            for j in range(1, n + 1)
+        )
+        entries.append({"rule": "omega-bridge", "weight": render_weight(w), "ok": ok})
+    for w in cli._dominant_weights(m, n, 3, 1):
+        shifts = {}
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                shifted = lambda_ij(w, i, j)
+                if is_dominant(shifted):
+                    shifts[i, j] = shifted
+        for ((i, j), a), ((k, l), b) in combinations(shifts.items(), 2):
+            if not even_linked(a, b, p):
+                continue
+            entries.append(
+                {
+                    "rule": "residue-transport",
+                    "weight": render_weight(w),
+                    "pairs": [[i, j], [k, l]],
+                    "p": p,
+                    "ok": nakayama_consequence_check(w, i, j, k, l, p),
+                }
+            )
+    for w in cli._dominant_weights(m, n, 2, 1):
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                if omega(w, i, j) != 0:
+                    continue
+                target = lambda_ij(w, i, j)
+                if not is_dominant(target):
+                    continue
+                chain = link_chain_search(w, target, p, max_steps=4)
+                ok = chain is not None
+                if ok:
+                    cur = w
+                    for a, b in chain:
+                        ok = ok and omega(cur, a, b) == 0
+                        cur = lambda_ij(cur, a, b)
+                    ok = ok and dot_equivalent(cur, target, p)
+                entries.append(
+                    {
+                        "rule": "chain-certificate",
+                        "weight": render_weight(w),
+                        "target": render_weight(target),
+                        "chain": None if chain is None else [list(s) for s in chain],
+                        "p": p,
+                        "ok": ok,
+                    }
+                )
+    return entries
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+def test_linkage_suite_equals_the_per_pair_sweep(m, n, p):
+    args = build_parser().parse_args(
+        ["verify", "linkage", "--m", str(m), "--n", str(n), "--p", str(p), "--count", "5",
+         "--seed", "7"]
+    )
+    entries = suite_linkage(args, random.Random(7))["entries"]
+    assert entries == _per_pair_linkage_entries(m, n, p, 5, 7)
+    # with six cells or more some shifts share an even block at both primes
+    assert m * n < 6 or any(e["rule"] == "residue-transport" for e in entries)
+
+
+HUGE = "1" + "0" * 30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemmas", "--m", "1000000", "--n", "1"],
+        ["verify", "identities", "--m", HUGE],
+        ["verify-identities", "--m", "9"],
+        ["verify", "gen", "--n", "1000000", "--count", "1"],
+        ["verify", "phi1", "--m", HUGE],
+        ["verify", "phi1", "--m", "1000000", "--count", "0"],
+    ],
+)
+def test_ring_sizes_past_the_cap_are_usage_errors(capsys, argv):
+    # these ran out of memory (or, at 10**30, never returned) building the ring
+    assert main(argv) == 2
+    assert f"{RING_SIZE_CAP} (RING_SIZE_CAP)" in _one_json_error_line(capsys)["error"]
+
+
+@pytest.mark.parametrize("outer", [HUGE, "1000000", f"{LR_CELL_CAP},1"])
+def test_lr_shapes_past_the_cell_cap_are_usage_errors(capsys, outer):
+    assert main(["lr", "--outer", outer, "--content", outer]) == 2
+    assert "LR_CELL_CAP" in _one_json_error_line(capsys)["error"]
+
+
+def test_lr_at_the_cell_cap_still_counts(capsys):
+    code, doc = run_json(capsys, "lr", "--outer", str(LR_CELL_CAP), "--content", str(LR_CELL_CAP))
+    assert (code, doc["count"], doc["flag"]) == (0, 1, None)
+
+
+def test_unbounded_chain_search_exits_2_naming_the_cap(capsys):
+    # every step along (1,1) keeps its grid entry at 0, so a million steps
+    # reached weights without end
+    argv = ["linkage", "--lambda", "[2,1|1,0]", "--mu", "[0,0|0,0]", "--p", "3"]
+    assert main(argv + ["--max-steps", "1000000"]) == 2
+    assert f"cap of {CHAIN_NODE_CAP} weights" in _one_json_error_line(capsys)["error"]

@@ -61,6 +61,15 @@ GOLDEN = [
      "d3927d3201fd6ebac794ff5c8409f823ae2b1e3df508bb29f362b10afab89a68"),
     (["verify", "linkage", "--m", "3", "--n", "2", "--p", "5", "--count", "10"], 0,
      "caa119d13209c0a1c589c4315242b00431f8407a1a70ca9884fd4599569a5c32"),
+    # the largest sweeps of the benchmark's query pool
+    (["verify", "fwedge", "--m", "3", "--n", "2", "--max-entry", "6"], 0,
+     "c322723f42b5bb97600b30936c45ad9dacead05853cba80a09fe20e3a95f8906"),
+    (["verify", "fwedge", "--m", "2", "--n", "2", "--max-entry", "6"], 0,
+     "c0794a9a58f05f595abd3d127240481b6baf389827e5ca6737ed0b7f8230a3a2"),
+    (["verify", "linkage", "--m", "3", "--n", "3", "--p", "3"], 0,
+     "55806d3c38277c5952f1e10acc78bdf6c5476a76307bb3568e646869c7fac2eb"),
+    (["verify", "linkage", "--m", "2", "--n", "3", "--p", "5", "--seed", "1"], 0,
+     "540312d61c4876d7cb36d5eb6563e350f2689332caf52c9ad075e0cf8e9d78e1"),
 ]
 
 

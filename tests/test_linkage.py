@@ -2,14 +2,18 @@
 predicates, and the chain searches."""
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superinduce.linkage import (
     ALL,
+    CHAIN_NODE_CAP,
     bilinear_form,
+    block_key,
     d_exponent,
     donkin_linked,
     dot_equivalent,
@@ -270,3 +274,110 @@ def test_bilinear_form_signature():
     assert bilinear_form((0, 1, 0), (0, 0, 1), 2, 1) == 0
     with pytest.raises(UsageError):
         bilinear_form((1, 0), (1, 0, 0), 2, 1)
+
+
+def _donkin_linked_by_comparison(mu, nu, p):
+    """Donkin linkage of two blocks as it was decided before block keys: the
+    d-exponents first, then the sorted shifted entries, reduced mod p^(d+1)
+    unless the d-exponent is ALL."""
+    da, db = d_exponent(mu, p), d_exponent(nu, p)
+    if da != db:
+        return False
+    shifted_mu = [v - i for i, v in enumerate(mu, start=1)]
+    shifted_nu = [v - i for i, v in enumerate(nu, start=1)]
+    if da == ALL:
+        return sorted(shifted_mu) == sorted(shifted_nu)
+    mod = p ** (da + 1)
+    return sorted(v % mod for v in shifted_mu) == sorted(v % mod for v in shifted_nu)
+
+
+@st.composite
+def _block_pairs(draw):
+    """A prime, a block, and a second block of the same length: drawn on its
+    own, or rebuilt from the first one's shifted entries (permuted, each moved
+    by a multiple of p^(d+1)) so that linked pairs come up often."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.integers(1, 4))
+
+    def block():
+        entries = [draw(st.integers(-10, 40))]
+        for _ in range(k - 1):
+            # the step a - b + 1 between neighbours: 0 is vacuous at every
+            # power (all steps 0 give d = ALL), u * p^e has d-exponent e
+            step = draw(st.integers(-2, 2)) * p ** draw(st.integers(0, 3))
+            entries.append(entries[-1] + 1 - step)
+        return tuple(entries)
+
+    mu = block()
+    if draw(st.booleans()):
+        return p, mu, block()
+    d = d_exponent(mu, p)
+    shifted = draw(st.permutations([v - i for i, v in enumerate(mu, start=1)]))
+    if d != ALL:
+        mod = p ** (d + 1)
+        shifted = [v + mod * draw(st.integers(-2, 2)) for v in shifted]
+    return p, mu, tuple(v + i for i, v in enumerate(shifted, start=1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_block_pairs())
+@example((3, (3, 4, 5), (3, 4, 5)))  # d = ALL, linked
+@example((3, (3, 4, 5), (1, 2, 3)))  # d = ALL, not linked
+@example((5, (4, 0), (29, 0)))  # d = 1 on both sides
+@example((7, (6, 0), (1, 0)))  # d = 1 against d = 0
+@example((3, (9, 1, 0), (9, 1, 0)))  # d = 2 on the first step
+def test_block_key_equality_is_donkin_linkage(case):
+    p, mu, nu = case
+    assert (block_key(mu, p) == block_key(nu, p)) == _donkin_linked_by_comparison(mu, nu, p)
+    assert donkin_linked(mu, nu, p) == _donkin_linked_by_comparison(mu, nu, p)
+
+
+def test_block_key_examples():
+    assert block_key((3, 4, 5), 3) == (ALL, (2, 2, 2))
+    assert block_key((7,), 5) == (ALL, (6,))
+    # (4, 0) at p = 5: step 5, d = 1, shifted (3, -2) mod 25
+    assert block_key((4, 0), 5) == (1, (3, 23))
+    assert block_key((1, 0), 3) == (0, (0, 1))
+
+
+def _chain_search_keeping_chains(w, target, p, max_steps):
+    """link_chain_search as it ran before parent links: every queued weight
+    carries its whole chain."""
+    queue = deque([(w, ())])
+    visited = {w}
+    while queue:
+        node, chain = queue.popleft()
+        if dot_equivalent(node, target, p):
+            return list(chain)
+        if len(chain) >= max_steps:
+            continue
+        for i in range(1, w.m + 1):
+            for j in range(1, w.n + 1):
+                if omega(node, i, j) != 0:
+                    continue
+                nxt = lambda_ij(node, i, j)
+                if nxt not in visited:
+                    visited.add(nxt)
+                    queue.append((nxt, chain + ((i, j),)))
+    return None
+
+
+def test_chain_search_equals_the_search_keeping_chains():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        w = random_dominant_weight(m, n, rng, max_entry=3)
+        target = random_dominant_weight(m, n, rng, max_entry=3)
+        p = rng.choice([3, 5])
+        steps = rng.randint(0, 5)
+        chain = link_chain_search(w, target, p, steps)
+        assert chain == _chain_search_keeping_chains(w, target, p, steps), (w, target, p)
+        found += chain is not None
+    assert 0 < found < 300
+
+
+def test_chain_search_stops_at_the_node_cap():
+    w = make_weight((2, 1), (1, 0))
+    with pytest.raises(UsageError, match=f"cap of {CHAIN_NODE_CAP} weights"):
+        link_chain_search(w, make_weight((0, 0), (0, 0)), 3, 10 ** 6)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,4 +287,61 @@ def test_wedge_hypotheses_equal_their_composition(data):
     J = [j for _, j in pairs] + ([1] if shape == "unequal" else [])
     assert _outcome(wedge_hypotheses_hold, w, I, J) == _outcome(
         _composed_wedge_hypotheses, w, I, J
+    )
+
+
+def _families_by_enumeration(w, content):
+    """The admissible families of a content as they were enumerated per
+    weight, before the weight-free ``ordered_families`` table."""
+    if content.m != w.m or content.n != w.n:
+        raise UsageError("content must have the same block sizes as the weight")
+    n = w.n
+    row_sums = tuple(-v for v in content.plus)
+    col_sums = content.minus
+    if any(v < 0 or v > n for v in row_sums):
+        return []
+    if any(v < 0 for v in col_sums) or sum(row_sums) != sum(col_sums):
+        return []
+    families = []
+    choices = [list(combinations(range(1, n + 1), r)) for r in row_sums]
+    for rows in product(*choices):
+        tally = [0] * (n + 1)
+        for picked in rows:
+            for j in picked:
+                tally[j] += 1
+        if tuple(tally[1:]) != col_sums:
+            continue
+        pairs = sorted((i, j) for i, picked in enumerate(rows, start=1) for j in picked)
+        K = tuple(i for i, _ in pairs)
+        L = tuple(j for _, j in pairs)
+        if is_admissible_pair(w, K, L):
+            families.append((K, L))
+    return families
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_admissible_families_equal_the_per_weight_enumeration(data):
+    # contents may be positive on the plus block, exceed n, miss the column
+    # sums, or differ from the weight in block sizes: each must be rejected
+    m = data.draw(st.integers(1, 3), label="m")
+    n = data.draw(st.integers(1, 3), label="n")
+    entry = st.integers(-2, 6)
+    w = make_weight(
+        data.draw(st.lists(entry, min_size=m, max_size=m), label="plus"),
+        data.draw(st.lists(entry, min_size=n, max_size=n), label="minus"),
+    )
+    if data.draw(st.booleans(), label="content of a family"):
+        pool = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        pairs = data.draw(st.lists(st.sampled_from(pool), unique=True), label="pairs")
+        content = content_of_pairs(m, n, [i for i, _ in pairs], [j for _, j in pairs])
+    else:
+        cm = data.draw(st.sampled_from([m, m, m, m + 1]), label="content m")
+        cn = data.draw(st.sampled_from([n, n, n, max(1, n - 1)]), label="content n")
+        content = make_weight(
+            data.draw(st.lists(st.integers(-n - 1, 1), min_size=cm, max_size=cm), label="c+"),
+            data.draw(st.lists(st.integers(-1, m + 1), min_size=cn, max_size=cn), label="c-"),
+        )
+    assert _outcome(admissible_families, w, content) == _outcome(
+        _families_by_enumeration, w, content
     )
