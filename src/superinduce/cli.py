@@ -132,6 +132,8 @@ def _require_weight(args) -> Weight:
 def _sizes(args, default=(2, 2)):
     m = args.m if args.m is not None else default[0]
     n = args.n if args.n is not None else default[1]
+    if m < 1 or n < 1:
+        raise UsageError("block sizes --m and --n must be positive")
     return m, n
 
 
@@ -382,8 +384,6 @@ SWEEP_CAP = 500_000
 def _dominant_weights(m: int, n: int, max_entry: int, checks_per_weight: int):
     """Every dominant weight with entries in 0..max_entry, once its count
     times ``checks_per_weight`` is known to stay within ``SWEEP_CAP``."""
-    if m < 1 or n < 1:
-        raise UsageError("block sizes --m and --n must be positive")
     if max_entry < 0:
         return []
     checks = checks_per_weight
@@ -558,11 +558,15 @@ _SUITES = {
 }
 
 
-#: Options of the common set that a sweep never reads, by argparse
+#: Options of the common set that a suite never reads, by argparse
 #: destination.  Passing one is a UsageError naming it, not a silent no-op.
 _UNREAD_OPTIONS = {
     "fwedge": ("weight", "i", "j", "pairs", "count", "max_steps"),
     "linkage": ("weight", "i", "j", "pairs", "max_steps"),
+    "lemmas": ("i", "j", "pairs", "count", "max_steps", "max_entry"),
+    "identities": ("i", "j", "pairs", "max_steps", "max_entry"),
+    "gen": ("i", "j", "pairs", "max_steps", "max_entry"),
+    "phi1": ("i", "j", "pairs", "max_steps", "max_entry"),
 }
 
 

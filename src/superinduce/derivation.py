@@ -3,9 +3,12 @@
 The basic operator for a direction (k, l) sends a generator c[a,b] to
 c[a,l] when b == k and to zero otherwise, extended as a right derivation
 with the sign rule (xy)D = (-1)^(|D||y|) (x)D·y + x·(y)D.  On fractions it
-acts by the quotient rule; the two block determinants have cached
-derivatives, and directions that leave them inert never inflate the
-denominator exponents.
+acts by the quotient rule, in closed form: D is multilinear in the columns
+1..m and D22 in the others.  So a diagonal d[k,k] fixes its own block's
+determinant and kills the other, and N / (D^s·D22^t) goes to dN - λ·N over the
+same exponents (λ = s for k <= m, else t).  Only a raise direction (k <= m < l)
+moves D and only a lower one (l <= m < k) moves D22, by the one fused product
+dN·D - s·N·dD over D^(s+1) (or its D22 twin); every other direction kills both.
 
 Divided powers and rising-binomial operators go through the integral lift
 of the ambient's coefficient field: coefficients are raised to
@@ -47,6 +50,7 @@ from .superpoly import (
     SuperPolynomial,
     UsageError,
     check_exponents,
+    dot,
     sort_with_sign,
 )
 from .weights_tableaux import dminus
@@ -95,36 +99,41 @@ def render_op(op: Op) -> str:
 # -- the basic derivation on polynomials --------------------------------------------
 
 
-def _d_poly(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
-    """The basic derivation d[k,l] on a polynomial, term by term on packed
-    monomials: each factor c[a,k] of a term becomes c[a,l].
+def _slots(amb: Ambient, k: int, l: int) -> tuple:
+    """Per row a: c[a,k]'s shift, the step to c[a,l], the odd bits whose parity
+    signs the image (an odd operator passes the odd factors after c[a,k], an
+    odd c[a,l] those between the two), and c[a,l] when it is odd (else 0)."""
 
-    The sign has two parts, both popcount parities of the term's odd bits:
-    an odd operator passes the odd factors after c[a,k], and an odd c[a,l]
-    passes the odd factors strictly between c[a,k] and its own place.
-    """
+    def build():
+        dpar = amb.gen_parity(k, l)  # range-checks k and l
+        slots = []
+        for a in range(1, amb.size + 1):
+            uk, ul = amb.unit(a, k), amb.unit(a, l)
+            sign_mask = uk - 1 if dpar else 0
+            clash = 0
+            if uk != ul and amb.gen_parity(a, l):
+                lo, hi = min(uk, ul), max(uk, ul)
+                sign_mask ^= (hi - 1) & ~(2 * lo - 1)
+                clash = ul
+            slots.append((uk.bit_length() - 1, ul - uk, sign_mask & amb.odd_mask, clash))
+        return tuple(slots)
+
+    return amb.cached(("dslots", k, l), build)
+
+
+def _d_poly(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
+    """The basic derivation d[k,l] on a polynomial, slot by slot on packed
+    monomials: each factor c[a,k] of a term becomes c[a,l]."""
     amb = p.ambient
-    dpar = amb.gen_parity(k, l)  # range-checks k and l
-    odd = amb.odd_mask
-    slots = []
-    for a in range(1, amb.size + 1):
-        uk, ul = amb.unit(a, k), amb.unit(a, l)
-        sign_mask = uk - 1 if dpar else 0
-        clash = 0
-        if uk != ul and amb.gen_parity(a, l):
-            lo, hi = min(uk, ul), max(uk, ul)
-            sign_mask ^= (hi - 1) & ~(2 * lo - 1)
-            clash = ul
-        slots.append((uk.bit_length() - 1, ul - uk, sign_mask, clash))
+    terms = p.terms.items()
     acc: dict = {}
-    for mono, c in p.terms.items():
-        mo_odd = mono & odd
-        for shift, delta, sign_mask, clash in slots:
+    for shift, delta, sign_mask, clash in _slots(amb, k, l):
+        for mono, c in terms:
             e = (mono >> shift) & FIELD_MASK
             if not e or mono & clash:
                 continue  # no factor c[a,k], or an odd c[a,l] squares to zero
             cc = c * e if e != 1 else c
-            if (mo_odd & sign_mask).bit_count() & 1:
+            if sign_mask and (mono & sign_mask).bit_count() & 1:
                 cc = -cc
             mo = mono + delta
             prev = acc.get(mo)
@@ -139,72 +148,44 @@ def _den_derivative(amb: Ambient, which: int, k: int, l: int) -> SuperPolynomial
 
 
 def _d_loc(x: LocalizedElement, k: int, l: int) -> LocalizedElement:
-    amb = x.ambient
-    da = _d_poly(x.num, k, l)
-    s, t = x.d_exp, x.d22_exp
-    bump_s = bool(s) and not _den_derivative(amb, 11, k, l).is_zero()
-    bump_t = bool(t) and not _den_derivative(amb, 22, k, l).is_zero()
-    num = da
-    if bump_s:
-        num = num * det_block11(amb)
-    if bump_t:
-        num = num * det_block22(amb)
-    if bump_s:
-        corr = (x.num * _den_derivative(amb, 11, k, l)).scale(s)
-        if bump_t:
-            corr = corr * det_block22(amb)
-        num = num - corr
-    if bump_t:
-        corr = (x.num * _den_derivative(amb, 22, k, l)).scale(t)
-        if bump_s:
-            corr = corr * det_block11(amb)
-        num = num - corr
-    return LocalizedElement(num, s + int(bump_s), t + int(bump_t))
+    amb, m, s, t = x.ambient, x.ambient.m, x.d_exp, x.d22_exp
+    dn = _d_poly(x.num, k, l)
+    if k == l:
+        eigen = s if k <= m else t
+        return LocalizedElement(dn - x.num.scale(eigen) if eigen else dn, s, t)
+    if k <= m < l and s:
+        dden = _den_derivative(amb, 11, k, l).scale(-s)
+        return LocalizedElement(dot(amb, ((dn, det_block11(amb)), (x.num, dden))), s + 1, t)
+    if l <= m < k and t:
+        dden = _den_derivative(amb, 22, k, l).scale(-t)
+        return LocalizedElement(dot(amb, ((dn, det_block22(amb)), (x.num, dden))), s, t + 1)
+    return LocalizedElement(dn, s, t)
 
 
 # -- divided powers and binomials via the integral lift ------------------------------
 
 
-def _through_lift(x: LocalizedElement, step) -> LocalizedElement:
-    """Run step on x with coefficients lifted to Q, then lower the result back
-    to x's field; in characteristic 0 both moves are the identity."""
-    field = x.ambient.field
-    out = step(LocalizedElement(field.lift(x.num), x.d_exp, x.d22_exp))
-    return LocalizedElement(field.lower(out.num), out.d_exp, out.d22_exp)
-
-
-def _apply_divided_loc(x: LocalizedElement, k: int, l: int, r: int) -> LocalizedElement:
-    if x.ambient.gen_parity(k, l):
+def _apply_lifted_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
+    """A divided power or a rising binomial: r basic steps with coefficients
+    lifted to Q, the factorial divided off, and the result lowered back to x's
+    field; in characteristic 0 the lift and the lowering are the identity."""
+    if op.kind == "divided" and x.ambient.gen_parity(op.k, op.l):
         raise UsageError("divided powers are defined for even directions only")
-    if r == 0:
+    if op.r == 0:
         return x
-
-    def divided(cur: LocalizedElement) -> LocalizedElement:
-        for _ in range(r):
-            cur = _d_loc(cur, k, l)
-        return loc_scale(cur, Fraction(1, factorial(r)))
-
-    return _through_lift(x, divided)
-
-
-def _apply_binomial_loc(x: LocalizedElement, k: int, r: int) -> LocalizedElement:
-    if r == 0:
-        return x
-
-    def rising(cur: LocalizedElement) -> LocalizedElement:
-        for i in range(r):
-            cur = loc_add(_d_loc(cur, k, k), loc_scale(cur, i))
-        return loc_scale(cur, Fraction(1, factorial(r)))
-
-    return _through_lift(x, rising)
+    field = x.ambient.field
+    cur = LocalizedElement(field.lift(x.num), x.d_exp, x.d22_exp)
+    for i in range(op.r):
+        step = _d_loc(cur, op.k, op.l)
+        cur = step if op.kind == "divided" else loc_add(step, loc_scale(cur, i))
+    cur = loc_scale(cur, Fraction(1, factorial(op.r)))
+    return LocalizedElement(field.lower(cur.num), cur.d_exp, cur.d22_exp)
 
 
 def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
     if op.kind == "basic":
         return _d_loc(x, op.k, op.l)
-    if op.kind == "divided":
-        return _apply_divided_loc(x, op.k, op.l, op.r)
-    return _apply_binomial_loc(x, op.k, op.r)
+    return _apply_lifted_loc(op, x)
 
 
 def apply_poly(op: Op, p: SuperPolynomial) -> SuperPolynomial:

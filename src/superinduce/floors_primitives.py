@@ -354,10 +354,16 @@ def pi_IJ(amb: Ambient, w: Weight, I, J):
     return divide_floor(raw, defect)
 
 
+#: Most multiplier vectors, (2·bound+1)^k for k vectors, that one combination
+#: search tries (about 1 ms each at (2,2)); the tests and benchmark try <= 25.
+SEARCH_CAP = 1_000
+
+
 def search_module_combinations(raws, defect: LocalizedElement, bound: int = 2):
     """Small integer combinations of cleared vectors that survive the defect
     division.  Vectors are normalized: first nonzero multiplier positive,
-    multipliers coprime.  Bounded search only — silence proves nothing."""
+    multipliers coprime.  Bounded search only — silence proves nothing.
+    More than SEARCH_CAP multiplier vectors raise UsageError."""
     if not raws:
         return []
     amb = raws[0].ambient
@@ -365,6 +371,10 @@ def search_module_combinations(raws, defect: LocalizedElement, bound: int = 2):
     for r in raws:
         if r.ambient != amb or r.floor != floor:
             raise UsageError("combination search needs matching floors")
+    # past the cap's bit length the count exceeds it anyway: clamp the exponent
+    if bound > 0 and (2 * bound + 1) ** min(len(raws), SEARCH_CAP.bit_length()) > SEARCH_CAP:
+        raise UsageError(f"combination search of {len(raws)} vectors with multipliers in "
+                         f"-{bound}..{bound} exceeds SEARCH_CAP = {SEARCH_CAP} vectors")
     results = []
     for vec in iter_product(range(-bound, bound + 1), repeat=len(raws)):
         nz = [c for c in vec if c]

@@ -22,7 +22,9 @@ a guard bit raises UsageError naming the cap.
 A polynomial is a dict from monomials to nonzero coefficients, tagged with
 its Ambient (sizes and characteristic).  A coefficient in Q is an int when it
 is integral and a Fraction with denominator > 1 otherwise; one in F_p is an
-int in 0..p-1.  All arithmetic is exact; nothing here ever rounds.
+int in 0..p-1.  All arithmetic is exact; nothing here ever rounds.  dot is the
+one product loop: it sums a·b over a list of pairs into one dict, and a * b is
+dot over the one pair.
 """
 
 from __future__ import annotations
@@ -378,26 +380,11 @@ class SuperPolynomial:
         return SuperPolynomial(self.ambient, {mo: v * c for mo, v in self.terms.items()})
 
     def __mul__(self, other):
-        amb = self.ambient
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        self._check_mate(other)
-        odd = amb.odd_mask
-        right = [(mb, cb, mb & odd, koszul_mask(mb & odd)) for mb, cb in other.terms.items()]
-        out: dict = {}
-        for ma, ca in self.terms.items():
-            oa = ma & odd
-            for mb, cb, ob, kb in right:
-                if oa & ob:
-                    continue  # a shared odd generator squares to zero
-                mo = ma + mb
-                c = -ca * cb if (oa & kb).bit_count() & 1 else ca * cb
-                prev = out.get(mo)
-                out[mo] = c if prev is None else prev + c
-        check_exponents(amb, out)
-        return SuperPolynomial(amb, out)
+        return dot(self.ambient, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -418,6 +405,29 @@ class SuperPolynomial:
 
     def __repr__(self):
         return f"SuperPolynomial({render_poly(self)!r})"
+
+
+def dot(amb: Ambient, pairs) -> SuperPolynomial:
+    """The sum of the products a·b over the (a, b) pairs of polynomials in
+    amb, accumulated in one dict: the one product loop of the ring."""
+    odd = amb.odd_mask
+    out: dict = {}
+    for a, b in pairs:
+        # ambient() shares instances, so identity settles nearly every pair
+        if not (a.ambient is amb is b.ambient or a.ambient == amb == b.ambient):
+            raise UsageError("operands live in different ambients")
+        right = [(mb, cb, mb & odd, koszul_mask(mb & odd)) for mb, cb in b.terms.items()]
+        for ma, ca in a.terms.items():
+            oa = ma & odd
+            for mb, cb, ob, kb in right:
+                if oa & ob:
+                    continue  # a shared odd generator squares to zero
+                mo = ma + mb
+                c = -ca * cb if (oa & kb).bit_count() & 1 else ca * cb
+                prev = out.get(mo)
+                out[mo] = c if prev is None else prev + c
+    check_exponents(amb, out)
+    return SuperPolynomial(amb, out)
 
 
 def weight_of(p: SuperPolynomial):

@@ -554,6 +554,7 @@ def test_oversized_sweeps_exit_2_naming_the_cap(argv):
         (["verify", "fwedge", "--m", "40", "--n", "40", "--max-entry", "0"], "cap of"),
         (["verify", "fwedge", "--m", "-1"], "must be positive"),
         (["emit", "linkage-graph", "--n", "0"], "must be positive"),
+        (["verify", "linkage", "--m", "-1"], "must be positive"),
     ],
 )
 def test_sweep_sizes_are_checked_before_the_sweep(capsys, argv, words):
@@ -627,6 +628,14 @@ def test_oversized_determinant_exits_2_naming_the_cap():
         (["verify", "fwedge", "--m", "1", "--n", "1", "--max-steps", "2"], "--max-steps"),
         (["verify", "fwedge", "--m", "1", "--n", "1", "--count", "2"], "--count"),
         (["verify", "fwedge", "--pairs", "[[1,1]]"], "--pairs"),
+        (["verify", "gen", "--pairs", "[[1,1],[2,2]]"], "--pairs"),
+        (["verify", "gen", "--count", "1", "--max-entry", "2"], "--max-entry"),
+        (["verify", "phi1", "--lambda", "[2,1|1,0]", "--i", "1"], "--i"),
+        (["verify", "phi1", "--m", "1", "--n", "1", "--max-steps", "2"], "--max-steps"),
+        (["verify", "lemmas", "--m", "1", "--n", "1", "--count", "3"], "--count"),
+        (["verify", "lemmas", "--j", "1"], "--j"),
+        (["verify", "identities", "--m", "2", "--max-entry", "0"], "--max-entry"),
+        (["verify", "identities", "--pairs", "[[1,1]]"], "--pairs"),
     ],
 )
 def test_sweeps_reject_options_they_never_read(capsys, argv, option):

@@ -1,6 +1,8 @@
 """The right-derivation engine: signs, quotient rule, divided powers, rewrite table."""
 
+from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from superinduce.fraction import (
     det_block11,
     det_block22,
     embed_poly,
+    loc_add,
     loc_eq,
     loc_scale,
 )
@@ -30,10 +33,11 @@ from superinduce.derivation import (
     embed_formal_factor,
     rewrite_rule_check,
     structured_rule,
+    _d_poly,
     _den_derivative,
 )
 from superinduce.minors import y_entry
-from superinduce.superpoly import EXPONENT_CAP
+from superinduce.superpoly import EXPONENT_CAP, leibniz_det
 from word_oracle import SIZES, pack, random_words, unpack, word_derivative
 
 
@@ -170,6 +174,107 @@ def test_block_determinant_derivatives():
     assert _den_derivative(amb, 22, 2, 2).is_zero()
     # downward mixed direction: generically nonzero
     assert not _den_derivative(amb, 22, 3, 1).is_zero()
+
+
+@pytest.mark.parametrize("m, n", list(product(range(1, 4), repeat=2)))
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_block_determinants_move_only_along_their_direction_class(m, n, char):
+    # each block determinant is multilinear in its columns: d[k,l] replaces
+    # column k by column l, so it is λ·det on the diagonal (λ = 1), a new
+    # determinant for a raise (D) or lower (D22) direction, and 0 otherwise
+    amb = ambient(m, n, char)
+    even = tuple(range(1, m + 1))
+    odd = tuple(range(m + 1, m + n + 1))
+    for k, l in product(range(1, m + n + 1), repeat=2):
+        for block, det, moved_by in (
+            (even, det_block11(amb), k <= m < l),
+            (odd, det_block22(amb), l <= m < k),
+        ):
+            got = _d_poly(det, k, l)
+            if k not in block:
+                assert got.is_zero(), (k, l)
+                continue
+            assert got == leibniz_det(amb, block, [l if c == k else c for c in block])
+            if k == l:
+                assert got == det, (k, l)
+            else:
+                assert got.is_zero() != moved_by, (k, l)
+
+
+def _parent_d_loc(x, k, l):
+    """The general quotient rule, probing whether each block determinant
+    moves: the route the closed form in derivation._d_loc replaced."""
+    amb = x.ambient
+    da = _d_poly(x.num, k, l)
+    s, t = x.d_exp, x.d22_exp
+    bump_s = bool(s) and not _den_derivative(amb, 11, k, l).is_zero()
+    bump_t = bool(t) and not _den_derivative(amb, 22, k, l).is_zero()
+    num = da
+    if bump_s:
+        num = num * det_block11(amb)
+    if bump_t:
+        num = num * det_block22(amb)
+    if bump_s:
+        corr = (x.num * _den_derivative(amb, 11, k, l)).scale(s)
+        if bump_t:
+            corr = corr * det_block22(amb)
+        num = num - corr
+    if bump_t:
+        corr = (x.num * _den_derivative(amb, 22, k, l)).scale(t)
+        if bump_s:
+            corr = corr * det_block11(amb)
+        num = num - corr
+    return LocalizedElement(num, s + int(bump_s), t + int(bump_t))
+
+
+def _parent_apply(op, x):
+    """apply_loc with every basic step taken by the parent's quotient rule."""
+    if op.kind == "basic":
+        return _parent_d_loc(x, op.k, op.l)
+    if op.r == 0:
+        return x
+    field = x.ambient.field
+    cur = LocalizedElement(field.lift(x.num), x.d_exp, x.d22_exp)
+    for i in range(op.r):
+        step = _parent_d_loc(cur, op.k, op.l)
+        cur = step if op.kind == "divided" else loc_add(step, loc_scale(cur, i))
+    cur = loc_scale(cur, Fraction(1, factorial(op.r)))
+    return LocalizedElement(field.lower(cur.num), cur.d_exp, cur.d22_exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([(2, 1), (1, 2), (2, 2), (3, 1)]),
+    st.sampled_from([0, 3]),
+)
+def test_closed_form_quotient_rule_equals_the_parents(data, size, char):
+    amb = ambient(*size, char)
+    m = amb.m
+    x = LocalizedElement(
+        _random_poly(amb, data), data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    )
+    r = data.draw(st.integers(0, 3))
+    for k, l in product(range(1, amb.size + 1), repeat=2):
+        ops = [basic(k, l)]
+        # a diagonal direction's divided powers leave the integral form in
+        # char p (c11 under d[1,1]^(3) is c11/6); its binomials do not
+        if k == l:
+            ops.append(binomial(k, r))
+        elif not amb.gen_parity(k, l):
+            ops.append(divided(k, l, r))
+        for op in ops:
+            assert loc_eq(apply_loc(op, x), _parent_apply(op, x)), (op, x)
+        got = apply_loc(basic(k, l), x)
+        if got.is_zero():
+            continue
+        grow = (got.d_exp - x.d_exp, got.d22_exp - x.d22_exp)
+        if k <= m < l and x.d_exp:
+            assert grow == (1, 0), (k, l)
+        elif l <= m < k and x.d22_exp:
+            assert grow == (0, 1), (k, l)
+        else:
+            assert grow == (0, 0), (k, l)
 
 
 def test_simple_lowering_directions_leave_denominators_inert():

@@ -4,8 +4,10 @@ first-floor vectors, extraction back out of the raw ring, and primitivity."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superinduce import floors_primitives
 from superinduce.derivation import apply_loc, basic
 from superinduce.floors_primitives import (
+    SEARCH_CAP,
     FloorElement,
     divide_floor,
     embed_floor,
@@ -343,6 +345,22 @@ def test_equal_minus_rows_need_the_other_combination():
     assert fe_eq(combo, expected)
     found = search_module_combinations([raw_a, raw_b], defect, bound=1)
     assert any(vec == (1, -1) for vec, _ in found)
+
+
+def test_combination_search_past_the_cap_raises_before_any_try(monkeypatch):
+    amb = ambient(2, 2)
+    raw, defect = pi_IJ_raw(amb, make_weight((3, 3), (1, 0)), (1, 2), (1, 2))
+    tries = []
+    monkeypatch.setattr(
+        floors_primitives, "divide_floor", lambda *args: tries.append(args)
+    )
+    # 5^5 = 3,125 multiplier vectors at the default bound; 7^5 at bound 3
+    for bound in (2, 3, 10**6):
+        with pytest.raises(UsageError, match=f"SEARCH_CAP = {SEARCH_CAP}"):
+            search_module_combinations([raw] * 5, defect, bound=bound)
+    with pytest.raises(UsageError, match="SEARCH_CAP"):
+        search_module_combinations([raw] * 100, defect, bound=1)
+    assert tries == []
 
 
 def test_first_floor_eigenvalues():

@@ -14,6 +14,7 @@ from superinduce.superpoly import (
     SuperPolynomial,
     UsageError,
     ambient,
+    dot,
     exact_divide,
     leibniz_det,
     parse_poly,
@@ -390,6 +391,27 @@ def test_mul_matches_word_oracle(data, size, char):
     a = random_words(amb, data)
     b = random_words(amb, data)
     assert unpack(pack(amb, a) * pack(amb, b)) == word_mul(amb, a, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(SIZES), st.sampled_from([0, 3]))
+def test_dot_is_the_sum_of_the_oracle_products(data, size, char):
+    amb = ambient(*size, char)
+    pairs = [
+        (random_words(amb, data), random_words(amb, data))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    want: dict = {}
+    for a, b in pairs:
+        for w, c in word_mul(amb, a, b).items():
+            want[w] = want.get(w, 0) + c
+    got = dot(amb, [(pack(amb, a), pack(amb, b)) for a, b in pairs])
+    assert unpack(got) == amb.field.clean(want)
+
+
+def test_dot_rejects_operands_from_another_ambient():
+    with pytest.raises(UsageError, match="different ambients"):
+        dot(A22, [(A22.one(), A22.one()), (A22.one(), A11.one())])
 
 
 def test_exponent_cap_is_reached_and_never_crossed():
