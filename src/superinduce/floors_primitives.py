@@ -23,6 +23,7 @@ from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import factorial, gcd
 from operator import mul
+from types import MappingProxyType
 
 from .derivation import apply_loc, basic
 from .fraction import (
@@ -36,6 +37,7 @@ from .fraction import (
     loc_eq,
     loc_mul,
     loc_pow,
+    loc_product,
     loc_scale,
     loc_sum,
     loc_weight,
@@ -65,6 +67,7 @@ from .weights_tableaux import (
     highest_vector,
     is_admissible_pair,
     is_dominant,
+    leading_minor_power,
     minor_power_product,
 )
 
@@ -144,14 +147,17 @@ def fe_eq(a: FloorElement, b: FloorElement) -> bool:
     return True
 
 
+def y_word(amb: Ambient, key) -> LocalizedElement:
+    """The product of the y entries of a nonempty exterior word, in its
+    order; built once per ring and word."""
+    return amb.cached(("yword", key), lambda: loc_product(
+        amb, [y_entry(amb, i, j) for i, j in key]))
+
+
 def embed_floor(x: FloorElement) -> LocalizedElement:
     amb = x.ambient
-    pieces = []
-    for key, term in x.terms.items():
-        for i, j in key:
-            term = loc_mul(term, y_entry(amb, i, j))
-        pieces.append(term)
-    return loc_sum(amb, pieces)
+    return loc_sum(amb, [loc_mul(term, y_word(amb, key)) if key else term
+                         for key, term in x.terms.items()])
 
 
 def floor_element_to_json(x: FloorElement) -> list:
@@ -164,26 +170,30 @@ def floor_element_to_json(x: FloorElement) -> list:
 # -- the distinguished first-floor vectors --------------------------------------------
 
 
-def rho_pair(amb: Ambient, i: int, j: int) -> dict:
-    """The weight-free part of the (i,j) vector: a map from mixed pairs to
-    localized coefficients.  The minus index j is relative (1..n)."""
+def rho_pair(amb: Ambient, i: int, j: int) -> MappingProxyType:
+    """The weight-free part of the (i,j) vector: a read-only map from mixed
+    pairs to localized coefficients, built once per ring.  The minus index j
+    is relative (1..n)."""
     m, n = amb.m, amb.n
     if not (1 <= i <= m and 1 <= j <= n):
         raise UsageError("rho indices out of range")
-    out = {}
-    for r in range(i, m + 1):
-        left = embed_poly(row_initial_minor(amb, tuple(range(1, i)) + (r,)))
-        if left.is_zero():
-            continue
-        for s in range(1, j + 1):
-            cols = tuple(m + u for u in range(1, j + 1) if u != s)
-            right = dminus(amb, cols)
-            coeff = loc_mul(left, right)
-            if (s + j) % 2 == 1:
-                coeff = loc_scale(coeff, -1)
-            if not coeff.is_zero():
-                out[(r, m + s)] = coeff
-    return out
+
+    def build():
+        out = {}
+        for r in range(i, m + 1):
+            left = embed_poly(row_initial_minor(amb, tuple(range(1, i)) + (r,)))
+            if left.is_zero():
+                continue
+            for s in range(1, j + 1):
+                cols = tuple(m + u for u in range(1, j + 1) if u != s)
+                coeff = loc_mul(left, dminus(amb, cols))
+                if (s + j) % 2 == 1:
+                    coeff = loc_scale(coeff, -1)
+                if not coeff.is_zero():
+                    out[(r, m + s)] = coeff
+        return MappingProxyType(out)
+
+    return amb.cached(("rho", i, j), build)
 
 
 def _check_pi_preconditions(w: Weight, i: int, j: int):
@@ -276,6 +286,28 @@ def pi_minus(amb: Ambient, w: Weight, j: int) -> FloorElement:
 # -- products of rho factors and the higher-floor vectors ----------------------------
 
 
+def rho_product(amb: Ambient, I, J) -> MappingProxyType:
+    """The signed product of the rho factors of the family (I|J), in its
+    order: a read-only map from exterior words to localized coefficients,
+    built once per ring and family."""
+
+    def build():
+        words = {(): embed_poly(amb.one())}
+        for i_s, j_s in zip(I, J):
+            new: dict = {}
+            for word, c in words.items():
+                for pair, c2 in rho_pair(amb, i_s, j_s).items():
+                    sign, merged = sort_with_sign(word + (pair,))
+                    if merged is None:
+                        continue
+                    add = loc_mul(c, c2)
+                    new.setdefault(merged, []).append(add if sign > 0 else loc_scale(add, -1))
+            words = {key: loc_sum(amb, pieces) for key, pieces in new.items()}
+        return MappingProxyType(words)
+
+    return amb.cached(("rhoproduct", tuple(I), tuple(J)), build)
+
+
 def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     """Cleared form of the higher-floor vector: returns (element, defect).
 
@@ -299,39 +331,23 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
         plus_exps[i_s - 1] -= 1
         if j_s > 1:
             minus_exps[j_s - 2] -= 1
-    defect = embed_poly(amb.one())
+    defect = []
     pos_plus, pos_minus = [], []
     for a, e in enumerate(plus_exps, start=1):
         if e < 0 and a < m:
-            defect = loc_mul(
-                defect, loc_pow(embed_poly(row_initial_minor(amb, range(1, a + 1))), -e)
-            )
+            defect.append(leading_minor_power(amb, "plus", a, -e))
             pos_plus.append(0)
         else:
             pos_plus.append(e)  # a == m may stay negative: D is invertible
     for b, e in enumerate(minus_exps, start=1):
         if e < 0:
-            defect = loc_mul(
-                defect, loc_pow(dminus(amb, range(m + 1, m + b + 1)), -e)
-            )
+            defect.append(leading_minor_power(amb, "minus", b, -e))
             pos_minus.append(0)
         else:
             pos_minus.append(e)
     v_pos = minor_power_product(amb, pos_plus, pos_minus)
-    words = {(): embed_poly(amb.one())}
-    for i_s, j_s in zip(I, J):
-        factor = rho_pair(amb, i_s, j_s)
-        new: dict = {}
-        for word, c in words.items():
-            for pair, c2 in factor.items():
-                sign, merged = sort_with_sign(word + (pair,))
-                if merged is None:
-                    continue
-                add = loc_mul(c, c2)
-                new.setdefault(merged, []).append(add if sign > 0 else loc_scale(add, -1))
-        words = {key: loc_sum(amb, pieces) for key, pieces in new.items()}
-    terms = {key: loc_mul(v_pos, c) for key, c in words.items()}
-    return FloorElement(amb, len(I), terms), defect
+    terms = {key: loc_mul(v_pos, c) for key, c in rho_product(amb, I, J).items()}
+    return FloorElement(amb, len(I), terms), loc_product(amb, defect)
 
 
 def divide_floor(x: FloorElement, defect: LocalizedElement):
@@ -648,11 +664,13 @@ def _divided_powers_vanish(emb: LocalizedElement, k: int, l: int) -> bool:
     the first power alone; in characteristic p the powers are taken in the
     integral lift and lowered back one at a time."""
     field = emb.ambient.field
-    u = LocalizedElement(field.lift(emb.num), emb.d_exp, emb.d22_exp)
-    bound = u.num.total_degree() + 1
+    lift = u = LocalizedElement(field.lift(emb.num), emb.d_exp, emb.d22_exp)
+    bound = 1  # a first power needs no bound; a second one reads the degree
     r = 0
     while not u.is_zero():
         r += 1
+        if r == 2:
+            bound = lift.num.total_degree() + 1
         if r > bound:
             raise InternalError("divided-power iteration failed to terminate")
         u = apply_loc(basic(k, l), u)

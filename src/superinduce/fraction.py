@@ -16,6 +16,7 @@ after a piece with larger exponents.
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from .superpoly import (
     Ambient,
@@ -131,6 +132,12 @@ def loc_sub(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
 
 def loc_mul(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
     return LocalizedElement(x.num * y.num, x.d_exp + y.d_exp, x.d22_exp + y.d22_exp)
+
+
+def loc_product(amb: Ambient, xs) -> LocalizedElement:
+    """The product of localized elements in order; one when there are none."""
+    xs = list(xs)
+    return reduce(loc_mul, xs) if xs else embed_poly(amb.one())
 
 
 def loc_scale(x: LocalizedElement, c) -> LocalizedElement:

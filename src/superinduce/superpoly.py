@@ -514,32 +514,16 @@ def _odd_layer(p: SuperPolynomial, k: int) -> SuperPolynomial:
     )
 
 
-def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
-    """Exact quotient a/b, or None when b does not divide a.
-
-    The divisor must be even and a non-zero-divisor.  Writing b = b0 + higher,
-    where the body b0 collects the terms free of odd generators, evenness makes
-    b invertible-modulo-divisibility exactly when b0 is nonzero; the quotient is
-    then recovered layer by layer in the number of odd factors, each layer being
-    an ordinary leading-term division by b0.  The result is verified by
-    multiplication before being returned.
-    """
-    if a.ambient != b.ambient:
-        raise UsageError("operands live in different ambients")
+def _layered_divide(a: SuperPolynomial, b: SuperPolynomial, b0: SuperPolynomial):
+    """a/b layer by layer in the number of odd factors, each layer one
+    leading-term division by the body b0; None when b does not divide a."""
     amb = a.ambient
-    if b.is_zero():
-        raise UsageError("division by the zero polynomial")
-    if b.parity() != 0:
-        raise UsageError("divisor must be even")
-    b0 = _odd_layer(b, 0)
-    if b0.is_zero():
-        raise UsageError("divisor is a zero divisor (its even-generator body vanishes)")
     quo = amb.zero()
     rem = a
     max_layers = 2 * amb.m * amb.n + 1
     for _ in range(max_layers + 1):
         if rem.is_zero():
-            break
+            return quo
         k = min(monomial_odd_degree(amb, mo) for mo in rem.terms)
         # one leading-term division clears the whole layer, odd word by odd word
         part = _commutative_divide(_odd_layer(rem, k), b0)
@@ -551,9 +535,40 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
             new_k = min(monomial_odd_degree(amb, mo) for mo in rem.terms)
             if new_k <= k:
                 return None
+    raise InternalError("layered division failed to terminate")
+
+
+def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
+    """Exact quotient a/b, or None when b does not divide a.
+
+    The divisor must be even and a non-zero-divisor.  Writing b = b0 + higher,
+    where the body b0 collects the terms free of odd generators, evenness makes
+    b invertible-modulo-divisibility exactly when b0 is nonzero.  A divisor
+    with no odd terms (b == b0: D, D22, the even-block minors and their
+    powers) divides the whole dividend in one leading-term division, since
+    each odd word of the dividend divides on its own.  Any other divisor
+    recovers the quotient layer by layer in the number of odd factors, each
+    layer being one leading-term division by b0.  Either way the result is
+    verified by multiplication before being returned.
+    """
+    if a.ambient != b.ambient:
+        raise UsageError("operands live in different ambients")
+    amb = a.ambient
+    if b.is_zero():
+        raise UsageError("division by the zero polynomial")
+    if b.parity() != 0:
+        raise UsageError("divisor must be even")
+    odd = amb.odd_mask
+    if not any(mo & odd for mo in b.terms):
+        quo = _commutative_divide(a, b)
     else:
-        raise InternalError("layered division failed to terminate")
-    if not (quo * b - a).is_zero():
+        b0 = _odd_layer(b, 0)
+        if b0.is_zero():
+            raise UsageError("divisor is a zero divisor (its even-generator body vanishes)")
+        quo = _layered_divide(a, b, b0)
+    if quo is None:
+        return None
+    if quo * b != a:
         raise InternalError("division verification failed")
     return quo
 

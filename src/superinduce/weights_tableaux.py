@@ -17,6 +17,7 @@ from .fraction import (
     embed_poly,
     loc_mul,
     loc_pow,
+    loc_product,
     loc_weight,
 )
 from .minors import loc_det, row_initial_minor, twisted_generator
@@ -265,27 +266,41 @@ def exponent_ledger(w: Weight):
     return plus, minus
 
 
+def leading_minor_power(amb: Ambient, block: str, size: int, e: int) -> LocalizedElement:
+    """The nested leading minor of the given size in the "plus" block (a
+    row-initial minor of the even block) or the "minus" block (a dminus
+    minor), to the power e >= 1; built once per ring and exponent."""
+
+    def build():
+        if block == "plus":
+            minor = embed_poly(row_initial_minor(amb, range(1, size + 1)))
+        else:
+            minor = dminus(amb, range(amb.m + 1, amb.m + size + 1))
+        return loc_pow(minor, e)
+
+    return amb.cached(("minorpow", block, size, e), build)
+
+
 def minor_power_product(amb: Ambient, plus_exps, minus_exps) -> LocalizedElement:
     """Product of nested leading minors to the given powers; only the full
     even-block minor may carry a negative power (it folds into the
     denominator)."""
-    out = embed_poly(amb.one())
+    factors = []
+    d_exp = 0
     for a, e in enumerate(plus_exps, start=1):
-        if e == 0:
-            continue
         if e < 0:
             if a != amb.m:
                 raise InternalError("negative exponent on a non-invertible minor")
-            out = loc_mul(out, LocalizedElement(amb.one(), -e, 0))
-        else:
-            minor = row_initial_minor(amb, range(1, a + 1))
-            out = loc_mul(out, loc_pow(embed_poly(minor), e))
+            d_exp = -e
+        elif e:
+            factors.append(leading_minor_power(amb, "plus", a, e))
     for b, e in enumerate(minus_exps, start=1):
         if e < 0:
             raise InternalError("negative exponent on a minus minor")
         if e:
-            out = loc_mul(out, loc_pow(dminus(amb, range(amb.m + 1, amb.m + b + 1)), e))
-    return out
+            factors.append(leading_minor_power(amb, "minus", b, e))
+    out = loc_product(amb, factors)
+    return LocalizedElement(out.num, out.d_exp + d_exp, out.d22_exp)
 
 
 def highest_vector(amb: Ambient, w: Weight) -> LocalizedElement:

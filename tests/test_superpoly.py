@@ -22,6 +22,7 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus
+from builder_oracle import layered_exact_divide
 from word_oracle import SIZES, pack, random_words, unpack, word_mul
 
 
@@ -513,3 +514,57 @@ def test_exact_divide_keeps_the_exponent_cap(char):
     with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
         exact_divide(c11**2 * c22**EXPONENT_CAP, c11**2 + c22**2)
     assert exact_divide(c11**2 * c22**(EXPONENT_CAP - 2), c11**2 + c22**2) is None
+
+
+# -- one leading-term division for divisors with no odd terms ------------------------
+
+
+def _draw_body_divisor(data, amb):
+    """A nonzero divisor with no odd terms: a sum of products of even
+    generators; None when its coefficients vanish mod p."""
+    even, _ = _even_and_odd_gens(amb)
+    b = amb.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        term = amb.scalar(data.draw(st.integers(1, 3)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            term = term * data.draw(st.sampled_from(even))
+        b = b + term
+    return None if b.is_zero() else b
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]), st.sampled_from([0, 3]))
+def test_one_pass_division_equals_the_layered_route(data, size, char):
+    amb = ambient(*size, char)
+    b = _draw_body_divisor(data, amb)
+    if b is None:
+        return
+    assert not any(mo & amb.odd_mask for mo in b.terms)
+    a = random_poly(amb, data, max_terms=4)  # carries odd words
+    assert exact_divide(a * b, b) == layered_exact_divide(a * b, b) == a
+    # a dividend that b need not divide: both routes agree, None included
+    x = a * b + random_poly(amb, data, max_terms=2)
+    assert exact_divide(x, b) == layered_exact_divide(x, b)
+    if b.total_degree() > 0:
+        # a unit times an odd word is below b's leading monomial: never divisible
+        _, odd = _even_and_odd_gens(amb)
+        miss = a * b + data.draw(st.sampled_from(odd))
+        assert exact_divide(miss, b) is None
+        assert layered_exact_divide(miss, b) is None
+
+
+def test_layered_route_only_for_divisors_with_odd_terms(monkeypatch):
+    import superinduce.superpoly as superpoly
+
+    layered = []
+    real = superpoly._layered_divide
+    monkeypatch.setattr(superpoly, "_layered_divide",
+                        lambda a, b, b0: layered.append(b) or real(a, b, b0))
+    amb = ambient(2, 2, 3)
+    d22 = den_power(amb, 0, 2)
+    odd_word = amb.gen(1, 3) * amb.gen(3, 2)
+    assert exact_divide(odd_word * d22, d22) == odd_word
+    assert layered == []
+    minus = dminus(amb, (3, 4)).num
+    assert exact_divide(odd_word * minus, minus) == odd_word
+    assert layered == [minus]
