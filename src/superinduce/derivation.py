@@ -10,12 +10,11 @@ same exponents (λ = s for k <= m, else t).  Only a raise direction (k <= m < l)
 moves D and only a lower one (l <= m < k) moves D22, by the one fused product
 dN·D - s·N·dD over D^(s+1) (or its D22 twin); every other direction kills both.
 
-Divided powers and rising-binomial operators go through the integral lift
-of the ambient's coefficient field: coefficients are raised to
-characteristic zero, the basic operator is iterated there, the factorial is
-divided off exactly, and the result is lowered back once its denominators
-are known to be invertible.  Over Q the lift and the lowering are the
-identity.
+Divided powers and rising binomials are closed forms on the integral
+(Kostant Z-form) basis, with integer coefficients reduced once by the field.
+An even off-diagonal direction kills D and D22, and its d^(r) = d^r/r! is a
+product of binomial coefficients row by row; a diagonal direction scales each
+term, an eigenvector, by a function of its eigenvalue.
 
 The structured rewrite table in this module and the direct quotient-rule
 route are deliberately independent of each other; tests compare the two on
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .fraction import (
     LocalizedElement,
@@ -51,6 +50,7 @@ from .superpoly import (
     UsageError,
     check_exponents,
     dot,
+    monomial_degree,
     sort_with_sign,
 )
 from .weights_tableaux import dminus
@@ -162,30 +162,84 @@ def _d_loc(x: LocalizedElement, k: int, l: int) -> LocalizedElement:
     return LocalizedElement(dn, s, t)
 
 
-# -- divided powers and binomials via the integral lift ------------------------------
+# -- divided powers and binomials in closed form -------------------------------------
 
 
-def _apply_lifted_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
-    """A divided power or a rising binomial: r basic steps with coefficients
-    lifted to Q, the factorial divided off, and the result lowered back to x's
-    field; in characteristic 0 the lift and the lowering are the identity."""
-    if op.kind == "divided" and x.ambient.gen_parity(op.k, op.l):
-        raise UsageError("divided powers are defined for even directions only")
-    if op.r == 0:
-        return x
-    field = x.ambient.field
-    cur = LocalizedElement(field.lift(x.num), x.d_exp, x.d22_exp)
-    for i in range(op.r):
-        step = _d_loc(cur, op.k, op.l)
-        cur = step if op.kind == "divided" else loc_add(step, loc_scale(cur, i))
-    cur = loc_scale(cur, Fraction(1, factorial(op.r)))
-    return LocalizedElement(field.lower(cur.num), cur.d_exp, cur.d22_exp)
+def divided_power(p: SuperPolynomial, k: int, l: int, r: int | None) -> SuperPolynomial:
+    """The divided power d[k,l]^(r) = d^r/r! of an even off-diagonal direction
+    on a polynomial, in closed form: a term moves r_a of the e_a factors
+    c[a,k] of each row a to c[a,l], with coefficient binom(e_a, r_a), over all
+    (r_a) with sum r.  An odd row has e_a <= 1, is blocked by an odd c[a,l]
+    (the slot's clash bit) and signs its move by its own odd bits between the
+    two slots, so rows move independently and in any order.
+
+    With r None the result is the sum of the powers r >= 1 together: on a
+    polynomial homogeneous in column content, the power r adds r to column l,
+    so distinct powers land on distinct monomials and the sum vanishes exactly
+    when every power does."""
+    amb = p.ambient
+    if k == l or amb.gen_parity(k, l):
+        raise UsageError("closed-form divided powers are for even off-diagonal directions")
+    if r == 1:
+        return _d_poly(p, k, l)  # binom(e_a, 1) = e_a: the basic derivation
+    slots = _slots(amb, k, l)
+    column_k = sum(FIELD_MASK << shift for shift, *_ in slots)
+    acc: dict = {}
+    for mono, c in p.terms.items():
+        images = [(mono, c)]  # the term, then every combination of row moves
+        for shift, delta, sign_mask, clash in slots:
+            e = (mono >> shift) & FIELD_MASK
+            if not e or mono & clash:
+                continue  # no factor c[a,k], or an odd c[a,l] squares to zero
+            if sign_mask and (mono & sign_mask).bit_count() & 1:
+                images += [(mo + delta, -cc) for mo, cc in images]  # an odd row: e = 1
+            else:
+                images += [(mo + j * delta, comb(e, j) * cc)
+                           for mo, cc in images for j in range(1, e + 1)]
+        if r is None:
+            del images[0]
+        else:  # the order of an image: the factors that left column k
+            images = [(mo, cc) for mo, cc in images
+                      if monomial_degree((mono & column_k) - (mo & column_k)) == r]
+        for mo, cc in images:
+            prev = acc.get(mo)
+            acc[mo] = cc if prev is None else prev + cc
+    check_exponents(amb, acc)
+    return SuperPolynomial(amb, acc)
+
+
+def _diagonal_power(op: Op, x: LocalizedElement) -> LocalizedElement:
+    """d[k,k]^(r) or binom(d[k,k]; r): a term N/(D^s·D22^t) is an eigenvector
+    of eigenvalue μ = (column-k content of N) - λ (λ = s for k <= m, else t),
+    scaled by μ^r/r! or by the rising binomial μ(μ+1)...(μ+r-1)/r!."""
+    amb, k, r = x.ambient, op.k, op.r
+    shifts = [shift for shift, *_ in _slots(amb, k, k)]
+    lam = x.d_exp if k <= amb.m else x.d22_exp
+    factors: dict = {}
+    out = {}
+    for mono, c in x.num.terms.items():
+        mu = sum((mono >> shift) & FIELD_MASK for shift in shifts) - lam
+        if mu not in factors:
+            top = prod(range(mu, mu + r)) if op.kind == "binomial" else mu**r
+            try:
+                factors[mu] = amb.field.intake(Fraction(top, factorial(r)))
+            except UsageError as exc:
+                raise InternalError("a divided operator left the integral form") from exc
+        out[mono] = c * factors[mu]
+    return LocalizedElement(SuperPolynomial(amb, out), x.d_exp, x.d22_exp)
 
 
 def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
     if op.kind == "basic":
         return _d_loc(x, op.k, op.l)
-    return _apply_lifted_loc(op, x)
+    if op.kind == "divided" and x.ambient.gen_parity(op.k, op.l):
+        raise UsageError("divided powers are defined for even directions only")
+    if op.r == 0:
+        return x
+    if op.k == op.l:
+        return _diagonal_power(op, x)
+    # an even off-diagonal direction kills D and D22: the numerator alone moves
+    return LocalizedElement(divided_power(x.num, op.k, op.l, op.r), x.d_exp, x.d22_exp)
 
 
 def apply_poly(op: Op, p: SuperPolynomial) -> SuperPolynomial:

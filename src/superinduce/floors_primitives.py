@@ -18,14 +18,13 @@ instead of clearing denominators silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product as iter_product
-from math import factorial, gcd
+from math import gcd
 from operator import mul
 from types import MappingProxyType
 
-from .derivation import apply_loc, basic
+from .derivation import apply_loc, basic, divided_power
 from .fraction import (
     LocalizedElement,
     common_numerators,
@@ -659,35 +658,18 @@ def _simple_lowering_directions(amb: Ambient):
     return dirs
 
 
-def _divided_powers_vanish(emb: LocalizedElement, k: int, l: int) -> bool:
-    """Every divided power of d[k,l] kills emb.  In characteristic 0 this is
-    the first power alone; in characteristic p the powers are taken in the
-    integral lift and lowered back one at a time."""
-    field = emb.ambient.field
-    lift = u = LocalizedElement(field.lift(emb.num), emb.d_exp, emb.d22_exp)
-    bound = 1  # a first power needs no bound; a second one reads the degree
-    r = 0
-    while not u.is_zero():
-        r += 1
-        if r == 2:
-            bound = lift.num.total_degree() + 1
-        if r > bound:
-            raise InternalError("divided-power iteration failed to terminate")
-        u = apply_loc(basic(k, l), u)
-        if not field.lower(u.num.scale(Fraction(1, factorial(r)))).is_zero():
-            return False
-    return True
-
-
 def is_primitive(x: FloorElement) -> bool:
     """True when the embedded element is killed by every simple lowering
-    direction of the even subgroup — in positive characteristic including all
-    divided powers, checked through the integral lift."""
+    direction of the even subgroup — in positive characteristic by all of its
+    divided powers.  A simple lowering direction kills D and D22, so the
+    numerator alone decides: in characteristic 0 its first power, and in
+    characteristic p one closed-form enumeration of every power at once."""
     emb = embed_floor(x)
     if loc_weight(emb) is None:
         raise UsageError("primitivity is defined for weight-homogeneous elements")
+    r = None if x.ambient.char else 1
     return all(
-        _divided_powers_vanish(emb, k, l)
+        divided_power(emb.num, k, l, r).is_zero()
         for k, l in _simple_lowering_directions(x.ambient)
     )
 

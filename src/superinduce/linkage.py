@@ -101,15 +101,24 @@ def bilinear_form(u, v, m: int, n: int):
     return plus - minus
 
 
-def omega_via_form(w: Weight, i: int, j: int):
-    """The grid entry recomputed as a pairing of λ+ρ against a mixed root."""
+@lru_cache(maxsize=None)
+def _twice_rho(m: int, n: int) -> tuple:
+    """2ρ, which is integral, read from rho_weight once per size."""
+    return tuple(int(2 * r) for r in rho_weight(m, n))
+
+
+def omega_via_form(w: Weight, i: int, j: int) -> int:
+    """The grid entry recomputed as a pairing of λ+ρ against a mixed root, in
+    integers: 2λ+2ρ is paired, and the pairing halved."""
     m, n = w.m, w.n
-    rho = rho_weight(m, n)
-    shifted = tuple(a + r for a, r in zip(w.plus + w.minus, rho))
+    shifted = tuple(2 * a + r for a, r in zip(w.plus + w.minus, _twice_rho(m, n)))
     alpha = [0] * (m + n)
     alpha[i - 1] = 1
     alpha[m + j - 1] = -1
-    return bilinear_form(shifted, alpha, m, n)
+    twice = bilinear_form(shifted, alpha, m, n)
+    if twice % 2:
+        raise InternalError("the doubled pairing of λ+ρ with a mixed root is odd")
+    return twice // 2
 
 
 # -- block linkage for one general linear factor --------------------------------------

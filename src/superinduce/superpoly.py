@@ -30,6 +30,7 @@ dot over the one pair.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
@@ -85,8 +86,7 @@ class Rationals:
     """The field Q.  An integral coefficient is a Python int and any other is
     a Fraction with denominator > 1; int and Fraction mix exactly under
     + - * and agree on ==, hash and str, so the kernels need not tell them
-    apart.  Characteristic zero is its own integral form, so the lift and the
-    lowering return their argument."""
+    apart."""
 
     def intake(self, x):
         """Normalize an int, Fraction or numeral string into the field."""
@@ -105,20 +105,9 @@ class Rationals:
             raise UsageError("division by zero coefficient")
         return _integral_as_int(1 / Fraction(a))
 
-    def lift(self, poly: "SuperPolynomial") -> "SuperPolynomial":
-        return poly
-
-    def lower(self, p0: "SuperPolynomial") -> "SuperPolynomial":
-        return p0
-
 
 class PrimeField:
-    """The field F_p for an odd prime p: integer coefficients in 0..p-1.
-
-    Divided powers are computed through the integral lift: coefficients are
-    raised to Q, the operator runs there, and the result is lowered back
-    once its denominators are known to be invertible mod p.
-    """
+    """The field F_p for an odd prime p: integer coefficients in 0..p-1."""
 
     def __init__(self, p: int):
         self.char = p
@@ -141,20 +130,6 @@ class PrimeField:
         if a % self.char == 0:
             raise UsageError("division by zero coefficient")
         return pow(a, -1, self.char)
-
-    def lift(self, poly: "SuperPolynomial") -> "SuperPolynomial":
-        """The same polynomial with its coefficients read in Q: the residues
-        0..p-1 are already integral elements of Q."""
-        amb0 = ambient(poly.ambient.m, poly.ambient.n, 0)
-        return SuperPolynomial(amb0, poly.terms)
-
-    def lower(self, p0: "SuperPolynomial") -> "SuperPolynomial":
-        """Reduce a p-integral polynomial over Q into this field."""
-        try:
-            terms = {mo: self.intake(c) for mo, c in p0.terms.items()}
-        except UsageError as exc:
-            raise InternalError("a divided operator left the integral form") from exc
-        return SuperPolynomial(ambient(p0.ambient.m, p0.ambient.n, self.char), terms)
 
 
 FIELD_BITS = 16
@@ -191,10 +166,12 @@ class Ambient:
         default_factory=dict, compare=False, repr=False, hash=False
     )
     # packing tables: the bits of the odd generators, the guard bit of every
-    # field, and the generator of each field, least significant first
+    # field, the generator of each field, least significant first, and the
+    # slice of each column's fields in a native 16-bit view of a monomial
     odd_mask: int = dataclass_field(init=False, compare=False, repr=False, hash=False)
     guard_mask: int = dataclass_field(init=False, compare=False, repr=False, hash=False)
     field_gens: tuple = dataclass_field(init=False, compare=False, repr=False, hash=False)
+    column_slices: tuple = dataclass_field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -209,6 +186,7 @@ class Ambient:
         object.__setattr__(self, "odd_mask", odd)
         object.__setattr__(self, "guard_mask", guard)
         object.__setattr__(self, "field_gens", gens)
+        object.__setattr__(self, "column_slices", column_slices(s, sys.byteorder))
 
     @property
     def size(self) -> int:
@@ -278,12 +256,26 @@ def monomial_items(amb: Ambient, mono: Monomial) -> list:
     return items
 
 
+def field_view(mono: Monomial, nbytes: int) -> memoryview:
+    """The exponent fields of a monomial of at most nbytes bytes, read in C
+    through one native-order 16-bit view: element f is field f (counted from
+    the least significant) on a little-endian machine, and field
+    nbytes/2 - 1 - f on a big-endian one."""
+    return memoryview(mono.to_bytes(nbytes, sys.byteorder)).cast("H")
+
+
+def column_slices(s: int, byteorder: str) -> tuple:
+    """The slice of each column 1..s in a field view of an s-by-s monomial
+    laid out in byteorder.  c[i,j] is field (s-i)·s + (s-j), so column j is
+    every s-th field from s-j (little-endian) or, with the fields reversed,
+    every s-th element from j-1 (big-endian)."""
+    if byteorder == "little":
+        return tuple(slice(s - j, None, s) for j in range(1, s + 1))
+    return tuple(slice(j - 1, None, s) for j in range(1, s + 1))
+
+
 def monomial_degree(mono: Monomial) -> int:
-    deg = 0
-    while mono:
-        deg += mono & FIELD_MASK
-        mono >>= FIELD_BITS
-    return deg
+    return sum(field_view(mono, (mono.bit_length() + 15) >> 4 << 1))
 
 
 def monomial_odd_degree(amb: Ambient, mono: Monomial) -> int:
@@ -312,10 +304,8 @@ def koszul_mask(odd_bits: int) -> int:
 
 
 def monomial_column_content(amb: Ambient, mono: Monomial) -> tuple:
-    counts = [0] * amb.size
-    for (_, j), e in monomial_items(amb, mono):
-        counts[j - 1] += e
-    return tuple(counts)
+    view = field_view(mono, 2 * len(amb.field_gens))
+    return tuple(sum(view[cols]) for cols in amb.column_slices)
 
 
 # -- polynomials -------------------------------------------------------------
@@ -449,15 +439,21 @@ def weight_of(p: SuperPolynomial):
 # -- exact division -----------------------------------------------------------
 
 
-def _division_key(mono: Monomial):
-    # graded lexicographic over the full generator grid (int order is the
-    # lexicographic order from c[1,1]); multiplicative, so a single-divisor
-    # remainder of zero is equivalent to exact divisibility
-    return (monomial_degree(mono), mono)
+def _division_ranks(amb: Ambient, monos) -> list:
+    """Where each monomial stands in the division order, leading terms first:
+    fewer odd factors, then the larger packed int (lexicographic from
+    c[1,1]).  Both parts add under a nonzero product, so the order is
+    multiplicative, and it is well founded (the odd count is bounded, and a
+    lexicographic order of exponent vectors is a well-order), with no degree
+    to read.  An even divisor with a nonzero body leads with an odd-free
+    term."""
+    odd = amb.odd_mask
+    return [((mo & odd).bit_count(), -mo) for mo in monos]
 
 
 def _even_monomial_divide(amb: Ambient, u: Monomial, v: Monomial):
-    """u / v for monomials in even generators only; None when not divisible.
+    """u / v for a monomial v in even generators only; None when v does not
+    divide u.
 
     Setting every guard bit of u first keeps each field's borrow inside the
     field; a guard bit that survives marks a field where u covers v.
@@ -469,87 +465,20 @@ def _even_monomial_divide(amb: Ambient, u: Monomial, v: Monomial):
     return diff ^ guard
 
 
-def _commutative_divide(x: SuperPolynomial, b0: SuperPolynomial):
-    """Exact division by a polynomial in even generators, leading-term style.
-
-    x may carry odd generators: adding a monomial of b0 neither signs a term
-    nor changes its odd word, so each odd word divides on its own in one pass.
-    The leading terms come off a heap keyed by (-degree, -monomial), a popped
-    monomial that has left the remainder is skipped, and a new monomial's
-    degree is deg(qm) + deg(mb) (Monagan & Pearce).  Each quotient term
-    updates the one remainder dict in place; the field reduces the touched
-    coefficients and drops zeros."""
-    amb = x.ambient
-    field = amb.field
-    b_terms = [(mb, cb, monomial_degree(mb)) for mb, cb in b0.terms.items()]
-    lead_b, lc_b, deg_b = max(b_terms, key=lambda t: (t[2], t[0]))
-    lc_b_inv = field.inv(lc_b)
-    quo: dict = {}
-    rem = dict(x.terms)
-    heap = [(-monomial_degree(mo), -mo) for mo in rem]
-    heapify(heap)
-    while heap:
-        neg_deg, neg_u = heappop(heap)
-        u = -neg_u
-        if u not in rem:
-            continue
-        qm = _even_monomial_divide(amb, u, lead_b)
-        if qm is None:
-            return None
-        qc = quo[qm] = rem[u] * lc_b_inv
-        deg_q = -neg_deg - deg_b
-        touched = {qm + mb: cb for mb, cb, _ in b_terms}
-        check_exponents(amb, touched)
-        for mb, _, db in b_terms:
-            if qm + mb not in rem:
-                heappush(heap, (-deg_q - db, -qm - mb))
-        rem.update(field.clean({mo: rem.pop(mo, 0) - qc * cb for mo, cb in touched.items()}))
-    return SuperPolynomial(amb, quo)
-
-
-def _odd_layer(p: SuperPolynomial, k: int) -> SuperPolynomial:
-    amb = p.ambient
-    return SuperPolynomial(
-        amb, {mo: c for mo, c in p.terms.items() if monomial_odd_degree(amb, mo) == k}
-    )
-
-
-def _layered_divide(a: SuperPolynomial, b: SuperPolynomial, b0: SuperPolynomial):
-    """a/b layer by layer in the number of odd factors, each layer one
-    leading-term division by the body b0; None when b does not divide a."""
-    amb = a.ambient
-    quo = amb.zero()
-    rem = a
-    max_layers = 2 * amb.m * amb.n + 1
-    for _ in range(max_layers + 1):
-        if rem.is_zero():
-            return quo
-        k = min(monomial_odd_degree(amb, mo) for mo in rem.terms)
-        # one leading-term division clears the whole layer, odd word by odd word
-        part = _commutative_divide(_odd_layer(rem, k), b0)
-        if part is None:
-            return None
-        quo = quo + part
-        rem = rem - part * b
-        if not rem.is_zero():
-            new_k = min(monomial_odd_degree(amb, mo) for mo in rem.terms)
-            if new_k <= k:
-                return None
-    raise InternalError("layered division failed to terminate")
-
-
 def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
     """Exact quotient a/b, or None when b does not divide a.
 
     The divisor must be even and a non-zero-divisor.  Writing b = b0 + higher,
     where the body b0 collects the terms free of odd generators, evenness makes
-    b invertible-modulo-divisibility exactly when b0 is nonzero.  A divisor
-    with no odd terms (b == b0: D, D22, the even-block minors and their
-    powers) divides the whole dividend in one leading-term division, since
-    each odd word of the dividend divides on its own.  Any other divisor
-    recovers the quotient layer by layer in the number of odd factors, each
-    layer being one leading-term division by b0.  Either way the result is
-    verified by multiplication before being returned.
+    b invertible-modulo-divisibility exactly when b0 is nonzero.  Then b's
+    leading term in the division order (fewer odd factors first, then the
+    larger packed int) is odd-free, so its product with a quotient term never
+    vanishes and is never signed, and one leading-term division recovers the
+    quotient (Monagan & Pearce): the remainder's leading terms come off a
+    heap, a popped monomial that has left the remainder is skipped, and each
+    quotient term subtracts its product with every other divisor term, signed
+    and skipped as `dot` does.  The result is verified by multiplication
+    before being returned.
     """
     if a.ambient != b.ambient:
         raise UsageError("operands live in different ambients")
@@ -559,18 +488,41 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
     if b.parity() != 0:
         raise UsageError("divisor must be even")
     odd = amb.odd_mask
-    if not any(mo & odd for mo in b.terms):
-        quo = _commutative_divide(a, b)
-    else:
-        b0 = _odd_layer(b, 0)
-        if b0.is_zero():
-            raise UsageError("divisor is a zero divisor (its even-generator body vanishes)")
-        quo = _layered_divide(a, b, b0)
-    if quo is None:
-        return None
-    if quo * b != a:
+    field = amb.field
+    lead_b = -min(_division_ranks(amb, b.terms))[1]
+    if lead_b & odd:
+        raise UsageError("divisor is a zero divisor (its even-generator body vanishes)")
+    lc_b_inv = field.inv(b.terms[lead_b])
+    rest = [(mb, cb, mb & odd, koszul_mask(mb & odd), (mb & odd).bit_count())
+            for mb, cb in b.terms.items() if mb != lead_b]
+    quo: dict = {}
+    rem = dict(a.terms)
+    heap = _division_ranks(amb, rem)
+    heapify(heap)
+    while heap:
+        odd_u, neg_u = heappop(heap)
+        u = -neg_u
+        if u not in rem:
+            continue
+        qm = _even_monomial_divide(amb, u, lead_b)
+        if qm is None:
+            return None
+        qc = quo[qm] = rem.pop(u) * lc_b_inv
+        oq = qm & odd
+        touched: dict = {}
+        for mb, cb, ob, kb, odd_b in rest:
+            if oq & ob:
+                continue  # a shared odd generator squares to zero
+            mo = qm + mb
+            touched[mo] = qc * cb if (oq & kb).bit_count() & 1 else -qc * cb
+            if mo not in rem:
+                heappush(heap, (odd_u + odd_b, -mo))
+        check_exponents(amb, touched)
+        rem.update(field.clean({mo: rem.pop(mo, 0) + c for mo, c in touched.items()}))
+    quo_poly = SuperPolynomial(amb, quo)
+    if quo_poly * b != a:
         raise InternalError("division verification failed")
-    return quo
+    return quo_poly
 
 
 # -- generic determinants ------------------------------------------------------
@@ -659,12 +611,18 @@ def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
 # -- text format ----------------------------------------------------------------
 
 
+def _render_key(mono: Monomial):
+    # graded lexicographic over the full generator grid (int order is the
+    # lexicographic order from c[1,1])
+    return (monomial_degree(mono), mono)
+
+
 def render_poly(p: SuperPolynomial) -> str:
     """Canonical text form: sign-prefixed terms, leading monomials first."""
     if p.is_zero():
         return "0"
     amb = p.ambient
-    ordered = sorted(p.terms, key=_division_key, reverse=True)
+    ordered = sorted(p.terms, key=_render_key, reverse=True)
     parts = []
     for mono in ordered:
         c = p.terms[mono]

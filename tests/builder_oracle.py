@@ -1,20 +1,31 @@
-"""The per-call builders that the per-ring caches replaced, kept only as test
-oracles.
+"""The routes that faster or cached ones replaced, kept only as test oracles.
 
-Each function rebuilds its value from the ring's primitives on every call, the
-way the floor builders did before their weight-free parts moved into
+Each floor builder rebuilds its value from the ring's primitives on every
+call, the way the floor builders did before their weight-free parts moved into
 `Ambient.cached`: the rho factors, the signed rho product of a family, the
 leading-minor powers, the y entries of an exterior word multiplied into a
-coefficient one at a time, and the higher-floor vector with its defect.  The
-layered division is the route `exact_divide` took for every divisor before
-a divisor with no odd terms got one leading-term division over the whole
-dividend.
+coefficient one at a time, and the higher-floor vector with its defect.
+
+The integral lift runs a divided power or a rising binomial the long way: the
+coefficients are read in Q, the basic operator is iterated, the factorial is
+divided off, and the result is lowered back into F_p; the divided-power loop
+of primitivity runs the same way, one power at a time, up to a degree bound.
+The layered division divides layer by layer in the number of odd factors,
+each layer one graded-lexicographic leading-term division by the divisor's
+odd-free body.  The per-field loops read a packed monomial's exponents one
+16-bit field at a time.
 """
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import factorial
+
+from superinduce.derivation import apply_loc, basic
 from superinduce.floors_primitives import FloorElement
 from superinduce.fraction import (
     LocalizedElement,
     embed_poly,
+    loc_add,
     loc_mul,
     loc_pow,
     loc_scale,
@@ -22,10 +33,13 @@ from superinduce.fraction import (
 )
 from superinduce.minors import row_initial_minor, y_entry
 from superinduce.superpoly import (
+    FIELD_BITS,
+    FIELD_MASK,
     InternalError,
+    SuperPolynomial,
     UsageError,
-    _commutative_divide,
-    _odd_layer,
+    ambient,
+    check_exponents,
     monomial_odd_degree,
     sort_with_sign,
 )
@@ -141,7 +155,7 @@ def layered_exact_divide(a, b):
     """a/b by the layered route for every divisor, or None when b does not
     divide a."""
     amb = a.ambient
-    b0 = _odd_layer(b, 0)
+    b0 = odd_layer(b, 0)
     if b0.is_zero():
         raise UsageError("divisor is a zero divisor (its even-generator body vanishes)")
     quo = amb.zero()
@@ -151,7 +165,7 @@ def layered_exact_divide(a, b):
         if rem.is_zero():
             break
         k = min(monomial_odd_degree(amb, mo) for mo in rem.terms)
-        part = _commutative_divide(_odd_layer(rem, k), b0)
+        part = commutative_divide(odd_layer(rem, k), b0)
         if part is None:
             return None
         quo = quo + part
@@ -165,3 +179,138 @@ def layered_exact_divide(a, b):
     if not (quo * b - a).is_zero():
         raise InternalError("division verification failed")
     return quo
+
+
+# -- per-field monomial loops ----------------------------------------------------
+
+
+def loop_monomial_degree(mono):
+    deg = 0
+    while mono:
+        deg += mono & FIELD_MASK
+        mono >>= FIELD_BITS
+    return deg
+
+
+def loop_column_content(amb, mono):
+    counts = [0] * amb.size
+    for f, (_, j) in enumerate(amb.field_gens):
+        counts[j - 1] += (mono >> (f * FIELD_BITS)) & FIELD_MASK
+    return tuple(counts)
+
+
+def loop_monomial_items(amb, mono):
+    gens = amb.field_gens
+    return [(gens[f], e) for f in reversed(range(len(gens)))
+            if (e := (mono >> (f * FIELD_BITS)) & FIELD_MASK)]
+
+
+# -- the layered division ----------------------------------------------------------
+
+
+def odd_layer(p, k):
+    """The terms of p with exactly k odd factors."""
+    amb = p.ambient
+    return SuperPolynomial(
+        amb, {mo: c for mo, c in p.terms.items() if monomial_odd_degree(amb, mo) == k}
+    )
+
+
+def _even_monomial_divide(amb, u, v):
+    guard = amb.guard_mask
+    diff = (u | guard) - v
+    if diff & guard != guard:
+        return None
+    return diff ^ guard
+
+
+def commutative_divide(x, b0):
+    """Exact division by a polynomial in even generators, graded
+    lexicographic leading term first; None when b0 does not divide x."""
+    amb = x.ambient
+    field = amb.field
+    b_terms = [(mb, cb, loop_monomial_degree(mb)) for mb, cb in b0.terms.items()]
+    lead_b, lc_b, deg_b = max(b_terms, key=lambda t: (t[2], t[0]))
+    lc_b_inv = field.inv(lc_b)
+    quo: dict = {}
+    rem = dict(x.terms)
+    heap = [(-loop_monomial_degree(mo), -mo) for mo in rem]
+    heapify(heap)
+    while heap:
+        neg_deg, neg_u = heappop(heap)
+        u = -neg_u
+        if u not in rem:
+            continue
+        qm = _even_monomial_divide(amb, u, lead_b)
+        if qm is None:
+            return None
+        qc = quo[qm] = rem[u] * lc_b_inv
+        deg_q = -neg_deg - deg_b
+        touched = {qm + mb: cb for mb, cb, _ in b_terms}
+        check_exponents(amb, touched)
+        for mb, _, db in b_terms:
+            if qm + mb not in rem:
+                heappush(heap, (-deg_q - db, -qm - mb))
+        rem.update(field.clean({mo: rem.pop(mo, 0) - qc * cb for mo, cb in touched.items()}))
+    return SuperPolynomial(amb, quo)
+
+
+# -- the integral lift ----------------------------------------------------------------
+
+
+def lift(poly):
+    """The same polynomial with its coefficients read in Q: the residues
+    0..p-1 are already integral elements of Q (char 0: itself)."""
+    amb = poly.ambient
+    if not amb.char:
+        return poly
+    return SuperPolynomial(ambient(amb.m, amb.n, 0), poly.terms)
+
+
+def lower(p0, char):
+    """Reduce a p-integral polynomial over Q into F_p (char 0: itself)."""
+    if not char:
+        return p0
+    amb = ambient(p0.ambient.m, p0.ambient.n, char)
+    try:
+        terms = {mo: amb.field.intake(c) for mo, c in p0.terms.items()}
+    except UsageError as exc:
+        raise InternalError("a divided operator left the integral form") from exc
+    return SuperPolynomial(amb, terms)
+
+
+def lifted_apply(op, x, step=None):
+    """A divided power or a rising binomial through the lift: r basic steps
+    (by `step`, default the basic operator of `apply_loc`) in Q, the
+    factorial divided off, and the result lowered back to x's field."""
+    step = step or (lambda u: apply_loc(basic(op.k, op.l), u))
+    if op.kind == "divided" and x.ambient.gen_parity(op.k, op.l):
+        raise UsageError("divided powers are defined for even directions only")
+    if op.r == 0:
+        return x
+    cur = LocalizedElement(lift(x.num), x.d_exp, x.d22_exp)
+    for i in range(op.r):
+        nxt = step(cur)
+        cur = nxt if op.kind == "divided" else loc_add(nxt, loc_scale(cur, i))
+    cur = loc_scale(cur, Fraction(1, factorial(op.r)))
+    return LocalizedElement(lower(cur.num, x.ambient.char), cur.d_exp, cur.d22_exp)
+
+
+def divided_powers_vanish(emb, k, l):
+    """Every divided power of d[k,l] kills emb, one power at a time in the
+    lift, each lowered back; the loop stops after the total degree of the
+    lift plus one powers, which it reads only when a second power is needed."""
+    char = emb.ambient.char
+    lifted = u = LocalizedElement(lift(emb.num), emb.d_exp, emb.d22_exp)
+    bound = 1
+    r = 0
+    while not u.is_zero():
+        r += 1
+        if r == 2:
+            bound = lifted.num.total_degree() + 1
+        if r > bound:
+            raise InternalError("divided-power iteration failed to terminate")
+        u = apply_loc(basic(k, l), u)
+        if not lower(u.num.scale(Fraction(1, factorial(r))), char).is_zero():
+            return False
+    return True

@@ -1,0 +1,313 @@
+"""The closed-form kernels against the routes they replaced (`builder_oracle`):
+divided powers and binomials against the integral lift, the primitivity
+vanishing check against the lift's power-by-power loop, the one-pass
+division against the layered division, and the 16-bit field view of a
+monomial against per-field loops."""
+
+import sys
+from array import array
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from superinduce.derivation import (
+    apply_loc,
+    apply_poly,
+    basic,
+    binomial,
+    divided,
+    divided_power,
+)
+from superinduce.floors_primitives import FloorElement, is_primitive, pi_ij
+from superinduce.fraction import LocalizedElement, den_power, embed_poly, loc_mul
+from superinduce.superpoly import (
+    EXPONENT_CAP,
+    FIELD_BITS,
+    InternalError,
+    UsageError,
+    ambient,
+    column_slices,
+    exact_divide,
+    monomial_column_content,
+    monomial_degree,
+    monomial_items,
+)
+from superinduce.weights_tableaux import dminus, make_weight
+from builder_oracle import (
+    divided_powers_vanish,
+    fresh_embed_floor,
+    layered_exact_divide,
+    lifted_apply,
+    loop_column_content,
+    loop_monomial_degree,
+    loop_monomial_items,
+    odd_layer,
+)
+
+SIZES = [(2, 1), (1, 2), (2, 2), (3, 1)]
+CHARS = [0, 3, 5]
+RINGS = st.builds(lambda size, char: ambient(*size, char),
+                  st.sampled_from(SIZES), st.sampled_from(CHARS))
+
+
+def _outcome(run):
+    """The value of run(), or the type of the exception it raised."""
+    try:
+        value = run()
+    except (InternalError, UsageError) as exc:
+        return type(exc)
+    if isinstance(value, LocalizedElement):
+        return value.num, value.d_exp, value.d22_exp
+    return value
+
+
+def _gens(amb):
+    return list(product(range(1, amb.size + 1), repeat=2))
+
+
+def _even_directions(amb):
+    """The even off-diagonal directions (k, l) of the ring."""
+    return [(k, l) for k, l in _gens(amb) if k != l and not amb.gen_parity(k, l)]
+
+
+def _power_of_p(data, amb):
+    """c[a,k]^p for a random generator (1 in char 0): a factor whose first
+    derivative vanishes mod p although its p-th divided power does not."""
+    if not amb.char:
+        return amb.one()
+    return amb.gen(*data.draw(st.sampled_from(_gens(amb)))) ** amb.char
+
+
+def _random_poly(data, amb, max_terms=4, max_factors=4):
+    p = amb.zero()
+    for _ in range(data.draw(st.integers(1, max_terms))):
+        term = amb.scalar(data.draw(st.integers(1, 4)))
+        for _ in range(data.draw(st.integers(0, max_factors))):
+            term = term * amb.gen(*data.draw(st.sampled_from(_gens(amb))))
+        p = p + term
+    return p * _power_of_p(data, amb) if data.draw(st.booleans()) else p
+
+
+def _homogeneous_poly(data, amb, max_terms=5):
+    """A polynomial homogeneous in column content: every term takes its
+    factors in one fixed list of columns, each from a row of its own."""
+    cols = [data.draw(st.integers(1, amb.size)) for _ in range(data.draw(st.integers(1, 5)))]
+    p = amb.zero()
+    for _ in range(data.draw(st.integers(1, max_terms))):
+        term = amb.scalar(data.draw(st.integers(1, 4)))
+        for j in cols:
+            term = term * amb.gen(data.draw(st.integers(1, amb.size)), j)
+        p = p + term
+    return p * _power_of_p(data, amb) if data.draw(st.booleans()) else p
+
+
+# -- divided powers and binomials ----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(RINGS, st.data())
+def test_closed_form_operators_equal_the_lift(amb, data):
+    x = LocalizedElement(_random_poly(data, amb), data.draw(st.integers(0, 2)),
+                         data.draw(st.integers(0, 2)))
+    r = data.draw(st.integers(0, 4 if amb.char != 5 else 6))
+    ops = [divided(k, l, r) for k, l in _even_directions(amb)]
+    ops += [op for k in range(1, amb.size + 1) for op in (divided(k, k, r), binomial(k, r))]
+    for op in ops:
+        assert _outcome(lambda: apply_loc(op, x)) == _outcome(lambda: lifted_apply(op, x)), op
+
+
+def test_a_diagonal_divided_power_leaves_the_integral_form():
+    # c11 is an eigenvector of d[1,1] with eigenvalue 1, and 1^3/3! is not
+    # 3-integral; its rising binomial 1·2·3/3! = 1 is
+    for amb in (ambient(2, 1, 3), ambient(1, 2, 3)):
+        x = embed_poly(amb.gen(1, 1))
+        for run in (lambda: apply_loc(divided(1, 1, 3), x),
+                    lambda: lifted_apply(divided(1, 1, 3), x)):
+            with pytest.raises(InternalError, match="integral form"):
+                run()
+        assert apply_loc(binomial(1, 3), x) == lifted_apply(binomial(1, 3), x) == x
+    # in char 5 the same power is integral: 1/6 is a unit mod 5
+    amb = ambient(2, 1, 5)
+    assert apply_poly(divided(1, 1, 3), amb.gen(1, 1)) == amb.gen(1, 1).scale(pow(6, -1, 5))
+
+
+def test_closed_form_rejects_directions_it_does_not_cover():
+    amb = ambient(2, 1)
+    for k, l in [(1, 1), (1, 3), (3, 2)]:
+        with pytest.raises(UsageError):
+            divided_power(amb.gen(1, 1), k, l, 1)
+
+
+# -- the vanishing check of primitivity -----------------------------------------------
+
+
+def _vanishes(x, k, l):
+    """Every divided power of d[k,l] kills x: the closed form's check."""
+    return divided_power(x.num, k, l, None if x.ambient.char else 1).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(RINGS, st.data())
+def test_vanishing_check_equals_the_lift_loop(amb, data):
+    x = LocalizedElement(_homogeneous_poly(data, amb), data.draw(st.integers(0, 2)),
+                         data.draw(st.integers(0, 2)))
+    for k, l in _even_directions(amb):
+        assert _vanishes(x, k, l) == divided_powers_vanish(x, k, l), (k, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RINGS, st.data())
+def test_is_primitive_equals_the_lift_loop(amb, data):
+    plus = sorted((data.draw(st.integers(0, 3)) for _ in range(amb.m)), reverse=True)
+    minus = sorted((data.draw(st.integers(0, 3)) for _ in range(amb.n)), reverse=True)
+    w = make_weight(plus, minus)
+    i, j = data.draw(st.sampled_from(list(product(range(1, amb.m + 1), range(1, amb.n + 1)))))
+    try:
+        vec = pi_ij(amb, w, i, j)
+    except UsageError:
+        return  # the vector is undefined at this cell
+    # a factor c[a,k]^p keeps the element homogeneous; its first derivative
+    # vanishes mod p, its p-th divided power need not
+    factor = embed_poly(_power_of_p(data, amb))
+    x = FloorElement(amb, 1, {key: loc_mul(c, factor) for key, c in vec.terms.items()})
+    emb = fresh_embed_floor(x)
+    simples = [(l + 1, l) for l in range(1, amb.m)]
+    simples += [(l + 1, l) for l in range(amb.m + 1, amb.size)]
+    assert is_primitive(x) == all(divided_powers_vanish(emb, k, l) for k, l in simples)
+
+
+def test_a_pth_power_survives_its_pth_divided_power():
+    # d[2,1] on c12^3 in char 3: the first power 3·c12^2·c11 vanishes mod 3,
+    # the third divided power is c11^3, so c12^3 is not killed
+    amb = ambient(2, 1, 3)
+    x = embed_poly(amb.gen(1, 2) ** 3)
+    assert divided_power(x.num, 2, 1, 1).is_zero()
+    assert divided_power(x.num, 2, 1, 3) == amb.gen(1, 1) ** 3
+    assert not _vanishes(x, 2, 1) and not divided_powers_vanish(x, 2, 1)
+    assert _vanishes(embed_poly(amb.gen(1, 1) ** 3), 2, 1)
+
+
+def test_odd_rows_sign_their_moves_and_are_blocked_by_their_targets():
+    # at (3,2) the odd rows 4 and 5 hold odd generators in columns 1..3:
+    # d[1,3] moves c[a,1] past c[a,2] to c[a,3], one sign per row, and a
+    # c[a,3] already present blocks its row
+    amb = ambient(3, 2)
+    g = amb.gen
+    x = g(4, 1) * g(4, 2) * g(5, 1) * g(5, 2)
+    assert divided_power(x, 1, 3, 1) == apply_poly(basic(1, 3), x)
+    both = g(4, 3) * g(4, 2) * g(5, 3) * g(5, 2)
+    assert divided_power(x, 1, 3, 2) == lifted_apply(divided(1, 3, 2), embed_poly(x)).num == both
+    blocked = g(4, 1) * g(4, 3) * g(5, 1) * g(5, 2)
+    assert divided_power(blocked, 1, 3, 2).is_zero()
+    assert divided_power(blocked, 1, 3, 1) == apply_poly(basic(1, 3), blocked)
+    assert not divided_power(blocked, 1, 3, 1).is_zero()
+    # row 4 passes its odd c[4,2] and row 5 passes nothing: only the odd
+    # bits between a row's own two slots sign its move
+    mixed = g(4, 1) * g(4, 2) * g(5, 1)
+    assert divided_power(mixed, 1, 3, 2) == g(4, 3) * g(4, 2) * g(5, 3)
+    assert divided_power(mixed, 1, 3, 2) == lifted_apply(divided(1, 3, 2), embed_poly(mixed)).num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (1, 3), (3, 2)]), st.sampled_from(CHARS), st.data())
+def test_odd_rows_move_as_in_the_lift(size, char, data):
+    # products rich in the odd rows' generators, under the directions whose
+    # two slots have a third column between them
+    amb = ambient(*size, char)
+    block = range(1, amb.m + 1) if amb.m == 3 else range(amb.m + 1, amb.size + 1)
+    odd_rows = [a for a in range(1, amb.size + 1) if (a > amb.m) != (block[0] > amb.m)]
+    x = amb.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        term = amb.scalar(data.draw(st.integers(1, 4)))
+        for _ in range(data.draw(st.integers(1, 5))):
+            row = data.draw(st.sampled_from(odd_rows + [block[0]]))
+            term = term * amb.gen(row, data.draw(st.sampled_from(block)))
+        x = x + term
+    x = embed_poly(x)
+    for k, l in [(block[0], block[2]), (block[2], block[0])]:
+        for r in (2, 3):
+            assert _outcome(lambda: apply_loc(divided(k, l, r), x)) == _outcome(
+                lambda: lifted_apply(divided(k, l, r), x)), (k, l, r)
+
+
+# -- one-pass division -----------------------------------------------------------------
+
+
+def _odd_pair_divisor(data, amb):
+    """An even divisor with odd terms and a nonzero body, homogeneous or not."""
+    pairs = _gens(amb)
+    even = [amb.gen(i, j) for i, j in pairs if not amb.gen_parity(i, j)]
+    odd = [amb.gen(i, j) for i, j in pairs if amb.gen_parity(i, j)]
+    body = amb.scalar(data.draw(st.integers(1, 2)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        body = body + data.draw(st.sampled_from(even)) ** data.draw(st.integers(1, 2))
+    nil = amb.zero()
+    for _ in range(data.draw(st.integers(1, 3))):
+        nil = nil + (data.draw(st.sampled_from(odd)) * data.draw(st.sampled_from(odd))
+                     * data.draw(st.sampled_from(even + [amb.one()])))
+    return body + nil
+
+
+@settings(max_examples=60, deadline=None)
+@given(RINGS, st.data())
+def test_one_pass_division_equals_the_layered_route_on_odd_divisors(amb, data):
+    kind = data.draw(st.sampled_from(["dminus", "odd pairs"]))
+    if kind == "dminus":
+        t = data.draw(st.integers(1, amb.n))
+        cols = data.draw(st.permutations(range(amb.m + 1, amb.size + 1)))[:t]
+        b = dminus(amb, cols).num * den_power(amb, data.draw(st.integers(0, 1)), 0)
+    else:
+        b = _odd_pair_divisor(data, amb)
+    a = _random_poly(data, amb, max_factors=3)
+    assert _outcome(lambda: exact_divide(a * b, b)) == _outcome(
+        lambda: layered_exact_divide(a * b, b))
+    if not odd_layer(b, 0).is_zero():
+        assert exact_divide(a * b, b) == a
+    # dividends b need not divide: None on both routes when it does not
+    x = a * b + _random_poly(data, amb, max_terms=2, max_factors=2)
+    assert _outcome(lambda: exact_divide(x, b)) == _outcome(lambda: layered_exact_divide(x, b))
+
+
+def test_non_divisible_dividends_give_none_on_both_routes():
+    amb = ambient(2, 2, 3)
+    b = dminus(amb, (3, 4)).num
+    for x in (amb.gen(1, 1), amb.gen(1, 3), amb.gen(1, 1) * b + amb.gen(2, 2)):
+        assert exact_divide(x, b) is None
+        assert layered_exact_divide(x, b) is None
+
+
+# -- the field view of a monomial ------------------------------------------------------
+
+
+def _monomial(data, amb):
+    fields = len(amb.field_gens)
+    exps = [data.draw(st.sampled_from([0, 0, 1, 2, 7, EXPONENT_CAP])) for _ in range(fields)]
+    return sum(e << (f * FIELD_BITS) for f, e in enumerate(exps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3)]))
+def test_field_view_helpers_equal_per_field_loops(data, size):
+    amb = ambient(*size)
+    mono = data.draw(st.sampled_from([0, _monomial(data, amb)]))
+    assert monomial_degree(mono) == loop_monomial_degree(mono)
+    assert monomial_column_content(amb, mono) == loop_column_content(amb, mono)
+    assert monomial_items(amb, mono) == loop_monomial_items(amb, mono)
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("size", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+def test_column_slices_read_either_byte_order(byteorder, size):
+    # a 16-bit view as a machine of that byte order reads it: bytes written
+    # in its order, swapped when this machine's order differs
+    amb = ambient(*size)
+    s = amb.size
+    fields = len(amb.field_gens)
+    for mono in (0, sum(min(f + 1, EXPONENT_CAP) << (f * FIELD_BITS) for f in range(fields)),
+                 sum(EXPONENT_CAP << (f * FIELD_BITS) for f in range(fields))):
+        view = array("H", mono.to_bytes(2 * fields, byteorder))
+        if byteorder != sys.byteorder:
+            view.byteswap()
+        content = tuple(sum(view[cols]) for cols in column_slices(s, byteorder))
+        assert content == loop_column_content(amb, mono)

@@ -1,8 +1,6 @@
 """The right-derivation engine: signs, quotient rule, divided powers, rewrite table."""
 
-from fractions import Fraction
 from itertools import product
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +11,6 @@ from superinduce.fraction import (
     det_block11,
     det_block22,
     embed_poly,
-    loc_add,
     loc_eq,
     loc_scale,
 )
@@ -38,6 +35,7 @@ from superinduce.derivation import (
 )
 from superinduce.minors import y_entry
 from superinduce.superpoly import EXPONENT_CAP, leibniz_det
+from builder_oracle import lifted_apply
 from word_oracle import SIZES, pack, random_words, unpack, word_derivative
 
 
@@ -228,18 +226,11 @@ def _parent_d_loc(x, k, l):
 
 
 def _parent_apply(op, x):
-    """apply_loc with every basic step taken by the parent's quotient rule."""
+    """apply_loc with every basic step taken by the parent's quotient rule,
+    and every divided power and binomial by the integral lift."""
     if op.kind == "basic":
         return _parent_d_loc(x, op.k, op.l)
-    if op.r == 0:
-        return x
-    field = x.ambient.field
-    cur = LocalizedElement(field.lift(x.num), x.d_exp, x.d22_exp)
-    for i in range(op.r):
-        step = _parent_d_loc(cur, op.k, op.l)
-        cur = step if op.kind == "divided" else loc_add(step, loc_scale(cur, i))
-    cur = loc_scale(cur, Fraction(1, factorial(op.r)))
-    return LocalizedElement(field.lower(cur.num), cur.d_exp, cur.d22_exp)
+    return lifted_apply(op, x, step=lambda u: _parent_d_loc(u, op.k, op.l))
 
 
 @settings(max_examples=60, deadline=None)

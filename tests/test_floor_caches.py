@@ -1,6 +1,6 @@
 """The weight-free floor data built once per ring: each cached family against
 the per-call builders of `builder_oracle`, cached values never mutated by a
-caller, and the divided-power loop's termination bound."""
+caller, and the termination bound of the oracle's divided-power loop."""
 
 from itertools import combinations
 from math import factorial
@@ -9,7 +9,6 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superinduce import floors_primitives
 from superinduce.floors_primitives import (
     FloorElement,
     divide_floor,
@@ -35,6 +34,7 @@ from superinduce.weights_tableaux import (
     make_weight,
     minor_power_product,
 )
+import builder_oracle
 from builder_oracle import (
     fresh_embed_floor,
     fresh_minor_power,
@@ -43,6 +43,7 @@ from builder_oracle import (
     fresh_rho_pair,
     fresh_rho_product,
     fresh_y_word,
+    lift,
 )
 
 SIZES = [(2, 1), (1, 2), (2, 2), (3, 1)]
@@ -201,11 +202,11 @@ def test_callers_never_mutate_cached_floor_data(size, char, plus, minus):
 
 def test_divided_power_loop_stops_at_the_parents_bound(monkeypatch):
     # an operator that never reaches zero, and whose divided powers all
-    # vanish mod 3, keeps the loop going until the bound: the total degree of
-    # the lifted element plus one powers, then InternalError
+    # vanish mod 3, keeps the oracle's loop going until the bound: the total
+    # degree of the lifted element plus one powers, then InternalError
     amb = ambient(2, 1, 3)
     emb = embed_floor(pi_ij(amb, make_weight((2, 1), (1,)), 1, 1))
-    bound = amb.field.lift(emb.num).total_degree() + 1
+    bound = lift(emb.num).total_degree() + 1
     assert bound < 30
     never_zero = embed_poly(ambient(2, 1, 0).scalar(3 * factorial(30)))
     calls = []
@@ -214,19 +215,20 @@ def test_divided_power_loop_stops_at_the_parents_bound(monkeypatch):
         calls.append(op)
         return never_zero
 
-    monkeypatch.setattr(floors_primitives, "apply_loc", operator)
+    monkeypatch.setattr(builder_oracle, "apply_loc", operator)
     with pytest.raises(InternalError, match="failed to terminate"):
-        floors_primitives._divided_powers_vanish(emb, 2, 1)
+        builder_oracle.divided_powers_vanish(emb, 2, 1)
     assert len(calls) == bound
 
 
 def test_one_power_reads_no_degree(monkeypatch):
-    # in char 0 the loop ends after the first power, before the bound is read
+    # in char 0 the oracle's loop ends after the first power, before the
+    # bound is read
     amb = ambient(2, 2, 0)
     emb = embed_floor(pi_ij(amb, make_weight((3, 1), (2, 0)), 1, 1))
     degrees = []
     real = SuperPolynomial.total_degree
     monkeypatch.setattr(SuperPolynomial, "total_degree",
                         lambda p: degrees.append(p) or real(p))
-    assert floors_primitives._divided_powers_vanish(emb, 2, 1)
+    assert builder_oracle.divided_powers_vanish(emb, 2, 1)
     assert degrees == []

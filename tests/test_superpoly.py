@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus
-from builder_oracle import layered_exact_divide
+from builder_oracle import layered_exact_divide, lift, lower, odd_layer
 from word_oracle import SIZES, pack, random_words, unpack, word_mul
 
 
@@ -161,9 +162,7 @@ def test_exact_divide_roundtrip(data):
     b = random_poly(A22, data, max_terms=3)
     if b.is_zero() or b.parity() != 0:
         return
-    from superinduce.superpoly import _odd_layer
-
-    if _odd_layer(b, 0).is_zero():
+    if odd_layer(b, 0).is_zero():
         return
     q = exact_divide(a * b, b)
     assert q is not None
@@ -370,17 +369,16 @@ def test_parse_loc_roundtrips_or_raises_usage_error(text, char):
 @given(st.data())
 def test_field_lowering_is_a_ring_map_and_undoes_the_lift(data):
     a3 = ambient(2, 2, 3)
-    field = a3.field
     # p-integral polynomials over Q: denominators prime to 3
     a = random_poly(A22, data).scale(Fraction(1, data.draw(st.sampled_from([1, 2, 4, 5]))))
     b = random_poly(A22, data).scale(Fraction(1, data.draw(st.sampled_from([1, 2, 7]))))
-    assert field.lower(a + b) == field.lower(a) + field.lower(b)
-    assert field.lower(a * b) == field.lower(a) * field.lower(b)
+    assert lower(a + b, 3) == lower(a, 3) + lower(b, 3)
+    assert lower(a * b, 3) == lower(a, 3) * lower(b, 3)
     x = random_poly(a3, data)
-    assert field.lift(x).ambient == A22
-    assert field.lower(field.lift(x)) == x
+    assert lift(x).ambient == A22
+    assert lower(lift(x), 3) == x
     # over Q both moves hand back their argument
-    assert A22.field.lift(a) is a and A22.field.lower(a) is a
+    assert lift(a) is a and lower(a, 0) is a
 
 
 # -- the packed kernel against the tuple-word oracle, and its exponent cap ------
@@ -553,18 +551,33 @@ def test_one_pass_division_equals_the_layered_route(data, size, char):
         assert layered_exact_divide(miss, b) is None
 
 
-def test_layered_route_only_for_divisors_with_odd_terms(monkeypatch):
-    import superinduce.superpoly as superpoly
+def test_even_divisors_lead_with_an_odd_free_term():
+    # the division order ranks fewer odd factors first, so an even divisor
+    # with a nonzero body leads with one of its odd-free terms: its product
+    # with a quotient term never vanishes and is never signed
+    from superinduce.superpoly import _division_ranks, monomial_degree
 
-    layered = []
-    real = superpoly._layered_divide
-    monkeypatch.setattr(superpoly, "_layered_divide",
-                        lambda a, b, b0: layered.append(b) or real(a, b, b0))
-    amb = ambient(2, 2, 3)
-    d22 = den_power(amb, 0, 2)
-    odd_word = amb.gen(1, 3) * amb.gen(3, 2)
-    assert exact_divide(odd_word * d22, d22) == odd_word
-    assert layered == []
-    minus = dminus(amb, (3, 4)).num
-    assert exact_divide(odd_word * minus, minus) == odd_word
-    assert layered == [minus]
+    divisors = []
+    for size in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        for char in (0, 3):
+            amb = ambient(*size, char)
+            divisors += [den_power(amb, s, t) for s in (0, 1) for t in (1, 2, 3)]
+            odd_cols = range(amb.m + 1, amb.size + 1)
+            divisors += [dminus(amb, cols).num for t in range(1, amb.n + 1)
+                         for cols in permutations(odd_cols, t)]
+    # inhomogeneous: its top-degree term c12·c21 is odd, so an order that
+    # ranks degree first would lead with a term that may vanish in a product
+    a11 = ambient(1, 1)
+    inhom = a11.scalar(2) + a11.gen(1, 2) * a11.gen(2, 1)
+    assert max(inhom.terms, key=monomial_degree) & a11.odd_mask
+    divisors.append(inhom)
+    assert any(any(mo & b.ambient.odd_mask for mo in b.terms) for b in divisors)
+    for b in divisors:
+        amb = b.ambient
+        assert not odd_layer(b, 0).is_zero()
+        lead = -min(_division_ranks(amb, b.terms))[1]
+        assert lead & amb.odd_mask == 0
+        assert lead in odd_layer(b, 0).terms
+    a = a11.gen(1, 1) + a11.gen(1, 2) + a11.gen(2, 1) * a11.gen(2, 2)
+    assert exact_divide(a * inhom, inhom) == a
+    assert exact_divide(a * inhom, inhom) == layered_exact_divide(a * inhom, inhom)
