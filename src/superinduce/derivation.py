@@ -5,16 +5,18 @@ c[a,l] when b == k and to zero otherwise, extended as a right derivation
 with the sign rule (xy)D = (-1)^(|D||y|) (x)D·y + x·(y)D.  On fractions it
 acts by the quotient rule, in closed form: D is multilinear in the columns
 1..m and D22 in the others.  So a diagonal d[k,k] fixes its own block's
-determinant and kills the other, and N / (D^s·D22^t) goes to dN - λ·N over the
-same exponents (λ = s for k <= m, else t).  Only a raise direction (k <= m < l)
-moves D and only a lower one (l <= m < k) moves D22, by the one fused product
-dN·D - s·N·dD over D^(s+1) (or its D22 twin); every other direction kills both.
+determinant and kills the other, and a term c·M / (D^s·D22^t) goes to
+c·(μ - λ)·M over the same exponents (μ the column-k content of M, λ = s for
+k <= m, else t).  Only a raise direction (k <= m < l) moves D and only a lower
+one (l <= m < k) moves D22, by the one fused product dN·D - s·N·dD over
+D^(s+1) (or its D22 twin); every other direction kills both.
 
 Divided powers and rising binomials are closed forms on the integral
 (Kostant Z-form) basis, with integer coefficients reduced once by the field.
 An even off-diagonal direction kills D and D22, and its d^(r) = d^r/r! is a
 product of binomial coefficients row by row; a diagonal direction scales each
-term, an eigenvector, by a function of its eigenvalue.
+term, an eigenvector, by a function of its eigenvalue: μ - λ itself for d[k,k],
+so one per-term loop serves d[k,k], its divided powers and its binomials.
 
 The structured rewrite table in this module and the direct quotient-rule
 route are deliberately independent of each other; tests compare the two on
@@ -147,12 +149,17 @@ def _den_derivative(amb: Ambient, which: int, k: int, l: int) -> SuperPolynomial
     return amb.cached(("dden", which, k, l), lambda: _d_poly(base(amb), k, l))
 
 
+def _column_mask(amb: Ambient, k: int) -> int:
+    """The packed fields of column k."""
+    return amb.cached(("colmask", k), lambda: sum(
+        FIELD_MASK << shift for shift, *_ in _slots(amb, k, k)))
+
+
 def _d_loc(x: LocalizedElement, k: int, l: int) -> LocalizedElement:
+    if k == l:
+        return _diagonal(x, k, 1, False)
     amb, m, s, t = x.ambient, x.ambient.m, x.d_exp, x.d22_exp
     dn = _d_poly(x.num, k, l)
-    if k == l:
-        eigen = s if k <= m else t
-        return LocalizedElement(dn - x.num.scale(eigen) if eigen else dn, s, t)
     if k <= m < l and s:
         dden = _den_derivative(amb, 11, k, l).scale(-s)
         return LocalizedElement(dot(amb, ((dn, det_block11(amb)), (x.num, dden))), s + 1, t)
@@ -183,7 +190,7 @@ def divided_power(p: SuperPolynomial, k: int, l: int, r: int | None) -> SuperPol
     if r == 1:
         return _d_poly(p, k, l)  # binom(e_a, 1) = e_a: the basic derivation
     slots = _slots(amb, k, l)
-    column_k = sum(FIELD_MASK << shift for shift, *_ in slots)
+    column_k = _column_mask(amb, k)
     acc: dict = {}
     for mono, c in p.terms.items():
         images = [(mono, c)]  # the term, then every combination of row moves
@@ -208,24 +215,29 @@ def divided_power(p: SuperPolynomial, k: int, l: int, r: int | None) -> SuperPol
     return SuperPolynomial(amb, acc)
 
 
-def _diagonal_power(op: Op, x: LocalizedElement) -> LocalizedElement:
-    """d[k,k]^(r) or binom(d[k,k]; r): a term N/(D^s·D22^t) is an eigenvector
-    of eigenvalue μ = (column-k content of N) - λ (λ = s for k <= m, else t),
-    scaled by μ^r/r! or by the rising binomial μ(μ+1)...(μ+r-1)/r!."""
-    amb, k, r = x.ambient, op.k, op.r
-    shifts = [shift for shift, *_ in _slots(amb, k, k)]
+def _diagonal(x: LocalizedElement, k: int, r: int, rising: bool) -> LocalizedElement:
+    """d[k,k]^(r) (d[k,k] itself at r = 1), or binom(d[k,k]; r) when rising: a
+    term N/(D^s·D22^t) is an eigenvector of eigenvalue μ = (column-k content of
+    N) - λ (λ = s for k <= m, else t), scaled by μ^r/r! or by the rising
+    binomial μ(μ+1)...(μ+r-1)/r!.  The factor depends on a term's column-k part
+    alone, so it is computed once per distinct part."""
+    amb = x.ambient
+    column = _column_mask(amb, k)  # range-checks k
     lam = x.d_exp if k <= amb.m else x.d22_exp
     factors: dict = {}
     out = {}
     for mono, c in x.num.terms.items():
-        mu = sum((mono >> shift) & FIELD_MASK for shift in shifts) - lam
-        if mu not in factors:
-            top = prod(range(mu, mu + r)) if op.kind == "binomial" else mu**r
+        part = mono & column
+        factor = factors.get(part)
+        if factor is None:
+            mu = monomial_degree(part) - lam
+            top, den = prod(range(mu, mu + r)) if rising else mu**r, factorial(r)
             try:
-                factors[mu] = amb.field.intake(Fraction(top, factorial(r)))
+                factor = factors[part] = amb.field.intake(
+                    top // den if top % den == 0 else Fraction(top, den))
             except UsageError as exc:
                 raise InternalError("a divided operator left the integral form") from exc
-        out[mono] = c * factors[mu]
+        out[mono] = c * factor
     return LocalizedElement(SuperPolynomial(amb, out), x.d_exp, x.d22_exp)
 
 
@@ -237,7 +249,7 @@ def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
     if op.r == 0:
         return x
     if op.k == op.l:
-        return _diagonal_power(op, x)
+        return _diagonal(x, op.k, op.r, op.kind == "binomial")
     # an even off-diagonal direction kills D and D22: the numerator alone moves
     return LocalizedElement(divided_power(x.num, op.k, op.l, op.r), x.d_exp, x.d22_exp)
 

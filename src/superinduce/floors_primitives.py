@@ -33,6 +33,7 @@ from .fraction import (
     is_polynomial,
     loc_add,
     loc_divide_exact,
+    loc_dot,
     loc_eq,
     loc_mul,
     loc_pow,
@@ -50,6 +51,7 @@ from .superpoly import (
     InternalError,
     SuperPolynomial,
     UsageError,
+    dot,
     exact_divide,
     koszul_mask,
     monomial_column_content,
@@ -147,16 +149,17 @@ def fe_eq(a: FloorElement, b: FloorElement) -> bool:
 
 
 def y_word(amb: Ambient, key) -> LocalizedElement:
-    """The product of the y entries of a nonempty exterior word, in its
-    order; built once per ring and word."""
+    """The product of the y entries of an exterior word, in its order (one
+    for the empty word); built once per ring and word."""
     return amb.cached(("yword", key), lambda: loc_product(
         amb, [y_entry(amb, i, j) for i, j in key]))
 
 
 def embed_floor(x: FloorElement) -> LocalizedElement:
+    """The raw element, for value comparisons: a product that vanishes can
+    leave it over larger exponents than its pieces need (see loc_dot)."""
     amb = x.ambient
-    return loc_sum(amb, [loc_mul(term, y_word(amb, key)) if key else term
-                         for key, term in x.terms.items()])
+    return loc_dot(amb, ((term, y_word(amb, key)) for key, term in x.terms.items()))
 
 
 def floor_element_to_json(x: FloorElement) -> list:
@@ -424,10 +427,8 @@ def _structured_image(amb: Ambient, i: int, j: int) -> SuperPolynomial:
     def build():
         if j <= m:
             return amb.gen(i, j)
-        img = amb.zero() if i <= m else amb.gen(i, j)
-        for a in range(1, m + 1):
-            img = img + amb.gen(i, a) * amb.gen(a, j)
-        return img
+        img = dot(amb, ((amb.gen(i, a), amb.gen(a, j)) for a in range(1, m + 1)))
+        return img if i <= m else amb.gen(i, j) + img
 
     return amb.cached(("floorsub", i, j), build)
 
@@ -476,32 +477,31 @@ def extract_floors(x: LocalizedElement):
         if (left & odd & koszul_mask(right & odd)).bit_count() & 1:
             c = -c
         by_right.setdefault(right, {})[left] = c
-    substituted: dict = {}
-    for right, lefts in by_right.items():
-        part = SuperPolynomial(amb, lefts)
-        if right:
-            part = part * reduce(mul, (image_pow(*g) for g in monomial_items(amb, right)))
-        for mo, c in part.terms.items():
-            substituted[mo] = substituted.get(mo, 0) + c
+    # in one dot, each right part's image built only when its pair is reached
+    one = amb.one()
+    substituted = dot(amb, (
+        (SuperPolynomial(amb, lefts),
+         reduce(mul, (image_pow(*g) for g in monomial_items(amb, right))) if right else one)
+        for right, lefts in by_right.items()))
     # the coefficient of a y word is the sum over z parts of the even-block
     # polynomial times the z part's image, which is built once and shared
     grouped: dict = {}
-    for mono, c in SuperPolynomial(amb, substituted).terms.items():
+    for mono, c in substituted.terms.items():
         if mono & lower_left:
             return None  # lower-left content is not representable
         y_part = mono & y_mask
         z_part = mono & z_mask
         grouped.setdefault(y_part, {}).setdefault(z_part, {})[mono ^ y_part ^ z_part] = c
     z_image = lru_cache(None)(
-        lambda z_part: reduce(loc_mul, (factor_pow(*g) for g in monomial_items(amb, z_part))))
-
-    def piece(z_part, evens):
-        even = embed_poly(SuperPolynomial(amb, evens))
-        return loc_mul(even, z_image(z_part)) if z_part else even
-
+        lambda z_part: reduce(loc_mul, (factor_pow(*g) for g in monomial_items(amb, z_part)))
+        if z_part else embed_poly(one))
     floors: dict = {}
     for y_part, by_z in grouped.items():
-        coeff = loc_sum(amb, [piece(z_part, evens) for z_part, evens in by_z.items()])
+        # a piece is the image of a nonzero polynomial (the even part times the
+        # z monomial) under the invertible change of generators, so no piece
+        # vanishes and loc_dot's exponents are those of loc_sum of the pieces
+        coeff = loc_dot(amb, ((embed_poly(SuperPolynomial(amb, evens)), z_image(z_part))
+                              for z_part, evens in by_z.items()))
         if coeff.is_zero():
             continue
         coeff = LocalizedElement(coeff.num, coeff.d_exp + x.d_exp, coeff.d22_exp)
@@ -684,10 +684,9 @@ def generation_identity_check(amb: Ambient, w: LocalizedElement, k: int, l: int)
     if not (k <= amb.m < l):
         raise UsageError("the generation identity is for upward mixed directions")
     lhs = apply_loc(basic(k, l), w)
-    rhs = loc_sum(amb, [
-        *(loc_mul(apply_loc(basic(k, a), w), y_entry(amb, a, l)) for a in range(1, amb.m + 1)),
-        *(loc_mul(apply_loc(basic(b, l), w), y_entry(amb, k, b))
-          for b in range(amb.m + 1, amb.size + 1)),
+    rhs = loc_dot(amb, [
+        *((apply_loc(basic(k, a), w), y_entry(amb, a, l)) for a in range(1, amb.m + 1)),
+        *((apply_loc(basic(b, l), w), y_entry(amb, k, b)) for b in range(amb.m + 1, amb.size + 1)),
     ])
     if not loc_eq(lhs, rhs):
         return False
@@ -702,10 +701,10 @@ def highest_vector_recursion_check(amb: Ambient, w: Weight, k: int, l: int) -> b
     v = highest_vector(amb, w)
     lhs = apply_loc(basic(k, l), v)
     lead = w.plus[k - 1] + w.minus[l - amb.m - 1]
-    rhs = loc_sum(amb, [
-        loc_scale(loc_mul(v, y_entry(amb, k, l)), lead),
-        *(loc_mul(apply_loc(basic(k, s), v), y_entry(amb, s, l)) for s in range(k + 1, amb.m + 1)),
-        *(loc_mul(apply_loc(basic(t, l), v), y_entry(amb, k, t)) for t in range(amb.m + 1, l)),
+    rhs = loc_dot(amb, [
+        (loc_scale(v, lead), y_entry(amb, k, l)),
+        *((apply_loc(basic(k, s), v), y_entry(amb, s, l)) for s in range(k + 1, amb.m + 1)),
+        *((apply_loc(basic(t, l), v), y_entry(amb, k, t)) for t in range(amb.m + 1, l)),
     ])
     if not loc_eq(lhs, rhs):
         return False

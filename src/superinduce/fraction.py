@@ -11,6 +11,16 @@ the one path for sums: it raises each numerator once, to the largest
 exponents among its nonzero pieces, and adds in one dict.  A fold of loc_add
 gives the same value, and the same exponents unless a partial sum cancels
 after a piece with larger exponents.
+
+loc_dot is the one path for a sum of products Σ x_i·y_i: it raises each pair
+once, to the largest exponents among the pairs whose factors are both
+nonzero, and makes every product in one superpoly.dot, so no product is built
+only to be added away.  A product can still vanish (an odd square), and then
+the sum can sit over larger exponents than loc_sum of the loc_mul products
+would give: the value is the same, so loc_dot serves value comparisons and
+sums whose products cannot vanish.  A sum whose exponents are read, such as
+the signed rho product of a family that renders as a `cleared` vector, stays
+on loc_sum.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from .superpoly import (
     Ambient,
     SuperPolynomial,
     UsageError,
+    dot,
     exact_divide,
     leibniz_det,
     parse_integer,
@@ -117,6 +128,29 @@ def loc_sum(amb: Ambient, xs) -> LocalizedElement:
     return LocalizedElement(SuperPolynomial(amb, total), s, t)
 
 
+def loc_dot(amb: Ambient, pairs) -> LocalizedElement:
+    """The sum of the products x·y over the (x, y) pairs of localized elements
+    in amb, over one common denominator: a pair with a zero factor is
+    skipped, and the others are raised once, the factor with fewer terms
+    taking the denominator power (see the module docstring)."""
+    pairs = list(pairs)
+    if any(x.ambient != amb or y.ambient != amb for x, y in pairs):
+        raise UsageError("operands live in different ambients")
+    pairs = [(x, y) for x, y in pairs if not (x.is_zero() or y.is_zero())]
+    s = max((x.d_exp + y.d_exp for x, y in pairs), default=0)
+    t = max((x.d22_exp + y.d22_exp for x, y in pairs), default=0)
+
+    def raised(x, y):
+        ds, dt = s - x.d_exp - y.d_exp, t - x.d22_exp - y.d22_exp
+        if not (ds or dt):
+            return x.num, y.num
+        if len(x.num.terms) <= len(y.num.terms):
+            return x.num * den_power(amb, ds, dt), y.num
+        return x.num, y.num * den_power(amb, ds, dt)
+
+    return LocalizedElement(dot(amb, (raised(x, y) for x, y in pairs)), s, t)
+
+
 def loc_add(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
     s, t, (nx, ny) = common_numerators(x.ambient, (x, y))
     return LocalizedElement(nx + ny, s, t)
@@ -167,7 +201,9 @@ def loc_divide_exact(x: LocalizedElement, d: LocalizedElement):
     amb = x.ambient
     if d.is_zero():
         raise UsageError("division by the zero element")
-    lifted = x.num * den_power(amb, d.d_exp, d.d22_exp)
+    lifted = x.num
+    if d.d_exp or d.d22_exp:
+        lifted = lifted * den_power(amb, d.d_exp, d.d22_exp)
     q = exact_divide(lifted, d.num)
     if q is None:
         return None

@@ -14,6 +14,7 @@ from .fraction import (
     LocalizedElement,
     det_block11,
     embed_poly,
+    loc_dot,
     loc_eq,
     loc_mul,
     loc_sum,
@@ -24,6 +25,7 @@ from .superpoly import (
     SuperPolynomial,
     UsageError,
     check_det_size,
+    dot,
     leibniz_det,
     perm_sign,
 )
@@ -46,13 +48,11 @@ def laplace_along_row(amb: Ambient, rows, cols, t: int) -> SuperPolynomial:
                 raise UsageError(
                     "expansion along a lower row needs even entries above it"
                 )
-    out = amb.zero()
     rest_rows = rows[: t - 1] + rows[t:]
-    for b, col in enumerate(cols):
-        rest_cols = cols[:b] + cols[b + 1 :]
-        term = amb.gen(rows[t - 1], col) * leibniz_det(amb, rest_rows, rest_cols)
-        out = out + (term if (t + b + 1) % 2 == 0 else -term)
-    return out
+    return dot(amb, (
+        (amb.gen(rows[t - 1], col).scale(1 if (t + b + 1) % 2 == 0 else -1),
+         leibniz_det(amb, rest_rows, cols[:b] + cols[b + 1 :]))
+        for b, col in enumerate(cols)))
 
 
 # -- adjugate of the even block ----------------------------------------------------
@@ -73,9 +73,7 @@ def _adjugate_table(amb: Ambient):
             d = det_block11(amb)
             for i in all_rows:
                 for s in all_rows:
-                    total = amb.zero()
-                    for a in all_rows:
-                        total = total + table[(i, a)] * amb.gen(a, s)
+                    total = dot(amb, ((table[(i, a)], amb.gen(a, s)) for a in all_rows))
                     expect = d if i == s else amb.zero()
                     if total != expect:
                         raise InternalError("adjugate table fails its defining law")
@@ -92,9 +90,7 @@ def adjugate_entry(amb: Ambient, i: int, a: int) -> SuperPolynomial:
 
 def adjugate_law_check(amb: Ambient, i: int, s: int) -> bool:
     """sum_a adj[i,a]·c[a,s] equals D exactly when i == s."""
-    total = amb.zero()
-    for a in range(1, amb.m + 1):
-        total = total + adjugate_entry(amb, i, a) * amb.gen(a, s)
+    total = dot(amb, ((adjugate_entry(amb, i, a), amb.gen(a, s)) for a in range(1, amb.m + 1)))
     expect = det_block11(amb) if i == s else amb.zero()
     return total == expect
 
@@ -110,9 +106,7 @@ def y_entry(amb: Ambient, i: int, j: int) -> LocalizedElement:
         raise UsageError("column index out of range")
 
     def build():
-        num = amb.zero()
-        for a in range(1, amb.m + 1):
-            num = num + adjugate_entry(amb, i, a) * amb.gen(a, j)
+        num = dot(amb, ((adjugate_entry(amb, i, a), amb.gen(a, j)) for a in range(1, amb.m + 1)))
         return LocalizedElement(num, 1, 0)
 
     return amb.cached(("y", i, j), build)
@@ -133,9 +127,8 @@ def twisted_generator(amb: Ambient, k: int, l: int) -> LocalizedElement:
             return y_entry(amb, k, l)
         if k <= m or l <= m:
             return embed_poly(amb.gen(k, l))
-        num = amb.gen(k, l) * det_block11(amb)
-        for a in range(1, m + 1):
-            num = num - amb.gen(k, a) * y_entry(amb, a, l).num
+        num = dot(amb, ((amb.gen(k, l), det_block11(amb)), *(
+            (amb.gen(k, a).scale(-1), y_entry(amb, a, l).num) for a in range(1, m + 1))))
         return LocalizedElement(num, 1, 0)
 
     return amb.cached(("phi", k, l), build)
@@ -200,10 +193,8 @@ def muir_identity_check(amb: Ambient, ks, l: int) -> bool:
     if len(ks) + 1 > amb.m:
         raise UsageError("too many columns for the even block's rows")
     lhs = embed_poly(row_initial_minor(amb, ks + (l,)))
-    rhs = loc_sum(amb, [
-        loc_mul(embed_poly(row_initial_minor(amb, ks + (a,))), y_entry(amb, a, l))
-        for a in range(1, amb.m + 1)
-    ])
+    rhs = loc_dot(amb, ((embed_poly(row_initial_minor(amb, ks + (a,))), y_entry(amb, a, l))
+                        for a in range(1, amb.m + 1)))
     return loc_eq(lhs, rhs)
 
 
@@ -213,9 +204,8 @@ def muir_adjugate_sum_check(amb: Ambient, ks, s: int) -> bool:
     j = len(ks)
     if j + 1 > amb.m:
         raise UsageError("too many columns for the even block's rows")
-    total = amb.zero()
-    for a in range(1, amb.m + 1):
-        total = total + row_initial_minor(amb, ks + (a,)) * adjugate_entry(amb, a, s)
+    total = dot(amb, ((row_initial_minor(amb, ks + (a,)), adjugate_entry(amb, a, s))
+                      for a in range(1, amb.m + 1)))
     if s > j + 1:
         return total.is_zero()
     rows = tuple(r for r in range(1, j + 2) if r != s)

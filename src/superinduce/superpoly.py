@@ -363,7 +363,11 @@ class SuperPolynomial:
     def __sub__(self, other):
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_mate(other)
+        out = dict(self.terms)
+        for mo, c in other.terms.items():
+            out[mo] = out.get(mo, 0) - c
+        return SuperPolynomial(self.ambient, out)
 
     def scale(self, c) -> "SuperPolynomial":
         c = self.ambient.coeff(c)

@@ -14,16 +14,24 @@ The layered division divides layer by layer in the number of odd factors,
 each layer one graded-lexicographic leading-term division by the divisor's
 odd-free body.  The per-field loops read a packed monomial's exponents one
 16-bit field at a time.
+
+The parent's quotient rule takes a diagonal d[k,k] through the basic
+derivation on the numerator, dN, and subtracts λ·N; its localized divisions
+multiply the dividend by the divisor's denominator power even when that power
+is the unit.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial
 
-from superinduce.derivation import apply_loc, basic
+from superinduce.derivation import _d_poly, _den_derivative, apply_loc, basic
 from superinduce.floors_primitives import FloorElement
 from superinduce.fraction import (
     LocalizedElement,
+    det_block11,
+    det_block22,
+    den_power,
     embed_poly,
     loc_add,
     loc_mul,
@@ -40,6 +48,8 @@ from superinduce.superpoly import (
     UsageError,
     ambient,
     check_exponents,
+    dot,
+    exact_divide,
     monomial_odd_degree,
     sort_with_sign,
 )
@@ -314,3 +324,41 @@ def divided_powers_vanish(emb, k, l):
         if not lower(u.num.scale(Fraction(1, factorial(r))), char).is_zero():
             return False
     return True
+
+
+# -- the parent's quotient rule and localized division -------------------------------
+
+
+def parent_d_loc(x, k, l):
+    """The basic derivation on a fraction, a diagonal direction by dN - λ·N."""
+    amb, m, s, t = x.ambient, x.ambient.m, x.d_exp, x.d22_exp
+    dn = _d_poly(x.num, k, l)
+    if k == l:
+        eigen = s if k <= m else t
+        return LocalizedElement(dn - x.num.scale(eigen) if eigen else dn, s, t)
+    if k <= m < l and s:
+        dden = _den_derivative(amb, 11, k, l).scale(-s)
+        return LocalizedElement(dot(amb, ((dn, det_block11(amb)), (x.num, dden))), s + 1, t)
+    if l <= m < k and t:
+        dden = _den_derivative(amb, 22, k, l).scale(-t)
+        return LocalizedElement(dot(amb, ((dn, det_block22(amb)), (x.num, dden))), s, t + 1)
+    return LocalizedElement(dn, s, t)
+
+
+def parent_apply(op, x):
+    """A basic operator by `parent_d_loc`; a divided power or a rising binomial
+    by the integral lift, stepping with `parent_d_loc`."""
+    if op.kind == "basic":
+        return parent_d_loc(x, op.k, op.l)
+    return lifted_apply(op, x, step=lambda u: parent_d_loc(u, op.k, op.l))
+
+
+def parent_loc_divide_exact(x, d):
+    """x / d with the dividend always multiplied by D^s·D22^t of the divisor."""
+    amb = x.ambient
+    if d.is_zero():
+        raise UsageError("division by the zero element")
+    q = exact_divide(x.num * den_power(amb, d.d_exp, d.d22_exp), d.num)
+    if q is None:
+        return None
+    return LocalizedElement(q, x.d_exp, x.d22_exp)

@@ -1,15 +1,17 @@
 """The closed-form kernels against the routes they replaced (`builder_oracle`):
-divided powers and binomials against the integral lift, the primitivity
-vanishing check against the lift's power-by-power loop, the one-pass
-division against the layered division, and the 16-bit field view of a
-monomial against per-field loops."""
+divided powers and binomials against the integral lift, every direction of
+the quotient rule against the parent's diagonal route dN - λ·N, the localized
+division against the parent's unconditional denominator product, the
+primitivity vanishing check against the lift's power-by-power loop, the
+one-pass division against the layered division, and the 16-bit field view of
+a monomial against per-field loops."""
 
 import sys
 from array import array
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from superinduce.derivation import (
     apply_loc,
@@ -20,7 +22,14 @@ from superinduce.derivation import (
     divided_power,
 )
 from superinduce.floors_primitives import FloorElement, is_primitive, pi_ij
-from superinduce.fraction import LocalizedElement, den_power, embed_poly, loc_mul
+import superinduce.fraction as fraction
+from superinduce.fraction import (
+    LocalizedElement,
+    den_power,
+    embed_poly,
+    loc_divide_exact,
+    loc_mul,
+)
 from superinduce.superpoly import (
     EXPONENT_CAP,
     FIELD_BITS,
@@ -32,6 +41,7 @@ from superinduce.superpoly import (
     monomial_column_content,
     monomial_degree,
     monomial_items,
+    weight_of,
 )
 from superinduce.weights_tableaux import dminus, make_weight
 from builder_oracle import (
@@ -43,6 +53,8 @@ from builder_oracle import (
     loop_monomial_degree,
     loop_monomial_items,
     odd_layer,
+    parent_apply,
+    parent_loc_divide_exact,
 )
 
 SIZES = [(2, 1), (1, 2), (2, 2), (3, 1)]
@@ -137,6 +149,28 @@ def test_closed_form_rejects_directions_it_does_not_cover():
     for k, l in [(1, 1), (1, 3), (3, 2)]:
         with pytest.raises(UsageError):
             divided_power(amb.gen(1, 1), k, l, 1)
+
+
+# -- the one diagonal kernel ----------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(RINGS, st.data())
+def test_every_direction_equals_the_parents_diagonal_route(amb, data):
+    # terms of several column contents, so the eigenvalue varies term by term
+    num = (_random_poly(data, amb) + amb.scalar(data.draw(st.integers(1, 4)))
+           + amb.gen(*data.draw(st.sampled_from(_gens(amb)))))
+    assume(weight_of(num) is None)
+    x = LocalizedElement(num, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    r = data.draw(st.integers(0, 4))
+    for k, l in _gens(amb):
+        ops = [basic(k, l)]
+        if k == l:
+            ops += [divided(k, k, r), binomial(k, r)]
+        elif not amb.gen_parity(k, l):
+            ops.append(divided(k, l, r))
+        for op in ops:  # the same numerator and exponents, or the same error
+            assert _outcome(lambda: apply_loc(op, x)) == _outcome(lambda: parent_apply(op, x)), op
 
 
 # -- the vanishing check of primitivity -----------------------------------------------
@@ -275,6 +309,49 @@ def test_non_divisible_dividends_give_none_on_both_routes():
     for x in (amb.gen(1, 1), amb.gen(1, 3), amb.gen(1, 1) * b + amb.gen(2, 2)):
         assert exact_divide(x, b) is None
         assert layered_exact_divide(x, b) is None
+
+
+def _localized_divisor(data, amb):
+    """An even divisor with a nonzero body over D^s·D22^t, s in 0..2 and t in 0..1."""
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(1, amb.n))
+        num = dminus(amb, data.draw(st.permutations(range(amb.m + 1, amb.size + 1)))[:t]).num
+    else:
+        num = _odd_pair_divisor(data, amb)
+    return LocalizedElement(num, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RINGS, st.data())
+def test_localized_division_equals_the_parents(amb, data):
+    d = _localized_divisor(data, amb)
+    a = _random_poly(data, amb, max_factors=3)
+    s = data.draw(st.integers(0, 2))
+    for num in (a * d.num, a * d.num + _random_poly(data, amb, max_terms=2, max_factors=2)):
+        x = LocalizedElement(num, s, 0)
+        assert _outcome(lambda: loc_divide_exact(x, d)) == _outcome(
+            lambda: parent_loc_divide_exact(x, d))
+
+
+def test_a_divisor_without_denominator_takes_no_unit_product(monkeypatch):
+    amb = ambient(2, 1)
+    powers = []
+    real = fraction.den_power
+    monkeypatch.setattr(fraction, "den_power", lambda *a: powers.append(a[1:]) or real(*a))
+    b = real(amb, 1, 0) + amb.gen(1, 3) * amb.gen(3, 1)  # D plus an odd pair: no unit
+    for d_exp, expect in [(0, []), (1, [(1, 0)]), (2, [(2, 0)])]:
+        powers.clear()
+        d = LocalizedElement(b, d_exp, 0)
+        x = LocalizedElement(b * amb.gen(1, 1), 1, 0)
+        q = loc_divide_exact(x, d)
+        assert powers == expect
+        assert q == parent_loc_divide_exact(x, d)
+        assert q.num == amb.gen(1, 1) * real(amb, d_exp, 0) and q.d_exp == 1
+        # c[1,1]·D^s is a multiple of b = D + ν (ν² = 0) only from s = 2 on,
+        # through (D + ν)(D - ν) = D²: None on both routes below that
+        y = embed_poly(amb.gen(1, 1))
+        q = loc_divide_exact(y, d)
+        assert (q is None) == (d_exp < 2) and q == parent_loc_divide_exact(y, d)
 
 
 # -- the field view of a monomial ------------------------------------------------------

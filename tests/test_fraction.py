@@ -14,6 +14,7 @@ from superinduce.fraction import (
     is_polynomial,
     loc_add,
     loc_divide_exact,
+    loc_dot,
     loc_eq,
     loc_mul,
     loc_pow,
@@ -257,6 +258,76 @@ def test_loc_sum_of_nothing_is_zero_and_checks_ambients():
         loc_mul(embed_poly(amb.gen(1, 1)), other)
     with pytest.raises(UsageError, match="different ambients"):
         loc_divide_exact(LocalizedElement(amb.gen(1, 1), 1, 0), other)
+
+
+def _draw_pairs(data, amb):
+    """Pairs for a sum of products: random elements (possibly zero), zeros
+    with nonzero exponents, and odd generators that may meet themselves."""
+    odd = [(i, j) for i in range(1, amb.size + 1) for j in range(1, amb.size + 1)
+           if amb.gen_parity(i, j)]
+
+    def factor():
+        kind = data.draw(st.sampled_from(["random", "random", "zero", "odd"]))
+        if kind == "zero":
+            return LocalizedElement(amb.zero(), 1, 2)
+        if kind == "odd":
+            return LocalizedElement(amb.gen(*data.draw(st.sampled_from(odd))),
+                                    data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
+        return _draw_loc(data, amb)
+
+    return [(factor(), factor()) for _ in range(data.draw(st.integers(0, 4)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (2, 1), (2, 2)]), st.sampled_from([0, 3]))
+def test_loc_dot_equals_loc_sum_of_the_products(data, size, char):
+    amb = ambient(*size, char)
+    pairs = _draw_pairs(data, amb)
+    total = loc_dot(amb, iter(pairs))  # pairs may come from a generator
+    products = [loc_mul(x, y) for x, y in pairs]
+    expected = loc_sum(amb, products)
+    assert loc_eq(total, expected) and _cross_multiplied_eq(total, expected)
+    nonzero = [(x, y) for x, y in pairs if not (x.is_zero() or y.is_zero())]
+    if not any(loc_mul(x, y).is_zero() for x, y in nonzero):
+        # no product vanished: the same element, exponents included
+        assert total == expected
+    elif not total.is_zero():
+        # a product vanished: the exponents still come from every nonzero pair
+        assert total.d_exp == max(x.d_exp + y.d_exp for x, y in nonzero)
+        assert total.d22_exp == max(x.d22_exp + y.d22_exp for x, y in nonzero)
+
+
+def test_loc_dot_skips_zero_pairs_and_keeps_a_vanished_products_exponents():
+    amb = ambient(1, 1)
+    c12 = amb.gen(1, 2)
+    one = embed_poly(amb.one())
+    assert loc_dot(amb, []) == LocalizedElement(amb.zero())
+    # a zero factor adds neither a term nor its exponents
+    zero = LocalizedElement(amb.zero(), 3, 3)
+    assert loc_dot(amb, [(zero, one), (one, LocalizedElement(c12, 0, 1))]) == \
+        LocalizedElement(c12, 0, 1)
+    # c[1,2]·c[1,2] vanishes, but its pair still sets the exponents
+    square = (LocalizedElement(c12, 1, 0), LocalizedElement(c12, 1, 1))
+    got = loc_dot(amb, [square, (one, LocalizedElement(c12, 0, 1))])
+    want = loc_sum(amb, [loc_mul(*square), LocalizedElement(c12, 0, 1)])
+    assert loc_eq(got, want)
+    assert (got.d_exp, got.d22_exp) == (2, 1) and (want.d_exp, want.d22_exp) == (0, 1)
+    # mixed exponents: each pair is raised to (1, 2) by its smaller factor
+    d, d22 = det_block11(amb), det_block22(amb)
+    x, y = LocalizedElement(amb.gen(1, 1), 1, 0), LocalizedElement(amb.gen(2, 2) + c12, 0, 2)
+    got = loc_dot(amb, [(x, x), (y, one)])
+    assert (got.d_exp, got.d22_exp) == (2, 2)
+    assert got.num == amb.gen(1, 1) ** 2 * d22**2 + (amb.gen(2, 2) + c12) * d**2
+
+
+def test_loc_dot_checks_ambients_of_every_pair():
+    amb = ambient(2, 2)
+    other = embed_poly(ambient(2, 2, 3).gen(1, 1))
+    mine = embed_poly(amb.gen(1, 1))
+    zero_elsewhere = LocalizedElement(ambient(2, 2, 3).zero())
+    for pairs in ([(mine, other)], [(other, mine)], [(zero_elsewhere, mine)]):
+        with pytest.raises(UsageError, match="different ambients"):
+            loc_dot(amb, pairs)
 
 
 @settings(max_examples=80, deadline=None)

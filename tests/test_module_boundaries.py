@@ -86,3 +86,96 @@ def test_sums_of_localized_elements_go_through_loc_sum():
         for name, line in _loc_add_folds(path)
     }
     assert folds == set()
+
+
+def _enclosing_functions(tree):
+    """Each node of the tree mapped to its innermost enclosing function's name."""
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: nested functions come later
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return owner
+
+
+def _calls(node, name):
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def _sums_of_products(source: str):
+    """(function, line) for every `loc_sum(...)` whose list, set or
+    comprehension argument builds its items from `loc_mul(...)` calls, and
+    every `x = x + a * b` (or `-`, or `x += a * b`) inside a loop body."""
+    tree = ast.parse(source)
+    owner = _enclosing_functions(tree)
+    built = (ast.List, ast.Set, ast.Tuple, ast.ListComp, ast.SetComp, ast.GeneratorExp)
+    for call in _calls(tree, "loc_sum"):
+        if any(isinstance(arg, built) and _calls(arg, "loc_mul") for arg in call.args):
+            yield owner.get(call, "<module>"), call.lineno
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in (n for stmt in loop.body + loop.orelse for n in ast.walk(stmt)):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
+                target, product = node.target, node.value
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and isinstance(node.value, ast.BinOp)
+                  and isinstance(node.value.op, (ast.Add, ast.Sub))
+                  and isinstance(node.value.left, ast.Name)
+                  and isinstance(node.targets[0], ast.Name)
+                  and node.value.left.id == node.targets[0].id):
+                target, product = node.targets[0], node.value.right
+            else:
+                continue
+            if (isinstance(target, ast.Name) and isinstance(product, ast.BinOp)
+                    and isinstance(product.op, ast.Mult)):
+                yield owner.get(node, "<module>"), node.lineno
+
+
+def test_sums_of_products_go_through_one_dot():
+    # a product built only to be added into a sum costs its own dict and
+    # clean; fraction.loc_dot and superpoly.dot make every product of the
+    # sum in one pass
+    found = {
+        (path.name, name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _sums_of_products(path.read_text())
+    }
+    assert found == set()
+
+
+def test_the_sum_of_products_check_sees_every_form():
+    source = '''
+def listed(amb, xs, y):
+    return loc_sum(amb, [loc_mul(x, y) for x in xs])
+
+def starred(amb, xs, y):
+    return loc_sum(amb, [*(loc_mul(x, y) for x in xs), y])
+
+def conditional(amb, terms):
+    return loc_sum(amb, [loc_mul(t, w) if w else t for w, t in terms])
+
+def scaled(amb, v, y, c):
+    return loc_sum(amb, [loc_scale(loc_mul(v, y), c)])
+
+def folded(amb, pairs):
+    total = amb.zero()
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+def folded_in_place(amb, pairs):
+    total = amb.zero()
+    for a, b in pairs:
+        total -= a * b
+    return total
+
+def kept(amb, pieces, ys):
+    terms = [loc_mul(p, y) for p, y in zip(pieces, ys)]  # products kept apart
+    out = amb.one()
+    for y in ys:
+        out = out * y  # a product fold, not a sum
+    return loc_sum(amb, terms), loc_dot(amb, zip(pieces, ys)), out
+'''
+    assert sorted(name for name, _ in _sums_of_products(source)) == [
+        "conditional", "folded", "folded_in_place", "listed", "scaled", "starred"]

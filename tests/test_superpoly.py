@@ -110,6 +110,21 @@ def test_distributivity(data):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]), st.sampled_from([0, 3]))
+def test_subtraction_equals_adding_the_negative(data, size, char):
+    amb = ambient(*size, char)
+    a = random_poly(amb, data)
+    # b shares terms with a, some with equal coefficients, so the difference cancels
+    b = random_poly(amb, data) + a.scale(data.draw(st.sampled_from([1, 1, 2])))
+    diff = a - b
+    assert diff == a + (-b)
+    assert all(diff.terms.values())  # no zero coefficient survives
+    assert (a - a).is_zero() and (b - b).terms == {}
+    with pytest.raises(UsageError, match="different ambients"):
+        a - ambient(*size, 5 if char else 3).one()
+
+
 def test_weight_and_row_content():
     p = A22.gen(1, 1) * A22.gen(2, 3)
     assert weight_of(p) == (1, 0, 1, 0)
