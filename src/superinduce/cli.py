@@ -79,22 +79,21 @@ from .weights_tableaux import (
     render_weight,
 )
 
-VERIFY_SUITES = ("lemmas", "identities", "gen", "phi1", "fwedge", "linkage")
-EMIT_KINDS = ("highest-vector", "pi-ij", "pi-IJ", "omega-grid", "linkage-graph")
-
 
 # -- argument plumbing -------------------------------------------------------------
+
+
+def _integers(data) -> bool:
+    """Whether ``data`` is a list of JSON integers (``true`` and ``2.9`` are not)."""
+    return isinstance(data, list) and all(type(v) is int for v in data)
 
 
 def _parse_pairs(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise UsageError(f"--pairs must be JSON like [[1,1],[2,2]]: {exc}") from exc
-    if not isinstance(data, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)
-        for p in data
-    ):
+    if not isinstance(data, list) or not all(_integers(p) and len(p) == 2 for p in data):
         raise UsageError("--pairs must be a JSON list of [i,j] integer pairs")
     I = tuple(p[0] for p in data)
     J = tuple(p[1] for p in data)
@@ -102,20 +101,17 @@ def _parse_pairs(text: str):
 
 
 def _parse_partition(text: str) -> tuple:
-    squeezed = text.strip()
-    if squeezed in ("", "[]"):
-        return ()
-    if squeezed.startswith("["):
-        try:
-            data = json.loads(squeezed)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"unrecognized partition literal {text!r}") from exc
-    else:
-        data = squeezed.split(",")
+    squeezed = text.strip() or "[]"
     try:
-        return tuple(int(v) for v in data)
-    except (TypeError, ValueError) as exc:
+        if squeezed.startswith("["):
+            data = json.loads(squeezed)
+        else:
+            data = [int(v) for v in squeezed.split(",")]
+    except ValueError as exc:
         raise UsageError(f"unrecognized partition literal {text!r}") from exc
+    if not _integers(data):
+        raise UsageError(f"unrecognized partition literal {text!r}")
+    return tuple(data)
 
 
 def _require_weight(args) -> Weight:
@@ -227,11 +223,9 @@ def _rewrite_factors(amb):
 
 
 def suite_lemmas(args, rng) -> dict:
-    sizes = (
-        [(args.m, args.n)]
-        if args.m is not None and args.n is not None
-        else [(1, 1), (2, 1), (1, 2), (2, 2)]
-    )
+    if (args.m is None) != (args.n is None):
+        raise UsageError("verify lemmas takes both --m and --n, or neither")
+    sizes = [(args.m, args.n)] if args.m is not None else [(1, 1), (2, 1), (1, 2), (2, 2)]
     entries = []
     for m, n in sizes:
         amb = ambient(m, n, args.p)
@@ -260,6 +254,8 @@ def _muir_entry(amb, ks) -> dict:
 
 
 def suite_identities(args, rng) -> dict:
+    if args.m is not None and args.count is not None:
+        raise UsageError("verify identities draws --count instances only without --m")
     entries = []
     exhaustive = [args.m] if args.m is not None else [1, 2, 3]
     for m in exhaustive:
@@ -326,6 +322,8 @@ def suite_gen(args, rng) -> dict:
 
 def _phi1_weights(args, rng):
     if args.weight is not None:
+        if args.count is not None:
+            raise UsageError("verify phi1 draws --count weights only without --lambda")
         return [_require_weight(args)]
     m, n = _sizes(args)
     weights = []
@@ -548,56 +546,6 @@ def suite_linkage(args, rng) -> dict:
     }
 
 
-_SUITES = {
-    "lemmas": suite_lemmas,
-    "identities": suite_identities,
-    "gen": suite_gen,
-    "phi1": suite_phi1,
-    "fwedge": suite_fwedge,
-    "linkage": suite_linkage,
-}
-
-
-#: Options of the common set that a suite never reads, by argparse
-#: destination.  Passing one is a UsageError naming it, not a silent no-op.
-_UNREAD_OPTIONS = {
-    "fwedge": ("weight", "i", "j", "pairs", "count", "max_steps"),
-    "linkage": ("weight", "i", "j", "pairs", "max_steps"),
-    "lemmas": ("i", "j", "pairs", "count", "max_steps", "max_entry"),
-    "identities": ("i", "j", "pairs", "max_steps", "max_entry"),
-    "gen": ("i", "j", "pairs", "max_steps", "max_entry"),
-    "phi1": ("i", "j", "pairs", "max_steps", "max_entry"),
-}
-
-
-#: Largest --m and --n of the suites that build a ring from them.  The ring's
-#: packing tables grow with the square of its size, so --m 1000000 ran out of
-#: memory; a larger block also needs determinants past superpoly.DET_CAP.
-#: Sizes within the cap are not bounded in time: verify lemmas at (3,3) takes
-#: about 110 s.
-RING_SIZE_CAP = 8
-_RING_SUITES = ("lemmas", "identities", "gen", "phi1")
-
-
-def cmd_verify(args) -> dict:
-    if args.suite in _RING_SUITES:
-        for option, size in (("--m", args.m), ("--n", args.n)):
-            if size is not None and size > RING_SIZE_CAP:
-                raise UsageError(
-                    f"{option} must not exceed {RING_SIZE_CAP} (RING_SIZE_CAP) for "
-                    f"verify {args.suite}, got {size}"
-                )
-    unread = [
-        "--lambda" if dest == "weight" else "--" + dest.replace("_", "-")
-        for dest in _UNREAD_OPTIONS.get(args.suite, ())
-        if getattr(args, dest) is not None
-    ]
-    if unread:
-        raise UsageError(f"verify {args.suite} does not read {', '.join(unread)}")
-    rng = random.Random(args.seed)
-    return _SUITES[args.suite](args, rng)
-
-
 # -- emitters -----------------------------------------------------------------------
 
 
@@ -692,19 +640,6 @@ def emit_linkage_graph(args) -> dict:
         "nodes": nodes,
         "edges": edges,
     }
-
-
-_EMITTERS = {
-    "highest-vector": emit_highest_vector,
-    "pi-ij": emit_pi_ij,
-    "pi-IJ": emit_pi_IJ,
-    "omega-grid": emit_omega_grid,
-    "linkage-graph": emit_linkage_graph,
-}
-
-
-def cmd_emit(args) -> dict:
-    return _EMITTERS[args.kind](args)
 
 
 # -- direct queries -----------------------------------------------------------------
@@ -882,47 +817,109 @@ def cmd_lr(args) -> dict:
     return artifact
 
 
-# -- parser -------------------------------------------------------------------------
+
+
+# -- the command table --------------------------------------------------------------
+
+
+def _seeded(suite):
+    """A verify suite as a handler: its random draws come from ``--seed``."""
+    return lambda args: suite(args, random.Random(args.seed))
+
+
+#: Every command form: its handler, the options it reads besides --p and
+#: --out, whether its --m and --n size a ring (capped at RING_SIZE_CAP), and
+#: its help line.  A form rejects every option outside its row.
+COMMANDS = {
+    "verify lemmas": (_seeded(suite_lemmas), "--m --n --seed", True, None),
+    "verify identities": (_seeded(suite_identities), "--m --seed --count", True, None),
+    "verify gen": (_seeded(suite_gen), "--m --n --seed --count", True, None),
+    "verify phi1": (_seeded(suite_phi1), "--m --n --seed --count --lambda", True, None),
+    "verify fwedge": (_seeded(suite_fwedge), "--m --n --seed --max-entry", False, None),
+    "verify linkage": (_seeded(suite_linkage), "--m --n --seed --count --max-entry", False, None),
+    "verify-lemmas": (
+        _seeded(suite_lemmas), "--m --n --seed", True, "shorthand for: verify lemmas"
+    ),
+    "verify-identities": (
+        _seeded(suite_identities), "--m --seed --count", True, "shorthand for: verify identities"
+    ),
+    "emit highest-vector": (emit_highest_vector, "--lambda --m --n", False, None),
+    "emit pi-ij": (emit_pi_ij, "--lambda --m --n --i --j", False, None),
+    "emit pi-IJ": (emit_pi_IJ, "--lambda --m --n --pairs", False, None),
+    "emit omega-grid": (emit_omega_grid, "--lambda --m --n", False, None),
+    "emit linkage-graph": (emit_linkage_graph, "--m --n --max-entry", False, None),
+    "primitive": (
+        cmd_primitive, "--lambda --m --n --i --j", False,
+        "build one first-floor vector and test primitivity",
+    ),
+    "primitive-k": (
+        cmd_primitive_k, "--lambda --m --n --pairs", False,
+        "build a higher-floor vector and test primitivity",
+    ),
+    "phi1": (
+        cmd_phi1, "--lambda --m --n --seed", False,
+        "eigenvalue table of the first-floor twisting map",
+    ),
+    "typicality": (cmd_typicality, "--lambda --m --n", False, "typicality of a weight"),
+    "linkage": (
+        cmd_linkage, "--lambda --m --n --mu --max-steps", False,
+        "even linkage of two weights, with certificates",
+    ),
+    "odd-chain": (
+        cmd_odd_chain, "--lambda --m --n --pairs", False,
+        "sequential vanishing condition for an index family",
+    ),
+    "alcove": (cmd_alcove, "--lambda --m --n", False, "alcove membership"),
+    "lr": (cmd_lr, "--outer --inner --content --tableaux", False, "skew lattice-filling count"),
+}
+
+
+def form_options(form: str) -> list:
+    """The options ``form`` reads: its row's, and --p and --out, which main
+    checks and writes for every form."""
+    return ["--p", "--out", *COMMANDS[form][1].split()]
+
+
+#: Every option of some form, with its argparse keywords.
+_OPTIONS = {
+    "--m": {"type": int, "help": "even block size"},
+    "--n": {"type": int, "help": "odd block size"},
+    "--p": {"type": int, "default": 0, "help": "characteristic: 0 or an odd prime"},
+    "--lambda": {"dest": "weight", "help": "weight literal '[a,b,..|c,d,..]'"},
+    "--seed": {"type": int, "default": 0, "help": "seed for random suites"},
+    "--out": {"help": "also write the JSON here"},
+    "--i": {"type": int, "help": "row of the floor cell"},
+    "--j": {"type": int, "help": "column of the floor cell"},
+    "--pairs": {"help": "index family as JSON [[i,j],...]"},
+    "--count": {"type": int, "help": "number of random instances"},
+    "--max-entry": {"type": int, "help": "bound on weight entries in sweeps"},
+    "--max-steps": {"type": int, "help": "bound on chain search length"},
+    "--mu": {"dest": "other", "help": "second weight literal"},
+    "--outer": {"help": "outer partition, '3,2,1' or '[3,2,1]'"},
+    "--inner": {"help": "inner partition (default empty)"},
+    "--content": {"help": "content partition"},
+    "--tableaux": {"action": "store_true", "help": "also list the fillings"},
+}
+
+#: The two-word forms: their group's help line and the dest of the second word.
+_GROUPS = {
+    "verify": ("run a named verification suite", "suite"),
+    "emit": ("emit a deterministic JSON artifact", "kind"),
+}
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
     """Rejected command lines end like every other malformed request: one
-    JSON error line on stderr and exit code 2."""
+    JSON error line on stderr and exit code 2.  No option is read from a
+    prefix: with per-form options, ``lr --i 2`` would otherwise be --inner."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         error = {"error": f"{self.prog}: {message}"}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         raise SystemExit(2)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=None, help="even block size")
-    parser.add_argument("--n", type=int, default=None, help="odd block size")
-    parser.add_argument(
-        "--p", type=int, default=0, help="characteristic: 0 or an odd prime"
-    )
-    parser.add_argument(
-        "--lambda",
-        dest="weight",
-        default=None,
-        help="weight literal '[a,b,..|c,d,..]'",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for random suites")
-    parser.add_argument("--out", default=None, help="also write the JSON here")
-    parser.add_argument("--i", type=int, default=None)
-    parser.add_argument("--j", type=int, default=None)
-    parser.add_argument(
-        "--pairs", default=None, help="index family as JSON [[i,j],...]"
-    )
-    parser.add_argument(
-        "--count", type=int, default=None, help="number of random instances"
-    )
-    parser.add_argument(
-        "--max-entry", type=int, default=None, help="bound on weight entries in sweeps"
-    )
-    parser.add_argument(
-        "--max-steps", type=int, default=None, help="bound on chain search length"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -931,43 +928,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites and artifacts for the induced-supermodule calculus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=VERIFY_SUITES)
-    _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    for legacy, suite in (("verify-lemmas", "lemmas"), ("verify-identities", "identities")):
-        p_legacy = sub.add_parser(legacy, help=f"shorthand for: verify {suite}")
-        _add_common(p_legacy)
-        p_legacy.set_defaults(func=cmd_verify, suite=suite)
-
-    p_emit = sub.add_parser("emit", help="emit a deterministic JSON artifact")
-    p_emit.add_argument("kind", choices=EMIT_KINDS)
-    _add_common(p_emit)
-    p_emit.set_defaults(func=cmd_emit)
-
-    for name, func, blurb in (
-        ("primitive", cmd_primitive, "build one first-floor vector and test primitivity"),
-        ("primitive-k", cmd_primitive_k, "build a higher-floor vector and test primitivity"),
-        ("phi1", cmd_phi1, "eigenvalue table of the first-floor twisting map"),
-        ("typicality", cmd_typicality, "typicality of a weight"),
-        ("linkage", cmd_linkage, "even linkage of two weights, with certificates"),
-        ("odd-chain", cmd_odd_chain, "sequential vanishing condition for an index family"),
-        ("alcove", cmd_alcove, "alcove membership"),
-        ("lr", cmd_lr, "skew lattice-filling count"),
-    ):
-        p_cmd = sub.add_parser(name, help=blurb)
-        _add_common(p_cmd)
-        if name == "linkage":
-            p_cmd.add_argument("--mu", dest="other", default=None)
-        if name == "lr":
-            p_cmd.add_argument("--outer", default=None)
-            p_cmd.add_argument("--inner", default=None)
-            p_cmd.add_argument("--content", default=None)
-            p_cmd.add_argument("--tableaux", action="store_true")
-        p_cmd.set_defaults(func=func)
-
+    groups, defaults = {}, {}
+    for form, (_, _, _, blurb) in COMMANDS.items():
+        group, _, name = form.rpartition(" ")
+        if group and group not in groups:
+            group_blurb, dest = _GROUPS[group]
+            groups[group] = sub.add_parser(group, help=group_blurb).add_subparsers(
+                dest=dest, required=True
+            )
+        leaf = groups.get(group, sub).add_parser(name, help=blurb)
+        for option in form_options(form):
+            action = leaf.add_argument(option, **_OPTIONS[option])
+            defaults[action.dest] = action.default
+        leaf.set_defaults(form=form)
+    # handlers and _config_echo read every dest, also of options a form lacks
+    parser.set_defaults(**defaults)
     return parser
 
 
@@ -981,9 +956,23 @@ _shared_parser = lru_cache(maxsize=None)(build_parser)
 #: at most 100.
 COUNT_CAP = 1_000
 
+#: Largest --m and --n of the forms that build a ring from them.  The ring's
+#: packing tables grow with the square of its size, so --m 1000000 ran out of
+#: memory; a larger block also needs determinants past superpoly.DET_CAP.
+#: Sizes within the cap are not bounded in time: verify lemmas at (3,3) takes
+#: about 110 s.
+RING_SIZE_CAP = 8
+
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser = _shared_parser()
+    args, extra = parser.parse_known_args(argv)
+    # an option of another form is a UsageError naming it; anything else
+    # left over is unknown to every form, and argparse rejects it as before
+    unread = list(dict.fromkeys(o for o in (a.partition("=")[0] for a in extra) if o in _OPTIONS))
+    if extra and not unread:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    handler, _, builds_ring, _ = COMMANDS[args.form]
     try:
         if args.p:
             check_odd_prime(args.p)
@@ -991,7 +980,15 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"--count must lie in 0..{COUNT_CAP} (COUNT_CAP), got {args.count}"
             )
-        return _publish(args.func(args), args.out)
+        for option, size in (("--m", args.m), ("--n", args.n)):
+            if builds_ring and size is not None and size > RING_SIZE_CAP:
+                raise UsageError(
+                    f"{option} must not exceed {RING_SIZE_CAP} (RING_SIZE_CAP) for "
+                    f"{args.form}, got {size}"
+                )
+        if unread:
+            raise UsageError(f"{args.form} does not read {', '.join(unread)}")
+        return _publish(handler(args), args.out)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from itertools import combinations
@@ -783,3 +784,92 @@ def test_unbounded_chain_search_exits_2_naming_the_cap(capsys):
     argv = ["linkage", "--lambda", "[2,1|1,0]", "--mu", "[0,0|0,0]", "--p", "3"]
     assert main(argv + ["--max-steps", "1000000"]) == 2
     assert f"cap of {CHAIN_NODE_CAP} weights" in _one_json_error_line(capsys)["error"]
+
+
+def test_verify_lemmas_takes_both_sizes_or_neither(capsys):
+    # one size alone used to run the four default sizes and echo the size given
+    for size in ("--m", "--n"):
+        assert main(["verify", "lemmas", size, "1"]) == 2
+        error = _one_json_error_line(capsys)["error"]
+        assert "--m" in error and "--n" in error
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        # identities fixes n = 1, and phi1 and identities draw --count only
+        # when neither --lambda nor --m fixes what they check
+        (["verify", "identities", "--m", "1", "--n", "7"], ["--n"]),
+        (["verify", "identities", "--m", "1", "--count", "3"], ["--count", "--m"]),
+        (["verify", "phi1", "--lambda", "[2,1|1,0]", "--count", "2"], ["--count", "--lambda"]),
+    ],
+)
+def test_options_a_suite_ignores_on_some_path_are_usage_errors(capsys, argv, options):
+    assert main(argv) == 2
+    error = _one_json_error_line(capsys)["error"]
+    assert all(option in error for option in options)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["odd-chain", "--lambda", "[2,1|2,0]", "--pairs", "[[true,1]]", "--p", "3"],
+         "integer pairs"),
+        (["emit", "pi-IJ", "--lambda", "[4,3|1,0]", "--pairs", "[[1.0,1]]"], "integer pairs"),
+        (["odd-chain", "--lambda", "[2,1|2,0]", "--pairs", f"[[{'1' * 5000},1]]", "--p", "3"],
+         "--pairs must be JSON"),
+        (["lr", "--outer", "[2.9,1.5]", "--content", "[1,1]"], "partition literal"),
+        (["lr", "--outer", "[2,1]", "--content", "[true,false,1]"], "partition literal"),
+        (["lr", "--outer", "[1e400]", "--content", "1"], "partition literal"),
+        (["lr", "--outer", "[2,1]", "--inner", '["1"]', "--content", "2"], "partition literal"),
+        (["lr", "--outer", f"[{'1' * 5000}]", "--content", "1"], "partition literal"),
+    ],
+)
+def test_index_and_partition_literals_take_json_integers_only(capsys, argv, message):
+    # booleans and floats used to pass as indices or be truncated to parts;
+    # infinite and over-long numbers ended in a traceback
+    assert main(argv) == 2
+    assert message in _one_json_error_line(capsys)["error"]
+
+
+EVERY_OPTION = sorted({option for form in cli.COMMANDS for option in cli.form_options(form)})
+
+
+@pytest.mark.parametrize("form", list(cli.COMMANDS))
+def test_a_form_takes_exactly_the_options_of_its_row(capsys, form):
+    reads = cli.form_options(form)
+    for option in reads:
+        argv = form.split() + [option] + ([] if option == "--tableaux" else ["1"])
+        assert build_parser().parse_known_args(argv)[1] == [], argv
+    for option in EVERY_OPTION:
+        if option in reads:
+            continue
+        assert main(form.split() + [option, "1"]) == 2, option
+        error = _one_json_error_line(capsys)["error"]
+        assert error == f"{form} does not read {option}"
+
+
+def test_options_follow_the_suite_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "1", "--n", "1", "lemmas"])
+    assert exc.value.code == 2
+    _one_json_error_line(capsys)
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    return [
+        line.strip()
+        for block in blocks
+        for line in block.splitlines()
+        if line.strip().startswith("superinduce ")
+    ]
+
+
+def test_readme_examples_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 13
+    for line in lines:
+        args, extra = build_parser().parse_known_args(shlex.split(line, comments=True)[1:])
+        assert args.form in cli.COMMANDS and extra == [], line

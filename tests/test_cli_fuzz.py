@@ -1,7 +1,8 @@
 """Fuzzed command lines.
 
-Each argv is a real subcommand (with its suite or artifact kind) followed by
-options drawn from that subcommand's own option names, with values that are
+Each argv is one of the command forms of `cli.COMMANDS` followed by options
+drawn mostly from that form's own row and about one in four from other forms'
+rows, so the rejection of unread options is fuzzed too, with values that are
 small or huge integers, weight, pair and partition literals, or junk.  Every
 run must end in exit code 0, 1 or 2, never in a traceback, and an exit 2
 carries exactly one JSON line on stderr and nothing on stdout.  Each call runs
@@ -9,7 +10,6 @@ in a fresh interpreter under a time and a memory limit, so a hang or a
 runaway allocation fails the test instead of the machine.
 """
 
-import argparse
 import json
 import os
 import resource
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superinduce.cli import build_parser
+from superinduce.cli import COMMANDS, form_options
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CALL_TIMEOUT_S = 60
@@ -28,20 +28,12 @@ CALL_MEMORY_BYTES = 1 << 30
 
 
 def _command_forms():
-    """(argv prefix, option strings) for every command the parser knows."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    forms = []
-    for name, command in sub.choices.items():
-        options = sorted(
-            s for a in command._actions for s in a.option_strings if s not in ("-h", "--help")
-        )
-        positional = [a for a in command._actions if not a.option_strings]
-        if positional:
-            forms += [([name, choice], options) for choice in positional[0].choices]
-        else:
-            forms.append(([name], options))
-    return forms
+    """(argv prefix, its options, every other form's options) for every form."""
+    every = sorted({option for form in COMMANDS for option in form_options(form)})
+    return [
+        (form.split(), form_options(form), [o for o in every if o not in form_options(form)])
+        for form in COMMANDS
+    ]
 
 
 FORMS = _command_forms()
@@ -62,9 +54,10 @@ VALUES = st.sampled_from(SMALL + HUGE + LITERALS + JUNK)
 
 @st.composite
 def argvs(draw):
-    prefix, options = draw(st.sampled_from(FORMS))
+    prefix, options, others = draw(st.sampled_from(FORMS))
     argv = list(prefix)
-    for option in draw(st.lists(st.sampled_from(options), max_size=4)):
+    for _ in range(draw(st.integers(0, 4))):
+        option = draw(st.sampled_from(others if draw(st.integers(0, 3)) == 0 else options))
         argv.append(option)
         if option != "--tableaux":
             argv.append(draw(VALUES))
@@ -114,4 +107,4 @@ def test_any_command_line_ends_in_a_report_or_one_json_error(argv):
 def test_every_command_form_is_fuzzed():
     # 6 verify suites, 2 shorthands, 5 artifacts and 8 direct queries
     assert len(FORMS) == 21
-    assert all(options for _, options in FORMS)
+    assert all(options and others for _, options, others in FORMS)
