@@ -146,6 +146,11 @@ def _config_echo(args, **extra) -> dict:
     return cfg
 
 
+# json.dumps(e, sort_keys=True) builds a fresh encoder on every call; the
+# entries of a report share this one
+_sort_key = json.JSONEncoder(sort_keys=True).encode
+
+
 def _publish(document: dict, out) -> int:
     """Print a command's document, and write it to ``out`` first if given.
 
@@ -156,7 +161,7 @@ def _publish(document: dict, out) -> int:
     """
     failures = 0
     if "entries" in document:
-        entries = sorted(document["entries"], key=lambda e: json.dumps(e, sort_keys=True))
+        entries = sorted(document["entries"], key=_sort_key)
         failures = sum(not e["ok"] for e in entries)
         document.update(entries=entries, failures=failures, ok=failures == 0)
     text = json.dumps(document, indent=2, sort_keys=True)

@@ -455,20 +455,6 @@ def _division_ranks(amb: Ambient, monos) -> list:
     return [((mo & odd).bit_count(), -mo) for mo in monos]
 
 
-def _even_monomial_divide(amb: Ambient, u: Monomial, v: Monomial):
-    """u / v for a monomial v in even generators only; None when v does not
-    divide u.
-
-    Setting every guard bit of u first keeps each field's borrow inside the
-    field; a guard bit that survives marks a field where u covers v.
-    """
-    guard = amb.guard_mask
-    diff = (u | guard) - v
-    if diff & guard != guard:
-        return None
-    return diff ^ guard
-
-
 def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
     """Exact quotient a/b, or None when b does not divide a.
 
@@ -479,10 +465,12 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
     larger packed int) is odd-free, so its product with a quotient term never
     vanishes and is never signed, and one leading-term division recovers the
     quotient (Monagan & Pearce): the remainder's leading terms come off a
-    heap, a popped monomial that has left the remainder is skipped, and each
-    quotient term subtracts its product with every other divisor term, signed
-    and skipped as `dot` does.  The result is verified by multiplication
-    before being returned.
+    heap, and each quotient term subtracts its product with every other
+    divisor term, signed and skipped as `dot` does, from the remainder in
+    place: a coefficient that cancels leaves the remainder, so its stale heap
+    entry is skipped when popped, and a monomial that enters it, anew or
+    again, is pushed.  The result is verified by multiplication before being
+    returned.
     """
     if a.ambient != b.ambient:
         raise UsageError("operands live in different ambients")
@@ -492,11 +480,12 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
     if b.parity() != 0:
         raise UsageError("divisor must be even")
     odd = amb.odd_mask
-    field = amb.field
+    guard = amb.guard_mask
+    p = amb.char
     lead_b = -min(_division_ranks(amb, b.terms))[1]
     if lead_b & odd:
         raise UsageError("divisor is a zero divisor (its even-generator body vanishes)")
-    lc_b_inv = field.inv(b.terms[lead_b])
+    lc_b_inv = amb.field.inv(b.terms[lead_b])
     rest = [(mb, cb, mb & odd, koszul_mask(mb & odd), (mb & odd).bit_count())
             for mb, cb in b.terms.items() if mb != lead_b]
     quo: dict = {}
@@ -506,23 +495,36 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
     while heap:
         odd_u, neg_u = heappop(heap)
         u = -neg_u
-        if u not in rem:
-            continue
-        qm = _even_monomial_divide(amb, u, lead_b)
-        if qm is None:
+        cu = rem.pop(u, None)
+        if cu is None:
+            continue  # the monomial cancelled after it was pushed
+        # u / lead_b, lead_b being odd-free: setting every guard bit of u
+        # first keeps each field's borrow inside the field, and a guard bit
+        # that the subtraction clears marks a field where lead_b exceeds u
+        qm = (u | guard) - lead_b
+        if qm & guard != guard:
             return None
-        qc = quo[qm] = rem.pop(u) * lc_b_inv
+        qm ^= guard
+        qc = quo[qm] = cu * lc_b_inv % p if p else cu * lc_b_inv
         oq = qm & odd
-        touched: dict = {}
         for mb, cb, ob, kb, odd_b in rest:
             if oq & ob:
                 continue  # a shared odd generator squares to zero
             mo = qm + mb
-            touched[mo] = qc * cb if (oq & kb).bit_count() & 1 else -qc * cb
-            if mo not in rem:
+            if mo & guard:
+                raise UsageError(f"exponent exceeds the monomial exponent cap {EXPONENT_CAP}")
+            c = qc * cb if (oq & kb).bit_count() & 1 else -qc * cb
+            prev = rem.get(mo)
+            if prev is None:
+                # a monomial new to the remainder, or back after cancelling
+                rem[mo] = c % p if p else c
                 heappush(heap, (odd_u + odd_b, -mo))
-        check_exponents(amb, touched)
-        rem.update(field.clean({mo: rem.pop(mo, 0) + c for mo, c in touched.items()}))
+                continue
+            c = (prev + c) % p if p else prev + c
+            if c:
+                rem[mo] = c
+            else:
+                del rem[mo]
     quo_poly = SuperPolynomial(amb, quo)
     if quo_poly * b != a:
         raise InternalError("division verification failed")

@@ -2,9 +2,12 @@
 
 A weight is a pair of integer vectors, one per block.  Tableaux are fillings
 of partition shapes; their columns index the initial-rows minors whose
-products are the bideterminants.  The highest vector of a dominant weight is
-the product of the nested leading minors of both blocks raised to the
-consecutive differences of the weight.
+products are the bideterminants.  A minus bideterminant, a product of
+twisted minors each over D to its column's length, is kept over D^h for h
+the tableau's number of rows: by Jacobi's complementary-minor identity each
+row adds at most one net power of D (see ``bideterminant_minus``).  The
+highest vector of a dominant weight is the product of the nested leading
+minors of both blocks raised to the consecutive differences of the weight.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 from .fraction import (
     LocalizedElement,
+    den_power,
     embed_poly,
     loc_mul,
     loc_pow,
@@ -21,7 +25,14 @@ from .fraction import (
     loc_weight,
 )
 from .minors import loc_det, row_initial_minor, twisted_generator
-from .superpoly import Ambient, InternalError, SuperPolynomial, UsageError
+from .superpoly import (
+    Ambient,
+    InternalError,
+    SuperPolynomial,
+    UsageError,
+    exact_divide,
+    parse_integer,
+)
 
 
 @dataclass(frozen=True)
@@ -158,8 +169,8 @@ def parse_weight(text: str) -> Weight:
     m = re.fullmatch(r"\[(-?\d+(?:,-?\d+)*)\|(-?\d+(?:,-?\d+)*)\]", squeezed)
     if m is None:
         raise UsageError(f"unrecognized weight literal {text!r}")
-    plus = tuple(int(v) for v in m.group(1).split(","))
-    minus = tuple(int(v) for v in m.group(2).split(","))
+    plus = tuple(parse_integer(v) for v in m.group(1).split(","))
+    minus = tuple(parse_integer(v) for v in m.group(2).split(","))
     return Weight(plus, minus)
 
 
@@ -252,9 +263,30 @@ def bideterminant_plus(amb: Ambient, t: Tableau) -> SuperPolynomial:
 
 
 def bideterminant_minus(amb: Ambient, t: Tableau) -> LocalizedElement:
+    """The product of the dminus minors of the tableau's columns, over D^h
+    for h the number of rows rather than over D to the total column length.
+
+    A twisted generator of the odd block is c[k,l] - X[k,l]/D with
+    X[k,l] = sum over a, b of c[k,a]·adj[a,b]·c[b,l].  The c[k,a] of one row
+    k are odd and anticommute, so a product of r X entries from row k
+    antisymmetrises r adjugate entries into an r-row minor of the adjugate,
+    which Jacobi's complementary-minor identity writes as ±D^(r-1) times the
+    complementary minor of C11: each row adds at most one net power of D.
+    The first (longest) column already sits over D^h; every later column is
+    multiplied in and its power of D divided off again at once, so no
+    intermediate carries the terms of the larger denominator.  A division
+    that fails is a bug and raises InternalError.
+    """
+    h = len(t.shape)
     out = embed_poly(amb.one())
     for col in tableau_columns(t):
         out = loc_mul(out, dminus(amb, col))
+        excess = out.d_exp - h
+        if excess > 0:
+            num = exact_divide(out.num, den_power(amb, excess, 0))
+            if num is None:
+                raise InternalError("a minus bideterminant is not divisible down to D^h")
+            out = LocalizedElement(num, h, out.d22_exp)
     return out
 
 

@@ -15,6 +15,9 @@ each layer one graded-lexicographic leading-term division by the divisor's
 odd-free body.  The per-field loops read a packed monomial's exponents one
 16-bit field at a time.
 
+The minus bideterminant folds its columns' dminus minors together with
+loc_mul and leaves the product over D to the total column length.
+
 The parent's quotient rule takes a diagonal d[k,k] through the basic
 derivation on the numerator, dN, and subtracts λ·N; its localized divisions
 multiply the dividend by the divisor's denominator power even when that power
@@ -58,6 +61,7 @@ from superinduce.weights_tableaux import (
     exponent_ledger,
     is_admissible_pair,
     is_dominant,
+    tableau_columns,
 )
 
 
@@ -112,6 +116,13 @@ def fresh_minor_power_product(amb, plus_exps, minus_exps):
     for b, e in enumerate(minus_exps, start=1):
         if e:
             out = loc_mul(out, fresh_minor_power(amb, "minus", b, e))
+    return out
+
+
+def fold_bideterminant_minus(amb, t):
+    out = embed_poly(amb.one())
+    for col in tableau_columns(t):
+        out = loc_mul(out, dminus(amb, col))
     return out
 
 

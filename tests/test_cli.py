@@ -832,6 +832,14 @@ def test_index_and_partition_literals_take_json_integers_only(capsys, argv, mess
     assert message in _one_json_error_line(capsys)["error"]
 
 
+@pytest.mark.parametrize("literal", [f"[{'1' * 5000}|0]", f"[2,1|1,-{'1' * 5000}]"])
+def test_weight_literals_with_over_long_entries_are_usage_errors(capsys, literal):
+    # int() refuses more than 4,300 digits; the refusal used to end in a
+    # ValueError traceback with exit 1
+    assert main(["typicality", "--lambda", literal]) == 2
+    assert "too many digits" in _one_json_error_line(capsys)["error"]
+
+
 EVERY_OPTION = sorted({option for form in cli.COMMANDS for option in cli.form_options(form)})
 
 

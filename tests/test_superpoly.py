@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -527,6 +527,66 @@ def test_exact_divide_keeps_the_exponent_cap(char):
     with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
         exact_divide(c11**2 * c22**EXPONENT_CAP, c11**2 + c22**2)
     assert exact_divide(c11**2 * c22**(EXPONENT_CAP - 2), c11**2 + c22**2) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([0, 3, 5]))
+def test_exact_divide_keeps_the_exponent_cap_for_any_two_even_generators(data, char):
+    # the first quotient term of x^2·y^k / (x^2 + y^2), x the larger, is y^k,
+    # and its product with y^2 crosses the cap exactly when k + 2 does
+    amb = ambient(2, 2, char)
+    even, _ = _even_and_odd_gens(amb)
+    y, x = sorted(data.draw(st.permutations(even))[:2], key=lambda g: next(iter(g.terms)))
+    k = data.draw(st.integers(EXPONENT_CAP - 4, EXPONENT_CAP))
+    if k + 2 > EXPONENT_CAP:
+        with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
+            exact_divide(x**2 * y**k, x**2 + y**2)
+    else:
+        assert exact_divide(x**2 * y**k, x**2 + y**2) is None
+
+
+def _draw_colliding_division(data, amb):
+    """(q, b): b = x + β·y + γ·z + δ·w over four even generators, x the
+    largest, plus an odd pair now and then, and q the signed pairwise
+    products of y, z and w plus a few random terms.  The remainder's y·z·w
+    takes one product from each of y·z, y·w and z·w; when the last two cancel
+    each other, which mod 3 or 5 is often, y·z·w leaves the remainder after
+    the first and comes back with the second, behind a stale heap entry."""
+    even, odd = _even_and_odd_gens(amb)
+    picks = sorted(data.draw(st.permutations(even))[:4],
+                   key=lambda g: next(iter(g.terms)), reverse=True)
+    coeffs = st.sampled_from([-2, -1, 1, 2])
+    b = picks[0]
+    for g in picks[1:]:
+        b = b + g.scale(data.draw(coeffs))
+    if data.draw(st.booleans()):
+        b = b + data.draw(st.sampled_from(odd)) * data.draw(st.sampled_from(odd))
+    q = random_poly(amb, data, max_terms=2)
+    for g, h in combinations(picks[1:], 2):
+        q = q + (g * h).scale(data.draw(coeffs))
+    return q, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([0, 3, 5]))
+def test_in_place_remainder_matches_the_layered_route(data, char):
+    amb = ambient(2, 2, char)
+    q, b = _draw_colliding_division(data, amb)
+    assert exact_divide(q * b, b) == layered_exact_divide(q * b, b) == q
+    # a dividend that b need not divide: both routes agree, None included
+    x = q * b + random_poly(amb, data, max_terms=2)
+    assert exact_divide(x, b) == layered_exact_divide(x, b)
+
+
+def test_a_remainder_monomial_that_cancels_and_comes_back():
+    # b = c11 + c12 + c21 + c22 and q = c12·c21 + c12·c22 - c21·c22: the
+    # quotient term c12·c21 takes c12·c21·c22 to 0, c12·c22 brings it back
+    # and c21·c22 cancels it again
+    x, y, z, w = (A22.gen(1, 1), A22.gen(1, 2), A22.gen(2, 1), A22.gen(2, 2))
+    b = x + y + z + w
+    q = y * z + y * w - z * w
+    assert exact_divide(q * b, b) == q
+    assert exact_divide(q * b + y * z * w, b) is None
 
 
 # -- one leading-term division for divisors with no odd terms ------------------------

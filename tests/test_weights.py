@@ -1,12 +1,17 @@
 """Weights, tableaux, bideterminants, and highest vectors."""
 
+import importlib.util
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from builder_oracle import fold_bideterminant_minus
 from superinduce import ambient, UsageError
-from superinduce.fraction import embed_poly, loc_eq, loc_mul, loc_weight
+from superinduce.fraction import det_block11, embed_poly, loc_eq, loc_mul, loc_weight
+from superinduce.superpoly import exact_divide
 from superinduce.minors import loc_det, twisted_generator
 from superinduce.weights_tableaux import (
     Tableau,
@@ -127,12 +132,90 @@ def test_bideterminants():
     t_plus = Tableau((2, 1), ((1, 1), (2,)))
     b = bideterminant_plus(amb, t_plus)
     # columns (1,2) and (1,): D * c[1,1]
-    from superinduce.fraction import det_block11
-
     assert b == det_block11(amb) * amb.gen(1, 1)
     t_minus = Tableau((1,), ((3,),))
     bm = bideterminant_minus(amb, t_minus)
     assert loc_eq(bm, twisted_generator(amb, 3, 3))
+
+
+def _partitions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+MINUS_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]
+SHAPES = [shape for boxes in range(1, 6) for shape in _partitions(boxes, boxes)]
+
+
+@st.composite
+def minus_tableaux(draw):
+    """(ambient, tableau): a semistandard filling of at most five boxes with
+    entries in the odd block, at one of eight sizes, in char 0, 3 or 5."""
+    m, n = draw(st.sampled_from(MINUS_SIZES))
+    amb = ambient(m, n, draw(st.sampled_from([0, 3, 5])))
+    shape = draw(st.sampled_from([s for s in SHAPES if len(s) <= n]))
+    return amb, draw(st.sampled_from(list(enumerate_semistandard(shape, m + 1, m + n))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(minus_tableaux())
+def test_minus_bideterminants_sit_over_d_to_the_number_of_rows(drawn):
+    amb, t = drawn
+    got = bideterminant_minus(amb, t)
+    assert loc_eq(got, fold_bideterminant_minus(amb, t))
+    assert (got.d_exp, got.d22_exp) == (len(t.shape), 0)
+    # in char 0, D^h is lowest terms on every tableau; in char p the
+    # numerator can keep a further D once the tableau has p boxes: at (1,1)
+    # in char 3, dminus(2)^3 = (c11·c22 - c21·c12)^3 / c11^3 is c22^3, since
+    # the cross term carries a 3
+    if amb.char == 0 or sum(t.shape) < amb.char:
+        assert exact_divide(got.num, det_block11(amb)) is None
+
+
+def test_three_columns_of_a_2_2_minus_tableau_cancel_to_d_squared():
+    amb = ambient(2, 2)
+    t = Tableau((3, 3), ((3, 3, 3), (4, 4, 4)))
+    fold = fold_bideterminant_minus(amb, t)
+    got = bideterminant_minus(amb, t)
+    assert (len(fold.num.terms), fold.d_exp) == (882, 6)
+    assert (len(got.num.terms), got.d_exp) == (250, 2)
+    assert loc_eq(got, fold)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_gen_round_keeps_its_numerators_small():
+    # term counts are deterministic where timings on a shared machine are
+    # not: the 16 elements of one benchmark gen round had 3,610 numerator
+    # terms with each minus bideterminant over D to its total column length,
+    # and have 1,762 over D to its number of rows
+    workloads = _perfbench_workloads()
+    amb = ambient(2, 2)
+    tableaux = random.Random(workloads.GEN_SEED)
+    elements = [workloads.criterion3_element(amb, tableaux, w) for w in workloads.GEN_WEIGHTS]
+    assert len(elements) == 16
+    assert sum(len(x.num.terms) for x in elements) <= 1_800
+
+
+def test_the_3_2_verify_gen_element_keeps_its_numerator_small():
+    # the element of `verify gen --m 3 --n 2 --count 1`: 259,144 terms over
+    # D^5 when the minus bideterminant was not cancelled, 18,324 over D^2
+    amb = ambient(3, 2)
+    plus = bideterminant_plus(amb, Tableau((3, 3), ((1, 1, 2), (3, 3, 3))))
+    minus = bideterminant_minus(amb, Tableau((3, 2), ((4, 4, 5), (5, 5))))
+    element = loc_mul(embed_poly(plus), minus)
+    assert (element.d_exp, element.d22_exp) == (2, 0)
+    assert len(element.num.terms) <= 19_000
 
 
 def test_highest_vector_weights():
@@ -164,8 +247,6 @@ def test_highest_vector_explicit_2_1():
     w = make_weight([2, 1], [1])
     v = highest_vector(amb, w)
     # c11^(2-1) · D^1 · dminus(3)^1
-    from superinduce.fraction import det_block11
-
     byhand = loc_mul(
         embed_poly(amb.gen(1, 1) * det_block11(amb)), dminus(amb, (3,))
     )
