@@ -1,10 +1,15 @@
 """Command-line surface: verification suites, emitters, and linkage queries.
 
 Every handler returns one JSON document and `main` hands it to `_publish`,
-which prints it with sorted keys (and writes it to ``--out``); the same
-configuration (seed included) produces byte-identical output, so reports can
-be diffed across runs.  Exit codes: 0 when every check passed, 1 when at
-least one verification failed, 2 for a malformed request.
+which writes it to ``--out`` and then to stdout as ``json.dumps(document,
+indent=2, sort_keys=True)`` would spell it, but piece by piece: `_write_json`
+encodes each container of scalars with one C encoder built once per indent
+depth, so the whole text is never held.  The same configuration (seed
+included) produces byte-identical output, so reports can be diffed across
+runs.  Exit codes: 0 when every check passed, 1 when at least one
+verification failed, 2 for a malformed request, an ``--out`` or a stdout
+that cannot be written included (a reader that closes stdout early changes
+nothing).
 
 Suite report entries carry short rule ids ("y-raise", "wedge-count", ...)
 naming the rewrite family or property they exercised, plus enough of the
@@ -20,9 +25,9 @@ import random
 import sys
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 from operator import add
-from pathlib import Path
 
 from .derivation import FDminus, FDplus, FPhi, FY, basic, rewrite_rule_check
 from .floors_primitives import (
@@ -146,9 +151,80 @@ def _config_echo(args, **extra) -> dict:
     return cfg
 
 
-# json.dumps(e, sort_keys=True) builds a fresh encoder on every call; the
-# entries of a report share this one
-_sort_key = json.JSONEncoder(sort_keys=True).encode
+@lru_cache(maxsize=None)
+def _encoder(item_separator: str):
+    """``json.dumps(value, sort_keys=True)`` with ``item_separator`` between
+    items, built once: ``json.dumps`` builds a fresh encoder on every call."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(item_separator, ": ")).encode
+    # no cycle check (a document is a tree); then default, string encoder,
+    # indent, separators, sort_keys, skipkeys and allow_nan
+    encode = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii,
+        None, ": ", item_separator, True, False, True,
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+# compact JSON text: the sort key of a report's entries, and the text of a
+# dict key that is not a str
+_compact = _encoder(", ")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` spells it: a str as is, a float, int, bool or
+    None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _compact(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+#: What json writes as an object or an array.
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _level(depth: int):
+    """The indents around and between the items of a container ``depth``
+    levels deep, and the encoder whose item separator carries them."""
+    inner = "\n" + "  " * (depth + 1)
+    return inner, inner[:-2], "," + inner, _encoder("," + inner)
+
+
+def _write_json(write, value, depth: int = 0, prefix: str = "") -> None:
+    """Write ``prefix`` and then ``value`` as ``json.dumps(value, indent=2,
+    sort_keys=True)`` spells it ``depth`` levels deep.
+
+    A container whose children are all scalars or empty containers is one
+    call of that depth's encoder, whose item separator carries the indent;
+    any other container recurses.  So no text longer than one such leaf is
+    built, and ``write`` is called about once a leaf.
+    """
+    inner, outer, comma, encode = _level(depth)
+    if not value or not isinstance(value, _CONTAINERS):
+        write(prefix + encode(value))
+        return
+    children = value.values() if isinstance(value, dict) else value
+    if all(not c or not isinstance(c, _CONTAINERS) for c in children):
+        text = encode(value)
+        write(prefix + text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    if isinstance(value, dict):
+        brackets = "{}"
+        labelled = (
+            (encode_basestring_ascii(_json_key(k)) + ": ", c) for k, c in sorted(value.items())
+        )
+    else:
+        brackets = "[]"
+        labelled = (("", c) for c in value)
+    write(prefix + brackets[0])
+    separator = inner
+    for label, child in labelled:
+        _write_json(write, child, depth + 1, separator + label)
+        separator = comma
+    write(outer + brackets[1])
 
 
 def _publish(document: dict, out) -> int:
@@ -156,25 +232,33 @@ def _publish(document: dict, out) -> int:
 
     A report is a document with ``entries``: its entries are sorted, and its
     ``failures`` and ``ok`` are counted from their ``ok`` fields.  Returns the
-    exit code, 1 when any entry failed.  A reader that closes stdout early
-    changes neither the exit code nor ``out``.
+    exit code, 1 when any entry failed.  The text is that of
+    ``json.dumps(document, indent=2, sort_keys=True)``, written piece by piece
+    by `_write_json`.  A reader that closes stdout early changes neither the
+    exit code nor ``out``; any other failure to write stdout, like one to
+    write ``out``, is a `UsageError`.
     """
     failures = 0
     if "entries" in document:
-        entries = sorted(document["entries"], key=_sort_key)
+        entries = sorted(document["entries"], key=_compact)
         failures = sum(not e["ok"] for e in entries)
         document.update(entries=entries, failures=failures, ok=failures == 0)
-    text = json.dumps(document, indent=2, sort_keys=True)
     if out:
         try:
-            Path(out).write_text(text + "\n")
+            with open(out, "w") as handle:
+                _write_json(handle.write, document)
+                handle.write("\n")
         except OSError as exc:
             raise UsageError(f"cannot write --out: {exc}") from exc
     try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # stop the interpreter's final flush from raising on the closed pipe
+        _write_json(sys.stdout.write, document)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # stop the interpreter's final flush from raising on fd 1 again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise UsageError(f"cannot write stdout: {exc}") from exc
     return 1 if failures else 0
 
 

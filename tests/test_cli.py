@@ -346,6 +346,37 @@ def test_closed_stdout_keeps_exit_code_and_out_file(tmp_path, argv, out):
         assert json.loads(target.read_text())["ok"] is True
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["typicality", "--lambda", "[2,2|0,0]", "--p", "3"], False),
+        (["verify", "lemmas", "--m", "1", "--n", "1"], True),
+    ],
+)
+def test_unwritable_stdout_is_a_usage_error(tmp_path, argv, out):
+    # every write to /dev/full fails with ENOSPC: a usage error naming
+    # stdout, never exit 1 ("a verification failed") with a traceback
+    target = tmp_path / "doc.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superinduce.cli", *argv]
+            + (["--out", str(target)] if out else []),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])
+    assert set(error) == {"error"} and "stdout" in error["error"]
+    if out:
+        assert json.loads(target.read_text())["ok"] is True
+
+
 def test_parser_covers_mandated_grammar():
     parser = build_parser()
     args = parser.parse_args(
