@@ -1,14 +1,12 @@
 """Minors of the generator matrix, the adjugate of the even block, and the
 derived ring elements built from them.
 
-Determinants of submatrices with odd entries are always the row-ordered
-Leibniz sums; expanding along an arbitrary row is only sound when every row
-above it is even, and the guarded helper enforces that.
+Every minor is superpoly.det's row-ordered Leibniz sum; expanding along an
+arbitrary row is only sound when every row above it is even, and the guarded
+helper enforces that.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .fraction import (
     LocalizedElement,
@@ -16,18 +14,14 @@ from .fraction import (
     embed_poly,
     loc_dot,
     loc_eq,
-    loc_mul,
-    loc_sum,
 )
 from .superpoly import (
     Ambient,
     InternalError,
     SuperPolynomial,
     UsageError,
-    check_det_size,
     dot,
     leibniz_det,
-    perm_sign,
 )
 
 
@@ -132,28 +126,6 @@ def twisted_generator(amb: Ambient, k: int, l: int) -> LocalizedElement:
         return LocalizedElement(num, 1, 0)
 
     return amb.cached(("phi", k, l), build)
-
-
-def loc_det(amb: Ambient, entries) -> LocalizedElement:
-    """Leibniz determinant of a square matrix of even localized elements; more
-    than DET_CAP rows raise UsageError."""
-    n = len(entries)
-    check_det_size(n)
-    for row in entries:
-        if len(row) != n:
-            raise UsageError("determinant needs a square matrix")
-        for e in row:
-            if e.parity() not in (0, None):
-                raise UsageError("localized determinant entries must be even")
-    terms = []
-    for perm in permutations(range(n)):
-        term = embed_poly(amb.one())
-        for r in range(n):
-            term = loc_mul(term, entries[r][perm[r]])
-        if perm_sign(perm) < 0:
-            term = LocalizedElement(-term.num, term.d_exp, term.d22_exp)
-        terms.append(term)
-    return loc_sum(amb, terms)
 
 
 # -- identity checks ----------------------------------------------------------------

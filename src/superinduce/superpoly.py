@@ -534,23 +534,6 @@ def exact_divide(a: SuperPolynomial, b: SuperPolynomial):
 # -- generic determinants ------------------------------------------------------
 
 
-def perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def sort_with_sign(items):
     """Sort a tuple, tracking the sign of the sorting permutation.
 
@@ -583,16 +566,32 @@ def check_det_size(t: int) -> None:
         )
 
 
-def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
-    """Determinant of the submatrix with the given rows/cols of (c[i,j]).
+def det(amb: Ambient, entries) -> SuperPolynomial:
+    """Determinant of a square matrix of polynomials: the Leibniz sum over
+    permutations with factors multiplied in row order, which fixes the value
+    when odd entries are present.  More than DET_CAP rows raise UsageError."""
+    t = len(entries)
+    check_det_size(t)
+    if any(len(row) != t for row in entries):
+        raise UsageError("determinant needs a square matrix")
+    if t == 0:
+        return amb.one()
+    acc: dict = {}
+    for perm in permutations(range(t)):
+        prod = entries[0][perm[0]]
+        for a in range(1, t):
+            prod = prod * entries[a][perm[a]]
+        sign = sort_with_sign(perm)[0]
+        for mo, c in prod.terms.items():
+            acc[mo] = acc.get(mo, 0) + sign * c
+    return SuperPolynomial(amb, acc)
 
-    The defining sum runs over permutations with factors multiplied in row
-    order, which fixes the value when odd entries are present.  Repeated rows
-    or columns return zero by convention.  More than DET_CAP rows raise
-    UsageError.
-    """
-    rows = tuple(rows)
-    cols = tuple(cols)
+
+def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
+    """det of the submatrix of (c[i,j]) on the given rows and cols; a repeated
+    row or column gives zero by convention.  More than DET_CAP rows raise
+    UsageError."""
+    rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise UsageError("minor specification must have equally many rows and columns")
     check_det_size(len(rows))
@@ -600,18 +599,7 @@ def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
         amb.index_parity(idx)
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         return amb.zero()
-    t = len(rows)
-    if t == 0:
-        return amb.one()
-    acc: dict = {}
-    for perm in permutations(range(t)):
-        prod = amb.gen(rows[0], cols[perm[0]])
-        for a in range(1, t):
-            prod = prod * amb.gen(rows[a], cols[perm[a]])
-        sign = perm_sign(perm)
-        for mo, c in prod.terms.items():
-            acc[mo] = acc.get(mo, 0) + sign * c
-    return SuperPolynomial(amb, acc)
+    return det(amb, [[amb.gen(r, c) for c in cols] for r in rows])
 
 
 # -- text format ----------------------------------------------------------------

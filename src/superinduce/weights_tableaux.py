@@ -24,12 +24,13 @@ from .fraction import (
     loc_product,
     loc_weight,
 )
-from .minors import loc_det, row_initial_minor, twisted_generator
+from .minors import row_initial_minor, twisted_generator
 from .superpoly import (
     Ambient,
     InternalError,
     SuperPolynomial,
     UsageError,
+    det,
     exact_divide,
     parse_integer,
 )
@@ -243,16 +244,22 @@ def enumerate_semistandard(shape, min_entry: int, max_entry: int):
 
 def dminus(amb: Ambient, cols) -> LocalizedElement:
     """Initial-rows minor of the twisted lower-right block: rows are the first
-    len(cols) odd-block rows, columns the given absolute indices (> m)."""
+    len(cols) odd-block rows, columns the given absolute indices (> m): the
+    determinant of the twisted generators' numerators, each over D."""
     cols = tuple(cols)
-    for c in cols:
-        if not amb.m < c <= amb.size:
-            raise UsageError("columns of the minus minor must lie beyond the even block")
+    if any(not amb.m < c <= amb.size for c in cols):
+        raise UsageError("columns of the minus minor must lie beyond the even block")
     if len(cols) > amb.n:
         raise UsageError("too many columns for the odd block's rows")
-    rows = range(amb.m + 1, amb.m + len(cols) + 1)
-    return amb.cached(("dminus", cols), lambda: loc_det(
-        amb, [[twisted_generator(amb, r, c) for c in cols] for r in rows]))
+
+    def build():
+        rows = [[twisted_generator(amb, r, c) for c in cols]
+                for r in range(amb.m + 1, amb.m + len(cols) + 1)]
+        if any((z.d_exp, z.d22_exp) != (1, 0) for row in rows for z in row):
+            raise InternalError("a twisted generator of the odd block is not over D")
+        return LocalizedElement(det(amb, [[z.num for z in row] for row in rows]), len(cols), 0)
+
+    return amb.cached(("dminus", cols), build)
 
 
 def bideterminant_plus(amb: Ambient, t: Tableau) -> SuperPolynomial:
@@ -275,7 +282,9 @@ def bideterminant_minus(amb: Ambient, t: Tableau) -> LocalizedElement:
     The first (longest) column already sits over D^h; every later column is
     multiplied in and its power of D divided off again at once, so no
     intermediate carries the terms of the larger denominator.  A division
-    that fails is a bug and raises InternalError.
+    that fails is a bug and raises InternalError.  D^h is lowest terms in
+    char 0 but not always in char p: at (1,1) in char 3 the one-row tableau
+    2,2,2 gives c[1,1]·c[2,2]^3 / D, which is c[2,2]^3.
     """
     h = len(t.shape)
     out = embed_poly(amb.one())

@@ -22,10 +22,16 @@ The parent's quotient rule takes a diagonal d[k,k] through the basic
 derivation on the numerator, dN, and subtracts λ·N; its localized divisions
 multiply the dividend by the divisor's denominator power even when that power
 is the unit.
+
+The determinants are the two Leibniz loops that `superpoly.det` replaced:
+`parent_leibniz_det` over generators and `loc_det` over localized entries,
+each taking a permutation's sign from its cycle lengths (`parent_perm_sign`)
+rather than from `sort_with_sign`.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import permutations
 from math import factorial
 
 from superinduce.derivation import _d_poly, _den_derivative, apply_loc, basic
@@ -50,6 +56,7 @@ from superinduce.superpoly import (
     SuperPolynomial,
     UsageError,
     ambient,
+    check_det_size,
     check_exponents,
     dot,
     exact_divide,
@@ -373,3 +380,73 @@ def parent_loc_divide_exact(x, d):
     if q is None:
         return None
     return LocalizedElement(q, x.d_exp, x.d22_exp)
+
+
+def parent_perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            t = perm[t]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def parent_leibniz_det(amb, rows, cols) -> SuperPolynomial:
+    """Determinant of the submatrix with the given rows/cols of (c[i,j]).
+
+    The defining sum runs over permutations with factors multiplied in row
+    order, which fixes the value when odd entries are present.  Repeated rows
+    or columns return zero by convention.  More than DET_CAP rows raise
+    UsageError.
+    """
+    rows = tuple(rows)
+    cols = tuple(cols)
+    if len(rows) != len(cols):
+        raise UsageError("minor specification must have equally many rows and columns")
+    check_det_size(len(rows))
+    for idx in (*rows, *cols):
+        amb.index_parity(idx)
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        return amb.zero()
+    t = len(rows)
+    if t == 0:
+        return amb.one()
+    acc: dict = {}
+    for perm in permutations(range(t)):
+        prod = amb.gen(rows[0], cols[perm[0]])
+        for a in range(1, t):
+            prod = prod * amb.gen(rows[a], cols[perm[a]])
+        sign = parent_perm_sign(perm)
+        for mo, c in prod.terms.items():
+            acc[mo] = acc.get(mo, 0) + sign * c
+    return SuperPolynomial(amb, acc)
+
+
+def loc_det(amb, entries) -> LocalizedElement:
+    """Leibniz determinant of a square matrix of even localized elements; more
+    than DET_CAP rows raise UsageError."""
+    n = len(entries)
+    check_det_size(n)
+    for row in entries:
+        if len(row) != n:
+            raise UsageError("determinant needs a square matrix")
+        for e in row:
+            if e.parity() not in (0, None):
+                raise UsageError("localized determinant entries must be even")
+    terms = []
+    for perm in permutations(range(n)):
+        term = embed_poly(amb.one())
+        for r in range(n):
+            term = loc_mul(term, entries[r][perm[r]])
+        if parent_perm_sign(perm) < 0:
+            term = LocalizedElement(-term.num, term.d_exp, term.d22_exp)
+        terms.append(term)
+    return loc_sum(amb, terms)

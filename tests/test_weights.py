@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builder_oracle import fold_bideterminant_minus
+from builder_oracle import fold_bideterminant_minus, loc_det
 from superinduce import ambient, UsageError
 from superinduce.fraction import det_block11, embed_poly, loc_eq, loc_mul, loc_weight
 from superinduce.superpoly import exact_divide
-from superinduce.minors import loc_det, twisted_generator
+from superinduce.minors import twisted_generator
 from superinduce.weights_tableaux import (
     Tableau,
     bideterminant_minus,
@@ -44,6 +44,38 @@ def test_weight_literals_roundtrip():
     assert parse_weight(" [ 3 , 3 | 1 , 0 ] ") == make_weight([3, 3], [1, 0])
     with pytest.raises(UsageError):
         parse_weight("[1,2]")
+
+
+#: the most digits int() and str() convert (CPython's default limit)
+MAX_DIGITS = 4300
+
+
+def _numeral(k, lead, fill, negative):
+    """A k-digit integer: a leading digit, then the digits of fill repeated."""
+    value = int(str(lead) + (str(fill) * k)[: k - 1])
+    return -value if negative else value
+
+
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.builds(_numeral, st.one_of(st.sampled_from([2, MAX_DIGITS - 1, MAX_DIGITS]),
+                                  st.integers(1, MAX_DIGITS)),
+              st.integers(1, 9), st.integers(0, 10**6), st.booleans()),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(ENTRIES, min_size=1, max_size=4), st.lists(ENTRIES, min_size=1, max_size=4))
+def test_rendered_weights_parse_back(plus, minus):
+    w = make_weight(plus, minus)
+    assert parse_weight(render_weight(w)) == w
+
+
+def test_overlong_weight_entries_are_usage_errors():
+    long = "1" * (MAX_DIGITS + 1)
+    for text in (f"[{long}|0]", f"[0|-{long}]", f"[1,2|{'7' * 5000},0]"):
+        with pytest.raises(UsageError, match="too many digits"):
+            parse_weight(text)
 
 
 def test_dominance():
