@@ -578,16 +578,23 @@ def suite_linkage(args, rng) -> dict:
             {"rule": "omega-bridge", "weight": render_weight(w), "ok": ok}
         )
 
+    # one Donkin key per distinct block of this run, whose p is fixed
+    block_keys = {}
+
+    def key_of(block):
+        if block not in block_keys:
+            block_keys[block] = block_key(block, p)
+        return block_keys[block]
+
     for w in weights:
         name = render_weight(w)
-        # one even-block key per dominant shift: equal keys, same even block
+        # the even-block key of each dominant shift: equal keys, same even block
         keys = []
         for i in range(1, m + 1):
             for j in range(1, n + 1):
                 shifted = lambda_ij(w, i, j)
                 if is_dominant(shifted):
-                    key = (block_key(shifted.plus, p), block_key(shifted.minus, p))
-                    keys.append(((i, j), key))
+                    keys.append(((i, j), (key_of(shifted.plus), key_of(shifted.minus))))
         for ((i, j), a), ((k, l), b) in combinations(keys, 2):
             if a != b:
                 continue

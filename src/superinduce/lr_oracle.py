@@ -42,10 +42,13 @@ def _normal_partition(seq, what: str) -> tuple:
 
 
 def _transpose(parts: tuple) -> tuple:
-    """Transpose of a normalized partition."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for v in parts if v > c) for c in range(parts[0]))
+    """Transpose of a normalized partition in one walk up its parts: the
+    columns that row r reaches beyond row r + 1 have length r, so the walk
+    takes O(rows + columns)."""
+    out = []
+    for r in range(len(parts), 0, -1):
+        out.extend([r] * (parts[r - 1] - len(out)))
+    return tuple(out)
 
 
 def conjugate(partition) -> tuple:

@@ -150,10 +150,28 @@ def is_ordered_family(I, J) -> bool:
 
 
 def is_admissible_pair(w: Weight, I, J) -> bool:
-    """An ordered family (``is_ordered_family``) whose shifted weight stays
-    dominant."""
+    """An ordered family (``is_ordered_family``) whose shifted weight
+    ``lambda_IJ(w, I, J)`` stays dominant.
+
+    An unordered family is False before any index is read; then a plus index
+    out of range raises before a minus index out of range.  The shift runs in
+    one pass over I and J on list copies of the two blocks, so the test
+    builds no ``Weight``.
+    """
     I, J = tuple(I), tuple(J)
-    return is_ordered_family(I, J) and is_dominant(lambda_IJ(w, I, J))
+    if not is_ordered_family(I, J):
+        return False
+    # an ordered I weakly increases, so its ends bound it
+    if I and not (1 <= I[0] and I[-1] <= w.m):
+        raise UsageError("plus index out of range")
+    if J and not (1 <= min(J) and max(J) <= w.n):
+        raise UsageError("minus index out of range")
+    plus, minus = list(w.plus), list(w.minus)
+    for i, j in zip(I, J):
+        plus[i - 1] -= 1
+        minus[j - 1] += 1
+    # weakly decreasing exactly when sorting downwards leaves it as it is
+    return plus == sorted(plus, reverse=True) and minus == sorted(minus, reverse=True)
 
 
 # -- text forms -----------------------------------------------------------------

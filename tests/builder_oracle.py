@@ -27,6 +27,11 @@ The determinants are the two Leibniz loops that `superpoly.det` replaced:
 `parent_leibniz_det` over generators and `loc_det` over localized entries,
 each taking a permutation's sign from its cycle lengths (`parent_perm_sign`)
 rather than from `sort_with_sign`.
+
+The sweep kernels are the parent routes of the admissibility test and the
+partition transpose: `parent_is_admissible_pair` builds the family's content
+and the shifted weight as `Weight` objects, and `parent_transpose` counts the
+parts longer than each column with one generator sum per column.
 """
 
 from fractions import Fraction
@@ -68,6 +73,8 @@ from superinduce.weights_tableaux import (
     exponent_ledger,
     is_admissible_pair,
     is_dominant,
+    is_ordered_family,
+    lambda_IJ,
     tableau_columns,
 )
 
@@ -450,3 +457,14 @@ def loc_det(amb, entries) -> LocalizedElement:
             term = LocalizedElement(-term.num, term.d_exp, term.d22_exp)
         terms.append(term)
     return loc_sum(amb, terms)
+
+
+def parent_is_admissible_pair(w, I, J) -> bool:
+    I, J = tuple(I), tuple(J)
+    return is_ordered_family(I, J) and is_dominant(lambda_IJ(w, I, J))
+
+
+def parent_transpose(parts: tuple) -> tuple:
+    if not parts:
+        return ()
+    return tuple(sum(1 for v in parts if v > c) for c in range(parts[0]))

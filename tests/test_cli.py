@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import superinduce.cli as cli
+import superinduce.weights_tableaux as weights_tableaux
 from superinduce.cli import (
     COUNT_CAP,
     LR_CELL_CAP,
@@ -702,6 +703,79 @@ def test_both_fwedge_routes_run_for_every_entry(monkeypatch):
     assert calls["transposed"] == len(entries) > 0
     assert calls["admissible"] == sum(len(table[e["content"]][1]) for e in entries)
     assert all(e["direct"] >= 1 for e in entries)
+
+
+def test_fwedge_admissibility_builds_no_weight(monkeypatch):
+    built = {"weights": 0, "inside": 0, "admissible": 0}
+    post_init = weights_tableaux.Weight.__post_init__
+    is_admissible_pair = cli.is_admissible_pair
+
+    def counting_post_init(self):
+        built["weights"] += 1
+        post_init(self)
+
+    def admissible(*args):
+        built["admissible"] += 1
+        before = built["weights"]
+        out = is_admissible_pair(*args)
+        built["inside"] += built["weights"] - before
+        return out
+
+    monkeypatch.setattr(weights_tableaux.Weight, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cli, "is_admissible_pair", admissible)
+    args = build_parser().parse_args(
+        ["verify", "fwedge", "--m", "3", "--n", "2", "--max-entry", "4"]
+    )
+    suite_fwedge(args, random.Random(0))
+    # the sweep still builds weights, but no admissibility test does
+    assert built["admissible"] > 0 and built["weights"] > 0
+    assert built["inside"] == 0
+
+
+def test_linkage_keys_each_distinct_block_once(monkeypatch):
+    keyed = []
+    block_key = cli.block_key
+
+    def counting(entries, p):
+        keyed.append((entries, p))
+        return block_key(entries, p)
+
+    monkeypatch.setattr(cli, "block_key", counting)
+    m, n, p = 3, 3, 3
+    args = build_parser().parse_args(
+        ["verify", "linkage", "--m", str(m), "--n", str(n), "--p", str(p)]
+    )
+    suite_linkage(args, random.Random(0))
+    blocks = set()
+    for w in cli._dominant_weights(m, n, 3, 1):
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                shifted = lambda_ij(w, i, j)
+                if is_dominant(shifted):
+                    blocks |= {shifted.plus, shifted.minus}
+    assert sorted(keyed) == sorted((block, p) for block in blocks)
+
+
+def test_linkage_block_keys_live_for_one_run(monkeypatch, capsys):
+    calls = {"keys": 0}
+    block_key = cli.block_key
+
+    def counting(*args):
+        calls["keys"] += 1
+        return block_key(*args)
+
+    monkeypatch.setattr(cli, "block_key", counting)
+    counts = []
+    for p in ("3", "5", "3"):
+        argv = ["verify", "linkage", "--m", "2", "--n", "2", "--p", p, "--seed", "4"]
+        calls["keys"] = 0
+        code, out = run_cli(capsys, *argv)
+        fresh = _module_run(argv, timeout=60)
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+        counts.append(calls["keys"])
+    # a table that outlived its run would key nothing the second time at p = 3
+    assert counts[0] == counts[2] > 0
 
 
 def _per_pair_linkage_entries(m, n, p, count, seed):
