@@ -51,11 +51,11 @@ from .linkage import (
     in_alcove,
     is_typical,
     link_chain_search,
-    nakayama_consequence_check,
     odd_linked,
     omega,
     omega_grid,
     omega_via_form,
+    residues_agree,
 )
 from .lr_oracle import (
     conjugate,
@@ -64,7 +64,8 @@ from .lr_oracle import (
     lr_tableaux,
     ordered_families,
     transposed_count,
-    wedge_content_holds,
+    wedge_minus_holds,
+    wedge_plus_holds,
 )
 from .minors import jacobi_identity_check, muir_identity_check
 from .superpoly import UsageError, ambient, check_odd_prime
@@ -518,6 +519,11 @@ def _families_by_content(m: int, n: int) -> dict:
     return table
 
 
+def _row_mask(flags) -> int:
+    """The rows whose flag is true, as the set bits of an int."""
+    return sum(1 << r for r, flag in enumerate(flags) if flag)
+
+
 def suite_fwedge(args, rng) -> dict:
     m, n = _sizes(args)
     # the last-plus hypothesis needs entries of at least n plus the content,
@@ -528,15 +534,29 @@ def suite_fwedge(args, rng) -> dict:
     weights = _dominant_weights(m, n, top, families)
     # no weights, no families: a negative --max-entry sweeps nothing at any size
     table = _families_by_content(m, n) if weights else {}
+    rows = list(table.items())
+    contents = [cont for cont, _ in table.values()]
+    # each half of the wedge hypotheses reads one block: one bitmask over the
+    # rows per distinct block, whose AND is a weight's passing contents
+    plus_masks = {
+        plus: _row_mask(wedge_plus_holds(plus, cont.plus, n) for cont in contents)
+        for plus in {w.plus for w in weights}
+    }
+    minus_masks = {
+        minus: _row_mask(wedge_minus_holds(minus, cont.minus) for cont in contents)
+        for minus in {w.minus for w in weights}
+    }
     entries = []
     for w in weights:
+        bits = plus_masks[w.plus] & minus_masks[w.minus]
+        if not bits:
+            continue
         name = render_weight(w)
-        outer = None  # the transposed count's outer shape, once a weight
-        for key, (cont, ordered) in table.items():
-            if not wedge_content_holds(w, cont):
-                continue
-            if outer is None:
-                outer = conjugate(hook_partition(w))
+        outer = conjugate(hook_partition(w))  # the transposed count's outer shape
+        while bits:  # lowest row first, in the table's order
+            low = bits & -bits
+            bits ^= low
+            key, (cont, ordered) = rows[low.bit_length() - 1]
             direct = sum(is_admissible_pair(w, K, L) for K, L in ordered)
             # the shifted weight's blocks, already known to be dominant
             plus = tuple(map(add, w.plus, cont.plus))
@@ -557,6 +577,15 @@ def suite_fwedge(args, rng) -> dict:
         "config": _config_echo(args, max_entry=top),
         "entries": entries,
     }
+
+
+def _decreasing_moves(block: tuple, step: int):
+    """Each index (from 1) whose entry moved by ``step`` leaves the block
+    weakly decreasing, with the moved block."""
+    for k, v in enumerate(block):
+        moved = block[:k] + (v + step,) + block[k + 1 :]
+        if all(a >= b for a, b in zip(moved, moved[1:])):
+            yield k + 1, moved
 
 
 def suite_linkage(args, rng) -> dict:
@@ -588,14 +617,12 @@ def suite_linkage(args, rng) -> dict:
 
     for w in weights:
         name = render_weight(w)
-        # the even-block key of each dominant shift: equal keys, same even block
-        keys = []
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                shifted = lambda_ij(w, i, j)
-                if is_dominant(shifted):
-                    keys.append(((i, j), (key_of(shifted.plus), key_of(shifted.minus))))
-        for ((i, j), a), ((k, l), b) in combinations(keys, 2):
+        # a shift (i, j) is dominant when both of its moved blocks are, and
+        # two dominant shifts with equal keys share an even block
+        lowered = [(i, key_of(b)) for i, b in _decreasing_moves(w.plus, -1)]
+        raised = [(j, key_of(b)) for j, b in _decreasing_moves(w.minus, 1)]
+        shifts = [((i, j), (a, b)) for i, a in lowered for j, b in raised]
+        for ((i, j), a), ((k, l), b) in combinations(shifts, 2):
             if a != b:
                 continue
             entries.append(
@@ -604,7 +631,7 @@ def suite_linkage(args, rng) -> dict:
                     "weight": name,
                     "pairs": [[i, j], [k, l]],
                     "p": p,
-                    "ok": nakayama_consequence_check(w, i, j, k, l, p),
+                    "ok": residues_agree(w, i, j, k, l, p),
                 }
             )
 

@@ -18,7 +18,6 @@ from itertools import combinations, product
 from .superpoly import InternalError, UsageError
 from .weights_tableaux import (
     Weight,
-    absorbs_content,
     content_of_pairs,
     is_admissible_pair,
     is_dominant,
@@ -59,26 +58,6 @@ def conjugate(partition) -> tuple:
 def _fits(outer: tuple, inner: tuple) -> bool:
     """Containment of normalized partitions."""
     return len(inner) <= len(outer) and all(o >= i for o, i in zip(outer, inner))
-
-
-def contains(outer, inner) -> bool:
-    return _fits(
-        _normal_partition(outer, "outer shape"), _normal_partition(inner, "inner shape")
-    )
-
-
-def is_horizontal_strip(outer, inner) -> bool:
-    """No column of outer/inner holds two cells.
-
-    Kept deliberately independent of the tableau enumerator so the one-row
-    content case has a second opinion.
-    """
-    outer = _normal_partition(outer, "outer shape")
-    inner = _normal_partition(inner, "inner shape")
-    if not _fits(outer, inner):
-        return False
-    padded = inner + (0,) * (len(outer) - len(inner))
-    return all(outer[r + 1] <= padded[r] for r in range(len(outer) - 1))
 
 
 def _skew_cells(outer, inner) -> list:
@@ -282,19 +261,36 @@ def _dominant_sum(a: tuple, b: tuple) -> bool:
     return all(x + y >= u + v for x, y, u, v in zip(a, b, a[1:], b[1:]))
 
 
+def wedge_plus_holds(plus: tuple, cplus: tuple, n: int) -> bool:
+    """The wedge hypotheses on a plus block and its content, n the minus block
+    size: the last shifted entry reaches n, each gap (the last one down to 0)
+    absorbs its content entry, and the shifted block is weakly decreasing."""
+    if plus[-1] + cplus[-1] < n:
+        return False
+    gaps = zip(plus, plus[1:] + (0,), cplus)
+    return all(a - b + c >= 0 for a, b, c in gaps) and _dominant_sum(plus, cplus)
+
+
+def wedge_minus_holds(minus: tuple, cminus: tuple) -> bool:
+    """The wedge hypotheses on a minus block and its content: the last entry
+    is nonnegative, the gap above each later entry absorbs that entry's
+    content, and the shifted block is weakly decreasing."""
+    if minus[-1] < 0:
+        return False
+    gaps = zip(minus, minus[1:], cminus[1:])
+    return all(a - b >= c for a, b, c in gaps) and _dominant_sum(minus, cminus)
+
+
 def wedge_content_holds(w: Weight, content: Weight) -> bool:
-    """The wedge hypotheses of every ordered family with this content: the
+    """The wedge hypotheses of every ordered family with this content, the
+    conjunction of ``wedge_plus_holds`` and ``wedge_minus_holds``: the
     shifted weight stays dominant, the weight absorbs the content, the last
     minus entry is nonnegative, and the last plus entry of the shifted weight
     still dominates the minus block size."""
     if len(content.plus) != len(w.plus) or len(content.minus) != len(w.minus):
         raise UsageError("weights have different block sizes")
-    if w.minus[-1] < 0 or w.plus[-1] + content.plus[-1] < len(w.minus):
-        return False
-    return (
-        absorbs_content(w, content)
-        and _dominant_sum(w.plus, content.plus)
-        and _dominant_sum(w.minus, content.minus)
+    return wedge_plus_holds(w.plus, content.plus, w.n) and wedge_minus_holds(
+        w.minus, content.minus
     )
 
 

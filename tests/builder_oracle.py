@@ -32,6 +32,9 @@ The sweep kernels are the parent routes of the admissibility test and the
 partition transpose: `parent_is_admissible_pair` builds the family's content
 and the shifted weight as `Weight` objects, and `parent_transpose` counts the
 parts longer than each column with one generator sum per column.
+`parent_wedge_content_holds` tests the wedge hypotheses of a content on the
+whole weight in one pass, before they split into a plus half and a minus
+half.
 """
 
 from fractions import Fraction
@@ -69,6 +72,7 @@ from superinduce.superpoly import (
     sort_with_sign,
 )
 from superinduce.weights_tableaux import (
+    absorbs_content,
     dminus,
     exponent_ledger,
     is_admissible_pair,
@@ -468,3 +472,19 @@ def parent_transpose(parts: tuple) -> tuple:
     if not parts:
         return ()
     return tuple(sum(1 for v in parts if v > c) for c in range(parts[0]))
+
+
+def _parent_dominant_sum(a: tuple, b: tuple) -> bool:
+    return all(x + y >= u + v for x, y, u, v in zip(a, b, a[1:], b[1:]))
+
+
+def parent_wedge_content_holds(w, content) -> bool:
+    if len(content.plus) != len(w.plus) or len(content.minus) != len(w.minus):
+        raise UsageError("weights have different block sizes")
+    if w.minus[-1] < 0 or w.plus[-1] + content.plus[-1] < len(w.minus):
+        return False
+    return (
+        absorbs_content(w, content)
+        and _parent_dominant_sum(w.plus, content.plus)
+        and _parent_dominant_sum(w.minus, content.minus)
+    )

@@ -678,7 +678,7 @@ def test_sweeps_reject_options_they_never_read(capsys, argv, option):
 
 
 def test_both_fwedge_routes_run_for_every_entry(monkeypatch):
-    calls = {"wedge": 0, "admissible": 0, "transposed": 0}
+    calls = {"plus": 0, "minus": 0, "admissible": 0, "transposed": 0}
 
     def counting(key, fn):
         def wrapped(*args):
@@ -687,7 +687,8 @@ def test_both_fwedge_routes_run_for_every_entry(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(cli, "wedge_content_holds", counting("wedge", cli.wedge_content_holds))
+    monkeypatch.setattr(cli, "wedge_plus_holds", counting("plus", cli.wedge_plus_holds))
+    monkeypatch.setattr(cli, "wedge_minus_holds", counting("minus", cli.wedge_minus_holds))
     monkeypatch.setattr(cli, "is_admissible_pair", counting("admissible", cli.is_admissible_pair))
     monkeypatch.setattr(cli, "transposed_count", counting("transposed", cli.transposed_count))
     m, n, top = 3, 2, 4
@@ -697,9 +698,11 @@ def test_both_fwedge_routes_run_for_every_entry(monkeypatch):
     entries = suite_fwedge(args, random.Random(0))["entries"]
     table = cli._families_by_content(m, n)
     weights = cli._dominant_weights(m, n, top, 1)
-    # the predicate once per (weight, content), the transposed count once an
-    # entry, and the admissibility test once per family of each entry's content
-    assert calls["wedge"] == len(weights) * len(table)
+    # each half of the predicate once per (distinct block, content): 1,855 +
+    # 795 calls, the transposed count once an entry, and the admissibility
+    # test once per family of each entry's content
+    assert calls["plus"] == len({w.plus for w in weights}) * len(table) == 1855
+    assert calls["minus"] == len({w.minus for w in weights}) * len(table) == 795
     assert calls["transposed"] == len(entries) > 0
     assert calls["admissible"] == sum(len(table[e["content"]][1]) for e in entries)
     assert all(e["direct"] >= 1 for e in entries)

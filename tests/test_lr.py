@@ -4,13 +4,12 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shape_oracle import contains, is_horizontal_strip
 from superinduce.lr_oracle import (
     admissible_count,
     admissible_families,
     conjugate,
-    contains,
     hook_partition,
-    is_horizontal_strip,
     lr_coefficient,
     lr_coefficient_flagged,
     lr_multiplicity,

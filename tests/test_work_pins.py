@@ -1,0 +1,52 @@
+"""Deterministic work pins: exact counts of the work a fixed call does.
+
+Time on a shared machine moves by tens of percent between runs; these counts
+do not.  Each pin counts calls through a monkeypatched function during one
+fixed call.  A change that lowers a count lowers its pin with it; a pin is
+never raised to let a change pass.
+"""
+
+import random
+
+import superinduce.cli as cli
+import superinduce.linkage as linkage
+import superinduce.weights_tableaux as weights_tableaux
+from superinduce.cli import build_parser, suite_linkage
+
+LINKAGE_ARGV = ["verify", "linkage", "--m", "3", "--n", "3", "--p", "3"]
+
+
+def _count_calls(monkeypatch, owners, name, calls):
+    """Count every call of ``name`` made through any module in ``owners``."""
+    fn = getattr(owners[0], name)
+
+    def counting(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+
+
+def test_linkage_sweep_keys_each_distinct_block_once_in_all(monkeypatch):
+    # through the suite's own table and through linkage, where a per-pair
+    # check re-keys both shifts: 40 distinct blocks at (3,3) p = 3
+    calls = {"block_key": 0}
+    _count_calls(monkeypatch, [linkage, cli], "block_key", calls)
+    suite_linkage(build_parser().parse_args(LINKAGE_ARGV), random.Random(0))
+    assert calls["block_key"] == 40
+
+
+def test_linkage_sweep_builds_no_weight_per_shift(monkeypatch):
+    # 859 Weights; one per (i, j) shift of a swept weight would add 3,600,
+    # and two per key-equal pair re-keyed through lambda_ij 1,316 more
+    calls = {"weights": 0}
+    post_init = weights_tableaux.Weight.__post_init__
+
+    def counting(self):
+        calls["weights"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(weights_tableaux.Weight, "__post_init__", counting)
+    suite_linkage(build_parser().parse_args(LINKAGE_ARGV), random.Random(0))
+    assert calls["weights"] <= 859
