@@ -63,7 +63,10 @@ from .lr_oracle import (
     lr_coefficient_flagged,
     lr_tableaux,
     ordered_families,
-    transposed_count,
+    shifted_content,
+    shifted_inner,
+    skew_count,
+    skew_key,
     wedge_minus_holds,
     wedge_plus_holds,
 )
@@ -546,6 +549,9 @@ def suite_fwedge(args, rng) -> dict:
         minus: _row_mask(wedge_minus_holds(minus, cont.minus) for cont in contents)
         for minus in {w.minus for w in weights}
     }
+    # the transposed count's inner shape per distinct shifted plus block, its
+    # content per distinct shifted minus block, and one walk per skew diagram
+    inner_of, content_of, count_of = {}, {}, {}
     entries = []
     for w in weights:
         bits = plus_masks[w.plus] & minus_masks[w.minus]
@@ -561,7 +567,14 @@ def suite_fwedge(args, rng) -> dict:
             # the shifted weight's blocks, already known to be dominant
             plus = tuple(map(add, w.plus, cont.plus))
             minus = tuple(map(add, w.minus, cont.minus))
-            transposed = transposed_count(outer, plus, minus)
+            if plus not in inner_of:
+                inner_of[plus] = shifted_inner(plus)
+            if minus not in content_of:
+                content_of[minus] = shifted_content(minus)
+            skew = skew_key(outer, inner_of[plus], content_of[minus])
+            if skew not in count_of:
+                count_of[skew] = skew_count(skew)
+            transposed = count_of[skew]
             entries.append(
                 {
                     "rule": "wedge-count",

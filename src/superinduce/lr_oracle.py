@@ -304,20 +304,61 @@ def wedge_hypotheses_hold(w: Weight, I, J) -> bool:
     )
 
 
-def transposed_count(outer: tuple, plus, minus) -> int:
-    """Lattice fillings of ``outer`` over the conjugate of the shifted plus
-    block ``plus``, with the shifted minus block ``minus`` as content.
+def shifted_inner(plus) -> tuple:
+    """The inner shape of the transposed count: the conjugate of the shifted
+    plus block."""
+    return _transpose(_normal_partition(plus, "shifted plus block"))
 
-    ``outer`` is the conjugate of the unshifted weight's ``hook_partition``,
-    so it is already normalized.  Under the wedge hypotheses the shapes are contained and
-    their sizes match; anything else is an InternalError.
+
+def shifted_content(minus) -> tuple:
+    """The content of the transposed count: the shifted minus block without
+    its trailing zeros."""
+    return _normal_partition(minus, "shifted minus block")
+
+
+def skew_key(outer: tuple, inner: tuple, content: tuple) -> tuple:
+    """The skew diagram outer/inner and the content, with what the lattice
+    count cannot see dropped: normalized shapes in, ``(rows, content)`` out,
+    each nonempty row as ``(outer_r - left, inner_r - left)`` where ``left``
+    is the least inner part of those rows.  An empty diagram keys as
+    ``((), ())``.
+
+    A lattice count depends only on the cells of the skew diagram
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.5).  Dropping
+    an empty row r keeps every column condition: a cell (r+1, c)
+    has c < outer_{r+1} <= outer_r = inner_r <= inner_{r-1}, so the cell
+    above it is still an inner cell.  Shifting every row by the same
+    ``left`` keeps each cell's neighbours.  Shapes that are not contained,
+    or whose sizes differ, are an InternalError.
     """
-    inner = _transpose(_normal_partition(plus, "shifted plus block"))
-    content = _normal_partition(minus, "shifted minus block")
     flag = _shape_flag(outer, inner, content)
     if flag is not None:
         raise InternalError(f"transposed shapes degenerated: {flag}")
+    padded = inner + (0,) * (len(outer) - len(inner))
+    rows = [(o, i) for o, i in zip(outer, padded) if o > i]
+    left = rows[-1][1] if rows else 0  # inner parts decrease down the rows
+    return tuple((o - left, i - left) for o, i in rows), content
+
+
+def skew_count(key: tuple) -> int:
+    """Lattice fillings of a ``skew_key`` diagram, in one walk."""
+    rows, content = key
+    outer = tuple(o for o, _ in rows)
+    inner = tuple(i for _, i in rows)
     return sum(1 for _ in _lattice_fillings(outer, inner, content))
+
+
+def transposed_count(outer: tuple, plus, minus) -> int:
+    """Lattice fillings of ``outer`` over the conjugate of the shifted plus
+    block ``plus``, with the shifted minus block ``minus`` as content: the
+    ``skew_count`` of the ``skew_key`` of ``shifted_inner(plus)`` and
+    ``shifted_content(minus)``.
+
+    ``outer`` is the conjugate of the unshifted weight's ``hook_partition``,
+    so it is already normalized.  Under the wedge hypotheses the shapes are
+    contained and their sizes match; anything else is an InternalError.
+    """
+    return skew_count(skew_key(outer, shifted_inner(plus), shifted_content(minus)))
 
 
 def lr_multiplicity(w: Weight, I, J) -> int:

@@ -690,7 +690,7 @@ def test_both_fwedge_routes_run_for_every_entry(monkeypatch):
     monkeypatch.setattr(cli, "wedge_plus_holds", counting("plus", cli.wedge_plus_holds))
     monkeypatch.setattr(cli, "wedge_minus_holds", counting("minus", cli.wedge_minus_holds))
     monkeypatch.setattr(cli, "is_admissible_pair", counting("admissible", cli.is_admissible_pair))
-    monkeypatch.setattr(cli, "transposed_count", counting("transposed", cli.transposed_count))
+    monkeypatch.setattr(cli, "skew_count", counting("transposed", cli.skew_count))
     m, n, top = 3, 2, 4
     args = build_parser().parse_args(
         ["verify", "fwedge", "--m", str(m), "--n", str(n), "--max-entry", str(top)]
@@ -699,11 +699,11 @@ def test_both_fwedge_routes_run_for_every_entry(monkeypatch):
     table = cli._families_by_content(m, n)
     weights = cli._dominant_weights(m, n, top, 1)
     # each half of the predicate once per (distinct block, content): 1,855 +
-    # 795 calls, the transposed count once an entry, and the admissibility
-    # test once per family of each entry's content
+    # 795 calls, the transposed count once per distinct skew diagram, and the
+    # admissibility test once per family of each entry's content
     assert calls["plus"] == len({w.plus for w in weights}) * len(table) == 1855
     assert calls["minus"] == len({w.minus for w in weights}) * len(table) == 795
-    assert calls["transposed"] == len(entries) > 0
+    assert calls["transposed"] == 193 < len(entries) == 423
     assert calls["admissible"] == sum(len(table[e["content"]][1]) for e in entries)
     assert all(e["direct"] >= 1 for e in entries)
 

@@ -14,9 +14,10 @@ from superinduce.lr_oracle import (
     lr_coefficient_flagged,
     lr_multiplicity,
     lr_tableaux,
+    transposed_count,
     wedge_hypotheses_hold,
 )
-from superinduce.superpoly import UsageError
+from superinduce.superpoly import InternalError, UsageError
 from superinduce.weights_tableaux import (
     content_of_pairs,
     is_admissible_pair,
@@ -68,6 +69,19 @@ def test_lr_flag_separates_malformed_from_empty():
     # malformed: inner sticks out
     count, flag = lr_coefficient_flagged((2,), (3,), (1,))
     assert count == 0 and flag is not None
+
+
+@pytest.mark.parametrize(
+    "outer, plus, minus, reason",
+    [
+        # the conjugate of (2,) is (1, 1), which sticks out of one row of 2
+        ((2,), (2,), (), "not contained"),
+        ((3, 1), (1,), (2,), "does not match"),
+    ],
+)
+def test_transposed_count_raises_on_degenerate_shapes(outer, plus, minus, reason):
+    with pytest.raises(InternalError, match=reason):
+        transposed_count(outer, plus, minus)
 
 
 def test_lr_frozen_values():

@@ -3,7 +3,10 @@
 blocks against `parent_is_admissible_pair`, which builds `Weight` objects,
 the one-walk partition transpose against `parent_transpose`, and the two
 halves of the wedge hypotheses against `parent_wedge_content_holds`, which
-tests the whole weight at once."""
+tests the whole weight at once.  The transposed count's skew key is checked
+against `lr_coefficient` on the unkeyed shapes."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,11 @@ from builder_oracle import (
 from superinduce.lr_oracle import (
     _transpose,
     conjugate,
+    hook_partition,
+    lr_coefficient,
+    skew_count,
+    skew_key,
+    transposed_count,
     wedge_content_holds,
     wedge_minus_holds,
     wedge_plus_holds,
@@ -26,6 +34,7 @@ from superinduce.weights_tableaux import (
     content_of_pairs,
     is_admissible_pair,
     is_ordered_family,
+    parse_weight,
 )
 
 INDEX = st.integers(0, 5)  # 0 and anything past the block size are out of range
@@ -131,3 +140,70 @@ def test_wedge_halves_equal_the_whole_weight_test_off_the_sweep(m, n, data):
     cont = content_of_pairs(m, n, [i for i, _ in pairs], [j for _, j in pairs])
     expect = parent_wedge_content_holds(w, cont)
     assert _split_wedge(w, cont) == wedge_content_holds(w, cont) == expect
+
+
+@st.composite
+def skew_questions(draw):
+    """Normalized outer, inner and content of one size, where any row may be
+    empty and every row may share the columns left of a common offset.
+
+    Rows are drawn bottom up, and about half start at or past the end of the
+    row below: empty, or wholly right of the rows below, the diagrams whose
+    empty middle rows the key drops."""
+    outer, inner = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        below_o, below_i = (outer[0], inner[0]) if outer else (0, 0)
+        i = below_i + draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            i = max(i, below_o)  # empty when its outer part is i too
+            o = i + draw(st.sampled_from([0, 0, 1, 2]))
+        else:
+            o = max(i, below_o) + draw(st.integers(0, 3))
+        outer.insert(0, o)
+        inner.insert(0, i)
+    left = draw(st.integers(0, 2))
+    outer = tuple(o + left for o in outer if o + left)
+    inner = tuple(i + left for i in inner if i + left)
+    content, size = [], sum(outer) - sum(inner)
+    while size:
+        part = draw(st.integers(1, min([size] + content[-1:])))
+        content.append(part)
+        size -= part
+    return outer, inner, tuple(content)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(skew_questions())
+def test_skew_key_count_equals_the_walk_on_the_whole_shapes(question):
+    key = skew_key(*question)
+    rows, content = key
+    assert content == question[2]
+    # no empty row, and no column left of every cell
+    assert all(o > i for o, i in rows) and (not rows or rows[-1][1] == 0)
+    assert skew_count(key) == lr_coefficient(*question)
+
+
+def test_empty_skew_diagram_keys_and_counts_as_one_filling():
+    assert skew_key((3, 1), (3, 1), ()) == skew_key((), (), ()) == ((), ())
+    assert skew_count(((), ())) == 1
+
+
+POOL_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("m, n", POOL_SIZES)
+def test_fwedge_tables_equal_a_fresh_transposed_count_over_the_sweep(m, n):
+    # the sizes and entry bound of the benchmark's fwedge commands
+    args = cli.build_parser().parse_args(
+        ["verify", "fwedge", "--m", str(m), "--n", str(n), "--max-entry", "6"]
+    )
+    entries = cli.suite_fwedge(args, random.Random(0))["entries"]
+    table = cli._families_by_content(m, n)
+    assert entries
+    for e in entries:
+        w, cont = parse_weight(e["weight"]), table[e["content"]][0]
+        outer = conjugate(hook_partition(w))
+        plus = tuple(a + b for a, b in zip(w.plus, cont.plus))
+        minus = tuple(a + b for a, b in zip(w.minus, cont.minus))
+        assert e["transposed"] == transposed_count(outer, plus, minus)
+        assert e["transposed"] == lr_coefficient(outer, conjugate(plus), minus)

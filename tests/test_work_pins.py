@@ -10,8 +10,9 @@ import random
 
 import superinduce.cli as cli
 import superinduce.linkage as linkage
+import superinduce.lr_oracle as lr_oracle
 import superinduce.weights_tableaux as weights_tableaux
-from superinduce.cli import build_parser, suite_linkage
+from superinduce.cli import build_parser, suite_fwedge, suite_linkage
 
 LINKAGE_ARGV = ["verify", "linkage", "--m", "3", "--n", "3", "--p", "3"]
 
@@ -50,3 +51,23 @@ def test_linkage_sweep_builds_no_weight_per_shift(monkeypatch):
     monkeypatch.setattr(weights_tableaux.Weight, "__post_init__", counting)
     suite_linkage(build_parser().parse_args(LINKAGE_ARGV), random.Random(0))
     assert calls["weights"] <= 859
+
+
+def test_fwedge_sweep_walks_each_distinct_skew_diagram_once(monkeypatch):
+    # 6,833 entries at (3,2) with entries <= 6 are 869 distinct skew diagrams
+    # once empty rows and the columns left of every cell are dropped; one
+    # walk per entry made 6,833 walks and yielded 7,796 fillings
+    calls = {"walks": 0, "fillings": 0}
+    walk = lr_oracle._lattice_fillings
+
+    def counting(*args):
+        calls["walks"] += 1
+        for filling in walk(*args):
+            calls["fillings"] += 1
+            yield filling
+
+    monkeypatch.setattr(lr_oracle, "_lattice_fillings", counting)
+    argv = ["verify", "fwedge", "--m", "3", "--n", "2", "--max-entry", "6"]
+    suite_fwedge(build_parser().parse_args(argv), random.Random(0))
+    assert calls["walks"] == 869
+    assert calls["fillings"] <= 1049
