@@ -4,7 +4,9 @@ Every handler returns one JSON document and `main` hands it to `_publish`,
 which writes it to ``--out`` and then to stdout as ``json.dumps(document,
 indent=2, sort_keys=True)`` would spell it, but piece by piece: `_write_json`
 encodes each container of scalars with one C encoder built once per indent
-depth, so the whole text is never held.  The same configuration (seed
+depth, so the whole text is never held.  A report's entries are encoded once
+each, and that text is both an entry's sort key and what `_write_report`
+writes of it.  The same configuration (seed
 included) produces byte-identical output, so reports can be diffed across
 runs.  Exit codes: 0 when every check passed, 1 when at least one
 verification failed, 2 for a malformed request, an ``--out`` or a stdout
@@ -170,18 +172,13 @@ def _encoder(item_separator: str):
     return lambda value: "".join(encode(value, 0))
 
 
-# compact JSON text: the sort key of a report's entries, and the text of a
-# dict key that is not a str
-_compact = _encoder(", ")
-
-
 def _json_key(key) -> str:
     """A dict key as ``json`` spells it: a str as is, a float, int, bool or
     None as its JSON text."""
     if isinstance(key, str):
         return key
     if key is None or isinstance(key, (int, float)):
-        return _compact(key)
+        return _level(0)[3](key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
@@ -202,8 +199,9 @@ def _write_json(write, value, depth: int = 0, prefix: str = "") -> None:
     sort_keys=True)`` spells it ``depth`` levels deep.
 
     A container whose children are all scalars or empty containers is one
-    call of that depth's encoder, whose item separator carries the indent;
-    any other container recurses.  So no text longer than one such leaf is
+    call of that depth's encoder, whose item separator carries the indent
+    between its items; its own brackets take the indents around them.  Any
+    other container recurses.  So no text longer than one such leaf is
     built, and ``write`` is called about once a leaf.
     """
     inner, outer, comma, encode = _level(depth)
@@ -231,6 +229,44 @@ def _write_json(write, value, depth: int = 0, prefix: str = "") -> None:
     write(outer + brackets[1])
 
 
+#: Pieces of report entries joined into one ``write``.
+_RUN = 1024
+
+
+def _write_report(write, document: dict, texts) -> None:
+    """Write a report as `_write_json` would, its sorted ``entries`` from
+    ``texts``, their depth-2 texts, and their pieces joined `_RUN` at a time.
+
+    An entry is a dict holding ``ok``, so never empty.  A flat one (its values
+    scalars or empty containers) is its text with the indents put inside its
+    braces; any other entry recurses through `_write_json`.
+    """
+    inner, outer, comma, _ = _level(0)
+    item_inner, item_outer, item_comma, _ = _level(1)
+    entry_inner, entry_outer = _level(2)[:2]
+    write("{")
+    separator = inner
+    for key, child in sorted(document.items()):
+        label = separator + encode_basestring_ascii(key) + ": "
+        separator = comma
+        if key != "entries" or not child:
+            _write_json(write, child, 1, label)
+            continue
+        run = [label + "["]
+        item = item_inner
+        for entry, text in zip(child, texts):
+            if all(not c or not isinstance(c, _CONTAINERS) for c in entry.values()):
+                run += item, "{", entry_inner, text[1:-1], entry_outer, "}"
+            else:
+                _write_json(run.append, entry, 2, item)
+            item = item_comma
+            if len(run) >= _RUN:
+                write("".join(run))
+                run.clear()
+        write("".join(run) + item_outer + "]")
+    write(outer + "}")
+
+
 def _publish(document: dict, out) -> int:
     """Print a command's document, and write it to ``out`` first if given.
 
@@ -238,25 +274,48 @@ def _publish(document: dict, out) -> int:
     ``failures`` and ``ok`` are counted from their ``ok`` fields.  Returns the
     exit code, 1 when any entry failed.  The text is that of
     ``json.dumps(document, indent=2, sort_keys=True)``, written piece by piece
-    by `_write_json`.  A reader that closes stdout early changes neither the
-    exit code nor ``out``; any other failure to write stdout, like one to
-    write ``out``, is a `UsageError`.
+    by `_write_json`, or by `_write_report` for a report.  A reader that
+    closes stdout early changes neither the exit code nor ``out``; any other
+    failure to write stdout, like one to write ``out``, is a `UsageError`.
+
+    Each entry is encoded once, by the depth-2 encoder of `_level`; that text
+    is its sort key and, for a flat entry, its written text.  The order is
+    still that of the compact ``json.dumps(entry, sort_keys=True)``.  The two
+    encoders differ only in their item separator: ``", "`` against a comma,
+    a newline and six spaces; both start with ``,``.  Two texts agree up to
+    their first difference, so a JSON lexer is in the same state there under
+    either encoder, and a ``,`` outside a string is always a separator.  So
+    at the first difference at most one of the texts starts a separator, and
+    both encoders compare a ``,`` with the same character there.  A key taken
+    from the fully indented text would not do: it puts ``{"a": [1]}`` before
+    ``{"a": [1, 2]}``, the reverse of the compact order.
     """
     failures = 0
+    texts = None
     if "entries" in document:
-        entries = sorted(document["entries"], key=_compact)
+        entries = document["entries"]
+        texts = list(map(_level(2)[3], entries))
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        entries = [entries[i] for i in order]
+        texts = [texts[i] for i in order]
         failures = sum(not e["ok"] for e in entries)
         document.update(entries=entries, failures=failures, ok=failures == 0)
+
+    def emit(write):
+        if texts is None:
+            _write_json(write, document)
+        else:
+            _write_report(write, document, texts)
+        write("\n")
+
     if out:
         try:
             with open(out, "w") as handle:
-                _write_json(handle.write, document)
-                handle.write("\n")
+                emit(handle.write)
         except OSError as exc:
             raise UsageError(f"cannot write --out: {exc}") from exc
     try:
-        _write_json(sys.stdout.write, document)
-        sys.stdout.write("\n")
+        emit(sys.stdout.write)
         sys.stdout.flush()
     except OSError as exc:
         # stop the interpreter's final flush from raising on fd 1 again

@@ -389,6 +389,7 @@ def test_parser_covers_mandated_grammar():
 
 
 def test_module_entry_point_subprocess():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [
             sys.executable,
@@ -402,6 +403,7 @@ def test_module_entry_point_subprocess():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -2,16 +2,22 @@
 
 `cli._write_json` spells a document piece by piece, one encoder call per
 container of scalars.  Its text must equal ``json.dumps(doc, indent=2,
-sort_keys=True)`` on any JSON tree, with and without the C encoder, and
-`cli._publish` must never hold the whole text of a report.
+sort_keys=True)`` on any JSON tree, with and without the C encoder.
+`cli._publish` encodes each report entry once, and that text is both the
+entry's sort key and what is written of it: a report's bytes must equal
+``json.dumps`` of the report with its entries sorted by their compact
+``json.dumps(entry, sort_keys=True)``, and `cli._publish` must never hold
+the whole text of a report.
 """
 
+import contextlib
+import io
 import json
 import sys
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import superinduce.cli as cli
 
@@ -54,8 +60,9 @@ trees = st.recursive(
 
 
 @pytest.fixture(params=[False, True], ids=["c-encoder", "c-encoder-masked"])
-def write_json(request, monkeypatch):
-    """The writer, built on ``_json`` or, masked, as a build without it."""
+def encoders(request, monkeypatch):
+    """The module's encoders, built on ``_json`` or, masked, as a build
+    without it."""
     if request.param:
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
         monkeypatch.setattr(cli, "c_make_encoder", None)
@@ -64,9 +71,15 @@ def write_json(request, monkeypatch):
         )
     for cached in (cli._encoder, cli._level):
         cached.cache_clear()
-    yield cli._write_json
+    yield
     for cached in (cli._encoder, cli._level):
         cached.cache_clear()
+
+
+@pytest.fixture
+def write_json(encoders):
+    """The writer, built on ``_json`` or, masked, as a build without it."""
+    return cli._write_json
 
 
 def _spelled(write_json, doc) -> str:
@@ -102,6 +115,113 @@ def test_writer_spells_json_dumps_on_edge_cases(write_json, doc):
 @given(trees)
 def test_writer_spells_json_dumps(write_json, doc):
     assert _spelled(write_json, doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# -- reports: each entry encoded once, sorted by its compact text ----------------
+
+# strings that hold the characters of JSON's own syntax
+syntax_text = st.text(st.sampled_from(',}{][": \n\\a'), max_size=6)
+
+entry_values = trees | syntax_text | st.lists(syntax_text, max_size=3)
+
+entries = st.builds(
+    lambda fields, ok: {**fields, "ok": ok},
+    st.dictionaries(syntax_text | str_keys, entry_values, max_size=4),
+    st.booleans(),
+)
+
+
+def _published(document) -> tuple:
+    """``_publish``'s exit code and stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli._publish(document, None)
+    return code, stdout.getvalue()
+
+
+def _dumped_report(document) -> str:
+    """The report as json.dumps spells it, entries sorted by compact text."""
+    entries = sorted(document["entries"], key=lambda e: json.dumps(e, sort_keys=True))
+    failures = sum(not e["ok"] for e in entries)
+    report = {**document, "entries": entries, "failures": failures, "ok": failures == 0}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _report(entries) -> dict:
+    return {"command": "x", "config": {"m": 1, "seed": None}, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # flat and nested entries mixed, empty containers included
+        [
+            {"rule": "b", "pairs": [[1, 2], [2, 1]], "ok": True},
+            {"rule": "b", "ok": False, "w": "[1,0|0]"},
+            {"rule": "a", "chain": [], "ok": True},
+            {"rule": "a", "chain": [{}], "ok": True},
+            {"rule": "a,}", "x": {}, "ok": False},
+            {"rule": "a", "x": {"k": [{}, []]}, "ok": True},
+        ],
+        # two entries with one text
+        [{"ok": True, "n": 1}, {"ok": True, "n": 1}],
+        [],
+    ],
+)
+def test_report_spells_json_dumps_of_its_sorted_entries(encoders, entries):
+    document = _report(entries)
+    expected = _dumped_report(document)
+    code, out = _published(document)
+    assert out == expected
+    assert code == (1 if any(not e["ok"] for e in entries) else 0)
+
+
+def test_compact_order_is_not_the_indented_texts():
+    # a prefix sorts after the longer list in compact text, but before it in
+    # the fully indented text
+    short, long = {"a": [1], "ok": True}, {"a": [1, 2], "ok": True}
+    _, out = _published(_report([short, long]))
+    assert [e["a"] for e in json.loads(out)["entries"]] == [[1, 2], [1]]
+    indented = sorted([short, long], key=lambda e: json.dumps(e, indent=2, sort_keys=True))
+    assert indented == [short, long]
+
+
+# the fixture only picks the encoders, the same for every example
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(entries, max_size=8))
+@example([{"a": [1], "ok": True}, {"a": [1, 2], "ok": True}])
+def test_report_spells_json_dumps(encoders, entries):
+    document = _report(entries)
+    expected = _dumped_report(document)
+    assert _published(document)[1] == expected
+
+
+def test_publish_leaves_the_callers_entries_sorted():
+    entries = [{"rule": "b", "ok": True}, {"rule": "a", "pairs": [[1]], "ok": False}]
+    document = _report(list(entries))
+    _published(document)
+    assert document["entries"] == entries[::-1]
+    assert (document["failures"], document["ok"]) == (1, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "fwedge", "--m", "2", "--n", "2"],
+        ["verify", "linkage", "--m", "2", "--n", "2"],
+    ],
+)
+def test_out_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    out = capsys.readouterr().out
+    assert target.read_bytes() == out.encode()
+    document = json.loads(out)
+    assert out == _dumped_report(document)
 
 
 class _Discard:

@@ -6,15 +6,13 @@ from math import factorial
 import pytest
 
 from builder_oracle import loc_det
+from minors_oracle import adjugate_law_check, laplace_along_row, muir_adjugate_sum_check
 from superinduce import ambient, leibniz_det, UsageError
 from superinduce.superpoly import DET_CAP
 from superinduce.fraction import det_block11, embed_poly, loc_eq, loc_mul
 from superinduce.minors import (
     adjugate_entry,
-    adjugate_law_check,
     jacobi_identity_check,
-    laplace_along_row,
-    muir_adjugate_sum_check,
     muir_identity_check,
     row_initial_minor,
     twisted_generator,

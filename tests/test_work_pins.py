@@ -6,7 +6,9 @@ fixed call.  A change that lowers a count lowers its pin with it; a pin is
 never raised to let a change pass.
 """
 
+import json
 import random
+from functools import lru_cache
 
 import superinduce.cli as cli
 import superinduce.linkage as linkage
@@ -71,3 +73,34 @@ def test_fwedge_sweep_walks_each_distinct_skew_diagram_once(monkeypatch):
     suite_fwedge(build_parser().parse_args(argv), random.Random(0))
     assert calls["walks"] == 869
     assert calls["fillings"] <= 1049
+
+
+def test_fwedge_report_encodes_each_entry_once(monkeypatch, capsys):
+    # 6,833 entries at (3,2) with entries <= 6, each encoded once for its
+    # sort key and its text, and 4 more for the rest of the document; a
+    # second encoding of every entry, to sort or to write, made 13,670
+    calls = {"encodes": 0}
+
+    def counting(encode):
+        def counted(value):
+            calls["encodes"] += 1
+            return encode(value)
+
+        return counted
+
+    level = cli._level
+
+    @lru_cache(maxsize=None)
+    def counted_level(depth):
+        inner, outer, comma, encode = level(depth)
+        return inner, outer, comma, counting(encode)
+
+    monkeypatch.setattr(cli, "_level", counted_level)
+    # an encoder held at module level, outside _level, counts as well
+    for name, value in list(vars(cli).items()):
+        if getattr(value, "__qualname__", "").startswith("_encoder."):
+            monkeypatch.setattr(cli, name, counting(value))
+    argv = ["verify", "fwedge", "--m", "3", "--n", "2", "--max-entry", "6"]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["entries"]) == 6833
+    assert calls["encodes"] == 6833 + 4
