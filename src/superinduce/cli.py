@@ -610,7 +610,9 @@ def suite_fwedge(args, rng) -> dict:
     }
     # the transposed count's inner shape per distinct shifted plus block, its
     # content per distinct shifted minus block, and one walk per skew diagram
-    inner_of, content_of, count_of = {}, {}, {}
+    inner_of = lru_cache(None)(shifted_inner)
+    content_of = lru_cache(None)(shifted_content)
+    count_of = lru_cache(None)(skew_count)
     entries = []
     for w in weights:
         bits = plus_masks[w.plus] & minus_masks[w.minus]
@@ -626,14 +628,7 @@ def suite_fwedge(args, rng) -> dict:
             # the shifted weight's blocks, already known to be dominant
             plus = tuple(map(add, w.plus, cont.plus))
             minus = tuple(map(add, w.minus, cont.minus))
-            if plus not in inner_of:
-                inner_of[plus] = shifted_inner(plus)
-            if minus not in content_of:
-                content_of[minus] = shifted_content(minus)
-            skew = skew_key(outer, inner_of[plus], content_of[minus])
-            if skew not in count_of:
-                count_of[skew] = skew_count(skew)
-            transposed = count_of[skew]
+            transposed = count_of(skew_key(outer, inner_of(plus), content_of(minus)))
             entries.append(
                 {
                     "rule": "wedge-count",
@@ -680,12 +675,7 @@ def suite_linkage(args, rng) -> dict:
         )
 
     # one Donkin key per distinct block of this run, whose p is fixed
-    block_keys = {}
-
-    def key_of(block):
-        if block not in block_keys:
-            block_keys[block] = block_key(block, p)
-        return block_keys[block]
+    key_of = lru_cache(None)(lambda block: block_key(block, p))
 
     for w in weights:
         name = render_weight(w)

@@ -35,13 +35,10 @@ from .fraction import (
     det_block11,
     det_block22,
     embed_poly,
-    loc_add,
     loc_eq,
     loc_mul,
     loc_scale,
-    loc_sub,
     loc_sum,
-    loc_zero,
 )
 from .minors import row_initial_minor, twisted_generator, y_entry
 from .superpoly import (
@@ -254,13 +251,6 @@ def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
     return LocalizedElement(divided_power(x.num, op.k, op.l, op.r), x.d_exp, x.d22_exp)
 
 
-def apply_poly(op: Op, p: SuperPolynomial) -> SuperPolynomial:
-    out = apply_loc(op, embed_poly(p))
-    if out.d_exp or out.d22_exp:
-        raise InternalError("polynomial input acquired a denominator")
-    return out.num
-
-
 # -- the structured rewrite table -----------------------------------------------------
 #
 # Formal factors name the four families of building blocks the rewrite rules
@@ -390,33 +380,3 @@ def rewrite_rule_check(amb: Ambient, factor, op: Op) -> bool:
     raw = apply_loc(op, embed_formal_factor(amb, factor))
     table = embed_formal(amb, structured_rule(amb, factor, op))
     return loc_eq(raw, table)
-
-
-# -- the supercommutator identity -----------------------------------------------------
-
-
-def op_parity(amb: Ambient, op: Op) -> int:
-    return amb.gen_parity(op.k, op.l)
-
-
-def bracket_check(x: LocalizedElement, a: Op, b: Op) -> bool:
-    """The supercommutator of two basic operators acts as the expected
-    combination of basic operators: on x,
-
-        ((x)a)b - (-1)^(|a||b|) ((x)b)a
-
-    equals [l_a == k_b] (x)d[k_a,l_b] - (-1)^(|a||b|) [l_b == k_a] (x)d[k_b,l_a].
-    """
-    if a.kind != "basic" or b.kind != "basic":
-        raise UsageError("the bracket identity is for basic operators")
-    amb = x.ambient
-    sgn = -1 if op_parity(amb, a) and op_parity(amb, b) else 1
-    xab = _d_loc(_d_loc(x, a.k, a.l), b.k, b.l)
-    xba = _d_loc(_d_loc(x, b.k, b.l), a.k, a.l)
-    lhs = loc_sub(xab, loc_scale(xba, sgn))
-    rhs = loc_zero(amb)
-    if a.l == b.k:
-        rhs = loc_add(rhs, _d_loc(x, a.k, b.l))
-    if b.l == a.k:
-        rhs = loc_sub(rhs, loc_scale(_d_loc(x, b.k, a.l), sgn))
-    return loc_eq(lhs, rhs)

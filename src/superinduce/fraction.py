@@ -25,7 +25,6 @@ on loc_sum.
 
 from __future__ import annotations
 
-import re
 from functools import reduce
 
 from .superpoly import (
@@ -35,8 +34,6 @@ from .superpoly import (
     dot,
     exact_divide,
     leibniz_det,
-    parse_integer,
-    parse_poly,
     render_poly,
     weight_of,
 )
@@ -103,10 +100,6 @@ def embed_poly(p: SuperPolynomial) -> LocalizedElement:
     return LocalizedElement(p, 0, 0)
 
 
-def loc_zero(amb: Ambient) -> LocalizedElement:
-    return LocalizedElement(amb.zero())
-
-
 def common_numerators(amb: Ambient, xs):
     """(s, t, nums): the largest exponents among xs, and each numerator over
     D^s · D22^t."""
@@ -154,14 +147,6 @@ def loc_dot(amb: Ambient, pairs) -> LocalizedElement:
 def loc_add(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
     s, t, (nx, ny) = common_numerators(x.ambient, (x, y))
     return LocalizedElement(nx + ny, s, t)
-
-
-def loc_neg(x: LocalizedElement) -> LocalizedElement:
-    return LocalizedElement(-x.num, x.d_exp, x.d22_exp)
-
-
-def loc_sub(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
-    return loc_add(x, loc_neg(y))
 
 
 def loc_mul(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
@@ -239,16 +224,3 @@ def loc_pow(x: LocalizedElement, e: int) -> LocalizedElement:
 
 def render_loc(x: LocalizedElement) -> str:
     return f"{render_poly(x.num)} / D^{x.d_exp} D22^{x.d22_exp}"
-
-
-def parse_loc(amb: Ambient, text: str) -> LocalizedElement:
-    parts = text.rsplit("/", 1)
-    if len(parts) == 1:
-        return embed_poly(parse_poly(amb, text))
-    num = parse_poly(amb, parts[0])
-    den = re.sub(r"\s+", "", parts[1])
-    m = re.fullmatch(r"(?:D\^(\d+))?(?:D22\^(\d+))?", den)
-    if m is None or (m.group(1) is None and m.group(2) is None):
-        raise UsageError(f"unrecognized denominator {parts[1]!r}")
-    d_exp, d22_exp = (parse_integer(v or "0") for v in m.groups())
-    return LocalizedElement(num, d_exp, d22_exp)

@@ -177,15 +177,6 @@ def residues_agree(w: Weight, i: int, j: int, k: int, l: int, p: int) -> bool:
     return (omega(w, i, j) % p == 0) == (omega(w, k, l) % p == 0)
 
 
-def nakayama_consequence_check(w: Weight, i: int, j: int, k: int, l: int, p: int) -> bool:
-    """When the two single-step shifts land in one even block
-    (``even_linked``), their grid entries vanish mod p together
-    (``residues_agree``, which a caller that knows the blocks calls alone)."""
-    if not even_linked(lambda_ij(w, i, j), lambda_ij(w, k, l), p):
-        return True
-    return residues_agree(w, i, j, k, l, p)
-
-
 # -- odd linkage ------------------------------------------------------------------------
 
 

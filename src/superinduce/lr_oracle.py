@@ -5,7 +5,7 @@ floor reduce, on transposed shapes, to counting semistandard skew fillings
 whose reverse reading word is a lattice word.  This module enumerates those
 fillings directly, with no shortcuts shared with the algebraic side, so the
 two routes can audit each other: ``admissible_count`` walks 0/1 matrices of
-index families, ``lr_coefficient`` walks tableau cells.
+index families, ``lr_coefficient_flagged`` walks tableau cells.
 
 Partitions are tuples of weakly decreasing nonnegative integers; trailing
 zeros are immaterial and stripped on entry.
@@ -99,13 +99,10 @@ def _checked_shapes(outer, inner, content):
     return (outer, inner, content), None
 
 
-def _lattice_fillings(outer, inner, content, descending=False):
+def _lattice_fillings(outer, inner, content):
     """Yield every lattice semistandard filling of outer/inner with the given
     content, as the live list of rows (0 marks an inner cell); copy a filling
-    to keep it past the next step of the walk.
-
-    ``descending`` flips the per-cell candidate order.
-    """
+    to keep it past the next step of the walk."""
     cells = _skew_cells(outer, inner)
     width = outer[0] if outer else 0
     letters = len(content)
@@ -118,7 +115,7 @@ def _lattice_fillings(outer, inner, content, descending=False):
         # neighbour holding 0 is inner shape and bounds nothing
         hi = filling[r][c + 1] if c + 1 < outer[r] else letters
         lo = filling[r - 1][c] + 1 if r > 0 and c < outer[r - 1] else 1
-        return iter(range(hi, lo - 1, -1) if descending else range(lo, hi + 1))
+        return iter(range(lo, hi + 1))
 
     if not cells:
         yield filling
@@ -151,24 +148,17 @@ def _lattice_fillings(outer, inner, content, descending=False):
             stack.append((*cell, candidates(*cell)))
 
 
-def lr_coefficient_flagged(outer, inner, content, descending=False):
+def lr_coefficient_flagged(outer, inner, content):
     """Count lattice semistandard fillings of outer/inner with the given content.
 
     Returns ``(count, flag)``.  ``flag`` is None when the preconditions hold
     and a short reason string otherwise; a flagged call counts 0, which keeps
     "no tableaux" distinguishable from "the question was malformed".
-
-    ``descending`` flips the per-cell candidate order.  The count may not
-    depend on it; the property suite recomputes both ways.
     """
     shapes, flag = _checked_shapes(outer, inner, content)
     if flag is not None:
         return 0, flag
-    return sum(1 for _ in _lattice_fillings(*shapes, descending)), None
-
-
-def lr_coefficient(outer, inner, content) -> int:
-    return lr_coefficient_flagged(outer, inner, content)[0]
+    return sum(1 for _ in _lattice_fillings(*shapes)), None
 
 
 def lr_tableaux(outer, inner, content) -> list:

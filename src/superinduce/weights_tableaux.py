@@ -221,16 +221,6 @@ def tableau_columns(t: Tableau):
     return cols
 
 
-def is_semistandard(t: Tableau) -> bool:
-    for row in t.cells:
-        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-            return False
-    for col in tableau_columns(t):
-        if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-            return False
-    return True
-
-
 def enumerate_semistandard(shape, min_entry: int, max_entry: int):
     """All semistandard fillings of the shape with entries in the given range."""
     shape = tuple(shape)
@@ -379,21 +369,6 @@ def highest_vector(amb: Ambient, w: Weight) -> LocalizedElement:
     if loc_weight(out) != w.as_tuple():
         raise InternalError("highest vector has the wrong weight")
     return out
-
-
-def normalize_berezinian(w: Weight):
-    """Shift by the determinant character so the last minus entry becomes zero.
-
-    Returns (shifted weight, twist): the twist is the last minus entry, and
-    the shifted weight adds it to every plus entry and subtracts it from every
-    minus entry.  The module for the original weight is the shifted one tensored
-    by the twist-th power of the one-dimensional determinant character.
-    """
-    twist = w.minus[-1]
-    norm = Weight(
-        tuple(v + twist for v in w.plus), tuple(v - twist for v in w.minus)
-    )
-    return norm, twist
 
 
 def random_dominant_weight(m: int, n: int, rng, max_entry: int = 4) -> Weight:

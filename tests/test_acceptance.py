@@ -34,7 +34,6 @@ from superinduce.floors_primitives import (
 from superinduce.fraction import embed_poly, loc_eq, loc_mul
 from superinduce.linkage import (
     even_linked,
-    nakayama_consequence_check,
     odd_linked,
     omega,
     omega_via_form,
@@ -61,6 +60,7 @@ from superinduce.weights_tableaux import (
     make_weight,
     random_dominant_weight,
 )
+from shape_oracle import nakayama_consequence_check
 
 
 @contextmanager

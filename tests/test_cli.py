@@ -25,16 +25,13 @@ from superinduce.cli import (
 from superinduce.floors_primitives import (
     FloorElement,
     fe_eq,
-    floor_decompose,
     pi_ij,
 )
-from superinduce.fraction import parse_loc
 from superinduce.linkage import (
     CHAIN_NODE_CAP,
     dot_equivalent,
     even_linked,
     link_chain_search,
-    nakayama_consequence_check,
     omega,
     omega_via_form,
 )
@@ -48,6 +45,9 @@ from superinduce.weights_tableaux import (
     random_dominant_weight,
     render_weight,
 )
+from floor_oracle import floor_decompose
+from ring_oracle import parse_loc
+from shape_oracle import nakayama_consequence_check
 
 
 def run_cli(capsys, *argv):

@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from superinduce.derivation import (
     apply_loc,
-    apply_poly,
     basic,
     binomial,
     divided,
@@ -44,6 +43,7 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus, make_weight
+from ring_oracle import apply_poly
 from builder_oracle import (
     divided_powers_vanish,
     fresh_embed_floor,

@@ -21,10 +21,8 @@ from superinduce.derivation import (
     FY,
     Op,
     apply_loc,
-    apply_poly,
     basic,
     binomial,
-    bracket_check,
     divided,
     embed_formal,
     embed_formal_factor,
@@ -35,6 +33,7 @@ from superinduce.derivation import (
 )
 from superinduce.minors import y_entry
 from superinduce.superpoly import EXPONENT_CAP, leibniz_det
+from ring_oracle import apply_poly, bracket_check
 from builder_oracle import lifted_apply
 from word_oracle import SIZES, pack, random_words, unpack, word_derivative
 

@@ -18,18 +18,15 @@ from superinduce.floors_primitives import (
     fe_scale,
     fe_zero,
     floor_component,
-    floor_decompose,
     floor_element_to_json,
     floor_is_polynomial,
     generation_identity_check,
-    highest_vector_recursion_check,
     is_primitive,
     pi_IJ,
     pi_IJ_raw,
     pi_ij,
     pi_minus,
     pi_plus,
-    rank_of_floor_elements,
     search_module_combinations,
 )
 from superinduce.fraction import (
@@ -51,6 +48,11 @@ from superinduce.superpoly import (
     sort_with_sign,
 )
 from superinduce.weights_tableaux import dminus, highest_vector, make_weight
+from floor_oracle import (
+    floor_decompose,
+    highest_vector_recursion_check,
+    rank_of_floor_elements,
+)
 
 
 def test_normalize_pairs():

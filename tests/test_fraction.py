@@ -18,12 +18,11 @@ from superinduce.fraction import (
     loc_eq,
     loc_mul,
     loc_pow,
-    loc_sub,
     loc_sum,
     loc_weight,
-    parse_loc,
     render_loc,
 )
+from ring_oracle import loc_sub, parse_loc
 
 
 def test_block_determinants_2_1():

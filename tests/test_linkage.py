@@ -21,7 +21,6 @@ from superinduce.linkage import (
     in_alcove,
     is_typical,
     link_chain_search,
-    nakayama_consequence_check,
     odd_linked,
     omega,
     omega_grid,
@@ -32,10 +31,10 @@ from superinduce.superpoly import UsageError
 from superinduce.weights_tableaux import (
     lambda_ij,
     make_weight,
-    normalize_berezinian,
     random_dominant_weight,
     weight_add,
 )
+from shape_oracle import nakayama_consequence_check, normalize_berezinian
 
 
 def test_omega_grid_examples():

@@ -152,7 +152,7 @@ def test_loc_det_even_entries():
     ]
     d = loc_det(amb, entries)
     byhand = loc_mul(entries[0][0], entries[1][1])
-    from superinduce.fraction import loc_sub
+    from ring_oracle import loc_sub
 
     byhand = loc_sub(byhand, loc_mul(entries[0][1], entries[1][0]))
     assert loc_eq(d, byhand)

@@ -1,5 +1,9 @@
-"""Modules of the package share only public names: no module imports a
-private (underscore) name from another one."""
+"""Module boundaries of the package, checked on its syntax trees.
+
+Modules share only public names: no module imports a private (underscore)
+name from another one.  Per-ring caches, sums and determinants each go
+through their one path.  `src/` holds only what the console script, the
+demos and the benchmark reach, and reads every name it imports."""
 
 import ast
 from pathlib import Path
@@ -200,3 +204,143 @@ def test_only_det_and_odd_linked_walk_permutations():
     users = {path.name for path in sorted(SRC.glob("*.py")) if _imports_permutations(path)}
     assert "superpoly.py" in users
     assert users <= {"superpoly.py", "linkage.py"}
+
+
+REPO = SRC.parent.parent
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _product_names(source: str) -> set:
+    """Every name, attribute and identifier string of a file outside the
+    package: whatever it can reach a definition by, directly, through a module
+    alias (`fp.name`) or through a table of strings (`"fraction.loc_eq"`)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(part for part in node.value.split(".") if part.isidentifier())
+    return names
+
+
+def _unreached(modules: dict, product_sources) -> list:
+    """(module, name), in source order, of every top-level function or class
+    of the package `modules` (module name -> source) that no root reaches.
+
+    The roots are the package's module-level statements other than imports
+    (an `__all__` among them), `cli.main`, and every definition whose name a
+    product source holds.  A reached definition or statement reaches each
+    name it reads, and each string it holds, that its module defines or
+    imports from a sibling module; methods count as part of their class."""
+    defs, scopes, pending = {}, {}, []
+    for mod, source in modules.items():
+        scope = scopes[mod] = {}
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, _DEFS):
+                defs[mod, stmt.name] = stmt
+                scope[stmt.name] = (mod, stmt.name)
+            elif isinstance(stmt, ast.ImportFrom):
+                if stmt.level or (stmt.module or "").startswith("superinduce"):
+                    sibling = (stmt.module or "").rpartition(".")[2]
+                    scope.update(
+                        (alias.asname or alias.name, (sibling, alias.name))
+                        for alias in stmt.names
+                    )
+            elif not isinstance(stmt, ast.Import):
+                pending.append((mod, stmt))
+
+    def resolve(mod, name):
+        target = scopes[mod].get(name)
+        return target if target in defs else None
+
+    names = set().union(*map(_product_names, product_sources))
+    reached = {key for key in defs if key[1] in names or key == ("cli", "main")}
+    pending += [(key[0], defs[key]) for key in reached]
+    while pending:
+        mod, root = pending.pop()
+        found = []
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                found.append(resolve(mod, node.id))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.append(resolve(mod, node.value))
+        for key in found:
+            if key is not None and key not in reached:
+                reached.add(key)
+                pending.append((key[0], defs[key]))
+    return [key for key in defs if key not in reached]
+
+
+def _product_sources():
+    product = sorted(REPO.glob("demos/*.py")) + sorted(
+        path for path in REPO.glob("perfbench/**/*.py")
+        if "tests" not in path.relative_to(REPO / "perfbench").parts
+    )
+    return [path.read_text() for path in product]
+
+
+def test_every_src_definition_is_reached():
+    # src/ holds what the console script, the demos and the benchmark reach;
+    # a definition only the tests read is an oracle and lives under tests/
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    product = _product_sources()
+    assert len(product) >= 9  # the three demos and the benchmark's modules
+    unreached = _unreached(modules, product)
+    assert not unreached, f"no product code reaches {unreached}"
+
+
+def test_the_reachability_walk_sees_every_route():
+    modules = {
+        "__init__": "from .core import exported\n__all__ = ['exported']\n",
+        "core": '''
+def exported():
+    return helper()
+
+def helper():
+    return 1
+
+def planted():
+    return only_via_planted()
+
+def only_via_planted():
+    return 2
+
+def read_by_attribute():
+    return 3
+
+def named_in_a_layer_table():
+    return 4
+''',
+    }
+    demo = "import superinduce.core as fp\n\nprint(fp.read_by_attribute())\n"
+    layers = 'LAYERS = [("core", "named_in_a_layer_table", "core.calls", None, False)]\n'
+    unreached = _unreached(modules, [demo, layers])
+    judged = ["planted", "only_via_planted", "read_by_attribute", "named_in_a_layer_table"]
+    assert [("core", name) not in unreached for name in judged] == [False, False, True, True]
+    assert unreached == [("core", "planted"), ("core", "only_via_planted")]
+
+
+def _unread_imports(source: str) -> list:
+    """Every name a module imports and never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def test_src_modules_read_every_name_they_import():
+    # __init__ imports only to re-export
+    unread = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unread_imports(path.read_text())
+    }
+    assert unread == set()

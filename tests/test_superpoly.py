@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from superinduce.cli import main
 from superinduce.derivation import apply_loc, basic, divided
-from superinduce.fraction import LocalizedElement, den_power, parse_loc, render_loc
+from superinduce.fraction import LocalizedElement, den_power, render_loc
 from superinduce.superpoly import (
     EXPONENT_CAP,
     SuperPolynomial,
@@ -23,6 +23,7 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus
+from ring_oracle import parse_loc
 from builder_oracle import layered_exact_divide, lift, lower, odd_layer
 from word_oracle import SIZES, pack, random_words, unpack, word_mul
 

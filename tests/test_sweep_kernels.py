@@ -21,7 +21,6 @@ from superinduce.lr_oracle import (
     _transpose,
     conjugate,
     hook_partition,
-    lr_coefficient,
     skew_count,
     skew_key,
     transposed_count,
@@ -36,6 +35,7 @@ from superinduce.weights_tableaux import (
     is_ordered_family,
     parse_weight,
 )
+from shape_oracle import lr_coefficient
 
 INDEX = st.integers(0, 5)  # 0 and anything past the block size are out of range
 

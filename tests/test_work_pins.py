@@ -32,8 +32,8 @@ def _count_calls(monkeypatch, owners, name, calls):
 
 
 def test_linkage_sweep_keys_each_distinct_block_once_in_all(monkeypatch):
-    # through the suite's own table and through linkage, where a per-pair
-    # check re-keys both shifts: 40 distinct blocks at (3,3) p = 3
+    # counted through cli and through linkage, so a shift keyed anywhere in
+    # either module counts too: 40 distinct blocks at (3,3) p = 3
     calls = {"block_key": 0}
     _count_calls(monkeypatch, [linkage, cli], "block_key", calls)
     suite_linkage(build_parser().parse_args(LINKAGE_ARGV), random.Random(0))
