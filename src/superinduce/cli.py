@@ -201,8 +201,11 @@ def _write_json(write, value, depth: int = 0, prefix: str = "") -> None:
     A container whose children are all scalars or empty containers is one
     call of that depth's encoder, whose item separator carries the indent
     between its items; its own brackets take the indents around them.  Any
-    other container recurses.  So no text longer than one such leaf is
-    built, and ``write`` is called about once a leaf.
+    other container recurses, except that in a dict each run of consecutive
+    sorted items whose values are scalars or empty containers is one call of
+    that depth's encoder too, its text written between the braces.  So no
+    text longer than one such leaf or run is built, and ``write`` is called
+    about once a leaf or run.
     """
     inner, outer, comma, encode = _level(depth)
     if not value or not isinstance(value, _CONTAINERS):
@@ -213,20 +216,30 @@ def _write_json(write, value, depth: int = 0, prefix: str = "") -> None:
         text = encode(value)
         write(prefix + text[0] + inner + text[1:-1] + outer + text[-1])
         return
-    if isinstance(value, dict):
-        brackets = "{}"
-        labelled = (
-            (encode_basestring_ascii(_json_key(k)) + ": ", c) for k, c in sorted(value.items())
-        )
-    else:
-        brackets = "[]"
-        labelled = (("", c) for c in value)
-    write(prefix + brackets[0])
     separator = inner
-    for label, child in labelled:
-        _write_json(write, child, depth + 1, separator + label)
+    if isinstance(value, dict):
+        write(prefix + "{")
+        run = {}
+        for key, child in sorted(value.items()):
+            if not child or not isinstance(child, _CONTAINERS):
+                run[key] = child
+                continue
+            if run:
+                write(separator + encode(run)[1:-1])
+                separator = comma
+                run = {}
+            label = encode_basestring_ascii(_json_key(key)) + ": "
+            _write_json(write, child, depth + 1, separator + label)
+            separator = comma
+        if run:
+            write(separator + encode(run)[1:-1])
+        write(outer + "}")
+        return
+    write(prefix + "[")
+    for child in value:
+        _write_json(write, child, depth + 1, separator)
         separator = comma
-    write(outer + brackets[1])
+    write(outer + "]")
 
 
 #: Pieces of report entries joined into one ``write``.

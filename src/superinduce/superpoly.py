@@ -332,9 +332,6 @@ class SuperPolynomial:
             return None
         return seen.pop()
 
-    def total_degree(self) -> int:
-        return max((monomial_degree(mo) for mo in self.terms), default=0)
-
     def _check_mate(self, other: "SuperPolynomial"):
         if self.ambient != other.ambient:
             raise UsageError("operands live in different ambients")
@@ -403,23 +400,51 @@ class SuperPolynomial:
 
 def dot(amb: Ambient, pairs) -> SuperPolynomial:
     """The sum of the products a·b over the (a, b) pairs of polynomials in
-    amb, accumulated in one dict: the one product loop of the ring."""
+    amb, accumulated in one dict: the one product loop of the ring.
+
+    The right operand's terms run outermost and the left operand's innermost.
+    The left terms are split once per pair into odd-free terms and odd terms
+    with their odd bits.  A pair of terms with an odd-free factor on either
+    side shares no odd generator and crosses no odd factor, so it is added
+    unsigned and untested.  Only an odd left term against an odd right term
+    tests for a shared odd generator (oa & ob) and reads its Koszul sign from
+    the right term's koszul_mask, built once per right term.
+    """
     odd = amb.odd_mask
     out: dict = {}
+    get = out.get
     for a, b in pairs:
         # ambient() shares instances, so identity settles nearly every pair
         if not (a.ambient is amb is b.ambient or a.ambient == amb == b.ambient):
             raise UsageError("operands live in different ambients")
-        right = [(mb, cb, mb & odd, koszul_mask(mb & odd)) for mb, cb in b.terms.items()]
-        for ma, ca in a.terms.items():
+        left = a.terms.items()
+        even_left = []
+        odd_left = []
+        for ma, ca in left:
             oa = ma & odd
-            for mb, cb, ob, kb in right:
+            if oa:
+                odd_left.append((ma, ca, oa))
+            else:
+                even_left.append((ma, ca))
+        for mb, cb in b.terms.items():
+            ob = mb & odd
+            if not ob:
+                for ma, ca in left:
+                    mo = ma + mb
+                    out[mo] = get(mo, 0) + ca * cb
+                continue
+            for ma, ca in even_left:
+                mo = ma + mb
+                out[mo] = get(mo, 0) + ca * cb
+            kb = koszul_mask(ob)
+            for ma, ca, oa in odd_left:
                 if oa & ob:
                     continue  # a shared odd generator squares to zero
                 mo = ma + mb
-                c = -ca * cb if (oa & kb).bit_count() & 1 else ca * cb
-                prev = out.get(mo)
-                out[mo] = c if prev is None else prev + c
+                if (oa & kb).bit_count() & 1:
+                    out[mo] = get(mo, 0) - ca * cb
+                else:
+                    out[mo] = get(mo, 0) + ca * cb
     check_exponents(amb, out)
     return SuperPolynomial(amb, out)
 

@@ -28,6 +28,10 @@ The determinants are the two Leibniz loops that `superpoly.det` replaced:
 each taking a permutation's sign from its cycle lengths (`parent_perm_sign`)
 rather than from `sort_with_sign`.
 
+The parent's product loop `parent_dot` runs the left operand's terms
+outermost and tests every pair of terms for a shared odd generator and a
+Koszul sign, whatever their odd parts.
+
 The sweep kernels are the parent routes of the admissibility test and the
 partition transpose: `parent_is_admissible_pair` builds the family's content
 and the shifted weight as `Weight` objects, and `parent_transpose` counts the
@@ -68,6 +72,7 @@ from superinduce.superpoly import (
     check_exponents,
     dot,
     exact_divide,
+    koszul_mask,
     monomial_odd_degree,
     sort_with_sign,
 )
@@ -81,6 +86,7 @@ from superinduce.weights_tableaux import (
     lambda_IJ,
     tableau_columns,
 )
+from ring_oracle import total_degree
 
 
 def fresh_rho_pair(amb, i, j) -> dict:
@@ -220,6 +226,32 @@ def layered_exact_divide(a, b):
     return quo
 
 
+# -- the parent's product loop -------------------------------------------------------
+
+
+def parent_dot(amb, pairs) -> SuperPolynomial:
+    """The sum of the products a·b over the (a, b) pairs of polynomials in
+    amb, accumulated in one dict: the one product loop of the ring."""
+    odd = amb.odd_mask
+    out: dict = {}
+    for a, b in pairs:
+        # ambient() shares instances, so identity settles nearly every pair
+        if not (a.ambient is amb is b.ambient or a.ambient == amb == b.ambient):
+            raise UsageError("operands live in different ambients")
+        right = [(mb, cb, mb & odd, koszul_mask(mb & odd)) for mb, cb in b.terms.items()]
+        for ma, ca in a.terms.items():
+            oa = ma & odd
+            for mb, cb, ob, kb in right:
+                if oa & ob:
+                    continue  # a shared odd generator squares to zero
+                mo = ma + mb
+                c = -ca * cb if (oa & kb).bit_count() & 1 else ca * cb
+                prev = out.get(mo)
+                out[mo] = c if prev is None else prev + c
+    check_exponents(amb, out)
+    return SuperPolynomial(amb, out)
+
+
 # -- per-field monomial loops ----------------------------------------------------
 
 
@@ -346,7 +378,7 @@ def divided_powers_vanish(emb, k, l):
     while not u.is_zero():
         r += 1
         if r == 2:
-            bound = lifted.num.total_degree() + 1
+            bound = total_degree(lifted.num) + 1
         if r > bound:
             raise InternalError("divided-power iteration failed to terminate")
         u = apply_loc(basic(k, l), u)

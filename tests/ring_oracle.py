@@ -1,7 +1,8 @@
-"""Ring helpers that only the tests read: a derivation on a polynomial that
-checks no denominator appears, the supercommutator identity of the basic
-operators, negation and difference of localized elements, and the parser
-that inverts `render_loc` for text round trips."""
+"""Ring helpers that only the tests read: the total degree of a polynomial,
+a derivation on a polynomial that checks no denominator appears, the
+supercommutator identity of the basic operators, negation and difference of
+localized elements, and the parser that inverts `render_loc` for text round
+trips."""
 
 import re
 
@@ -18,9 +19,15 @@ from superinduce.superpoly import (
     InternalError,
     SuperPolynomial,
     UsageError,
+    monomial_degree,
     parse_integer,
     parse_poly,
 )
+
+
+def total_degree(p: SuperPolynomial) -> int:
+    """The largest total degree of a term of p; 0 for the zero polynomial."""
+    return max((monomial_degree(mo) for mo in p.terms), default=0)
 
 
 # -- localized arithmetic and text ------------------------------------------------------

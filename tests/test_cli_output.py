@@ -194,6 +194,8 @@ def test_compact_order_is_not_the_indented_texts():
 )
 @given(st.lists(entries, max_size=8))
 @example([{"a": [1], "ok": True}, {"a": [1, 2], "ok": True}])
+# runs of scalars and empty containers on both sides of a container
+@example([{"a": 1, "b": [[1, 2], 3], "c": {}, "ok": True, "z": "x"}])
 def test_report_spells_json_dumps(encoders, entries):
     document = _report(entries)
     expected = _dumped_report(document)

@@ -3,7 +3,8 @@
 Modules share only public names: no module imports a private (underscore)
 name from another one.  Per-ring caches, sums and determinants each go
 through their one path.  `src/` holds only what the console script, the
-demos and the benchmark reach, and reads every name it imports."""
+demos and the benchmark reach, reads every name it imports, and names no
+method that only the tests read."""
 
 import ast
 from pathlib import Path
@@ -289,6 +290,31 @@ def test_every_src_definition_is_reached():
     assert len(product) >= 9  # the three demos and the benchmark's modules
     unreached = _unreached(modules, product)
     assert not unreached, f"no product code reaches {unreached}"
+
+
+def _methods(source: str):
+    """(class, method) for every method of a top-level class whose name is
+    not a dunder."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield stmt.name, item.name
+
+
+def test_every_src_method_name_is_read():
+    # the reachability walk takes a class's methods with the class, so a
+    # method only the tests call would stay in src/ unseen; every method name
+    # must be read somewhere in src/, the demos or the benchmark
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    names = set().union(*map(_product_names, [*modules.values(), *_product_sources()]))
+    methods = [(mod, cls, name) for mod, source in modules.items()
+               for cls, name in _methods(source)]
+    assert len(methods) > 20  # the scan reaches the package's classes
+    unread = [method for method in methods if method[2] not in names]
+    assert not unread, f"no product code reads {unread}"
 
 
 def test_the_reachability_walk_sees_every_route():

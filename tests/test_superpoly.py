@@ -1,6 +1,7 @@
 """Ground-floor arithmetic: signs, gradings, division, text round-trips."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -23,9 +24,9 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus
-from ring_oracle import parse_loc
-from builder_oracle import layered_exact_divide, lift, lower, odd_layer
-from word_oracle import SIZES, pack, random_words, unpack, word_mul
+from ring_oracle import parse_loc, total_degree
+from builder_oracle import layered_exact_divide, lift, lower, odd_layer, parent_dot
+from word_oracle import SIZES, canonical, pack, random_words, unpack, word_mul
 
 
 A22 = ambient(2, 2)
@@ -424,6 +425,49 @@ def test_dot_is_the_sum_of_the_oracle_products(data, size, char):
     assert unpack(got) == amb.field.clean(want)
 
 
+def _odd_heavy_words(amb, rnd, count) -> dict:
+    """count distinct canonical words, three in four with one to four odd
+    letters, the rest odd-free; integer coefficients that no field of char
+    3 or 5 sends to zero, and in char 0 also proper fractions."""
+    all_gens = [(i, j) for i in range(1, amb.size + 1) for j in range(1, amb.size + 1)]
+    odd = [g for g in all_gens if amb.gen_parity(*g)]
+    even = [g for g in all_gens if not amb.gen_parity(*g)]
+    out: dict = {}
+    while len(out) < count:
+        letters = [rnd.choice(even) for _ in range(rnd.randint(0, 8 if count > 4 else 2))]
+        if rnd.random() < 0.75:
+            letters += rnd.sample(odd, rnd.randint(1, min(4, len(odd))))
+        _, word = canonical(amb, letters)
+        c = rnd.choice([-4, -2, -1, 1, 2, 4])
+        if amb.char == 0 and rnd.random() < 0.5:
+            c = Fraction(c, rnd.randint(2, 6))
+        out[word] = c
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(SIZES), st.sampled_from([0, 3, 5]))
+def test_dot_equals_the_parent_loop_and_the_word_oracle(data, size, char):
+    # odd-heavy operands, and lopsided ones in both orders: one term against
+    # 100 or more, so either loop order meets the large operand innermost
+    amb = ambient(*size, char)
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        many = rnd.randint(100, 130)
+        sizes = data.draw(st.sampled_from([(rnd.randint(1, 4), rnd.randint(1, 4)),
+                                           (1, many), (many, 1)]))
+        pairs.append(tuple(_odd_heavy_words(amb, rnd, k) for k in sizes))
+    packed = [(pack(amb, a), pack(amb, b)) for a, b in pairs]
+    got = dot(amb, packed)
+    assert got == parent_dot(amb, packed)
+    want: dict = {}
+    for a, b in pairs:
+        for w, c in word_mul(amb, a, b).items():
+            want[w] = want.get(w, 0) + c
+    assert unpack(got) == amb.field.clean(want)
+
+
 def test_dot_rejects_operands_from_another_ambient():
     with pytest.raises(UsageError, match="different ambients"):
         dot(A22, [(A22.one(), A22.one()), (A22.one(), A11.one())])
@@ -511,10 +555,10 @@ def test_exact_divide_refuses_a_monomial_the_leading_term_misses(data, char):
     even, _ = _even_and_odd_gens(amb)
     a = random_poly(amb, data, max_terms=3)
     b, body = _draw_even_divisor(data, amb)
-    if body.is_zero() or body.total_degree() == 0:
+    if body.is_zero() or total_degree(body) == 0:
         return
     m = amb.scalar(data.draw(st.integers(1, 2)))
-    for _ in range(data.draw(st.integers(0, body.total_degree() - 1))):
+    for _ in range(data.draw(st.integers(0, total_degree(body) - 1))):
         m = m * data.draw(st.sampled_from(even))
     assert exact_divide(a * b + m, b) is None
 
@@ -619,7 +663,7 @@ def test_one_pass_division_equals_the_layered_route(data, size, char):
     # a dividend that b need not divide: both routes agree, None included
     x = a * b + random_poly(amb, data, max_terms=2)
     assert exact_divide(x, b) == layered_exact_divide(x, b)
-    if b.total_degree() > 0:
+    if total_degree(b) > 0:
         # a unit times an odd word is below b's leading monomial: never divisible
         _, odd = _even_and_odd_gens(amb)
         miss = a * b + data.draw(st.sampled_from(odd))

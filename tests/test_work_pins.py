@@ -6,15 +6,20 @@ fixed call.  A change that lowers a count lowers its pin with it; a pin is
 never raised to let a change pass.
 """
 
+import importlib
 import json
+import pkgutil
 import random
 from functools import lru_cache
 
+import superinduce
 import superinduce.cli as cli
 import superinduce.linkage as linkage
 import superinduce.lr_oracle as lr_oracle
+import superinduce.superpoly as superpoly
 import superinduce.weights_tableaux as weights_tableaux
 from superinduce.cli import build_parser, suite_fwedge, suite_linkage
+from superinduce.floors_primitives import phi_floor, pi_ij
 
 LINKAGE_ARGV = ["verify", "linkage", "--m", "3", "--n", "3", "--p", "3"]
 
@@ -29,6 +34,44 @@ def _count_calls(monkeypatch, owners, name, calls):
 
     for owner in owners:
         monkeypatch.setattr(owner, name, counting)
+
+
+def _count_products(monkeypatch, counts):
+    """Count the calls of superpoly.dot, and the term pairs they are offered
+    (the sum of |a|·|b| over their pairs), through every module that holds
+    it."""
+    real = superpoly.dot
+
+    def counting(amb, pairs):
+        pairs = list(pairs)
+        counts["calls"] += 1
+        counts["term_pairs"] += sum(len(a.terms) * len(b.terms) for a, b in pairs)
+        return real(amb, pairs)
+
+    modules = [importlib.import_module(f"superinduce.{info.name}")
+               for info in pkgutil.iter_modules(superinduce.__path__)]
+    owners = [module for module in modules if vars(module).get("dot") is real]
+    for owner in owners:
+        monkeypatch.setattr(owner, "dot", counting)
+    return owners
+
+
+def test_phi_floor_at_3_2_offers_no_more_term_pairs(monkeypatch):
+    # phi_floor of the (3,2) floor vector of [2,1,0|2,1] at cell (1,1), in
+    # char 0, on a fresh Ambient so that no earlier test has warmed its
+    # per-ring cache: 121 dot calls offered 4,490,199 term pairs when the
+    # product loop was split into odd-free and odd left terms, which changed
+    # the cost of a pair but not the number of pairs
+    amb = superpoly.Ambient(3, 2, 0)
+    vec = pi_ij(amb, weights_tableaux.parse_weight("[2,1,0|2,1]"), 1, 1)
+    counts = {"calls": 0, "term_pairs": 0}
+    owners = _count_products(monkeypatch, counts)
+    assert {owner.__name__ for owner in owners} >= {
+        "superinduce.superpoly", "superinduce.derivation", "superinduce.fraction",
+        "superinduce.floors_primitives", "superinduce.minors"}
+    phi_floor(vec)
+    assert counts["calls"] <= 121
+    assert counts["term_pairs"] <= 4490199
 
 
 def test_linkage_sweep_keys_each_distinct_block_once_in_all(monkeypatch):
@@ -75,11 +118,9 @@ def test_fwedge_sweep_walks_each_distinct_skew_diagram_once(monkeypatch):
     assert calls["fillings"] <= 1049
 
 
-def test_fwedge_report_encodes_each_entry_once(monkeypatch, capsys):
-    # 6,833 entries at (3,2) with entries <= 6, each encoded once for its
-    # sort key and its text, and 4 more for the rest of the document; a
-    # second encoding of every entry, to sort or to write, made 13,670
-    calls = {"encodes": 0}
+def _count_encodes(monkeypatch, calls):
+    """Count every call of the encoders of cli._level, and of any encoder
+    the cli module holds at module level."""
 
     def counting(encode):
         def counted(value):
@@ -100,7 +141,31 @@ def test_fwedge_report_encodes_each_entry_once(monkeypatch, capsys):
     for name, value in list(vars(cli).items()):
         if getattr(value, "__qualname__", "").startswith("_encoder."):
             monkeypatch.setattr(cli, name, counting(value))
+
+
+def test_fwedge_report_encodes_each_entry_once(monkeypatch, capsys):
+    # 6,833 entries at (3,2) with entries <= 6, each encoded once for its
+    # sort key and its text, and 4 more for the rest of the document; a
+    # second encoding of every entry, to sort or to write, made 13,670
+    calls = {"encodes": 0}
+    _count_encodes(monkeypatch, calls)
     argv = ["verify", "fwedge", "--m", "3", "--n", "2", "--max-entry", "6"]
     assert cli.main(argv) == 0
     assert len(json.loads(capsys.readouterr().out)["entries"]) == 6833
     assert calls["encodes"] == 6833 + 4
+
+
+def test_linkage_report_encodes_each_run_of_scalars_once(monkeypatch, capsys):
+    # 794 entries: each encoded once for its sort key; a pairs entry writes
+    # its scalars before and after the pairs as two runs and each of its two
+    # pairs as one leaf (4 calls), a chain entry its one-link chain and the
+    # scalars after it (2 calls), a flat entry its sort text; 4 more for the
+    # rest of the document.  One call per scalar made 4,962
+    calls = {"encodes": 0}
+    _count_encodes(monkeypatch, calls)
+    assert cli.main(LINKAGE_ARGV) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert len(entries) == 794
+    assert sum("pairs" in e for e in entries) == 658
+    assert sum("chain" in e for e in entries) == 36
+    assert calls["encodes"] == 794 + 4 * 658 + 2 * 36 + 4
