@@ -36,7 +36,7 @@ from .fraction import (
     det_block22,
     embed_poly,
     loc_eq,
-    loc_mul,
+    loc_product,
     loc_scale,
     loc_sum,
 )
@@ -77,14 +77,6 @@ class Op:
 
 def basic(k: int, l: int) -> Op:
     return Op("basic", k, l)
-
-
-def divided(k: int, l: int, r: int) -> Op:
-    return Op("divided", k, l, r)
-
-
-def binomial(k: int, r: int) -> Op:
-    return Op("binomial", k, k, r)
 
 
 def render_op(op: Op) -> str:
@@ -366,13 +358,9 @@ def embed_formal_factor(amb: Ambient, factor) -> LocalizedElement:
 
 
 def embed_formal(amb: Ambient, expr) -> LocalizedElement:
-    terms = []
-    for coeff, factors in expr:
-        term = embed_poly(amb.one())
-        for f in factors:
-            term = loc_mul(term, embed_formal_factor(amb, f))
-        terms.append(loc_scale(term, coeff))
-    return loc_sum(amb, terms)
+    return loc_sum(amb, [
+        loc_scale(loc_product(amb, [embed_formal_factor(amb, f) for f in factors]), coeff)
+        for coeff, factors in expr])
 
 
 def rewrite_rule_check(amb: Ambient, factor, op: Op) -> bool:

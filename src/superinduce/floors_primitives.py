@@ -18,10 +18,9 @@ instead of clearing denominators silently.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd
-from operator import mul
 from types import MappingProxyType
 
 from .derivation import apply_loc, basic, divided_power
@@ -54,6 +53,7 @@ from .superpoly import (
     exact_divide,
     koszul_mask,
     monomial_items,
+    product,
     sort_with_sign,
 )
 from .weights_tableaux import (
@@ -296,7 +296,8 @@ def rho_product(amb: Ambient, I, J) -> MappingProxyType:
                     sign, merged = sort_with_sign(word + (pair,))
                     if merged is None:
                         continue
-                    add = loc_mul(c, c2)
+                    # the empty word's coefficient is one: take c2 as it is
+                    add = loc_mul(c, c2) if word else c2
                     new.setdefault(merged, []).append(add if sign > 0 else loc_scale(add, -1))
             words = {key: loc_sum(amb, pieces) for key, pieces in new.items()}
         return MappingProxyType(words)
@@ -472,10 +473,9 @@ def extract_floors(x: LocalizedElement):
             c = -c
         by_right.setdefault(right, {})[left] = c
     # in one dot, each right part's image built only when its pair is reached
-    one = amb.one()
     substituted = dot(amb, (
         (SuperPolynomial(amb, lefts),
-         reduce(mul, (image_pow(*g) for g in monomial_items(amb, right))) if right else one)
+         product(amb, (image_pow(*g) for g in monomial_items(amb, right))))
         for right, lefts in by_right.items()))
     # the coefficient of a y word is the sum over z parts of the even-block
     # polynomial times the z part's image, which is built once and shared
@@ -487,8 +487,7 @@ def extract_floors(x: LocalizedElement):
         z_part = mono & z_mask
         grouped.setdefault(y_part, {}).setdefault(z_part, {})[mono ^ y_part ^ z_part] = c
     z_image = lru_cache(None)(
-        lambda z_part: reduce(loc_mul, (factor_pow(*g) for g in monomial_items(amb, z_part)))
-        if z_part else embed_poly(one))
+        lambda z_part: loc_product(amb, [factor_pow(*g) for g in monomial_items(amb, z_part)]))
     floors: dict = {}
     for y_part, by_z in grouped.items():
         # a piece is the image of a nonzero polynomial (the even part times the

@@ -25,8 +25,6 @@ on loc_sum.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .superpoly import (
     Ambient,
     SuperPolynomial,
@@ -34,6 +32,7 @@ from .superpoly import (
     dot,
     exact_divide,
     leibniz_det,
+    product,
     render_poly,
     weight_of,
 )
@@ -154,9 +153,11 @@ def loc_mul(x: LocalizedElement, y: LocalizedElement) -> LocalizedElement:
 
 
 def loc_product(amb: Ambient, xs) -> LocalizedElement:
-    """The product of localized elements in order; one when there are none."""
+    """The product of localized elements in order, the numerators folded by
+    superpoly.product over the summed exponents; one when there are none."""
     xs = list(xs)
-    return reduce(loc_mul, xs) if xs else embed_poly(amb.one())
+    return LocalizedElement(product(amb, (x.num for x in xs)),
+                            sum(x.d_exp for x in xs), sum(x.d22_exp for x in xs))
 
 
 def loc_scale(x: LocalizedElement, c) -> LocalizedElement:

@@ -24,7 +24,8 @@ its Ambient (sizes and characteristic).  A coefficient in Q is an int when it
 is integral and a Fraction with denominator > 1 otherwise; one in F_p is an
 int in 0..p-1.  All arithmetic is exact; nothing here ever rounds.  dot is the
 one product loop: it sums a·b over a list of pairs into one dict, and a * b is
-dot over the one pair.
+dot over the one pair.  product is the one fold of an ordered product: it
+starts from the first factor, never from one.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import isqrt
+from operator import mul
 
 
 class UsageError(ValueError):
@@ -60,8 +62,12 @@ def check_odd_prime(p) -> int:
 
 
 def parse_integer(text: str) -> int:
-    """int(text) for a numeral in parsed text; UsageError when it has more
-    digits than int() converts."""
+    """The one reader of a numeral in a literal or an integer option: an
+    optional '-' and ASCII digits.  Other text that int() takes, such as '+1',
+    '1_0' or a non-ASCII digit, raises UsageError, as do more digits than
+    int() converts."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise UsageError(f"unrecognized integer {text[:20]!r}")
     try:
         return int(text)
     except ValueError as exc:
@@ -385,14 +391,11 @@ class SuperPolynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise UsageError("negative polynomial powers are not defined here")
-        out = self.ambient.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        # the repeated squares self^(2^k), each built only when the product
+        # reaches it, multiplied at the set bits of e
+        squares = accumulate(range(e.bit_length() - 1), lambda base, _: base * base,
+                             initial=self)
+        return product(self.ambient, (sq for k, sq in enumerate(squares) if e >> k & 1))
 
     def __repr__(self):
         return f"SuperPolynomial({render_poly(self)!r})"
@@ -447,6 +450,15 @@ def dot(amb: Ambient, pairs) -> SuperPolynomial:
                     out[mo] = get(mo, 0) + ca * cb
     check_exponents(amb, out)
     return SuperPolynomial(amb, out)
+
+
+def product(amb: Ambient, factors) -> SuperPolynomial:
+    """The product of the polynomials in amb, multiplied in order: the one
+    fold of an ordered product.  It starts from the first factor, so one
+    factor is returned as it is, and it gives one only when there are none."""
+    factors = iter(factors)
+    first = next(factors, None)
+    return amb.one() if first is None else reduce(mul, factors, first)
 
 
 def weight_of(p: SuperPolynomial):
@@ -599,15 +611,10 @@ def det(amb: Ambient, entries) -> SuperPolynomial:
     check_det_size(t)
     if any(len(row) != t for row in entries):
         raise UsageError("determinant needs a square matrix")
-    if t == 0:
-        return amb.one()
     acc: dict = {}
-    for perm in permutations(range(t)):
-        prod = entries[0][perm[0]]
-        for a in range(1, t):
-            prod = prod * entries[a][perm[a]]
+    for perm in permutations(range(t)):  # the one empty permutation gives one
         sign = sort_with_sign(perm)[0]
-        for mo, c in prod.terms.items():
+        for mo, c in product(amb, (entries[a][perm[a]] for a in range(t))).terms.items():
             acc[mo] = acc.get(mo, 0) + sign * c
     return SuperPolynomial(amb, acc)
 
@@ -654,10 +661,10 @@ def render_poly(p: SuperPolynomial) -> str:
     return " ".join(parts)
 
 
-_FACTOR = r"(?:c\[\d+,\d+\](?:\^\d+)?|\d+(?:/\d+)?)"
+_FACTOR = r"(?:c\[[0-9]+,[0-9]+\](?:\^[0-9]+)?|[0-9]+(?:/[0-9]+)?)"
 _TERM = rf"{_FACTOR}(?:[·*]{_FACTOR})*"
 _POLY_RE = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
-_GEN_RE = re.compile(r"c\[(\d+),(\d+)\](?:\^(\d+))?")
+_GEN_RE = re.compile(r"c\[([0-9]+),([0-9]+)\](?:\^([0-9]+))?")
 
 
 def parse_poly(amb: Ambient, text: str) -> SuperPolynomial:
@@ -673,13 +680,13 @@ def parse_poly(amb: Ambient, text: str) -> SuperPolynomial:
     total = amb.zero()
     for sign, body in re.findall(r"([+-]?)([^+-]+)", squeezed):
         coeff = amb.coeff(-1 if sign == "-" else 1)
-        mono_poly = amb.one()
+        powers = []
         for chunk in re.split(r"[·*]", body):
             gm = _GEN_RE.fullmatch(chunk)
             if gm:
                 i, j, e = (parse_integer(v) for v in (gm[1], gm[2], gm[3] or "1"))
-                mono_poly = mono_poly * amb.gen(i, j) ** e
+                powers.append(amb.gen(i, j) ** e)
             else:
                 coeff = coeff * amb.coeff(chunk)
-        total = total + mono_poly.scale(coeff)
+        total = total + product(amb, powers).scale(coeff)
     return total

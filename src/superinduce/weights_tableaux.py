@@ -33,6 +33,7 @@ from .superpoly import (
     det,
     exact_divide,
     parse_integer,
+    product,
 )
 
 
@@ -185,7 +186,7 @@ def render_weight(w: Weight) -> str:
 
 def parse_weight(text: str) -> Weight:
     squeezed = re.sub(r"\s+", "", text)
-    m = re.fullmatch(r"\[(-?\d+(?:,-?\d+)*)\|(-?\d+(?:,-?\d+)*)\]", squeezed)
+    m = re.fullmatch(r"\[(-?[0-9]+(?:,-?[0-9]+)*)\|(-?[0-9]+(?:,-?[0-9]+)*)\]", squeezed)
     if m is None:
         raise UsageError(f"unrecognized weight literal {text!r}")
     plus = tuple(parse_integer(v) for v in m.group(1).split(","))
@@ -271,10 +272,7 @@ def dminus(amb: Ambient, cols) -> LocalizedElement:
 
 
 def bideterminant_plus(amb: Ambient, t: Tableau) -> SuperPolynomial:
-    out = amb.one()
-    for col in tableau_columns(t):
-        out = out * row_initial_minor(amb, col)
-    return out
+    return product(amb, (row_initial_minor(amb, col) for col in tableau_columns(t)))
 
 
 def bideterminant_minus(amb: Ambient, t: Tableau) -> LocalizedElement:
@@ -295,8 +293,10 @@ def bideterminant_minus(amb: Ambient, t: Tableau) -> LocalizedElement:
     2,2,2 gives c[1,1]·c[2,2]^3 / D, which is c[2,2]^3.
     """
     h = len(t.shape)
-    out = embed_poly(amb.one())
-    for col in tableau_columns(t):
+    # an empty tableau has the one minor of no columns, which is one
+    columns = tableau_columns(t) or [()]
+    out = dminus(amb, columns[0])
+    for col in columns[1:]:
         out = loc_mul(out, dminus(amb, col))
         excess = out.d_exp - h
         if excess > 0:

@@ -1,5 +1,7 @@
 """Ring helpers that only the tests read: the total degree of a polynomial,
-a derivation on a polynomial that checks no denominator appears, the
+the constructors of divided-power and rising-binomial operators (the product
+builds those only as `Op` values), a derivation on a polynomial that checks
+no denominator appears, the
 supercommutator identity of the basic operators, negation and difference of
 localized elements, and the parser that inverts `render_loc` for text round
 trips."""
@@ -28,6 +30,14 @@ from superinduce.superpoly import (
 def total_degree(p: SuperPolynomial) -> int:
     """The largest total degree of a term of p; 0 for the zero polynomial."""
     return max((monomial_degree(mo) for mo in p.terms), default=0)
+
+
+def divided(k: int, l: int, r: int) -> Op:
+    return Op("divided", k, l, r)
+
+
+def binomial(k: int, r: int) -> Op:
+    return Op("binomial", k, k, r)
 
 
 # -- localized arithmetic and text ------------------------------------------------------

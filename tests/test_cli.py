@@ -942,6 +942,31 @@ def test_index_and_partition_literals_take_json_integers_only(capsys, argv, mess
     assert message in _one_json_error_line(capsys)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, ascii_argv",
+    [
+        (["typicality", "--lambda", "[\u0663,1|1,0]"], ["typicality", "--lambda", "[3,1|1,0]"]),
+        (["lr", "--outer", "1_0", "--content", "1_0"], ["lr", "--outer", "10", "--content", "10"]),
+        (["lr", "--outer", "+2, 1", "--content", "2,1"], ["lr", "--outer", "2, 1", "--content", "2,1"]),
+        (["primitive", "--lambda", "[2,1|1,0]", "--i", "\u0661", "--j", "1"],
+         ["primitive", "--lambda", "[2,1|1,0]", "--i", "1", "--j", "1"]),
+        (["alcove", "--lambda", "[2,1|1,0]", "--p", "+3"],
+         ["alcove", "--lambda", "[2,1|1,0]", "--p", "3"]),
+    ],
+)
+def test_numerals_are_an_optional_minus_and_ascii_digits(capsys, argv, ascii_argv):
+    # int() and \d also took Unicode digits, '_' and '+': an Arabic-Indic
+    # three read as 3, and 1_0 as 10
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an integer option is refused by the parser
+        code = exc.code
+    assert code == 2
+    _one_json_error_line(capsys)
+    assert main(ascii_argv) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("literal", [f"[{'1' * 5000}|0]", f"[2,1|1,-{'1' * 5000}]"])
 def test_weight_literals_with_over_long_entries_are_usage_errors(capsys, literal):
     # int() refuses more than 4,300 digits; the refusal used to end in a

@@ -40,7 +40,7 @@ FORMS = _command_forms()
 
 # Integers between 2 and 10**6 stay out: below RING_SIZE_CAP the ring-building
 # suites (verify lemmas, identities, gen, phi1) have no work bound yet, and
-# verify lemmas --m 3 --n 3 alone takes about 110 s.
+# verify lemmas --m 3 --n 3 alone takes about 26 s of CPU.
 SMALL = ["-1", "0", "1", "2"]
 HUGE = ["1000000", "-1000000", "1" + "0" * 30]
 LITERALS = [

@@ -16,8 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 from superinduce.derivation import (
     apply_loc,
     basic,
-    binomial,
-    divided,
     divided_power,
 )
 from superinduce.floors_primitives import FloorElement, is_primitive, pi_ij
@@ -43,7 +41,7 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus, make_weight
-from ring_oracle import apply_poly
+from ring_oracle import apply_poly, binomial, divided
 from builder_oracle import (
     divided_powers_vanish,
     fresh_embed_floor,

@@ -22,8 +22,6 @@ from superinduce.derivation import (
     Op,
     apply_loc,
     basic,
-    binomial,
-    divided,
     embed_formal,
     embed_formal_factor,
     rewrite_rule_check,
@@ -33,7 +31,7 @@ from superinduce.derivation import (
 )
 from superinduce.minors import y_entry
 from superinduce.superpoly import EXPONENT_CAP, leibniz_det
-from ring_oracle import apply_poly, bracket_check
+from ring_oracle import apply_poly, binomial, bracket_check, divided
 from builder_oracle import lifted_apply
 from word_oracle import SIZES, pack, random_words, unpack, word_derivative
 

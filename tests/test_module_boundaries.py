@@ -207,6 +207,139 @@ def test_only_det_and_odd_linked_walk_permutations():
     assert users <= {"superpoly.py", "linkage.py"}
 
 
+def _reduce_calls(source: str):
+    """(innermost enclosing function, line) for every call of
+    functools.reduce, by a name imported from functools or as an attribute of
+    functools."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name == "reduce"}
+    owner = _enclosing_functions(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id in names) or (
+                isinstance(func, ast.Attribute) and func.attr == "reduce"
+                and isinstance(func.value, ast.Name) and func.value.id == "functools"):
+            yield owner.get(node, "<module>"), node.lineno
+
+
+def test_only_superpoly_product_folds_with_reduce():
+    # superpoly.product is the one fold of an ordered product, and it starts
+    # from the first factor; fraction.loc_product folds the numerators through it
+    callers = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name, _ in _reduce_calls(path.read_text())
+    }
+    assert callers == {("superpoly.py", "product")}
+
+
+def _is_one(node) -> bool:
+    """Whether node is `<expr>.one()` or `embed_poly(<expr>.one())`."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "embed_poly" and len(node.args) == 1):
+        node = node.args[0]
+    return (isinstance(node, ast.Call) and not node.args
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "one")
+
+
+def _rebinds_to_product_with_itself(node, names) -> bool:
+    """Whether node rebinds a name of `names` to a product with itself:
+    `x = x * y`, `x = y * x`, `x *= y`, `x = loc_mul(x, y)` or
+    `x = loc_mul(y, x)`."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+        target, operands = node.target, [node.target]
+    elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target, value = node.targets[0], node.value
+        if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult):
+            operands = [value.left, value.right]
+        elif (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+              and value.func.id == "loc_mul"):
+            operands = value.args
+        else:
+            return False
+    else:
+        return False
+    return isinstance(target, ast.Name) and target.id in names and any(
+        isinstance(op, ast.Name) and op.id == target.id for op in operands)
+
+
+def _folds_from_one(source: str):
+    """(function, line) for every name that a function sets to `….one()`,
+    bare or inside `embed_poly(...)`, and then rebinds, inside the body of a
+    for or while loop, to a product with itself."""
+    tree = ast.parse(source)
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        ones = {target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and _is_one(node.value)
+                for target in node.targets if isinstance(target, ast.Name)}
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in (n for stmt in loop.body + loop.orelse for n in ast.walk(stmt)):
+                if _rebinds_to_product_with_itself(node, ones):
+                    yield func.name, node.lineno
+
+
+def test_no_product_starts_from_one():
+    # a fold from one copies its whole first factor through dot, with a Koszul
+    # mask per odd term; superpoly.product starts from the first factor
+    folds = {
+        (path.name, name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _folds_from_one(path.read_text())
+    }
+    assert folds == set()
+
+
+def test_the_fold_checks_see_every_form():
+    starts = {"bare": "amb.one()", "embedded": "embed_poly(amb.one())"}
+    loops = {"for": "for y in ys:", "while": "while ys:\n        y = ys.pop()"}
+    forms = {
+        "times": "out = out * y",
+        "times_left": "out = y * out",
+        "in_place": "out *= y",
+        "loc_mul": "out = loc_mul(out, y)",
+        "loc_mul_second": "out = loc_mul(y, out)",
+    }
+    planted = {f"{form}_{loop}_{start}": (
+        f"def {form}_{loop}_{start}(amb, ys):\n"
+        f"    out = {starts[start]}\n"
+        f"    {loops[loop]}\n"
+        f"        {forms[form]}\n"
+        f"    return out\n")
+        for form in forms for loop in loops for start in starts}
+    kept = '''
+def from_first(amb, ys):
+    out = ys[0]
+    for y in ys[1:]:
+        out = loc_mul(out, y)
+    return out
+
+def one_kept_apart(amb, ys):
+    one = amb.one()
+    total = amb.zero()
+    for y in ys:
+        total = total + one * y  # a product with one, but no fold
+    return total
+
+def through_product(amb, ys):
+    return functools.reduce(mul, ys)
+'''
+    source = "\n".join(planted.values()) + kept
+    assert sorted(name for name, _ in _folds_from_one(source)) == sorted(planted)
+    assert [name for name, _ in _reduce_calls(source)] == ["through_product"]
+    aliased = "from functools import reduce as fold\n\ndef f(xs):\n    return fold(mul, xs)\n"
+    assert [name for name, _ in _reduce_calls(aliased)] == ["f"]
+
+
 REPO = SRC.parent.parent
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -233,8 +366,11 @@ def _unreached(modules: dict, product_sources) -> list:
     The roots are the package's module-level statements other than imports
     (an `__all__` among them), `cli.main`, and every definition whose name a
     product source holds.  A reached definition or statement reaches each
-    name it reads, and each string it holds, that its module defines or
-    imports from a sibling module; methods count as part of their class."""
+    name it reads that its module defines or imports from a sibling module;
+    methods count as part of their class.  A string reaches such a name only
+    in a module-level statement, where `__all__` names what the package
+    exports: inside a definition a string is data, such as the kind an
+    operator is compared with."""
     defs, scopes, pending = {}, {}, []
     for mod, source in modules.items():
         scope = scopes[mod] = {}
@@ -250,7 +386,7 @@ def _unreached(modules: dict, product_sources) -> list:
                         for alias in stmt.names
                     )
             elif not isinstance(stmt, ast.Import):
-                pending.append((mod, stmt))
+                pending.append((mod, stmt, True))
 
     def resolve(mod, name):
         target = scopes[mod].get(name)
@@ -258,19 +394,20 @@ def _unreached(modules: dict, product_sources) -> list:
 
     names = set().union(*map(_product_names, product_sources))
     reached = {key for key in defs if key[1] in names or key == ("cli", "main")}
-    pending += [(key[0], defs[key]) for key in reached]
+    pending += [(key[0], defs[key], False) for key in reached]
     while pending:
-        mod, root = pending.pop()
+        mod, root, module_level = pending.pop()
         found = []
         for node in ast.walk(root):
             if isinstance(node, ast.Name):
                 found.append(resolve(mod, node.id))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (module_level and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
                 found.append(resolve(mod, node.value))
         for key in found:
             if key is not None and key not in reached:
                 reached.add(key)
-                pending.append((key[0], defs[key]))
+                pending.append((key[0], defs[key], False))
     return [key for key in defs if key not in reached]
 
 
@@ -338,14 +475,24 @@ def read_by_attribute():
 
 def named_in_a_layer_table():
     return 4
+
+def compares_a_kind(kind):
+    return kind == "named_only_by_a_compared_string"
+
+def named_only_by_a_compared_string():
+    return 5
 ''',
     }
-    demo = "import superinduce.core as fp\n\nprint(fp.read_by_attribute())\n"
+    demo = ("import superinduce.core as fp\n\n"
+            "print(fp.read_by_attribute(), fp.compares_a_kind('x'))\n")
     layers = 'LAYERS = [("core", "named_in_a_layer_table", "core.calls", None, False)]\n'
     unreached = _unreached(modules, [demo, layers])
-    judged = ["planted", "only_via_planted", "read_by_attribute", "named_in_a_layer_table"]
-    assert [("core", name) not in unreached for name in judged] == [False, False, True, True]
-    assert unreached == [("core", "planted"), ("core", "only_via_planted")]
+    judged = ["planted", "only_via_planted", "read_by_attribute", "named_in_a_layer_table",
+              "compares_a_kind", "named_only_by_a_compared_string"]
+    assert [("core", name) not in unreached for name in judged] == [
+        False, False, True, True, True, False]
+    assert unreached == [("core", "planted"), ("core", "only_via_planted"),
+                         ("core", "named_only_by_a_compared_string")]
 
 
 def _unread_imports(source: str) -> list:

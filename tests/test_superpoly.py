@@ -8,8 +8,9 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superinduce.superpoly as superpoly
 from superinduce.cli import main
-from superinduce.derivation import apply_loc, basic, divided
+from superinduce.derivation import apply_loc, basic
 from superinduce.fraction import LocalizedElement, den_power, render_loc
 from superinduce.superpoly import (
     EXPONENT_CAP,
@@ -24,7 +25,7 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus
-from ring_oracle import parse_loc, total_degree
+from ring_oracle import divided, parse_loc, total_degree
 from builder_oracle import layered_exact_divide, lift, lower, odd_layer, parent_dot
 from word_oracle import SIZES, canonical, pack, random_words, unpack, word_mul
 
@@ -473,6 +474,23 @@ def test_dot_rejects_operands_from_another_ambient():
         dot(A22, [(A22.one(), A22.one()), (A22.one(), A11.one())])
 
 
+def test_a_power_multiplies_its_squares_from_the_first(monkeypatch):
+    # x ** e squares e.bit_length() - 1 times and folds the squares at the
+    # set bits of e from the first of them; a fold from one made one more
+    # product for every e >= 1
+    c11, c13 = A22.gen(1, 1), A22.gen(1, 3)
+    x = c11 + c13  # c[1,3] is odd, so x^e = c11^e + e·c11^(e-1)·c13
+    expected = [A22.one()] + [c11 ** e + (c11 ** (e - 1) * c13).scale(e) for e in range(1, 70)]
+    products = []
+    real = superpoly.dot
+    monkeypatch.setattr(superpoly, "dot", lambda amb, pairs: products.append(1) or real(amb, pairs))
+    for e, want in enumerate(expected):
+        products.clear()
+        assert x ** e == want, e
+        assert len(products) == (e.bit_length() - 1 + e.bit_count() - 1 if e else 0), e
+    assert x ** 1 is x
+
+
 def test_exponent_cap_is_reached_and_never_crossed():
     c11, c12 = A22.gen(1, 1), A22.gen(1, 2)
     top = c11 ** EXPONENT_CAP
@@ -486,6 +504,17 @@ def test_exponent_cap_is_reached_and_never_crossed():
             overflow()
     # odd generators square to zero before any exponent can grow
     assert (A22.gen(1, 3) ** (EXPONENT_CAP + 1)).is_zero()
+
+
+@pytest.mark.parametrize("text, ascii_text", [
+    ("c[\u0661,\u0661]^\u0662", "c[1,1]^2"),
+    ("1_0·c[1,1]", "10·c[1,1]"),
+    ("\u0663/2·c[1,2]", "3/2·c[1,2]"),
+])
+def test_parse_poly_reads_ascii_digits_only(text, ascii_text):
+    with pytest.raises(UsageError, match="unrecognized polynomial"):
+        parse_poly(A22, text)
+    assert not parse_poly(A22, ascii_text).is_zero()
 
 
 @pytest.mark.parametrize("char", [0, 3])

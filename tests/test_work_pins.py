@@ -74,6 +74,37 @@ def test_phi_floor_at_3_2_offers_no_more_term_pairs(monkeypatch):
     assert counts["term_pairs"] <= 4490199
 
 
+def _count_cli_products(monkeypatch, argv):
+    """The dot calls and term pairs of one CLI run on rings of its own, so
+    that no per-ring cache warmed by an earlier test lowers the counts."""
+    monkeypatch.setattr(cli, "ambient", lru_cache(maxsize=None)(superpoly.Ambient))
+    counts = {"calls": 0, "term_pairs": 0}
+    _count_products(monkeypatch, counts)
+    assert cli.main(argv) == 0
+    return counts
+
+
+def test_verify_lemmas_multiplies_no_formal_term_from_one(monkeypatch, capsys):
+    # the rewrite table checks at the default sizes: 518 dot calls over 5,419
+    # term pairs once every product starts from its first factor; each
+    # embedded formal term folded from one made 794 calls over 7,442 pairs
+    counts = _count_cli_products(monkeypatch, ["verify", "lemmas"])
+    assert all(e["ok"] for e in json.loads(capsys.readouterr().out)["entries"])
+    assert counts["calls"] <= 518
+    assert counts["term_pairs"] <= 5419
+
+
+def test_verify_gen_round_multiplies_no_power_from_one(monkeypatch, capsys):
+    # five criterion-3 draws at (2,2) char 0, seed 0: 98 dot calls over
+    # 40,662 term pairs; powers and bideterminants folded from one made 110
+    # calls over 40,861 pairs
+    argv = ["verify", "gen", "--m", "2", "--n", "2", "--count", "5", "--seed", "0"]
+    counts = _count_cli_products(monkeypatch, argv)
+    assert all(e["ok"] for e in json.loads(capsys.readouterr().out)["entries"])
+    assert counts["calls"] <= 98
+    assert counts["term_pairs"] <= 40662
+
+
 def test_linkage_sweep_keys_each_distinct_block_once_in_all(monkeypatch):
     # counted through cli and through linkage, so a shift keyed anywhere in
     # either module counts too: 40 distinct blocks at (3,3) p = 3
