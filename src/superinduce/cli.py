@@ -33,6 +33,7 @@ from operator import add
 
 from .derivation import FDminus, FDplus, FPhi, FY, basic, rewrite_rule_check
 from .floors_primitives import (
+    defect_exponent,
     fe_eq,
     fe_scale,
     floor_element_to_json,
@@ -44,7 +45,7 @@ from .floors_primitives import (
     pi_IJ_raw,
     pi_ij,
 )
-from .fraction import embed_poly, loc_mul, render_loc
+from .fraction import embed_poly, loc_mul, raised_to, render_loc
 from .linkage import (
     ALL,
     block_key,
@@ -80,11 +81,13 @@ from .weights_tableaux import (
     bideterminant_plus,
     content_of_pairs,
     enumerate_semistandard,
+    exponent_ledger,
     highest_vector,
     is_admissible_pair,
     is_dominant,
     is_robust,
     lambda_ij,
+    ledger_exponent,
     parse_weight,
     random_dominant_weight,
     render_weight,
@@ -753,7 +756,8 @@ def emit_highest_vector(args) -> dict:
     return {
         "kind": "highest-vector",
         "weight": render_weight(w),
-        "element": render_loc(highest_vector(amb, w)),
+        "element": render_loc(raised_to(highest_vector(amb, w),
+                                        ledger_exponent(*exponent_ledger(w)))),
     }
 
 
@@ -785,7 +789,7 @@ def emit_pi_IJ(args) -> dict:
         "kind": "pi-IJ",
         "weight": render_weight(w),
         "pairs": [[i, j] for i, j in zip(I, J)],
-        "defect": render_loc(defect),
+        "defect": render_loc(raised_to(defect, defect_exponent(w, I, J))),
         "in_module": vec is not None,
         "element": None if vec is None else floor_element_to_json(vec),
         "cleared": floor_element_to_json(raw),

@@ -13,7 +13,10 @@ y content.
 The distinguished vectors pi are assembled from initial-rows minors; when
 the weight is not robust for an index family, the assembly lives only in
 the fraction field and the exact-division gate reports that honestly
-instead of clearing denominators silently.
+instead of clearing denominators silently.  Their weight-free factors are
+kept in lowest terms in D, once per ring, and no vector divides per call;
+output writes each coefficient over the exponent of the unreduced product
+of minors (a vector's render_exp).
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .fraction import (
     loc_scale,
     loc_sum,
     loc_weight,
+    lowest_terms,
+    raised_to,
     render_loc,
 )
 from .minors import row_initial_minor, twisted_generator, y_entry
@@ -62,18 +67,24 @@ from .weights_tableaux import (
     exponent_ledger,
     is_admissible_pair,
     is_dominant,
-    leading_minor_power,
+    ledger_exponent,
     minor_power_product,
 )
 
 
 class FloorElement:
     """Map from exterior words (sorted pair tuples) to localized coefficients,
-    all words of one length (the floor index)."""
+    all words of one length (the floor index).
 
-    __slots__ = ("ambient", "floor", "terms")
+    render_exp, when set, is the power of D that every coefficient is written
+    over in output.  The floor builders keep their coefficients in lower terms
+    than the products of minors they stand for, and set it to the exponent of
+    the unreduced product, a closed form of the weight and the cell or family
+    (see ``ledger_exponent``).  None writes each coefficient as it is."""
 
-    def __init__(self, amb: Ambient, floor: int, terms: dict):
+    __slots__ = ("ambient", "floor", "terms", "render_exp")
+
+    def __init__(self, amb: Ambient, floor: int, terms: dict, render_exp=None):
         if floor < 0:
             raise UsageError("floor index must be nonnegative")
         clean = {}
@@ -91,6 +102,7 @@ class FloorElement:
         self.ambient = amb
         self.floor = floor
         self.terms = clean
+        self.render_exp = render_exp
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -107,17 +119,22 @@ def fe_zero(amb: Ambient, floor: int) -> FloorElement:
 
 
 def fe_add(a: FloorElement, b: FloorElement) -> FloorElement:
+    """The sum; it keeps a render_exp that both nonzero summands share, and
+    otherwise adds their coefficients as they are written."""
     if a.ambient != b.ambient or a.floor != b.floor:
         raise UsageError("floor elements must share ambient and floor")
+    if a.terms and b.terms and a.render_exp != b.render_exp:
+        a = FloorElement(a.ambient, a.floor, rendered_terms(a))
+        b = FloorElement(b.ambient, b.floor, rendered_terms(b))
     out = dict(a.terms)
     for key, c in b.terms.items():
         out[key] = loc_add(out[key], c) if key in out else c
-    return FloorElement(a.ambient, a.floor, out)
+    return FloorElement(a.ambient, a.floor, out, a.render_exp if a.terms else b.render_exp)
 
 
 def fe_scale(a: FloorElement, c) -> FloorElement:
     return FloorElement(
-        a.ambient, a.floor, {k: loc_scale(v, c) for k, v in a.terms.items()}
+        a.ambient, a.floor, {k: loc_scale(v, c) for k, v in a.terms.items()}, a.render_exp
     )
 
 
@@ -156,10 +173,17 @@ def embed_floor(x: FloorElement) -> LocalizedElement:
     return loc_dot(amb, ((term, y_word(amb, key)) for key, term in x.terms.items()))
 
 
+def rendered_terms(x: FloorElement) -> dict:
+    """The coefficients as output writes them: each over D^render_exp."""
+    if x.render_exp is None:
+        return x.terms
+    return {key: raised_to(c, x.render_exp) for key, c in x.terms.items()}
+
+
 def floor_element_to_json(x: FloorElement) -> list:
     return [
         {"pairs": [list(p) for p in key], "coefficient": render_loc(c)}
-        for key, c in sorted(x.terms.items())
+        for key, c in sorted(rendered_terms(x).items())
     ]
 
 
@@ -168,8 +192,9 @@ def floor_element_to_json(x: FloorElement) -> list:
 
 def rho_pair(amb: Ambient, i: int, j: int) -> MappingProxyType:
     """The weight-free part of the (i,j) vector: a read-only map from mixed
-    pairs to localized coefficients, built once per ring.  The minus index j
-    is relative (1..n)."""
+    pairs to localized coefficients in lowest terms, built once per ring.
+    Each is a row minor times a dminus minor over D^(j-1); the row minor of
+    r = m at i = m is D itself.  The minus index j is relative (1..n)."""
     m, n = amb.m, amb.n
     if not (1 <= i <= m and 1 <= j <= n):
         raise UsageError("rho indices out of range")
@@ -186,7 +211,7 @@ def rho_pair(amb: Ambient, i: int, j: int) -> MappingProxyType:
                 if (s + j) % 2 == 1:
                     coeff = loc_scale(coeff, -1)
                 if not coeff.is_zero():
-                    out[(r, m + s)] = coeff
+                    out[(r, m + s)] = lowest_terms(coeff)
         return MappingProxyType(out)
 
     return amb.cached(("rho", i, j), build)
@@ -208,9 +233,20 @@ def _check_pi_preconditions(w: Weight, i: int, j: int):
         )
 
 
+def _times(prefactor: LocalizedElement, coeffs) -> dict:
+    """prefactor·c for every coefficient of the map; a prefactor whose
+    numerator is one only adds its exponents, with no product."""
+    if prefactor.num.terms == {0: 1}:
+        s, t = prefactor.d_exp, prefactor.d22_exp
+        return {key: LocalizedElement(c.num, c.d_exp + s, c.d22_exp + t)
+                for key, c in coeffs.items()}
+    return {key: loc_mul(prefactor, c) for key, c in coeffs.items()}
+
+
 def pi_ij(amb: Ambient, w: Weight, i: int, j: int) -> FloorElement:
     """The first-floor vector at (i, j): the highest vector divided by the
-    (i, j) leading minors, times the weight-free double sum."""
+    (i, j) leading minors, times the weight-free double sum.  It renders over
+    the ledger's exponent plus the j - 1 of the rho factor."""
     if (w.m, w.n) != (amb.m, amb.n):
         raise UsageError("weight block sizes do not match the ambient")
     if not is_dominant(w):
@@ -223,10 +259,9 @@ def pi_ij(amb: Ambient, w: Weight, i: int, j: int) -> FloorElement:
     if j > 1:
         minus_exps[j - 2] -= 1
     prefactor = minor_power_product(amb, plus_exps, minus_exps)
-    terms = {
-        (pair,): loc_mul(prefactor, c) for pair, c in rho_pair(amb, i, j).items()
-    }
-    return FloorElement(amb, 1, terms)
+    terms = _times(prefactor, rho_pair(amb, i, j))
+    return FloorElement(amb, 1, {(pair,): c for pair, c in terms.items()},
+                        ledger_exponent(plus_exps, minus_exps) + j - 1)
 
 
 def pi_plus(amb: Ambient, w: Weight, i: int) -> FloorElement:
@@ -284,8 +319,8 @@ def pi_minus(amb: Ambient, w: Weight, j: int) -> FloorElement:
 
 def rho_product(amb: Ambient, I, J) -> MappingProxyType:
     """The signed product of the rho factors of the family (I|J), in its
-    order: a read-only map from exterior words to localized coefficients,
-    built once per ring and family."""
+    order: a read-only map from exterior words to localized coefficients in
+    lowest terms, built once per ring and family."""
 
     def build():
         words = {(): embed_poly(amb.one())}
@@ -299,10 +334,34 @@ def rho_product(amb: Ambient, I, J) -> MappingProxyType:
                     # the empty word's coefficient is one: take c2 as it is
                     add = loc_mul(c, c2) if word else c2
                     new.setdefault(merged, []).append(add if sign > 0 else loc_scale(add, -1))
-            words = {key: loc_sum(amb, pieces) for key, pieces in new.items()}
+            words = {key: lowest_terms(loc_sum(amb, pieces)) for key, pieces in new.items()}
         return MappingProxyType(words)
 
     return amb.cached(("rhoproduct", tuple(I), tuple(J)), build)
+
+
+def _family_ledger(w: Weight, I, J):
+    """(vector, defect): the (plus, minus) minor powers of a family's cleared
+    vector and of its defect.  Each pair (i, j) takes one power off the plus
+    minor of size i and, for j > 1, off the minus minor of size j - 1; a
+    power driven negative moves to the defect, except on the full even-block
+    minor, which is D and stays in the vector's denominator."""
+    m = w.m
+    plus_exps, minus_exps = exponent_ledger(w)
+    for i_s, j_s in zip(I, J):
+        plus_exps[i_s - 1] -= 1
+        if j_s > 1:
+            minus_exps[j_s - 2] -= 1
+    vector = ([e if e >= 0 or a == m else 0 for a, e in enumerate(plus_exps, start=1)],
+              [max(e, 0) for e in minus_exps])
+    defect = ([-e if e < 0 and a < m else 0 for a, e in enumerate(plus_exps, start=1)],
+              [max(-e, 0) for e in minus_exps])
+    return vector, defect
+
+
+def defect_exponent(w: Weight, I, J) -> int:
+    """The power of D the family's defect renders over."""
+    return ledger_exponent(*_family_ledger(w, tuple(I), tuple(J))[1])
 
 
 def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
@@ -311,7 +370,9 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     The element carries the positive-part minor powers; the defect collects
     the minor powers the weight's gaps could not absorb.  Dividing every
     coefficient by the defect recovers the true vector when that division is
-    exact; the defect depends only on the content of the index family.
+    exact; the defect depends only on the content of the index family.  The
+    element renders over the ledger exponent of its powers plus j - 1 for
+    each rho factor, and the defect over ``defect_exponent``.
     """
     I, J = tuple(I), tuple(J)
     if (w.m, w.n) != (amb.m, amb.n):
@@ -322,42 +383,36 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
         raise UsageError("index family is not admissible for this weight")
     if w.minus[-1] < 0:
         raise UsageError("normalize away the determinant twist first")
-    m = amb.m
-    plus_exps, minus_exps = exponent_ledger(w)
-    for i_s, j_s in zip(I, J):
-        plus_exps[i_s - 1] -= 1
-        if j_s > 1:
-            minus_exps[j_s - 2] -= 1
-    defect = []
-    pos_plus, pos_minus = [], []
-    for a, e in enumerate(plus_exps, start=1):
-        if e < 0 and a < m:
-            defect.append(leading_minor_power(amb, "plus", a, -e))
-            pos_plus.append(0)
-        else:
-            pos_plus.append(e)  # a == m may stay negative: D is invertible
-    for b, e in enumerate(minus_exps, start=1):
-        if e < 0:
-            defect.append(leading_minor_power(amb, "minus", b, -e))
-            pos_minus.append(0)
-        else:
-            pos_minus.append(e)
-    v_pos = minor_power_product(amb, pos_plus, pos_minus)
-    terms = {key: loc_mul(v_pos, c) for key, c in rho_product(amb, I, J).items()}
-    return FloorElement(amb, len(I), terms), loc_product(amb, defect)
+    vector, defect = _family_ledger(w, I, J)
+    terms = _times(minor_power_product(amb, *vector), rho_product(amb, I, J))
+    exp = ledger_exponent(*vector) + sum(j_s - 1 for j_s in J)
+    return FloorElement(amb, len(I), terms, exp), minor_power_product(amb, *defect)
 
 
 def divide_floor(x: FloorElement, defect: LocalizedElement):
-    """Divide every coefficient by the defect; None when any division fails."""
-    if loc_eq(defect, embed_poly(x.ambient.one())):
+    """Divide every coefficient by the defect; None when any division fails.
+
+    A defect with no factors is one, and x comes back as it is.  Otherwise
+    each division is decided as if the coefficient were written over
+    D^render_exp.  For a coefficient N / D^d and a defect P / D^f, the
+    division asks whether P divides N·D^f, and over D^E (E >= d) whether P
+    divides N·D^(E-d+f): a success at d is one at E, and a failure at d is
+    asked again at E.  The defect may sit in lower terms than its product of
+    minors, P·D^l / D^(f+l): D is a nonzerodivisor, so P·D^l divides
+    M·D^(f+l) exactly when P divides M·D^f, and that reduction changes no
+    outcome.  The quotient keeps the coefficient's exponent and render_exp.
+    """
+    if defect.num.terms == {0: 1} and not (defect.d_exp or defect.d22_exp):
         return x
     out = {}
     for key, c in x.terms.items():
         q = loc_divide_exact(c, defect)
+        if q is None and x.render_exp is not None and c.d_exp < x.render_exp:
+            q = loc_divide_exact(raised_to(c, x.render_exp), defect)
         if q is None:
             return None
         out[key] = q
-    return FloorElement(x.ambient, x.floor, out)
+    return FloorElement(x.ambient, x.floor, out, x.render_exp)
 
 
 def pi_IJ(amb: Ambient, w: Weight, I, J):

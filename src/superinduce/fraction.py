@@ -3,14 +3,15 @@
 D is the determinant of the upper-left m-by-m block C11 and D22 the
 determinant of the lower-right n-by-n block C22; both are even and central,
 so fractions num / (D^s · D22^t) multiply by the usual rules.  Exponents only
-ever grow during arithmetic; is_polynomial divides them out explicitly.
-Both determinants have a nonzero body, so neither is a zero divisor: two
-elements are equal exactly when their numerators agree once each is raised
-to the larger exponents, and that is how loc_eq compares them.  loc_sum is
-the one path for sums: it raises each numerator once, to the largest
-exponents among its nonzero pieces, and adds in one dict.  A fold of loc_add
-gives the same value, and the same exponents unless a partial sum cancels
-after a piece with larger exponents.
+ever grow during arithmetic; is_polynomial divides them out explicitly, and
+lowest_terms divides D out of the per-ring floor factors once, when they
+are built.  Both determinants have a nonzero body, so neither is a zero
+divisor: two elements are equal exactly when their numerators agree once
+each is raised to the larger exponents, and that is how loc_eq compares
+them.  loc_sum is the one path for sums: it raises each numerator once, to
+the largest exponents among its nonzero pieces, and adds in one dict.  A
+fold of loc_add gives the same value, and the same exponents unless a
+partial sum cancels after a piece with larger exponents.
 
 loc_dot is the one path for a sum of products Σ x_i·y_i: it raises each pair
 once, to the largest exponents among the pairs whose factors are both
@@ -18,15 +19,21 @@ nonzero, and makes every product in one superpoly.dot, so no product is built
 only to be added away.  A product can still vanish (an odd square), and then
 the sum can sit over larger exponents than loc_sum of the loc_mul products
 would give: the value is the same, so loc_dot serves value comparisons and
-sums whose products cannot vanish.  A sum whose exponents are read, such as
-the signed rho product of a family that renders as a `cleared` vector, stays
-on loc_sum.
+sums whose products cannot vanish.
+
+No output reads the exponents a value was built with.  The floor vectors,
+their defects and the highest vector keep their factors in lowest terms in
+D, and output raises each coefficient to the exponent of the unreduced
+product of minors (raised_to), a closed form of the weight and the cell or
+family.  The signed rho product of a family is reduced to lowest terms once
+per ring, so the exponents its loc_sum leaves are not rendered either.
 """
 
 from __future__ import annotations
 
 from .superpoly import (
     Ambient,
+    InternalError,
     SuperPolynomial,
     UsageError,
     dot,
@@ -176,6 +183,33 @@ def is_polynomial(x: LocalizedElement):
     if not (x.d_exp or x.d22_exp):
         return x.num
     return exact_divide(x.num, den_power(x.ambient, x.d_exp, x.d22_exp))
+
+
+def lowest_terms(x: LocalizedElement) -> LocalizedElement:
+    """The same value with its numerator divided by D while the exponent of D
+    is positive and the division is exact.  D is a nonzerodivisor, so the
+    result is the one form of the value whose numerator D does not divide
+    (or whose exponent of D is 0).  Only the builders of the per-ring floor
+    factors call it, once per cached value."""
+    d = det_block11(x.ambient)
+    num, s = x.num, x.d_exp
+    while s:
+        q = exact_divide(num, d)
+        if q is None:
+            break
+        num, s = q, s - 1
+    return LocalizedElement(num, s, x.d22_exp)
+
+
+def raised_to(x: LocalizedElement, s: int) -> LocalizedElement:
+    """The same value over D^s, for s at least x's exponent of D: the
+    numerator times D^(s - d_exp).  Output raises each floor coefficient kept
+    in lower terms back to the exponent of the product it was reduced from."""
+    if s < x.d_exp:
+        raise InternalError("a value cannot be raised to a lower power of D")
+    if s == x.d_exp:
+        return x
+    return LocalizedElement(x.num * den_power(x.ambient, s - x.d_exp, 0), s, x.d22_exp)
 
 
 def loc_divide_exact(x: LocalizedElement, d: LocalizedElement):

@@ -8,6 +8,11 @@ the tableau's number of rows: by Jacobi's complementary-minor identity each
 row adds at most one net power of D (see ``bideterminant_minus``).  The
 highest vector of a dominant weight is the product of the nested leading
 minors of both blocks raised to the consecutive differences of the weight.
+A power e of the minus minor of size b is the minus bideterminant of the
+b-row rectangle of e columns, kept over D^b in place of D^(b·e) and then in
+lowest terms, and the power of the full even-block minor, D itself, cancels
+against those denominators by exponent arithmetic.  ``ledger_exponent``
+gives the exponent of the unreduced product, which output renders.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from .fraction import (
     den_power,
     embed_poly,
     loc_mul,
-    loc_pow,
-    loc_product,
     loc_weight,
+    lowest_terms,
 )
 from .minors import row_initial_minor, twisted_generator
 from .superpoly import (
@@ -318,38 +322,58 @@ def exponent_ledger(w: Weight):
 def leading_minor_power(amb: Ambient, block: str, size: int, e: int) -> LocalizedElement:
     """The nested leading minor of the given size in the "plus" block (a
     row-initial minor of the even block) or the "minus" block (a dminus
-    minor), to the power e >= 1; built once per ring and exponent."""
+    minor), to the power e >= 1; built once per ring and exponent.
+
+    The minus power is the minus bideterminant of the rectangle of e columns
+    of the first `size` odd-block rows, so it is built over D^size, not
+    D^(size·e), and then brought to lowest terms (which in char p can go
+    below D^size)."""
 
     def build():
         if block == "plus":
-            minor = embed_poly(row_initial_minor(amb, range(1, size + 1)))
-        else:
-            minor = dminus(amb, range(amb.m + 1, amb.m + size + 1))
-        return loc_pow(minor, e)
+            return embed_poly(row_initial_minor(amb, range(1, size + 1)) ** e)
+        rows = tuple((amb.m + r,) * e for r in range(1, size + 1))
+        return lowest_terms(bideterminant_minus(amb, Tableau((e,) * size, rows)))
 
     return amb.cached(("minorpow", block, size, e), build)
 
 
 def minor_power_product(amb: Ambient, plus_exps, minus_exps) -> LocalizedElement:
     """Product of nested leading minors to the given powers; only the full
-    even-block minor may carry a negative power (it folds into the
-    denominator)."""
+    even-block minor may carry a negative power.
+
+    The full even-block minor is D itself, so its power only moves the
+    exponent of D: it cancels against the denominators of the minus powers,
+    and only a power of D left over multiplies the numerator.  No division is
+    made, so the product need not be in lowest terms."""
+    *partial, full = plus_exps
     factors = []
-    d_exp = 0
-    for a, e in enumerate(plus_exps, start=1):
+    for a, e in enumerate(partial, start=1):
         if e < 0:
-            if a != amb.m:
-                raise InternalError("negative exponent on a non-invertible minor")
-            d_exp = -e
-        elif e:
+            raise InternalError("negative exponent on a non-invertible minor")
+        if e:
             factors.append(leading_minor_power(amb, "plus", a, e))
     for b, e in enumerate(minus_exps, start=1):
         if e < 0:
             raise InternalError("negative exponent on a minus minor")
         if e:
             factors.append(leading_minor_power(amb, "minus", b, e))
-    out = loc_product(amb, factors)
-    return LocalizedElement(out.num, out.d_exp + d_exp, out.d22_exp)
+    nums = [f.num for f in factors]
+    d_exp = sum(f.d_exp for f in factors) - full
+    if d_exp < 0:
+        nums.append(den_power(amb, -d_exp, 0))
+        d_exp = 0
+    return LocalizedElement(product(amb, nums), d_exp, 0)
+
+
+def ledger_exponent(plus_exps, minus_exps) -> int:
+    """The power of D that the product of nested leading minors to these
+    powers sits over when each power is multiplied out unreduced: each power
+    of a minus minor of size b brings D^b, and a negative power of the full
+    even-block minor D moves into the denominator.  Output raises a value
+    built from the reduced factors back to this exponent (fraction.raised_to),
+    so its text does not depend on how far the factors were reduced."""
+    return sum(b * e for b, e in enumerate(minus_exps, start=1)) + max(0, -plus_exps[-1])
 
 
 def highest_vector(amb: Ambient, w: Weight) -> LocalizedElement:

@@ -4,7 +4,15 @@ Each floor builder rebuilds its value from the ring's primitives on every
 call, the way the floor builders did before their weight-free parts moved into
 `Ambient.cached`: the rho factors, the signed rho product of a family, the
 leading-minor powers, the y entries of an exterior word multiplied into a
-coefficient one at a time, and the higher-floor vector with its defect.
+coefficient one at a time, and the higher-floor vector with its defect.  The
+`parent_*` builders multiply every minor out unreduced, each power of a
+dminus minor by `loc_pow` over D to its size times the power, as the floor
+builders did before they kept their factors in lowest terms in D; their
+exponents are the ones output renders.  The `fresh_*` builders follow the
+construction in lowest terms: each rho factor, rho product and minus power is
+the parent's value reduced by `lowest_terms` (a lowest form is unique, since
+D is a nonzerodivisor), and the full even-block minor's power only moves the
+exponent of D.
 
 The integral lift runs a divided power or a rising binomial the long way: the
 coefficients are read in Q, the basic operator is iterated, the factorial is
@@ -55,10 +63,13 @@ from superinduce.fraction import (
     den_power,
     embed_poly,
     loc_add,
+    loc_divide_exact,
+    loc_eq,
     loc_mul,
     loc_pow,
     loc_scale,
     loc_sum,
+    lowest_terms,
 )
 from superinduce.minors import row_initial_minor, y_entry
 from superinduce.superpoly import (
@@ -89,7 +100,10 @@ from superinduce.weights_tableaux import (
 from ring_oracle import total_degree
 
 
-def fresh_rho_pair(amb, i, j) -> dict:
+# -- the unreduced floor builders -------------------------------------------------
+
+
+def parent_rho_pair(amb, i, j) -> dict:
     m, n = amb.m, amb.n
     if not (1 <= i <= m and 1 <= j <= n):
         raise UsageError("rho indices out of range")
@@ -108,10 +122,10 @@ def fresh_rho_pair(amb, i, j) -> dict:
     return out
 
 
-def fresh_rho_product(amb, I, J) -> dict:
+def parent_rho_product(amb, I, J) -> dict:
     words = {(): embed_poly(amb.one())}
     for i_s, j_s in zip(I, J):
-        factor = fresh_rho_pair(amb, i_s, j_s)
+        factor = parent_rho_pair(amb, i_s, j_s)
         new: dict = {}
         for word, c in words.items():
             for pair, c2 in factor.items():
@@ -124,22 +138,22 @@ def fresh_rho_product(amb, I, J) -> dict:
     return words
 
 
-def fresh_minor_power(amb, block, size, e):
+def parent_minor_power(amb, block, size, e):
     if block == "plus":
         return loc_pow(embed_poly(row_initial_minor(amb, range(1, size + 1))), e)
     return loc_pow(dminus(amb, range(amb.m + 1, amb.m + size + 1)), e)
 
 
-def fresh_minor_power_product(amb, plus_exps, minus_exps):
+def parent_minor_power_product(amb, plus_exps, minus_exps):
     out = embed_poly(amb.one())
     for a, e in enumerate(plus_exps, start=1):
         if e < 0:
             out = loc_mul(out, LocalizedElement(amb.one(), -e, 0))
         elif e:
-            out = loc_mul(out, fresh_minor_power(amb, "plus", a, e))
+            out = loc_mul(out, parent_minor_power(amb, "plus", a, e))
     for b, e in enumerate(minus_exps, start=1):
         if e:
-            out = loc_mul(out, fresh_minor_power(amb, "minus", b, e))
+            out = loc_mul(out, parent_minor_power(amb, "minus", b, e))
     return out
 
 
@@ -167,7 +181,21 @@ def fresh_embed_floor(x):
     return loc_sum(amb, pieces)
 
 
-def fresh_pi_IJ_raw(amb, w, I, J):
+def parent_highest_vector(amb, w):
+    return parent_minor_power_product(amb, *exponent_ledger(w))
+
+
+def parent_pi_ij(amb, w, i, j):
+    plus_exps, minus_exps = exponent_ledger(w)
+    plus_exps[i - 1] -= 1
+    if j > 1:
+        minus_exps[j - 2] -= 1
+    prefactor = parent_minor_power_product(amb, plus_exps, minus_exps)
+    return FloorElement(amb, 1, {(pair,): loc_mul(prefactor, c)
+                                 for pair, c in parent_rho_pair(amb, i, j).items()})
+
+
+def parent_pi_IJ_raw(amb, w, I, J):
     I, J = tuple(I), tuple(J)
     assert is_dominant(w) and is_admissible_pair(w, I, J) and w.minus[-1] >= 0
     m = amb.m
@@ -180,19 +208,80 @@ def fresh_pi_IJ_raw(amb, w, I, J):
     pos_plus, pos_minus = [], []
     for a, e in enumerate(plus_exps, start=1):
         if e < 0 and a < m:
-            defect = loc_mul(defect, fresh_minor_power(amb, "plus", a, -e))
+            defect = loc_mul(defect, parent_minor_power(amb, "plus", a, -e))
             pos_plus.append(0)
         else:
             pos_plus.append(e)
     for b, e in enumerate(minus_exps, start=1):
         if e < 0:
-            defect = loc_mul(defect, fresh_minor_power(amb, "minus", b, -e))
+            defect = loc_mul(defect, parent_minor_power(amb, "minus", b, -e))
             pos_minus.append(0)
         else:
             pos_minus.append(e)
-    v_pos = fresh_minor_power_product(amb, pos_plus, pos_minus)
-    words = fresh_rho_product(amb, I, J)
+    v_pos = parent_minor_power_product(amb, pos_plus, pos_minus)
+    words = parent_rho_product(amb, I, J)
     terms = {key: loc_mul(v_pos, c) for key, c in words.items()}
+    return FloorElement(amb, len(I), terms), defect
+
+
+def parent_divide_floor(x, defect):
+    if loc_eq(defect, embed_poly(x.ambient.one())):
+        return x
+    out = {}
+    for key, c in x.terms.items():
+        q = loc_divide_exact(c, defect)
+        if q is None:
+            return None
+        out[key] = q
+    return FloorElement(x.ambient, x.floor, out)
+
+
+# -- the per-call floor builders, in lowest terms ---------------------------------
+
+
+def fresh_rho_pair(amb, i, j) -> dict:
+    return {pair: lowest_terms(c) for pair, c in parent_rho_pair(amb, i, j).items()}
+
+
+def fresh_rho_product(amb, I, J) -> dict:
+    return {key: lowest_terms(c) for key, c in parent_rho_product(amb, I, J).items()}
+
+
+def fresh_minor_power(amb, block, size, e):
+    return lowest_terms(parent_minor_power(amb, block, size, e))
+
+
+def fresh_minor_power_product(amb, plus_exps, minus_exps):
+    """The reduced powers multiplied in, and the full even-block minor's power
+    taken off the exponent of D, or multiplied in as D to what is left."""
+    out = embed_poly(amb.one())
+    for a, e in enumerate(plus_exps[:-1], start=1):
+        if e:
+            out = loc_mul(out, fresh_minor_power(amb, "plus", a, e))
+    for b, e in enumerate(minus_exps, start=1):
+        if e:
+            out = loc_mul(out, fresh_minor_power(amb, "minus", b, e))
+    s = out.d_exp - plus_exps[-1]
+    if s < 0:
+        return LocalizedElement(out.num * det_block11(amb) ** -s, 0, 0)
+    return LocalizedElement(out.num, s, 0)
+
+
+def fresh_pi_IJ_raw(amb, w, I, J):
+    """The same ledger as parent_pi_IJ_raw over the per-call builders in
+    lowest terms; the defect is the product of its reduced powers."""
+    I, J = tuple(I), tuple(J)
+    plus_exps, minus_exps = exponent_ledger(w)
+    for i_s, j_s in zip(I, J):
+        plus_exps[i_s - 1] -= 1
+        if j_s > 1:
+            minus_exps[j_s - 2] -= 1
+    m = amb.m
+    pos_plus = [e if e >= 0 or a == m else 0 for a, e in enumerate(plus_exps, start=1)]
+    neg_plus = [-e if e < 0 and a < m else 0 for a, e in enumerate(plus_exps, start=1)]
+    v_pos = fresh_minor_power_product(amb, pos_plus, [max(e, 0) for e in minus_exps])
+    defect = fresh_minor_power_product(amb, neg_plus, [max(-e, 0) for e in minus_exps])
+    terms = {key: loc_mul(v_pos, c) for key, c in fresh_rho_product(amb, I, J).items()}
     return FloorElement(amb, len(I), terms), defect
 
 

@@ -2,14 +2,17 @@
 
 Time on a shared machine moves by tens of percent between runs; these counts
 do not.  Each pin counts calls through a monkeypatched function during one
-fixed call.  A change that lowers a count lowers its pin with it; a pin is
-never raised to let a change pass.
+fixed call, or reads the tracemalloc peak of one call on warm caches.  A
+change that lowers a count lowers its pin with it; a pin is never raised to
+let a change pass.
 """
 
+import gc
 import importlib
 import json
 import pkgutil
 import random
+import tracemalloc
 from functools import lru_cache
 
 import superinduce
@@ -19,7 +22,7 @@ import superinduce.lr_oracle as lr_oracle
 import superinduce.superpoly as superpoly
 import superinduce.weights_tableaux as weights_tableaux
 from superinduce.cli import build_parser, suite_fwedge, suite_linkage
-from superinduce.floors_primitives import phi_floor, pi_ij
+from superinduce.floors_primitives import divide_floor, phi_floor, pi_IJ_raw, pi_ij
 
 LINKAGE_ARGV = ["verify", "linkage", "--m", "3", "--n", "3", "--p", "3"]
 
@@ -38,47 +41,101 @@ def _count_calls(monkeypatch, owners, name, calls):
 
 def _count_products(monkeypatch, counts):
     """Count the calls of superpoly.dot, and the term pairs they are offered
-    (the sum of |a|·|b| over their pairs), through every module that holds
-    it."""
-    real = superpoly.dot
+    (the sum of |a|·|b| over their pairs), and the calls of
+    superpoly.exact_divide, through every module that holds each."""
+    real_dot = superpoly.dot
+    real_divide = superpoly.exact_divide
 
     def counting(amb, pairs):
         pairs = list(pairs)
         counts["calls"] += 1
         counts["term_pairs"] += sum(len(a.terms) * len(b.terms) for a, b in pairs)
-        return real(amb, pairs)
+        return real_dot(amb, pairs)
+
+    def counting_divide(a, b):
+        counts["divides"] += 1
+        return real_divide(a, b)
 
     modules = [importlib.import_module(f"superinduce.{info.name}")
                for info in pkgutil.iter_modules(superinduce.__path__)]
-    owners = [module for module in modules if vars(module).get("dot") is real]
+    owners = [module for module in modules if vars(module).get("dot") is real_dot]
     for owner in owners:
         monkeypatch.setattr(owner, "dot", counting)
+    for module in modules:
+        if vars(module).get("exact_divide") is real_divide:
+            monkeypatch.setattr(module, "exact_divide", counting_divide)
     return owners
+
+
+def _counts():
+    return {"calls": 0, "term_pairs": 0, "divides": 0}
 
 
 def test_phi_floor_at_3_2_offers_no_more_term_pairs(monkeypatch):
     # phi_floor of the (3,2) floor vector of [2,1,0|2,1] at cell (1,1), in
     # char 0, on a fresh Ambient so that no earlier test has warmed its
-    # per-ring cache: 121 dot calls offered 4,490,199 term pairs when the
-    # product loop was split into odd-free and odd left terms, which changed
-    # the cost of a pair but not the number of pairs
+    # per-ring cache: 105 dot calls offered 4,489,888 term pairs, and no
+    # division was made, both before and after the floor factors were kept
+    # in lowest terms in D (this cell's prefactor has no D to cancel, and no
+    # product of factors is divided per call); the pin was 121 calls and
+    # 4,490,199 pairs when the product loop was split into odd-free and odd
+    # left terms
     amb = superpoly.Ambient(3, 2, 0)
     vec = pi_ij(amb, weights_tableaux.parse_weight("[2,1,0|2,1]"), 1, 1)
-    counts = {"calls": 0, "term_pairs": 0}
+    counts = _counts()
     owners = _count_products(monkeypatch, counts)
     assert {owner.__name__ for owner in owners} >= {
         "superinduce.superpoly", "superinduce.derivation", "superinduce.fraction",
         "superinduce.floors_primitives", "superinduce.minors"}
     phi_floor(vec)
-    assert counts["calls"] <= 121
-    assert counts["term_pairs"] <= 4490199
+    assert counts["calls"] <= 105
+    assert counts["term_pairs"] <= 4489888
+    assert counts["divides"] == 0
+
+
+def test_char_3_defect_division_at_2_2(monkeypatch):
+    # the cleared vector of [3,2|1,1] for the family (1,2|1,2) in char 3,
+    # then its defect division, which fails, on warm per-ring caches as a
+    # benchmark round runs it: 6 dot calls over 3,146 term pairs and one
+    # division when the factors were multiplied out unreduced; in lowest
+    # terms 1,755 pairs, and two divisions, since a coefficient whose
+    # division fails is asked again over the exponent it renders at
+    amb = superpoly.Ambient(2, 2, 3)
+    w = weights_tableaux.parse_weight("[3,2|1,1]")
+    family = ((1, 2), (1, 2))
+    assert divide_floor(*pi_IJ_raw(amb, w, *family)) is None
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    assert divide_floor(*pi_IJ_raw(amb, w, *family)) is None
+    assert counts["calls"] <= 6
+    assert counts["term_pairs"] <= 1755
+    assert counts["divides"] <= 2
+
+
+def test_pi_ij_then_phi_floor_at_2_3_peaks_below_its_pin():
+    # tracemalloc peak of pi_ij then phi_floor for [2,1|2,1,0] at cell
+    # (2,3) in char 0 on warm caches, read in this test: 659,176 bytes with
+    # the factors multiplied out unreduced, 518,200 in lowest terms (under
+    # PYTHONHASHSEED 0 and 1 alike); the pin leaves 1.9 % of margin
+    amb = superpoly.Ambient(2, 3, 0)
+    w = weights_tableaux.parse_weight("[2,1|2,1,0]")
+    for _ in range(2):
+        phi_floor(pi_ij(amb, w, 2, 3))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        phi_floor(pi_ij(amb, w, 2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 528_000, peak
 
 
 def _count_cli_products(monkeypatch, argv):
     """The dot calls and term pairs of one CLI run on rings of its own, so
     that no per-ring cache warmed by an earlier test lowers the counts."""
     monkeypatch.setattr(cli, "ambient", lru_cache(maxsize=None)(superpoly.Ambient))
-    counts = {"calls": 0, "term_pairs": 0}
+    counts = _counts()
     _count_products(monkeypatch, counts)
     assert cli.main(argv) == 0
     return counts
@@ -103,6 +160,31 @@ def test_verify_gen_round_multiplies_no_power_from_one(monkeypatch, capsys):
     assert all(e["ok"] for e in json.loads(capsys.readouterr().out)["entries"])
     assert counts["calls"] <= 98
     assert counts["term_pairs"] <= 40662
+
+
+def test_verify_phi1_at_3_1_builds_its_vectors_in_lowest_terms(monkeypatch, capsys):
+    # ten random (3,1) weights in char 0, seed 0: 547 dot calls over
+    # 16,892,977 term pairs and no division with the floor factors
+    # multiplied out unreduced; 495 calls over 1,584,925 pairs in lowest
+    # terms, at the cost of 10 divisions that reduce the per-ring factors
+    argv = ["verify", "phi1", "--m", "3", "--n", "1", "--seed", "0"]
+    counts = _count_cli_products(monkeypatch, argv)
+    assert all(e["ok"] for e in json.loads(capsys.readouterr().out)["entries"])
+    assert counts["calls"] <= 495
+    assert counts["term_pairs"] <= 1584925
+    assert counts["divides"] <= 10
+
+
+def test_verify_phi1_at_2_2_builds_its_vectors_in_lowest_terms(monkeypatch, capsys):
+    # [2,1|1,0] and ten random (2,2) weights in char 0, seed 0: 4,457 dot
+    # calls over 1,418,142 term pairs and no division unreduced; 4,429 calls
+    # over 755,404 pairs and 18 divisions in lowest terms
+    argv = ["verify", "phi1", "--m", "2", "--n", "2", "--seed", "0"]
+    counts = _count_cli_products(monkeypatch, argv)
+    assert all(e["ok"] for e in json.loads(capsys.readouterr().out)["entries"])
+    assert counts["calls"] <= 4429
+    assert counts["term_pairs"] <= 755404
+    assert counts["divides"] <= 18
 
 
 def test_linkage_sweep_keys_each_distinct_block_once_in_all(monkeypatch):
