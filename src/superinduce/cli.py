@@ -34,6 +34,7 @@ from operator import add
 from .derivation import FDminus, FDplus, FPhi, FY, basic, rewrite_rule_check
 from .floors_primitives import (
     defect_exponent,
+    divide_floor,
     fe_eq,
     fe_scale,
     floor_element_to_json,
@@ -784,7 +785,7 @@ def emit_pi_IJ(args) -> dict:
     I, J = _parse_pairs(args.pairs)
     amb = ambient(w.m, w.n, args.p)
     raw, defect = pi_IJ_raw(amb, w, I, J)
-    vec = pi_IJ(amb, w, I, J)
+    vec = divide_floor(raw, defect)
     return {
         "kind": "pi-IJ",
         "weight": render_weight(w),

@@ -16,7 +16,11 @@ the fraction field and the exact-division gate reports that honestly
 instead of clearing denominators silently.  Their weight-free factors are
 kept in lowest terms in D, once per ring, and no vector divides per call;
 output writes each coefficient over the exponent of the unreduced product
-of minors (a vector's render_exp).
+of minors (a vector's render_exp).  A higher-floor vector is its prefactor
+over the per-ring rho product of its family, multiplied out only when its
+coefficients are read.  Only the prefactor depends on the weight, so a
+defect that divides the rho product divides the vector: that division is
+made once per ring, and the vector's is tried only when it fails.
 """
 
 from __future__ import annotations
@@ -80,29 +84,30 @@ class FloorElement:
     over in output.  The floor builders keep their coefficients in lower terms
     than the products of minors they stand for, and set it to the exponent of
     the unreduced product, a closed form of the weight and the cell or family
-    (see ``ledger_exponent``).  None writes each coefficient as it is."""
+    (see ``ledger_exponent``).  None writes each coefficient as it is.
 
-    __slots__ = ("ambient", "floor", "terms", "render_exp")
+    factored, when set, is (prefactor, factors, key): the coefficients are
+    prefactor·c for each c of the read-only per-ring map factors, which
+    Ambient.cached holds under key, and they are multiplied out on the first
+    read of terms, once per element."""
 
-    def __init__(self, amb: Ambient, floor: int, terms: dict, render_exp=None):
+    __slots__ = ("ambient", "floor", "_terms", "render_exp", "factored")
+
+    def __init__(self, amb: Ambient, floor: int, terms, render_exp=None, factored=None):
         if floor < 0:
             raise UsageError("floor index must be nonnegative")
-        clean = {}
-        for key, coeff in terms.items():
-            key = tuple(tuple(p) for p in key)
-            if len(key) != floor:
-                raise UsageError("exterior word length does not match the floor")
-            if list(key) != sorted(key) or len(set(key)) != len(key):
-                raise UsageError("exterior words must be strictly sorted")
-            for i, j in key:
-                if not (1 <= i <= amb.m and amb.m < j <= amb.size):
-                    raise UsageError(f"pair ({i},{j}) is not a mixed slot")
-            if not coeff.is_zero():
-                clean[key] = coeff
         self.ambient = amb
         self.floor = floor
-        self.terms = clean
         self.render_exp = render_exp
+        self.factored = factored
+        self._terms = None if factored else _checked_terms(amb, floor, terms)
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            prefactor, factors, _ = self.factored
+            self._terms = _checked_terms(self.ambient, self.floor, _times(prefactor, factors))
+        return self._terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,6 +117,24 @@ class FloorElement:
             f"{key}: {render_loc(c)}" for key, c in sorted(self.terms.items())
         )
         return f"FloorElement(floor={self.floor}, {{{inner}}})"
+
+
+def _checked_terms(amb: Ambient, floor: int, terms: dict) -> dict:
+    """The nonzero coefficients, each word checked to be a strictly sorted
+    word of mixed slots of the floor's length."""
+    clean = {}
+    for key, coeff in terms.items():
+        key = tuple(tuple(p) for p in key)
+        if len(key) != floor:
+            raise UsageError("exterior word length does not match the floor")
+        if list(key) != sorted(key) or len(set(key)) != len(key):
+            raise UsageError("exterior words must be strictly sorted")
+        for i, j in key:
+            if not (1 <= i <= amb.m and amb.m < j <= amb.size):
+                raise UsageError(f"pair ({i},{j}) is not a mixed slot")
+        if not coeff.is_zero():
+            clean[key] = coeff
+    return clean
 
 
 def fe_zero(amb: Ambient, floor: int) -> FloorElement:
@@ -372,7 +395,9 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     coefficient by the defect recovers the true vector when that division is
     exact; the defect depends only on the content of the index family.  The
     element renders over the ledger exponent of its powers plus j - 1 for
-    each rho factor, and the defect over ``defect_exponent``.
+    each rho factor, and the defect over ``defect_exponent``.  The element
+    is factored (see FloorElement): the product of those powers over the
+    family's per-ring rho product, multiplied out when first read.
     """
     I, J = tuple(I), tuple(J)
     if (w.m, w.n) != (amb.m, amb.n):
@@ -384,9 +409,9 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     if w.minus[-1] < 0:
         raise UsageError("normalize away the determinant twist first")
     vector, defect = _family_ledger(w, I, J)
-    terms = _times(minor_power_product(amb, *vector), rho_product(amb, I, J))
     exp = ledger_exponent(*vector) + sum(j_s - 1 for j_s in J)
-    return FloorElement(amb, len(I), terms, exp), minor_power_product(amb, *defect)
+    factored = (minor_power_product(amb, *vector), rho_product(amb, I, J), ("rhoproduct", I, J))
+    return FloorElement(amb, len(I), None, exp, factored), minor_power_product(amb, *defect)
 
 
 def divide_floor(x: FloorElement, defect: LocalizedElement):
@@ -401,18 +426,41 @@ def divide_floor(x: FloorElement, defect: LocalizedElement):
     minors, P·D^l / D^(f+l): D is a nonzerodivisor, so P·D^l divides
     M·D^(f+l) exactly when P divides M·D^f, and that reduction changes no
     outcome.  The quotient keeps the coefficient's exponent and render_exp.
+
+    A factored x (see FloorElement) is first divided on its per-ring map
+    alone, once per ring, map and defect: if P divides ρ·D^f with quotient Q
+    for every coefficient ρ / D^r of the map, then P divides the product's
+    numerator prefactor·ρ·D^f with quotient prefactor·Q, at every exponent
+    of D, so the quotient is the same prefactor over the map of the Q, still
+    factored, and equals the route above value for value.  A map whose
+    division fails is stored as None, and x is multiplied out and divided
+    by the route above, which decides every outcome.
     """
     if defect.num.terms == {0: 1} and not (defect.d_exp or defect.d22_exp):
         return x
+    if x.factored is not None:
+        prefactor, factors, key = x.factored
+        qkey = ("rhoquotient", key, defect)
+        quotients = x.ambient.cached(qkey, lambda: _divide_each(factors, defect))
+        if quotients is not None:
+            return FloorElement(x.ambient, x.floor, None, x.render_exp, (prefactor, quotients, qkey))
+    quotients = _divide_each(x.terms, defect, x.render_exp)
+    return None if quotients is None else FloorElement(x.ambient, x.floor, quotients, x.render_exp)
+
+
+def _divide_each(coeffs, defect: LocalizedElement, render_exp=None):
+    """The read-only map of each coefficient divided by the defect, a
+    division that fails below D^render_exp asked again over it; None when
+    a division fails."""
     out = {}
-    for key, c in x.terms.items():
+    for key, c in coeffs.items():
         q = loc_divide_exact(c, defect)
-        if q is None and x.render_exp is not None and c.d_exp < x.render_exp:
-            q = loc_divide_exact(raised_to(c, x.render_exp), defect)
+        if q is None and render_exp is not None and c.d_exp < render_exp:
+            q = loc_divide_exact(raised_to(c, render_exp), defect)
         if q is None:
             return None
         out[key] = q
-    return FloorElement(x.ambient, x.floor, out, x.render_exp)
+    return MappingProxyType(out)
 
 
 def pi_IJ(amb: Ambient, w: Weight, I, J):

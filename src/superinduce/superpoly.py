@@ -172,12 +172,14 @@ class Ambient:
         default_factory=dict, compare=False, repr=False, hash=False
     )
     # packing tables: the bits of the odd generators, the guard bit of every
-    # field, the generator of each field, least significant first, and the
-    # slice of each column's fields in a native 16-bit view of a monomial
+    # field, the generator of each field, least significant first, the
+    # slice of each column's fields in a native 16-bit view of a monomial,
+    # and the (modulus, carry bits) of the row fold of weight_of
     odd_mask: int = dataclass_field(init=False, compare=False, repr=False, hash=False)
     guard_mask: int = dataclass_field(init=False, compare=False, repr=False, hash=False)
     field_gens: tuple = dataclass_field(init=False, compare=False, repr=False, hash=False)
     column_slices: tuple = dataclass_field(init=False, compare=False, repr=False, hash=False)
+    row_fold: tuple = dataclass_field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -193,6 +195,12 @@ class Ambient:
         object.__setattr__(self, "guard_mask", guard)
         object.__setattr__(self, "field_gens", gens)
         object.__setattr__(self, "column_slices", column_slices(s, sys.byteorder))
+        # the carry bits: each field's bits from k up, for the largest k at
+        # which s exponents below 2^k sum to less than FIELD_MASK
+        k = max(k for k in range(1, FIELD_BITS) if s * ((1 << k) - 1) < FIELD_MASK)
+        high = FIELD_MASK ^ ((1 << k) - 1)
+        carry = sum(high << (f * FIELD_BITS) for f in range(s * s))
+        object.__setattr__(self, "row_fold", ((1 << (s * FIELD_BITS)) - 1, carry))
 
     @property
     def size(self) -> int:
@@ -473,17 +481,28 @@ def product(amb: Ambient, factors) -> SuperPolynomial:
 def weight_of(p: SuperPolynomial):
     """Common column-content vector of all terms, or None when inhomogeneous.
 
+    A row of an s-by-s monomial is a block of s fields, column j in field
+    s - j, so the sum of its rows holds each column's content in that field
+    as long as no column sum reaches FIELD_MASK; that sum is then the
+    monomial mod 2^(s·FIELD_BITS) - 1, one fold per term.  Below the carry
+    bits of amb.row_fold no sum of s exponents reaches it; a term with a
+    carry bit set sends the whole polynomial to monomial_column_content.
     The zero polynomial reports the zero vector.
     """
     amb = p.ambient
-    w = None
+    modulus, carry = amb.row_fold
+    fold = None
     for mono in p.terms:
-        cur = monomial_column_content(amb, mono)
-        if w is None:
-            w = cur
-        elif w != cur:
+        if mono & carry:
+            contents = {monomial_column_content(amb, t) for t in p.terms}
+            return contents.pop() if len(contents) == 1 else None
+        cur = mono % modulus
+        if fold is None:
+            fold = cur
+        elif cur != fold:
             return None
-    return w if w is not None else tuple([0] * amb.size)
+    fold = fold or 0
+    return tuple((fold >> (f * FIELD_BITS)) & FIELD_MASK for f in range(amb.size - 1, -1, -1))
 
 
 # -- exact division -----------------------------------------------------------

@@ -21,7 +21,8 @@ of primitivity runs the same way, one power at a time, up to a degree bound.
 The layered division divides layer by layer in the number of odd factors,
 each layer one graded-lexicographic leading-term division by the divisor's
 odd-free body.  The per-field loops read a packed monomial's exponents one
-16-bit field at a time.
+16-bit field at a time, and `parent_weight_of` reads every term's column
+content through a 16-bit view of the monomial, with no fold of its rows.
 
 The minus bideterminant folds its columns' dminus minors together with
 loc_mul and leaves the product over D to the total column length.
@@ -84,6 +85,7 @@ from superinduce.superpoly import (
     dot,
     exact_divide,
     koszul_mask,
+    monomial_column_content,
     monomial_odd_degree,
     sort_with_sign,
 )
@@ -357,6 +359,20 @@ def loop_column_content(amb, mono):
     for f, (_, j) in enumerate(amb.field_gens):
         counts[j - 1] += (mono >> (f * FIELD_BITS)) & FIELD_MASK
     return tuple(counts)
+
+
+def parent_weight_of(p):
+    """The common column content of every term, each read through its field
+    view; None when two terms differ, and zero for the zero polynomial."""
+    amb = p.ambient
+    w = None
+    for mono in p.terms:
+        cur = monomial_column_content(amb, mono)
+        if w is None:
+            w = cur
+        elif w != cur:
+            return None
+    return w if w is not None else tuple([0] * amb.size)
 
 
 def loop_monomial_items(amb, mono):

@@ -3,8 +3,9 @@ divided powers and binomials against the integral lift, every direction of
 the quotient rule against the parent's diagonal route dN - λ·N, the localized
 division against the parent's unconditional denominator product, the
 primitivity vanishing check against the lift's power-by-power loop, the
-one-pass division against the layered division, and the 16-bit field view of
-a monomial against per-field loops."""
+one-pass division against the layered division, the 16-bit field view of
+a monomial against per-field loops, and the row fold of `weight_of` against
+the field view of every term."""
 
 import sys
 from array import array
@@ -13,6 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from superinduce.cli import RING_SIZE_CAP
 from superinduce.derivation import (
     apply_loc,
     basic,
@@ -30,7 +32,9 @@ from superinduce.fraction import (
 from superinduce.superpoly import (
     EXPONENT_CAP,
     FIELD_BITS,
+    FIELD_MASK,
     InternalError,
+    SuperPolynomial,
     UsageError,
     ambient,
     column_slices,
@@ -53,6 +57,7 @@ from builder_oracle import (
     odd_layer,
     parent_apply,
     parent_loc_divide_exact,
+    parent_weight_of,
 )
 
 SIZES = [(2, 1), (1, 2), (2, 2), (3, 1)]
@@ -386,3 +391,94 @@ def test_column_slices_read_either_byte_order(byteorder, size):
             view.byteswap()
         content = tuple(sum(view[cols]) for cols in column_slices(s, byteorder))
         assert content == loop_column_content(amb, mono)
+
+
+# -- the row fold of weight_of ---------------------------------------------------------
+
+# even exponents from small up to the cap: the large ones make s of them sum
+# past a field once s >= 3, which sends weight_of to the field view
+EVEN_EXPONENTS = [0, 0, 1, 2, 7, 1 << 12, 1 << 13, 1 << 14, EXPONENT_CAP - 1, EXPONENT_CAP]
+
+
+def _even_monomial(data, amb):
+    """A monomial of the ring: any exponent from EVEN_EXPONENTS on an even
+    generator, 0 or 1 on an odd one."""
+    exps = data.draw(st.lists(st.sampled_from(EVEN_EXPONENTS), min_size=len(amb.field_gens),
+                              max_size=len(amb.field_gens)))
+    odd = data.draw(st.lists(st.booleans(), min_size=len(amb.field_gens),
+                             max_size=len(amb.field_gens)))
+    return sum((int(o) if (i > amb.m) != (j > amb.m) else e) * amb.unit(i, j)
+               for (i, j), e, o in zip(amb.field_gens, exps, odd))
+
+
+def _rows_permuted(data, amb, mono):
+    """The monomial with its rows permuted inside each block: every column
+    keeps its content and every generator its parity."""
+    s = amb.size
+    blocks = [list(range(1, amb.m + 1)), list(range(amb.m + 1, s + 1))]
+    target = {}
+    for rows in blocks:
+        target.update(zip(rows, data.draw(st.permutations(rows))))
+    out = 0
+    for f, (i, j) in enumerate(amb.field_gens):
+        e = (mono >> (f * FIELD_BITS)) & FIELD_MASK
+        out += e * amb.unit(target[i], j)
+    return out
+
+
+def _colliding_pair(data, amb):
+    """Two monomials of different column content whose row folds agree: in
+    a block of at least three rows, one column of the first sums to 2^16
+    over three even generators and carries one into the next column to its
+    left (from column 1 around to column s), where the second has one more."""
+    blocks = [b for b in (range(1, amb.m + 1), range(amb.m + 1, amb.size + 1)) if len(b) >= 3]
+    block = data.draw(st.sampled_from(blocks))
+    c = data.draw(st.sampled_from(list(block)))
+    left = c - 1 if c > 1 else amb.size
+    row = amb.m + 1 if left > amb.m else 1  # an even generator of that column
+    base = _even_monomial(data, amb)
+    for i in block:
+        base &= ~(FIELD_MASK * amb.unit(i, c))
+    base &= ~(FIELD_MASK * amb.unit(row, left))
+    rows = list(block)[:3]
+    x = base + sum(e * amb.unit(i, c) for i, e in zip(rows, (EXPONENT_CAP, EXPONENT_CAP, 2)))
+    y = base + amb.unit(row, left)
+    return x, y
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("m", range(1, RING_SIZE_CAP + 1))
+@pytest.mark.parametrize("n", range(1, RING_SIZE_CAP + 1))
+def test_weight_of_folds_rows_as_the_field_view_reads_columns(m, n, data):
+    amb = ambient(m, n)
+    modulus, carry = amb.row_fold
+    monos = [_even_monomial(data, amb) for _ in range(data.draw(st.integers(1, 3)))]
+    # the same content in another arrangement of rows
+    monos.append(_rows_permuted(data, amb, monos[0]))
+    for chosen in (monos[:1], monos[-2:], monos[:1] + monos[-1:], monos):
+        p = SuperPolynomial(amb, {mono: 1 for mono in chosen})
+        assert weight_of(p) == parent_weight_of(p)
+    assert weight_of(amb.zero()) == parent_weight_of(amb.zero()) == (0,) * amb.size
+    if max(m, n) >= 3:
+        x, y = _colliding_pair(data, amb)
+        assert x % modulus == y % modulus
+        assert monomial_column_content(amb, x) != monomial_column_content(amb, y)
+        assert x & carry
+        pair = SuperPolynomial(amb, {x: 1, y: 1})
+        assert weight_of(pair) is None and parent_weight_of(pair) is None
+        assert weight_of(SuperPolynomial(amb, {x: 1})) == monomial_column_content(amb, x)
+
+
+@pytest.mark.parametrize("m", range(1, RING_SIZE_CAP + 1))
+@pytest.mark.parametrize("n", range(1, RING_SIZE_CAP + 1))
+def test_row_fold_carry_bits_are_the_fewest_that_keep_sums_in_a_field(m, n):
+    # below the carry bits s exponents sum to less than a full field; one
+    # more bit allowed would let them reach it
+    amb = ambient(m, n)
+    s = amb.size
+    _, carry = amb.row_fold
+    free = FIELD_MASK & ~carry  # the allowed bits of one field, the same in each
+    assert carry == sum((FIELD_MASK ^ free) << (f * FIELD_BITS) for f in range(s * s))
+    assert s * free < FIELD_MASK <= s * (2 * free + 1)
+    assert carry & amb.guard_mask == amb.guard_mask

@@ -1,6 +1,8 @@
 """The weight-free floor data built once per ring: each cached family against
-the per-call builders of `builder_oracle`, cached values never mutated by a
-caller, and the termination bound of the oracle's divided-power loop."""
+the per-call builders of `builder_oracle`, cached values (the rho products
+divided by a defect, and the divisions that failed, among them) never
+mutated by a caller, and the termination bound of the oracle's divided-power
+loop."""
 
 from itertools import combinations
 from math import factorial
@@ -27,7 +29,7 @@ from superinduce.floors_primitives import (
 )
 from superinduce.fraction import LocalizedElement, embed_poly
 from superinduce.linkage import omega
-from superinduce.superpoly import InternalError, ambient
+from superinduce.superpoly import Ambient, InternalError, UsageError, ambient
 from superinduce.weights_tableaux import (
     is_admissible_pair,
     leading_minor_power,
@@ -52,6 +54,8 @@ CHARS = [0, 3]
 RINGS = st.builds(lambda size, char: ambient(*size, char),
                   st.sampled_from(SIZES), st.sampled_from(CHARS))
 CACHED_FAMILIES = ("rho", "rhoproduct", "minorpow", "yword")
+# a per-ring map divided by a defect, or None where a division failed
+QUOTIENTS = "rhoquotient"
 
 
 def _pairs(amb):
@@ -144,6 +148,8 @@ def test_higher_floor_vectors_equal_fresh_builds(amb, data):
 
 
 def _freeze(value):
+    if value is None:
+        return None
     if isinstance(value, LocalizedElement):
         return tuple(sorted(value.num.terms.items())), value.d_exp, value.d22_exp
     return tuple(sorted((key, _freeze(c)) for key, c in value.items()))
@@ -153,20 +159,24 @@ def _snapshot(amb):
     return {
         key: _freeze(value)
         for key, value in amb._cache.items()
-        if isinstance(key, tuple) and key[0] in CACHED_FAMILIES
+        if isinstance(key, tuple) and key[0] in (*CACHED_FAMILIES, QUOTIENTS)
     }
 
 
 def _run_floor_paths(amb, w):
     """The eigenvalue, primitivity and defect-division paths at every cell
-    and every admissible family of w."""
+    where the first-floor vector is defined and every admissible family of
+    up to three pairs of w."""
     for i, j in _pairs(amb):
-        vec = pi_ij(amb, w, i, j)
+        try:
+            vec = pi_ij(amb, w, i, j)
+        except UsageError:
+            continue  # equal neighbouring entries leave this cell undefined
         image = phi_floor(vec)
         assert fe_eq(image, fe_scale(vec, omega(w, i, j)))
         is_primitive(vec)
     raws = []
-    for k in range(1, 3):
+    for k in range(1, 4):
         for f in combinations(_pairs(amb), k):
             I, J = tuple(i for i, _ in f), tuple(j for _, j in f)
             if not is_admissible_pair(w, I, J):
@@ -180,6 +190,23 @@ def _run_floor_paths(amb, w):
     search_module_combinations([raws[0][0]], raws[0][1])
 
 
+def _check_cached_data_stays(amb, w):
+    """Run the floor paths twice on a ring of the test's own: the second
+    pass leaves every cached entry as the first built it.  Returns the
+    snapshot."""
+    _run_floor_paths(amb, w)
+    before = _snapshot(amb)
+    assert {key[0] for key in before} - {QUOTIENTS} == set(CACHED_FAMILIES)
+    _run_floor_paths(amb, w)
+    assert _snapshot(amb) == before
+    for key, value in amb._cache.items():
+        if isinstance(key, tuple) and key[0] in ("rho", "rhoproduct", QUOTIENTS) and value is not None:
+            assert isinstance(value, MappingProxyType)
+            with pytest.raises(TypeError):
+                value[()] = embed_poly(amb.one())
+    return before
+
+
 @pytest.mark.parametrize("size, char, plus, minus", [
     ((2, 2), 3, (3, 1), (2, 0)),
     ((2, 2), 0, (2, 1), (1, 0)),
@@ -187,18 +214,17 @@ def _run_floor_paths(amb, w):
     ((1, 2), 0, (3,), (2, 1)),
 ])
 def test_callers_never_mutate_cached_floor_data(size, char, plus, minus):
-    amb = ambient(*size, char)
-    w = make_weight(plus, minus)
-    _run_floor_paths(amb, w)
-    before = _snapshot(amb)
-    assert {key[0] for key in before} == set(CACHED_FAMILIES)
-    _run_floor_paths(amb, w)
-    assert _snapshot(amb) == before
-    for key, value in amb._cache.items():
-        if isinstance(key, tuple) and key[0] in ("rho", "rhoproduct"):
-            assert isinstance(value, MappingProxyType)
-            with pytest.raises(TypeError):
-                value[()] = embed_poly(amb.one())
+    _check_cached_data_stays(Ambient(*size, char), make_weight(plus, minus))
+
+
+def test_callers_never_mutate_cached_rho_quotients_or_failures():
+    # [3,2|1,1] at (2,2) in char 3: some rho products divide by their
+    # family's defect and some do not, and each outcome is cached, a
+    # failure as None
+    snapshot = _check_cached_data_stays(Ambient(2, 2, 3), make_weight((3, 2), (1, 1)))
+    quotients = [value for key, value in snapshot.items() if key[0] == QUOTIENTS]
+    assert None in quotients
+    assert any(value is not None for value in quotients)
 
 
 def test_divided_power_loop_stops_at_the_parents_bound(monkeypatch):

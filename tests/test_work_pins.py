@@ -112,6 +112,74 @@ def test_char_3_defect_division_at_2_2(monkeypatch):
     assert counts["divides"] <= 2
 
 
+# the first division of floors.json in char 0 whose defect has a factor, and
+# which succeeds: [2,1|1,0] for (1,1,2|1,2,1), whose defect is c[1,1]
+FIRST_DIVISION = (weights_tableaux.parse_weight("[2,1|1,0]"), ((1, 1, 2), (1, 2, 1)))
+
+
+def test_warm_defect_division_at_2_2_reads_the_cached_rho_quotient(monkeypatch):
+    # the cleared vector and its defect division on warm per-ring caches, as
+    # a benchmark round runs it: 2 dot calls over 12 term pairs and 2
+    # divisions when every coefficient of the multiplied-out vector was
+    # divided; none once the rho product's division by the defect is cached
+    amb = superpoly.Ambient(2, 2, 0)
+    w, family = FIRST_DIVISION
+    assert divide_floor(*pi_IJ_raw(amb, w, *family)) is not None
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    assert divide_floor(*pi_IJ_raw(amb, w, *family)) is not None
+    assert counts["calls"] <= 0
+    assert counts["term_pairs"] <= 0
+    assert counts["divides"] <= 0
+
+
+def test_fresh_defect_division_at_2_2(monkeypatch):
+    # the same division on a fresh Ambient, per-ring factors included: 33
+    # dot calls over 156 term pairs and 12 divisions both when every
+    # coefficient of the multiplied-out vector was divided and when the rho
+    # product is divided (this vector's prefactor is one)
+    amb = superpoly.Ambient(2, 2, 0)
+    w, family = FIRST_DIVISION
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    assert divide_floor(*pi_IJ_raw(amb, w, *family)) is not None
+    assert counts["calls"] <= 33
+    assert counts["term_pairs"] <= 156
+    assert counts["divides"] <= 12
+
+
+def test_an_unread_higher_floor_vector_multiplies_nothing_out(monkeypatch):
+    # [2,1|2,1] for (1,1,2|1,2,2) in char 0 on warm caches, with a prefactor
+    # of 58 terms over 4 coefficients: building the vector and its defect
+    # made 5 dot calls over 2,210 term pairs when every coefficient was
+    # multiplied out; now only the defect's product, 1 call over 6 pairs.
+    # The first read of terms makes the 4 products and a second read none;
+    # the successful division and its quotient's first read made 8 calls
+    # over 4,200 pairs and 4 divisions, now 4 calls over 1,392 pairs and no
+    # division (the rho product's quotient is cached)
+    amb = superpoly.Ambient(2, 2, 0)
+    w, family = weights_tableaux.parse_weight("[2,1|2,1]"), ((1, 1, 2), (1, 2, 2))
+    divide_floor(*pi_IJ_raw(amb, w, *family)).terms
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    raw, defect = pi_IJ_raw(amb, w, *family)
+    assert counts["calls"] <= 1
+    assert counts["term_pairs"] <= 6
+    counts.update(_counts())
+    assert len(raw.terms) == 4
+    assert counts["calls"] <= 4
+    assert counts["term_pairs"] <= 2204
+    counts.update(_counts())
+    raw.terms
+    assert counts["calls"] == 0
+    quotient = divide_floor(raw, defect)
+    assert len(quotient.terms) == 4
+    quotient.terms  # a second read multiplies nothing out
+    assert counts["calls"] <= 4
+    assert counts["term_pairs"] <= 1392
+    assert counts["divides"] == 0
+
+
 def test_pi_ij_then_phi_floor_at_2_3_peaks_below_its_pin():
     # tracemalloc peak of pi_ij then phi_floor for [2,1|2,1,0] at cell
     # (2,3) in char 0 on warm caches, read in this test: 659,176 bytes with
