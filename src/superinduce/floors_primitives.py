@@ -20,7 +20,9 @@ of minors (a vector's render_exp).  A higher-floor vector is its prefactor
 over the per-ring rho product of its family, multiplied out only when its
 coefficients are read.  Only the prefactor depends on the weight, so a
 defect that divides the rho product divides the vector: that division is
-made once per ring, and the vector's is tried only when it fails.
+made once per ring, and the vector's is tried only when it fails.  Every
+lowering divided power kills the prefactor, so the primitivity of such a
+vector is decided on its map alone, once per ring and map.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ class FloorElement:
     factored, when set, is (prefactor, factors, key): the coefficients are
     prefactor·c for each c of the read-only per-ring map factors, which
     Ambient.cached holds under key, and they are multiplied out on the first
-    read of terms, once per element."""
+    read of terms, once per element.  The prefactor is a product of powers
+    of nested leading minors and of D (``minor_power_product``), which every
+    simple lowering direction kills: is_primitive relies on it."""
 
     __slots__ = ("ambient", "floor", "_terms", "render_exp", "factored")
 
@@ -648,14 +652,39 @@ def is_primitive(x: FloorElement) -> bool:
     direction of the even subgroup — in positive characteristic by all of its
     divided powers.  A simple lowering direction kills D and D22, so the
     numerator alone decides: in characteristic 0 its first power, and in
-    characteristic p one closed-form enumeration of every power at once."""
-    emb = embed_floor(x)
-    if loc_weight(emb) is None:
+    characteristic p one closed-form enumeration of every power at once.
+
+    A factored x (see FloorElement) is decided on its weight-free map alone,
+    embedded as the sum of c·y_word(w), once per ring and map.  A simple
+    lowering direction d[l+1,l] differentiates C ↦ C·u(t) on the matrix of
+    generators, where u(t) adds t times column l to column l+1 inside one
+    block.  That substitution fixes every nested leading minor and D, so
+    every divided power d^(r), r >= 1, kills the prefactor P, and
+    d^(r)(P·E) = P·d^(r)(E).  P has a nonzero body, so it is homogeneous and
+    a nonzerodivisor: P·E is homogeneous, or primitive, exactly when E is, in
+    every characteristic.  The verdict is cached under ("primitive", key),
+    an inhomogeneous map's as None, which raises on every call."""
+    if x.factored is None:
+        verdict = _lowering_verdict(embed_floor(x))
+    else:
+        amb, (_, factors, key) = x.ambient, x.factored
+        verdict = amb.cached(("primitive", key), lambda: _lowering_verdict(
+            embed_floor(FloorElement(amb, x.floor, factors))))
+    if verdict is None:
         raise UsageError("primitivity is defined for weight-homogeneous elements")
-    r = None if x.ambient.char else 1
+    return verdict
+
+
+def _lowering_verdict(emb: LocalizedElement):
+    """None when emb is not weight-homogeneous; otherwise whether every
+    divided power of every simple lowering direction kills it."""
+    if loc_weight(emb) is None:
+        return None
+    amb = emb.ambient
+    r = None if amb.char else 1
     return all(
         divided_power(emb.num, k, l, r).is_zero()
-        for k, l in _simple_lowering_directions(x.ambient)
+        for k, l in _simple_lowering_directions(amb)
     )
 
 

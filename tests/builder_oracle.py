@@ -24,6 +24,11 @@ odd-free body.  The per-field loops read a packed monomial's exponents one
 16-bit field at a time, and `parent_weight_of` reads every term's column
 content through a 16-bit view of the monomial, with no fold of its rows.
 
+The parent's primitivity test `parent_is_primitive` embeds the vector with
+every coefficient multiplied out, tests its weight and applies every divided
+power of each simple lowering direction, listed here on its own, to the whole
+numerator, whatever the vector's prefactor.
+
 The minus bideterminant folds its columns' dminus minors together with
 loc_mul and leaves the product over D to the total column length.
 
@@ -55,8 +60,8 @@ from heapq import heapify, heappop, heappush
 from itertools import permutations
 from math import factorial
 
-from superinduce.derivation import _d_poly, _den_derivative, apply_loc, basic
-from superinduce.floors_primitives import FloorElement
+from superinduce.derivation import _d_poly, _den_derivative, apply_loc, basic, divided_power
+from superinduce.floors_primitives import FloorElement, embed_floor
 from superinduce.fraction import (
     LocalizedElement,
     det_block11,
@@ -70,6 +75,7 @@ from superinduce.fraction import (
     loc_pow,
     loc_scale,
     loc_sum,
+    loc_weight,
     lowest_terms,
 )
 from superinduce.minors import row_initial_minor, y_entry
@@ -236,6 +242,24 @@ def parent_divide_floor(x, defect):
             return None
         out[key] = q
     return FloorElement(x.ambient, x.floor, out)
+
+
+def simple_lowering_directions(amb):
+    """d[l+1,l] for each pair of neighbouring columns inside one block."""
+    return ([(l + 1, l) for l in range(1, amb.m)]
+            + [(l + 1, l) for l in range(amb.m + 1, amb.m + amb.n)])
+
+
+def parent_is_primitive(x):
+    """Primitivity on the embedded vector, its coefficients multiplied out:
+    the weight test, then every divided power of every simple lowering
+    direction on the whole numerator."""
+    emb = embed_floor(x)
+    if loc_weight(emb) is None:
+        raise UsageError("primitivity is defined for weight-homogeneous elements")
+    r = None if x.ambient.char else 1
+    return all(divided_power(emb.num, k, l, r).is_zero()
+               for k, l in simple_lowering_directions(x.ambient))
 
 
 # -- the per-call floor builders, in lowest terms ---------------------------------

@@ -1,0 +1,87 @@
+"""The mutation catalog: deliberate faults that named tests must catch.
+
+Each entry plants one fault in a file under `src/`: it replaces the exact
+`old` snippet, which occurs once in that file, by `new`.  `tests` holds the
+pytest node ids that must fail on the planted copy.  `origin` names the
+change whose tests first caught the fault.  An entry whose code has since
+been rewritten stays in the list with `retired` set to the reason, and is not
+run.
+
+`tests/run_mutants.py` runs the live entries one at a time on a copy of the
+tree; `tests/test_mutation_catalog.py` checks in tier-1 that every live
+snippet still applies and every named test exists.
+"""
+
+PRIMITIVITY_ORACLE = "tests/test_factored_primitivity.py"
+ODD_ONLY = f"{PRIMITIVITY_ORACLE}::test_a_map_that_fails_one_odd_direction_only_is_not_primitive"
+INHOMOGENEOUS = f"{PRIMITIVITY_ORACLE}::test_an_inhomogeneous_map_raises_on_every_call"
+
+MUTANTS = [
+    {
+        "id": "is-primitive-always-true",
+        "origin": "primitivity decided on a higher-floor vector's map",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "        raise UsageError(\"primitivity is defined for weight-homogeneous elements\")\n"
+               "    return verdict\n",
+        "new": "        raise UsageError(\"primitivity is defined for weight-homogeneous elements\")\n"
+               "    return True\n",
+        "tests": [ODD_ONLY],
+    },
+    {
+        "id": "is-primitive-skips-the-weight-test",
+        "origin": "primitivity decided on a higher-floor vector's map",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "    if loc_weight(emb) is None:\n        return None\n",
+        "new": "",
+        "tests": [INHOMOGENEOUS],
+    },
+    {
+        "id": "is-primitive-even-block-directions-only",
+        "origin": "primitivity decided on a higher-floor vector's map",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "    dirs += [(l + 1, l) for l in range(amb.m + 1, amb.size)]\n",
+        "new": "",
+        "tests": [ODD_ONLY],
+    },
+    {
+        "id": "lowest-terms-lowers-the-exponent-without-dividing",
+        "origin": "floor vectors from factors in lowest terms in D",
+        "file": "src/superinduce/fraction.py",
+        "old": "        num, s = q, s - 1\n",
+        "new": "        num, s = num, s - 1\n",
+        "tests": ["tests/test_lowest_terms.py::test_first_floor_vectors_render_as_the_unreduced_route"],
+    },
+    {
+        "id": "minus-minor-power-over-a-lower-exponent",
+        "origin": "floor vectors from factors in lowest terms in D",
+        "file": "src/superinduce/weights_tableaux.py",
+        "old": "        return lowest_terms(bideterminant_minus(amb, Tableau((e,) * size, rows)))\n",
+        "new": "        x = lowest_terms(bideterminant_minus(amb, Tableau((e,) * size, rows)))\n"
+               "        return LocalizedElement(x.num, max(x.d_exp - 1, 0), x.d22_exp)\n",
+        "tests": ["tests/test_lowest_terms.py::test_first_floor_vectors_render_as_the_unreduced_route"],
+    },
+    {
+        "id": "rho-quotient-drops-the-defects-power-of-d",
+        "origin": "defect divisions decided on the per-ring rho product",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "lambda: _divide_each(factors, defect))",
+        "new": "lambda: _divide_each(factors, LocalizedElement(defect.num, 0, 0)))",
+        "tests": ["tests/test_defect_division.py::test_divisions_write_what_the_parent_route_writes"],
+    },
+    {
+        "id": "rho-quotient-over-a-prefactor-of-one",
+        "origin": "defect divisions decided on the per-ring rho product",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "(prefactor, quotients, qkey))",
+        "new": "(embed_poly(x.ambient.one()), quotients, qkey))",
+        "tests": ["tests/test_defect_division.py::test_divisions_write_what_the_parent_route_writes"],
+    },
+    {
+        "id": "weight-of-never-reads-the-field-view",
+        "origin": "defect divisions decided on the per-ring rho product",
+        "file": "src/superinduce/superpoly.py",
+        "old": "        if mono & carry:\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_closed_forms.py::test_weight_of_folds_rows_as_the_field_view_reads_columns"],
+    },
+]

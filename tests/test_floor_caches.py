@@ -1,8 +1,8 @@
 """The weight-free floor data built once per ring: each cached family against
 the per-call builders of `builder_oracle`, cached values (the rho products
-divided by a defect, and the divisions that failed, among them) never
-mutated by a caller, and the termination bound of the oracle's divided-power
-loop."""
+divided by a defect, the divisions that failed, and the primitivity verdicts
+on those maps, among them) never mutated by a caller, and the termination
+bound of the oracle's divided-power loop."""
 
 from itertools import combinations
 from math import factorial
@@ -56,6 +56,9 @@ RINGS = st.builds(lambda size, char: ambient(*size, char),
 CACHED_FAMILIES = ("rho", "rhoproduct", "minorpow", "yword")
 # a per-ring map divided by a defect, or None where a division failed
 QUOTIENTS = "rhoquotient"
+# is_primitive's verdict on a factored vector's map, None where the map is
+# not weight-homogeneous
+VERDICTS = "primitive"
 
 
 def _pairs(amb):
@@ -148,8 +151,8 @@ def test_higher_floor_vectors_equal_fresh_builds(amb, data):
 
 
 def _freeze(value):
-    if value is None:
-        return None
+    if value is None or isinstance(value, bool):
+        return value
     if isinstance(value, LocalizedElement):
         return tuple(sorted(value.num.terms.items())), value.d_exp, value.d22_exp
     return tuple(sorted((key, _freeze(c)) for key, c in value.items()))
@@ -159,7 +162,7 @@ def _snapshot(amb):
     return {
         key: _freeze(value)
         for key, value in amb._cache.items()
-        if isinstance(key, tuple) and key[0] in (*CACHED_FAMILIES, QUOTIENTS)
+        if isinstance(key, tuple) and key[0] in (*CACHED_FAMILIES, QUOTIENTS, VERDICTS)
     }
 
 
@@ -196,7 +199,7 @@ def _check_cached_data_stays(amb, w):
     snapshot."""
     _run_floor_paths(amb, w)
     before = _snapshot(amb)
-    assert {key[0] for key in before} - {QUOTIENTS} == set(CACHED_FAMILIES)
+    assert {key[0] for key in before} - {QUOTIENTS} == {*CACHED_FAMILIES, VERDICTS}
     _run_floor_paths(amb, w)
     assert _snapshot(amb) == before
     for key, value in amb._cache.items():
@@ -225,6 +228,21 @@ def test_callers_never_mutate_cached_rho_quotients_or_failures():
     quotients = [value for key, value in snapshot.items() if key[0] == QUOTIENTS]
     assert None in quotients
     assert any(value is not None for value in quotients)
+
+
+def test_callers_never_mutate_cached_verdicts_or_inhomogeneous_outcomes():
+    # a factored vector whose map is not weight-homogeneous, y[1,2] + y[1,3]
+    # at (1,2): its outcome is cached as None, which raises on every call
+    amb = Ambient(1, 2, 3)
+    one = embed_poly(amb.one())
+    key = ("planted", "inhomogeneous")
+    planted = FloorElement(amb, 1, None, None, (one, {((1, 2),): one, ((1, 3),): one}, key))
+    for _ in range(2):
+        with pytest.raises(UsageError, match="weight-homogeneous"):
+            is_primitive(planted)
+        snapshot = _check_cached_data_stays(amb, make_weight((3,), (2, 1)))
+        assert snapshot[(VERDICTS, key)] is None
+    assert any(value is True for k, value in snapshot.items() if k[0] == VERDICTS)
 
 
 def test_divided_power_loop_stops_at_the_parents_bound(monkeypatch):

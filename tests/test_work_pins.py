@@ -17,12 +17,20 @@ from functools import lru_cache
 
 import superinduce
 import superinduce.cli as cli
+import superinduce.floors_primitives as floors_primitives
 import superinduce.linkage as linkage
 import superinduce.lr_oracle as lr_oracle
 import superinduce.superpoly as superpoly
 import superinduce.weights_tableaux as weights_tableaux
 from superinduce.cli import build_parser, suite_fwedge, suite_linkage
-from superinduce.floors_primitives import divide_floor, phi_floor, pi_IJ_raw, pi_ij
+from superinduce.floors_primitives import (
+    divide_floor,
+    is_primitive,
+    phi_floor,
+    pi_IJ,
+    pi_IJ_raw,
+    pi_ij,
+)
 
 LINKAGE_ARGV = ["verify", "linkage", "--m", "3", "--n", "3", "--p", "3"]
 
@@ -178,6 +186,31 @@ def test_an_unread_higher_floor_vector_multiplies_nothing_out(monkeypatch):
     assert counts["calls"] <= 4
     assert counts["term_pairs"] <= 1392
     assert counts["divides"] == 0
+
+
+def test_primitivity_of_a_three_pair_vector_is_decided_on_its_map_once(monkeypatch):
+    # pi_IJ then is_primitive for [3,2|4,0] and (1,2,2|1,1,2) in char 5, the
+    # first three-pair primitive-IJ entry of floors.json.  On a fresh
+    # Ambient: 36 dot calls over 371 term pairs and 2 divided_power calls
+    # when the whole multiplied-out vector was embedded; 35 over 262 and 2
+    # now that only its map is.  Warm: 2 calls over 153 pairs and 2
+    # divided_power calls, now none (the verdict is cached per ring and map)
+    amb = superpoly.Ambient(2, 2, 5)
+    w, family = weights_tableaux.parse_weight("[3,2|4,0]"), ((1, 2, 2), (1, 1, 2))
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    calls = {"divided_power": 0}
+    _count_calls(monkeypatch, [floors_primitives], "divided_power", calls)
+    assert is_primitive(pi_IJ(amb, w, *family))
+    assert counts["calls"] <= 35
+    assert counts["term_pairs"] <= 262
+    assert calls["divided_power"] <= 2
+    counts.update(_counts())
+    calls["divided_power"] = 0
+    assert is_primitive(pi_IJ(amb, w, *family))
+    assert counts["calls"] == 0
+    assert counts["term_pairs"] == 0
+    assert calls["divided_power"] == 0
 
 
 def test_pi_ij_then_phi_floor_at_2_3_peaks_below_its_pin():
