@@ -11,12 +11,10 @@ k <= m, else t).  Only a raise direction (k <= m < l) moves D and only a lower
 one (l <= m < k) moves D22, by the one fused product dN·D - s·N·dD over
 D^(s+1) (or its D22 twin); every other direction kills both.
 
-Divided powers and rising binomials are closed forms on the integral
-(Kostant Z-form) basis, with integer coefficients reduced once by the field.
-An even off-diagonal direction kills D and D22, and its d^(r) = d^r/r! is a
-product of binomial coefficients row by row; a diagonal direction scales each
-term, an eigenvector, by a function of its eigenvalue: μ - λ itself for d[k,k],
-so one per-term loop serves d[k,k], its divided powers and its binomials.
+The one divided-power kernel, `divided_power`, serves primitivity: an even
+off-diagonal direction kills D and D22, and its d^(r) = d^r/r! is a product
+of binomial coefficients row by row on the integral (Kostant Z-form) basis,
+with integer coefficients reduced once by the field.
 
 The structured rewrite table in this module and the direct quotient-rule
 route are deliberately independent of each other; tests compare the two on
@@ -27,8 +25,7 @@ for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb
 
 from .fraction import (
     LocalizedElement,
@@ -44,7 +41,6 @@ from .minors import row_initial_minor, twisted_generator, y_entry
 from .superpoly import (
     FIELD_MASK,
     Ambient,
-    InternalError,
     SuperPolynomial,
     UsageError,
     check_exponents,
@@ -57,34 +53,18 @@ from .weights_tableaux import dminus
 
 @dataclass(frozen=True)
 class Op:
-    """A right operator: kind 'basic' (single derivation), 'divided'
-    (r-th divided power of an even direction), or 'binomial' (the rising
-    product D(D+1)...(D+r-1)/r! of a diagonal direction)."""
+    """A right operator: the basic derivation of the direction (k, l)."""
 
-    kind: str
     k: int
     l: int
-    r: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("basic", "divided", "binomial"):
-            raise UsageError(f"unknown operator kind {self.kind!r}")
-        if self.r < 0:
-            raise UsageError("operator order must be nonnegative")
-        if self.kind == "binomial" and self.k != self.l:
-            raise UsageError("binomial operators are diagonal")
 
 
 def basic(k: int, l: int) -> Op:
-    return Op("basic", k, l)
+    return Op(k, l)
 
 
 def render_op(op: Op) -> str:
-    if op.kind == "basic":
-        return f"d[{op.k},{op.l}]"
-    if op.kind == "divided":
-        return f"d[{op.k},{op.l}]^({op.r})"
-    return f"binom(d[{op.k},{op.k}]; {op.r})"
+    return f"d[{op.k},{op.l}]"
 
 
 # -- the basic derivation on polynomials --------------------------------------------
@@ -144,9 +124,10 @@ def _column_mask(amb: Ambient, k: int) -> int:
         FIELD_MASK << shift for shift, *_ in _slots(amb, k, k)))
 
 
-def _d_loc(x: LocalizedElement, k: int, l: int) -> LocalizedElement:
+def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
+    k, l = op.k, op.l
     if k == l:
-        return _diagonal(x, k, 1, False)
+        return _diagonal(x, k)
     amb, m, s, t = x.ambient, x.ambient.m, x.d_exp, x.d22_exp
     dn = _d_poly(x.num, k, l)
     if k <= m < l and s:
@@ -158,28 +139,48 @@ def _d_loc(x: LocalizedElement, k: int, l: int) -> LocalizedElement:
     return LocalizedElement(dn, s, t)
 
 
-# -- divided powers and binomials in closed form -------------------------------------
+def _diagonal(x: LocalizedElement, k: int) -> LocalizedElement:
+    """d[k,k]: a term N/(D^s·D22^t) is an eigenvector of eigenvalue μ - λ
+    (μ the column-k content of N, λ = s for k <= m, else t), scaled by it.
+    The eigenvalue depends on a term's column-k part alone, so it is
+    computed once per distinct part."""
+    amb = x.ambient
+    column = _column_mask(amb, k)  # range-checks k
+    lam = x.d_exp if k <= amb.m else x.d22_exp
+    factors: dict = {}
+    out = {}
+    for mono, c in x.num.terms.items():
+        part = mono & column
+        factor = factors.get(part)
+        if factor is None:
+            factor = factors[part] = amb.field.intake(monomial_degree(part) - lam)
+        out[mono] = c * factor
+    return LocalizedElement(SuperPolynomial(amb, out), x.d_exp, x.d22_exp)
 
 
-def divided_power(p: SuperPolynomial, k: int, l: int, r: int | None) -> SuperPolynomial:
-    """The divided power d[k,l]^(r) = d^r/r! of an even off-diagonal direction
-    on a polynomial, in closed form: a term moves r_a of the e_a factors
-    c[a,k] of each row a to c[a,l], with coefficient binom(e_a, r_a), over all
-    (r_a) with sum r.  An odd row has e_a <= 1, is blocked by an odd c[a,l]
-    (the slot's clash bit) and signs its move by its own odd bits between the
-    two slots, so rows move independently and in any order.
+# -- the divided powers of primitivity, in closed form -------------------------------
 
-    With r None the result is the sum of the powers r >= 1 together: on a
-    polynomial homogeneous in column content, the power r adds r to column l,
-    so distinct powers land on distinct monomials and the sum vanishes exactly
-    when every power does."""
+
+def divided_power(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
+    """The divided powers d[k,l]^(r) = d^r/r!, r >= 1, of an even
+    off-diagonal direction on a polynomial, summed: in characteristic 0 the
+    first derivative d alone, in characteristic p the sum of every power, in
+    closed form.  A term moves r_a of the e_a factors c[a,k] of each row a to
+    c[a,l], with coefficient binom(e_a, r_a), over every (r_a) with sum
+    r >= 1.  An odd row has e_a <= 1, is blocked by an odd c[a,l] (the slot's
+    clash bit) and signs its move by its own odd bits between the two slots,
+    so rows move independently and in any order.
+
+    On a polynomial homogeneous in column content both results vanish
+    exactly when every divided power does: the power r adds r to column l,
+    so distinct powers land on distinct monomials, and in characteristic 0
+    d^(r) = d^r/r! vanishes once d does."""
     amb = p.ambient
     if k == l or amb.gen_parity(k, l):
         raise UsageError("closed-form divided powers are for even off-diagonal directions")
-    if r == 1:
-        return _d_poly(p, k, l)  # binom(e_a, 1) = e_a: the basic derivation
+    if not amb.char:
+        return _d_poly(p, k, l)
     slots = _slots(amb, k, l)
-    column_k = _column_mask(amb, k)
     acc: dict = {}
     for mono, c in p.terms.items():
         images = [(mono, c)]  # the term, then every combination of row moves
@@ -192,55 +193,11 @@ def divided_power(p: SuperPolynomial, k: int, l: int, r: int | None) -> SuperPol
             else:
                 images += [(mo + j * delta, comb(e, j) * cc)
                            for mo, cc in images for j in range(1, e + 1)]
-        if r is None:
-            del images[0]
-        else:  # the order of an image: the factors that left column k
-            images = [(mo, cc) for mo, cc in images
-                      if monomial_degree((mono & column_k) - (mo & column_k)) == r]
-        for mo, cc in images:
+        for mo, cc in images[1:]:
             prev = acc.get(mo)
             acc[mo] = cc if prev is None else prev + cc
     check_exponents(amb, acc)
     return SuperPolynomial(amb, acc)
-
-
-def _diagonal(x: LocalizedElement, k: int, r: int, rising: bool) -> LocalizedElement:
-    """d[k,k]^(r) (d[k,k] itself at r = 1), or binom(d[k,k]; r) when rising: a
-    term N/(D^s·D22^t) is an eigenvector of eigenvalue μ = (column-k content of
-    N) - λ (λ = s for k <= m, else t), scaled by μ^r/r! or by the rising
-    binomial μ(μ+1)...(μ+r-1)/r!.  The factor depends on a term's column-k part
-    alone, so it is computed once per distinct part."""
-    amb = x.ambient
-    column = _column_mask(amb, k)  # range-checks k
-    lam = x.d_exp if k <= amb.m else x.d22_exp
-    factors: dict = {}
-    out = {}
-    for mono, c in x.num.terms.items():
-        part = mono & column
-        factor = factors.get(part)
-        if factor is None:
-            mu = monomial_degree(part) - lam
-            top, den = prod(range(mu, mu + r)) if rising else mu**r, factorial(r)
-            try:
-                factor = factors[part] = amb.field.intake(
-                    top // den if top % den == 0 else Fraction(top, den))
-            except UsageError as exc:
-                raise InternalError("a divided operator left the integral form") from exc
-        out[mono] = c * factor
-    return LocalizedElement(SuperPolynomial(amb, out), x.d_exp, x.d22_exp)
-
-
-def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
-    if op.kind == "basic":
-        return _d_loc(x, op.k, op.l)
-    if op.kind == "divided" and x.ambient.gen_parity(op.k, op.l):
-        raise UsageError("divided powers are defined for even directions only")
-    if op.r == 0:
-        return x
-    if op.k == op.l:
-        return _diagonal(x, op.k, op.r, op.kind == "binomial")
-    # an even off-diagonal direction kills D and D22: the numerator alone moves
-    return LocalizedElement(divided_power(x.num, op.k, op.l, op.r), x.d_exp, x.d22_exp)
 
 
 # -- the structured rewrite table -----------------------------------------------------
@@ -289,8 +246,6 @@ def structured_rule(amb: Ambient, factor, op: Op):
     operator to the embedded factor, which is exactly what the rewrite-rule
     tests check.
     """
-    if op.kind != "basic":
-        raise UsageError("the rewrite table covers basic operators only")
     k, l, m = op.k, op.l, amb.m
     mixed_up = k <= m < l
     mixed_down = k > m >= l

@@ -680,11 +680,9 @@ def _lowering_verdict(emb: LocalizedElement):
     divided power of every simple lowering direction kills it."""
     if loc_weight(emb) is None:
         return None
-    amb = emb.ambient
-    r = None if amb.char else 1
     return all(
-        divided_power(emb.num, k, l, r).is_zero()
-        for k, l in _simple_lowering_directions(amb)
+        divided_power(emb.num, k, l).is_zero()
+        for k, l in _simple_lowering_directions(emb.ambient)
     )
 
 

@@ -14,10 +14,11 @@ the parent's value reduced by `lowest_terms` (a lowest form is unique, since
 D is a nonzerodivisor), and the full even-block minor's power only moves the
 exponent of D.
 
-The integral lift runs a divided power or a rising binomial the long way: the
-coefficients are read in Q, the basic operator is iterated, the factorial is
-divided off, and the result is lowered back into F_p; the divided-power loop
-of primitivity runs the same way, one power at a time, up to a degree bound.
+The integral lift runs a divided power the long way: the coefficients are
+read in Q, the basic operator is iterated, the factorial is divided off, and
+the result is lowered back into F_p; `lifted_divided_powers` sums the lifted
+powers as `derivation.divided_power` does, and the divided-power loop of
+primitivity runs one power at a time, up to a degree bound.
 The layered division divides layer by layer in the number of odd factors,
 each layer one graded-lexicographic leading-term division by the divisor's
 odd-free body.  The per-field loops read a packed monomial's exponents one
@@ -68,7 +69,6 @@ from superinduce.fraction import (
     det_block22,
     den_power,
     embed_poly,
-    loc_add,
     loc_divide_exact,
     loc_eq,
     loc_mul,
@@ -257,8 +257,7 @@ def parent_is_primitive(x):
     emb = embed_floor(x)
     if loc_weight(emb) is None:
         raise UsageError("primitivity is defined for weight-homogeneous elements")
-    r = None if x.ambient.char else 1
-    return all(divided_power(emb.num, k, l, r).is_zero()
+    return all(divided_power(emb.num, k, l).is_zero()
                for k, l in simple_lowering_directions(x.ambient))
 
 
@@ -479,21 +478,24 @@ def lower(p0, char):
     return SuperPolynomial(amb, terms)
 
 
-def lifted_apply(op, x, step=None):
-    """A divided power or a rising binomial through the lift: r basic steps
-    (by `step`, default the basic operator of `apply_loc`) in Q, the
+def lifted_apply(k, l, r, x):
+    """The divided power d[k,l]^(r) through the lift: r basic steps in Q, the
     factorial divided off, and the result lowered back to x's field."""
-    step = step or (lambda u: apply_loc(basic(op.k, op.l), u))
-    if op.kind == "divided" and x.ambient.gen_parity(op.k, op.l):
-        raise UsageError("divided powers are defined for even directions only")
-    if op.r == 0:
-        return x
     cur = LocalizedElement(lift(x.num), x.d_exp, x.d22_exp)
-    for i in range(op.r):
-        nxt = step(cur)
-        cur = nxt if op.kind == "divided" else loc_add(nxt, loc_scale(cur, i))
-    cur = loc_scale(cur, Fraction(1, factorial(op.r)))
+    for _ in range(r):
+        cur = apply_loc(basic(k, l), cur)
+    cur = loc_scale(cur, Fraction(1, factorial(r)))
     return LocalizedElement(lower(cur.num, x.ambient.char), cur.d_exp, cur.d22_exp)
+
+
+def lifted_divided_powers(p, k, l):
+    """What `derivation.divided_power` returns, through the lift: the first
+    derivative in characteristic 0, and in characteristic p the sum of the
+    lifted powers r = 1 .. the total degree of p (every higher power
+    vanishes)."""
+    x = embed_poly(p)
+    top = total_degree(p) if p.ambient.char else 1
+    return loc_sum(p.ambient, [lifted_apply(k, l, r, x) for r in range(1, top + 1)]).num
 
 
 def divided_powers_vanish(emb, k, l):
@@ -533,14 +535,6 @@ def parent_d_loc(x, k, l):
         dden = _den_derivative(amb, 22, k, l).scale(-t)
         return LocalizedElement(dot(amb, ((dn, det_block22(amb)), (x.num, dden))), s, t + 1)
     return LocalizedElement(dn, s, t)
-
-
-def parent_apply(op, x):
-    """A basic operator by `parent_d_loc`; a divided power or a rising binomial
-    by the integral lift, stepping with `parent_d_loc`."""
-    if op.kind == "basic":
-        return parent_d_loc(x, op.k, op.l)
-    return lifted_apply(op, x, step=lambda u: parent_d_loc(u, op.k, op.l))
 
 
 def parent_loc_divide_exact(x, d):

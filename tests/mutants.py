@@ -15,6 +15,7 @@ snippet still applies and every named test exists.
 PRIMITIVITY_ORACLE = "tests/test_factored_primitivity.py"
 ODD_ONLY = f"{PRIMITIVITY_ORACLE}::test_a_map_that_fails_one_odd_direction_only_is_not_primitive"
 INHOMOGENEOUS = f"{PRIMITIVITY_ORACLE}::test_an_inhomogeneous_map_raises_on_every_call"
+FALLBACK = "tests/test_defect_division.py::test_the_fallback_and_its_retry_decide_divisions_at_2_3"
 
 MUTANTS = [
     {
@@ -75,6 +76,27 @@ MUTANTS = [
         "old": "(prefactor, quotients, qkey))",
         "new": "(embed_poly(x.ambient.one()), quotients, qkey))",
         "tests": ["tests/test_defect_division.py::test_divisions_write_what_the_parent_route_writes"],
+    },
+    {
+        "id": "divide-floor-without-the-multiplied-out-fallback",
+        "origin": "basic derivations only, with the fallback divisions pinned",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "        if quotients is not None:\n"
+               "            return FloorElement(x.ambient, x.floor, None, x.render_exp, "
+               "(prefactor, quotients, qkey))\n",
+        "new": "        if quotients is None:\n"
+               "            return None\n"
+               "        return FloorElement(x.ambient, x.floor, None, x.render_exp, "
+               "(prefactor, quotients, qkey))\n",
+        "tests": [FALLBACK],
+    },
+    {
+        "id": "divide-each-without-the-retry-over-render-exp",
+        "origin": "basic derivations only, with the fallback divisions pinned",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "            q = loc_divide_exact(raised_to(c, render_exp), defect)\n",
+        "new": "            pass\n",
+        "tests": [FALLBACK],
     },
     {
         "id": "weight-of-never-reads-the-field-view",

@@ -1,7 +1,5 @@
 """Ring helpers that only the tests read: the total degree of a polynomial,
-the constructors of divided-power and rising-binomial operators (the product
-builds those only as `Op` values), a derivation on a polynomial that checks
-no denominator appears, the
+a derivation on a polynomial that checks no denominator appears, the
 supercommutator identity of the basic operators, negation and difference of
 localized elements, and the parser that inverts `render_loc` for text round
 trips."""
@@ -30,14 +28,6 @@ from superinduce.superpoly import (
 def total_degree(p: SuperPolynomial) -> int:
     """The largest total degree of a term of p; 0 for the zero polynomial."""
     return max((monomial_degree(mo) for mo in p.terms), default=0)
-
-
-def divided(k: int, l: int, r: int) -> Op:
-    return Op("divided", k, l, r)
-
-
-def binomial(k: int, r: int) -> Op:
-    return Op("binomial", k, k, r)
 
 
 # -- localized arithmetic and text ------------------------------------------------------
@@ -90,8 +80,6 @@ def bracket_check(x: LocalizedElement, a: Op, b: Op) -> bool:
 
     equals [l_a == k_b] (x)d[k_a,l_b] - (-1)^(|a||b|) [l_b == k_a] (x)d[k_b,l_a].
     """
-    if a.kind != "basic" or b.kind != "basic":
-        raise UsageError("the bracket identity is for basic operators")
     amb = x.ambient
     sgn = -1 if op_parity(amb, a) and op_parity(amb, b) else 1
     xab = apply_loc(b, apply_loc(a, x))

@@ -1,5 +1,5 @@
 """The closed-form kernels against the routes they replaced (`builder_oracle`):
-divided powers and binomials against the integral lift, every direction of
+the summed divided powers against the sum of the lifted powers, every direction of
 the quotient rule against the parent's diagonal route dN - λ·N, the localized
 division against the parent's unconditional denominator product, the
 primitivity vanishing check against the lift's power-by-power loop, the
@@ -45,17 +45,18 @@ from superinduce.superpoly import (
     weight_of,
 )
 from superinduce.weights_tableaux import dminus, make_weight
-from ring_oracle import apply_poly, binomial, divided
+from ring_oracle import apply_poly
 from builder_oracle import (
     divided_powers_vanish,
     fresh_embed_floor,
     layered_exact_divide,
     lifted_apply,
+    lifted_divided_powers,
     loop_column_content,
     loop_monomial_degree,
     loop_monomial_items,
     odd_layer,
-    parent_apply,
+    parent_d_loc,
     parent_loc_divide_exact,
     parent_weight_of,
 )
@@ -117,41 +118,23 @@ def _homogeneous_poly(data, amb, max_terms=5):
     return p * _power_of_p(data, amb) if data.draw(st.booleans()) else p
 
 
-# -- divided powers and binomials ----------------------------------------------------
+# -- the summed divided powers --------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(RINGS, st.data())
 def test_closed_form_operators_equal_the_lift(amb, data):
-    x = LocalizedElement(_random_poly(data, amb), data.draw(st.integers(0, 2)),
-                         data.draw(st.integers(0, 2)))
-    r = data.draw(st.integers(0, 4 if amb.char != 5 else 6))
-    ops = [divided(k, l, r) for k, l in _even_directions(amb)]
-    ops += [op for k in range(1, amb.size + 1) for op in (divided(k, k, r), binomial(k, r))]
-    for op in ops:
-        assert _outcome(lambda: apply_loc(op, x)) == _outcome(lambda: lifted_apply(op, x)), op
-
-
-def test_a_diagonal_divided_power_leaves_the_integral_form():
-    # c11 is an eigenvector of d[1,1] with eigenvalue 1, and 1^3/3! is not
-    # 3-integral; its rising binomial 1·2·3/3! = 1 is
-    for amb in (ambient(2, 1, 3), ambient(1, 2, 3)):
-        x = embed_poly(amb.gen(1, 1))
-        for run in (lambda: apply_loc(divided(1, 1, 3), x),
-                    lambda: lifted_apply(divided(1, 1, 3), x)):
-            with pytest.raises(InternalError, match="integral form"):
-                run()
-        assert apply_loc(binomial(1, 3), x) == lifted_apply(binomial(1, 3), x) == x
-    # in char 5 the same power is integral: 1/6 is a unit mod 5
-    amb = ambient(2, 1, 5)
-    assert apply_poly(divided(1, 1, 3), amb.gen(1, 1)) == amb.gen(1, 1).scale(pow(6, -1, 5))
+    p = _random_poly(data, amb)
+    for k, l in _even_directions(amb):
+        assert divided_power(p, k, l) == lifted_divided_powers(p, k, l), (k, l)
 
 
 def test_closed_form_rejects_directions_it_does_not_cover():
-    amb = ambient(2, 1)
-    for k, l in [(1, 1), (1, 3), (3, 2)]:
-        with pytest.raises(UsageError):
-            divided_power(amb.gen(1, 1), k, l, 1)
+    for char in (0, 3):
+        amb = ambient(2, 1, char)
+        for k, l in [(1, 1), (1, 3), (3, 2)]:
+            with pytest.raises(UsageError):
+                divided_power(amb.gen(1, 1), k, l)
 
 
 # -- the one diagonal kernel ----------------------------------------------------------
@@ -165,15 +148,9 @@ def test_every_direction_equals_the_parents_diagonal_route(amb, data):
            + amb.gen(*data.draw(st.sampled_from(_gens(amb)))))
     assume(weight_of(num) is None)
     x = LocalizedElement(num, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
-    r = data.draw(st.integers(0, 4))
-    for k, l in _gens(amb):
-        ops = [basic(k, l)]
-        if k == l:
-            ops += [divided(k, k, r), binomial(k, r)]
-        elif not amb.gen_parity(k, l):
-            ops.append(divided(k, l, r))
-        for op in ops:  # the same numerator and exponents, or the same error
-            assert _outcome(lambda: apply_loc(op, x)) == _outcome(lambda: parent_apply(op, x)), op
+    for k, l in _gens(amb):  # the same numerator and exponents, or the same error
+        assert _outcome(lambda: apply_loc(basic(k, l), x)) == _outcome(
+            lambda: parent_d_loc(x, k, l)), (k, l)
 
 
 # -- the vanishing check of primitivity -----------------------------------------------
@@ -181,7 +158,7 @@ def test_every_direction_equals_the_parents_diagonal_route(amb, data):
 
 def _vanishes(x, k, l):
     """Every divided power of d[k,l] kills x: the closed form's check."""
-    return divided_power(x.num, k, l, None if x.ambient.char else 1).is_zero()
+    return divided_power(x.num, k, l).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,8 +196,9 @@ def test_a_pth_power_survives_its_pth_divided_power():
     # the third divided power is c11^3, so c12^3 is not killed
     amb = ambient(2, 1, 3)
     x = embed_poly(amb.gen(1, 2) ** 3)
-    assert divided_power(x.num, 2, 1, 1).is_zero()
-    assert divided_power(x.num, 2, 1, 3) == amb.gen(1, 1) ** 3
+    assert apply_poly(basic(2, 1), x.num).is_zero()
+    assert lifted_apply(2, 1, 3, x).num == amb.gen(1, 1) ** 3
+    assert divided_power(x.num, 2, 1) == amb.gen(1, 1) ** 3 == lifted_divided_powers(x.num, 2, 1)
     assert not _vanishes(x, 2, 1) and not divided_powers_vanish(x, 2, 1)
     assert _vanishes(embed_poly(amb.gen(1, 1) ** 3), 2, 1)
 
@@ -228,22 +206,25 @@ def test_a_pth_power_survives_its_pth_divided_power():
 def test_odd_rows_sign_their_moves_and_are_blocked_by_their_targets():
     # at (3,2) the odd rows 4 and 5 hold odd generators in columns 1..3:
     # d[1,3] moves c[a,1] past c[a,2] to c[a,3], one sign per row, and a
-    # c[a,3] already present blocks its row
-    amb = ambient(3, 2)
+    # c[a,3] already present blocks its row; in char 3 the kernel sums the
+    # first and the second power
+    amb = ambient(3, 2, 3)
     g = amb.gen
     x = g(4, 1) * g(4, 2) * g(5, 1) * g(5, 2)
-    assert divided_power(x, 1, 3, 1) == apply_poly(basic(1, 3), x)
+    first = apply_poly(basic(1, 3), x)
     both = g(4, 3) * g(4, 2) * g(5, 3) * g(5, 2)
-    assert divided_power(x, 1, 3, 2) == lifted_apply(divided(1, 3, 2), embed_poly(x)).num == both
+    assert lifted_apply(1, 3, 2, embed_poly(x)).num == both
+    assert divided_power(x, 1, 3) == first + both == lifted_divided_powers(x, 1, 3)
     blocked = g(4, 1) * g(4, 3) * g(5, 1) * g(5, 2)
-    assert divided_power(blocked, 1, 3, 2).is_zero()
-    assert divided_power(blocked, 1, 3, 1) == apply_poly(basic(1, 3), blocked)
-    assert not divided_power(blocked, 1, 3, 1).is_zero()
+    assert lifted_apply(1, 3, 2, embed_poly(blocked)).is_zero()
+    assert divided_power(blocked, 1, 3) == apply_poly(basic(1, 3), blocked)
+    assert not divided_power(blocked, 1, 3).is_zero()
     # row 4 passes its odd c[4,2] and row 5 passes nothing: only the odd
     # bits between a row's own two slots sign its move
     mixed = g(4, 1) * g(4, 2) * g(5, 1)
-    assert divided_power(mixed, 1, 3, 2) == g(4, 3) * g(4, 2) * g(5, 3)
-    assert divided_power(mixed, 1, 3, 2) == lifted_apply(divided(1, 3, 2), embed_poly(mixed)).num
+    assert lifted_apply(1, 3, 2, embed_poly(mixed)).num == g(4, 3) * g(4, 2) * g(5, 3)
+    assert divided_power(mixed, 1, 3) == apply_poly(basic(1, 3), mixed) + g(4, 3) * g(4, 2) * g(5, 3)
+    assert divided_power(mixed, 1, 3) == lifted_divided_powers(mixed, 1, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,11 +242,8 @@ def test_odd_rows_move_as_in_the_lift(size, char, data):
             row = data.draw(st.sampled_from(odd_rows + [block[0]]))
             term = term * amb.gen(row, data.draw(st.sampled_from(block)))
         x = x + term
-    x = embed_poly(x)
     for k, l in [(block[0], block[2]), (block[2], block[0])]:
-        for r in (2, 3):
-            assert _outcome(lambda: apply_loc(divided(k, l, r), x)) == _outcome(
-                lambda: lifted_apply(divided(k, l, r), x)), (k, l, r)
+        assert divided_power(x, k, l) == lifted_divided_powers(x, k, l), (k, l)
 
 
 # -- one-pass division -----------------------------------------------------------------

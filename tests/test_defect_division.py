@@ -7,7 +7,10 @@ and every written coefficient must be the parent's, whose builders multiply
 each coefficient out unreduced and divide it (`builder_oracle`), including
 the weights whose gaps do not absorb a family, and through the combination
 search.  The rendered vectors, defects and quotients of the benchmark's
-recorded divisions must hash as they did before the factored route.
+recorded divisions must hash as they did before the factored route.  Where
+the defect does not divide the rho product's map, the multiplied-out vector
+can still divide, at its own exponent or only over D^render_exp: that
+fallback and its retry decide outcomes at (2,3) in char 3.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ from superinduce.floors_primitives import (
     pi_IJ_raw,
     search_module_combinations,
 )
-from superinduce.fraction import raised_to, render_loc
+from superinduce.fraction import loc_divide_exact, raised_to, render_loc
 from superinduce.superpoly import Ambient, ambient
 from superinduce.weights_tableaux import is_admissible_pair, make_weight, parse_weight
 from builder_oracle import parent_divide_floor, parent_pi_IJ_raw
@@ -33,6 +36,10 @@ SIZES = [(2, 1), (1, 2), (2, 2), (3, 1)]
 CHARS = [0, 3, 5]
 RINGS = st.builds(lambda size, char: ambient(*size, char),
                   st.sampled_from(SIZES), st.sampled_from(CHARS))
+# the parent-equality rings: (2,3) as well, in char 3, where the fallback of
+# divide_floor decides outcomes
+PARENT_RINGS = st.builds(lambda size, char: ambient(*size, 3 if size == (2, 3) else char),
+                         st.sampled_from(SIZES + [(2, 3)]), st.sampled_from(CHARS))
 FLOORS = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "floors.json"
 
 
@@ -57,7 +64,7 @@ def _written(x):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(RINGS, st.data())
+@given(PARENT_RINGS, st.data())
 def test_divisions_write_what_the_parent_route_writes(amb, data):
     w = _weight(data, amb)
     families = _families(amb, w)
@@ -72,6 +79,29 @@ def test_divisions_write_what_the_parent_route_writes(amb, data):
     assert _written(quotient) == _written(parent_divide_floor(parent_raw, parent_defect))
     assert _written(divide_floor(raw, defect)) == _written(quotient)
     assert floor_element_to_json(raw) == floor_element_to_json(parent_raw)
+
+
+# the two divisions at (2,3) in char 3 that the multiplied-out vector decides
+# after the rho map's division failed, for the family (1,1,2|1,2,3): the
+# first divides at each coefficient's own exponent, the second only over
+# D^render_exp
+FALLBACK_FAMILY = ((1, 1, 2), (1, 2, 3))
+FALLBACK_DIVISIONS = [("[2,0|2,2,1]", 7, True), ("[2,0|1,1,0]", 4, False)]
+
+
+def test_the_fallback_and_its_retry_decide_divisions_at_2_3():
+    for text, render_exp, first_attempt in FALLBACK_DIVISIONS:
+        amb = Ambient(2, 3, 3)  # fresh: nothing cached yet
+        w = parse_weight(text)
+        raw, defect = pi_IJ_raw(amb, w, *FALLBACK_FAMILY)
+        assert raw.render_exp == render_exp
+        quotient = divide_floor(raw, defect)
+        assert amb._cache[("rhoquotient", raw.factored[2], defect)] is None, text
+        assert quotient is not None, text
+        assert first_attempt == all(
+            loc_divide_exact(c, defect) is not None for c in raw.terms.values()), text
+        parent = parent_divide_floor(*parent_pi_IJ_raw(amb, w, *FALLBACK_FAMILY))
+        assert _written(quotient) == _written(parent), text
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

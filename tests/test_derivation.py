@@ -1,4 +1,4 @@
-"""The right-derivation engine: signs, quotient rule, divided powers, rewrite table."""
+"""The right-derivation engine: signs, quotient rule, the divided-power kernel, rewrite table."""
 
 from itertools import product
 
@@ -19,9 +19,9 @@ from superinduce.derivation import (
     FDplus,
     FPhi,
     FY,
-    Op,
     apply_loc,
     basic,
+    divided_power,
     embed_formal,
     embed_formal_factor,
     rewrite_rule_check,
@@ -31,8 +31,7 @@ from superinduce.derivation import (
 )
 from superinduce.minors import y_entry
 from superinduce.superpoly import EXPONENT_CAP, leibniz_det
-from ring_oracle import apply_poly, binomial, bracket_check, divided
-from builder_oracle import lifted_apply
+from ring_oracle import apply_poly, bracket_check
 from word_oracle import SIZES, pack, random_words, unpack, word_derivative
 
 
@@ -198,7 +197,7 @@ def test_block_determinants_move_only_along_their_direction_class(m, n, char):
 
 def _parent_d_loc(x, k, l):
     """The general quotient rule, probing whether each block determinant
-    moves: the route the closed form in derivation._d_loc replaced."""
+    moves: the route the closed form in derivation.apply_loc replaced."""
     amb = x.ambient
     da = _d_poly(x.num, k, l)
     s, t = x.d_exp, x.d22_exp
@@ -222,14 +221,6 @@ def _parent_d_loc(x, k, l):
     return LocalizedElement(num, s + int(bump_s), t + int(bump_t))
 
 
-def _parent_apply(op, x):
-    """apply_loc with every basic step taken by the parent's quotient rule,
-    and every divided power and binomial by the integral lift."""
-    if op.kind == "basic":
-        return _parent_d_loc(x, op.k, op.l)
-    return lifted_apply(op, x, step=lambda u: _parent_d_loc(u, op.k, op.l))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.data(),
@@ -242,18 +233,9 @@ def test_closed_form_quotient_rule_equals_the_parents(data, size, char):
     x = LocalizedElement(
         _random_poly(amb, data), data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     )
-    r = data.draw(st.integers(0, 3))
     for k, l in product(range(1, amb.size + 1), repeat=2):
-        ops = [basic(k, l)]
-        # a diagonal direction's divided powers leave the integral form in
-        # char p (c11 under d[1,1]^(3) is c11/6); its binomials do not
-        if k == l:
-            ops.append(binomial(k, r))
-        elif not amb.gen_parity(k, l):
-            ops.append(divided(k, l, r))
-        for op in ops:
-            assert loc_eq(apply_loc(op, x), _parent_apply(op, x)), (op, x)
         got = apply_loc(basic(k, l), x)
+        assert loc_eq(got, _parent_d_loc(x, k, l)), (k, l, x)
         if got.is_zero():
             continue
         grow = (got.d_exp - x.d_exp, got.d22_exp - x.d22_exp)
@@ -302,46 +284,29 @@ def test_bracket_identity(data):
 
 
 def test_divided_power_char0():
+    # in characteristic 0 the kernel is the first derivative: d^(r) = d^r/r!
+    # vanishes once d does
     amb = ambient(2, 1)
-    p = amb.gen(1, 1) ** 2
-    # the diagonal direction scales c11^2 by 2 each time: 2·2/2! = 2
-    assert apply_poly(divided(1, 1, 2), p) == p.scale(2)
-    # rising binomial with eigenvalue 2 and order 2: 2·3/2 = 3
-    assert apply_poly(binomial(1, 2), p) == p.scale(3)
+    p = amb.gen(1, 2) ** 3 + amb.gen(2, 2) * amb.gen(1, 1)
+    assert divided_power(p, 2, 1) == apply_poly(basic(2, 1), p)
+    assert divided_power(amb.gen(1, 1) ** 3, 2, 1).is_zero()
 
 
 def test_divided_power_charp_lift():
     # in characteristic 3 the third derivative of c12^3 is 3! c11^3, which a
-    # naive modular iteration flattens to zero; the integral lift keeps it
+    # naive modular iteration flattens to zero; the closed form keeps its
+    # third divided power c11^3, and the lower two vanish mod 3
     amb = ambient(2, 1, 3)
     p = amb.gen(1, 2) ** 3
     naive = apply_poly(basic(2, 1), p)
     assert naive.is_zero()  # 3·c12^2·c11 vanishes mod 3
-    got = apply_poly(divided(2, 1, 3), p)
-    assert got == amb.gen(1, 1) ** 3
+    assert divided_power(p, 2, 1) == amb.gen(1, 1) ** 3
 
 
 def test_divided_power_rejects_odd_direction():
     amb = ambient(1, 1)
     with pytest.raises(UsageError):
-        apply_poly(divided(1, 2, 2), amb.gen(1, 2))
-
-
-def test_binomial_is_rising_not_falling():
-    # eigenvalue -1: rising (-1)(0)/2 = 0 but falling (-1)(-2)/2 = 1; the
-    # vanishing pins the rising convention
-    amb = ambient(1, 1)
-    inv_d = LocalizedElement(amb.one(), 1, 0)
-    assert apply_loc(binomial(1, 2), inv_d).is_zero()
-    assert loc_eq(apply_loc(binomial(1, 1), inv_d), loc_scale(inv_d, -1))
-
-
-def test_binomial_charp():
-    amb = ambient(1, 1, 3)
-    # eigenvalue 4 on c11^4: rising 4·5·6/3! = 20 ≡ 2 mod 3, even though the
-    # factorial and one factor are divisible by 3
-    p = amb.gen(1, 1) ** 4
-    assert apply_poly(binomial(1, 3), p) == p.scale(20)
+        divided_power(amb.gen(1, 2), 1, 2)
 
 
 # -- rewrite table spot checks (the exhaustive sweep lives in the acceptance tests) --
@@ -396,11 +361,3 @@ def test_embed_formal_dminus_is_twisted_determinant():
     swapped = embed_formal_factor(amb, FDminus((4, 3)))
     assert loc_eq(d_all, loc_scale(swapped, -1))
 
-
-def test_op_validation():
-    with pytest.raises(UsageError):
-        Op("squared", 1, 1)
-    with pytest.raises(UsageError):
-        Op("binomial", 1, 2)
-    with pytest.raises(UsageError):
-        Op("basic", 1, 1, -1)

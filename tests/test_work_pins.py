@@ -188,6 +188,25 @@ def test_an_unread_higher_floor_vector_multiplies_nothing_out(monkeypatch):
     assert counts["divides"] == 0
 
 
+def test_fallback_division_at_2_3_multiplies_out_and_divides_each_coefficient(monkeypatch):
+    # [2,0|2,2,1] for (1,1,2|1,2,3) in char 3 at (2,3), on warm caches: the
+    # defect does not divide the rho product's map (cached as None), so every
+    # call multiplies the vector out and divides it coefficient by
+    # coefficient, and succeeds.  Recorded before the derivation layer kept
+    # basic operators only: 25 dot calls over 255,056 term pairs and 8
+    # exact_divide calls, the same under PYTHONHASHSEED 0, 1 and 7.  The
+    # margin is zero: the counts are exact
+    amb = superpoly.Ambient(2, 3, 3)
+    w, family = weights_tableaux.parse_weight("[2,0|2,2,1]"), ((1, 1, 2), (1, 2, 3))
+    assert divide_floor(*pi_IJ_raw(amb, w, *family)) is not None
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    assert divide_floor(*pi_IJ_raw(amb, w, *family)) is not None
+    assert counts["calls"] <= 25
+    assert counts["term_pairs"] <= 255056
+    assert counts["divides"] <= 8
+
+
 def test_primitivity_of_a_three_pair_vector_is_decided_on_its_map_once(monkeypatch):
     # pi_IJ then is_primitive for [3,2|4,0] and (1,2,2|1,1,2) in char 5, the
     # first three-pair primitive-IJ entry of floors.json.  On a fresh
