@@ -16,13 +16,16 @@ the fraction field and the exact-division gate reports that honestly
 instead of clearing denominators silently.  Their weight-free factors are
 kept in lowest terms in D, once per ring, and no vector divides per call;
 output writes each coefficient over the exponent of the unreduced product
-of minors (a vector's render_exp).  A higher-floor vector is its prefactor
-over the per-ring rho product of its family, multiplied out only when its
-coefficients are read.  Only the prefactor depends on the weight, so a
-defect that divides the rho product divides the vector: that division is
-made once per ring, and the vector's is tried only when it fails.  Every
-lowering divided power kills the prefactor, so the primitivity of such a
-vector is decided on its map alone, once per ring and map.
+of minors (a vector's render_exp).  Every first-floor and higher-floor
+vector is its prefactor over the per-ring rho product of its family (one
+pair for a first-floor vector), multiplied out only when its coefficients
+are read; a first-floor vector reads them once as it is built, since
+phi_floor reads every one of them.  Only the prefactor depends on the
+weight, so a defect that divides the rho product divides the vector: that
+division is made once per ring, and the vector's is tried only when it
+fails.  Every lowering divided power kills the prefactor, so the
+primitivity of such a vector is decided on its map alone, once per ring and
+map.
 """
 
 from __future__ import annotations
@@ -91,9 +94,11 @@ class FloorElement:
     factored, when set, is (prefactor, factors, key): the coefficients are
     prefactor·c for each c of the read-only per-ring map factors, which
     Ambient.cached holds under key, and they are multiplied out on the first
-    read of terms, once per element.  The prefactor is a product of powers
-    of nested leading minors and of D (``minor_power_product``), which every
-    simple lowering direction kills: is_primitive relies on it."""
+    read of terms, once per element.  Every pi_ij and pi_IJ_raw vector, and
+    every quotient divide_floor makes on a map, is factored; pi_ij reads its
+    terms as it is built.  The prefactor is a product of powers of nested
+    leading minors and of D (``minor_power_product``), which every simple
+    lowering direction kills: is_primitive relies on it."""
 
     __slots__ = ("ambient", "floor", "_terms", "render_exp", "factored")
 
@@ -272,8 +277,11 @@ def _times(prefactor: LocalizedElement, coeffs) -> dict:
 
 def pi_ij(amb: Ambient, w: Weight, i: int, j: int) -> FloorElement:
     """The first-floor vector at (i, j): the highest vector divided by the
-    (i, j) leading minors, times the weight-free double sum.  It renders over
-    the ledger's exponent plus the j - 1 of the rho factor."""
+    (i, j) leading minors, times the weight-free double sum.  It is the
+    one-pair case of the higher-floor vectors, factored over the per-ring rho
+    product of (i|j), so its primitivity is decided on that map.  Its
+    coefficients are multiplied out before it returns: phi_floor reads every
+    one of them anyway."""
     if (w.m, w.n) != (amb.m, amb.n):
         raise UsageError("weight block sizes do not match the ambient")
     if not is_dominant(w):
@@ -285,10 +293,9 @@ def pi_ij(amb: Ambient, w: Weight, i: int, j: int) -> FloorElement:
     plus_exps[i - 1] -= 1
     if j > 1:
         minus_exps[j - 2] -= 1
-    prefactor = minor_power_product(amb, plus_exps, minus_exps)
-    terms = _times(prefactor, rho_pair(amb, i, j))
-    return FloorElement(amb, 1, {(pair,): c for pair, c in terms.items()},
-                        ledger_exponent(plus_exps, minus_exps) + j - 1)
+    vec = _factored_vector(amb, (i,), (j,), plus_exps, minus_exps)
+    vec.terms  # multiplied out once, here
+    return vec
 
 
 def pi_plus(amb: Ambient, w: Weight, i: int) -> FloorElement:
@@ -347,24 +354,39 @@ def pi_minus(amb: Ambient, w: Weight, j: int) -> FloorElement:
 def rho_product(amb: Ambient, I, J) -> MappingProxyType:
     """The signed product of the rho factors of the family (I|J), in its
     order: a read-only map from exterior words to localized coefficients in
-    lowest terms, built once per ring and family."""
+    lowest terms, built once per ring and family.  The empty family maps the
+    empty word to one."""
+    I, J = tuple(I), tuple(J)
 
     def build():
-        words = {(): embed_poly(amb.one())}
-        for i_s, j_s in zip(I, J):
+        if not I:
+            return MappingProxyType({(): embed_poly(amb.one())})
+        # the first factor's map, which rho_pair holds in lowest terms already
+        words = {(pair,): c for pair, c in rho_pair(amb, I[0], J[0]).items()}
+        for i_s, j_s in zip(I[1:], J[1:]):
             new: dict = {}
             for word, c in words.items():
                 for pair, c2 in rho_pair(amb, i_s, j_s).items():
                     sign, merged = sort_with_sign(word + (pair,))
                     if merged is None:
                         continue
-                    # the empty word's coefficient is one: take c2 as it is
-                    add = loc_mul(c, c2) if word else c2
+                    add = loc_mul(c, c2)
                     new.setdefault(merged, []).append(add if sign > 0 else loc_scale(add, -1))
             words = {key: lowest_terms(loc_sum(amb, pieces)) for key, pieces in new.items()}
         return MappingProxyType(words)
 
-    return amb.cached(("rhoproduct", tuple(I), tuple(J)), build)
+    return amb.cached(("rhoproduct", I, J), build)
+
+
+def _factored_vector(amb: Ambient, I, J, plus_exps, minus_exps) -> FloorElement:
+    """The vector of the family (I|J) over a ledger of minor powers: their
+    product over the family's per-ring rho product, factored (see
+    FloorElement).  It renders over the ledger's exponent plus j - 1 for each
+    rho factor."""
+    exp = ledger_exponent(plus_exps, minus_exps) + sum(j_s - 1 for j_s in J)
+    factored = (minor_power_product(amb, plus_exps, minus_exps), rho_product(amb, I, J),
+                ("rhoproduct", I, J))
+    return FloorElement(amb, len(I), None, exp, factored)
 
 
 def _family_ledger(w: Weight, I, J):
@@ -413,9 +435,7 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     if w.minus[-1] < 0:
         raise UsageError("normalize away the determinant twist first")
     vector, defect = _family_ledger(w, I, J)
-    exp = ledger_exponent(*vector) + sum(j_s - 1 for j_s in J)
-    factored = (minor_power_product(amb, *vector), rho_product(amb, I, J), ("rhoproduct", I, J))
-    return FloorElement(amb, len(I), None, exp, factored), minor_power_product(amb, *defect)
+    return _factored_vector(amb, I, J, *vector), minor_power_product(amb, *defect)
 
 
 def divide_floor(x: FloorElement, defect: LocalizedElement):

@@ -16,6 +16,11 @@ PRIMITIVITY_ORACLE = "tests/test_factored_primitivity.py"
 ODD_ONLY = f"{PRIMITIVITY_ORACLE}::test_a_map_that_fails_one_odd_direction_only_is_not_primitive"
 INHOMOGENEOUS = f"{PRIMITIVITY_ORACLE}::test_an_inhomogeneous_map_raises_on_every_call"
 FALLBACK = "tests/test_defect_division.py::test_the_fallback_and_its_retry_decide_divisions_at_2_3"
+WARM_FIRST_FLOOR = ("tests/test_work_pins.py::"
+                    "test_warm_first_floor_primitivity_at_2_2_makes_no_divided_power")
+PHI1_AT_2_2 = "tests/test_work_pins.py::test_verify_phi1_at_2_2_builds_its_vectors_in_lowest_terms"
+FLOOR_0 = ("tests/test_floor_caches.py::test_the_empty_family_maps_the_empty_word_to_one",
+           "tests/test_cli_golden.py::test_cli_output_is_byte_identical")
 
 MUTANTS = [
     {
@@ -105,5 +110,38 @@ MUTANTS = [
         "old": "        if mono & carry:\n",
         "new": "        if False:\n",
         "tests": ["tests/test_closed_forms.py::test_weight_of_folds_rows_as_the_field_view_reads_columns"],
+    },
+    {
+        "id": "pi-ij-without-its-factored-slot",
+        "origin": "first-floor primitivity decided once per ring",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "    vec.terms  # multiplied out once, here\n    return vec\n",
+        "new": "    return FloorElement(amb, 1, vec.terms, vec.render_exp)\n",
+        "tests": [WARM_FIRST_FLOOR],
+    },
+    {
+        "id": "rho-product-skips-lowest-terms-on-every-factor",
+        "origin": "first-floor primitivity decided once per ring",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "            words = {key: lowest_terms(loc_sum(amb, pieces)) for key, pieces in new.items()}\n",
+        "new": "            words = {key: loc_sum(amb, pieces) for key, pieces in new.items()}\n",
+        "tests": ["tests/test_work_pins.py::test_an_unread_higher_floor_vector_multiplies_nothing_out",
+                  FALLBACK],
+    },
+    {
+        "id": "rho-product-reduces-the-first-factor-again",
+        "origin": "first-floor primitivity decided once per ring",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "        words = {(pair,): c for pair, c in rho_pair(amb, I[0], J[0]).items()}\n",
+        "new": "        words = {(pair,): lowest_terms(c) for pair, c in rho_pair(amb, I[0], J[0]).items()}\n",
+        "tests": [PHI1_AT_2_2],
+    },
+    {
+        "id": "rho-product-without-the-empty-family",
+        "origin": "first-floor primitivity decided once per ring",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "        if not I:\n            return MappingProxyType({(): embed_poly(amb.one())})\n",
+        "new": "",
+        "tests": [*FLOOR_0],
     },
 ]

@@ -1,8 +1,9 @@
 """Byte-identity guard for CLI output.
 
 Each case pins the exit code and the sha256 of stdout for one command.  The
-set covers characteristic-p rendering, divided-power primitivity and the
-verify suites that the benchmark's query pool leaves out.  A change that
+set covers characteristic-p rendering, divided-power primitivity, the
+floor-0 vector, the first-floor vectors at (3,2) and (2,3) and the verify
+suites that the benchmark's query pool leaves out.  A change that
 moves one of these hashes changes the JSON that users diff across runs.
 """
 
@@ -11,6 +12,28 @@ import hashlib
 import pytest
 
 from superinduce.cli import main
+
+WALL = [
+    ([*command, "--lambda", weight, "--i", "1", "--j", "1", "--p", p], 0, digest)
+    for command, weight, p, digest in [
+        (["primitive"], "[2,1,0|2,1]", "3",
+         "ad2b8829ff1f6b4c69181557f4fa08028a1bc486b1adc54dd09c8e19efe04284"),
+        (["emit", "pi-ij"], "[2,1,0|2,1]", "3",
+         "35691f85ea804dbddd1b484e769f54a1b2a06baa29ff2abc1b049e8bfe99f0a2"),
+        (["primitive"], "[2,1|2,1,0]", "3",
+         "36987ed43615cf207100eea82bde59149cb0a019cf386a1364c9e5a47422eba0"),
+        (["emit", "pi-ij"], "[2,1|2,1,0]", "3",
+         "cd6433207fc5e66d45e145d64dfc0bf9425475c16953d9180c40a2988dcd1408"),
+        (["primitive"], "[2,1,0|2,1]", "5",
+         "e3e967c5c76bc6b7e3d1c6d8292e32e35461e938f0f8be2063ff40bbfa273033"),
+        (["emit", "pi-ij"], "[2,1,0|2,1]", "5",
+         "1febf064eafc8acc451f525c972adb0636b7c68986e9ec7abee264a620eab023"),
+        (["primitive"], "[2,1|2,1,0]", "5",
+         "13f5ee89d7363b2c405e15551495a97061fbd4ea2b7d2536aef322ab4c404ca7"),
+        (["emit", "pi-ij"], "[2,1|2,1,0]", "5",
+         "eda5d82e47544b730c4a6153d2d73b4a82d3ac16f949a2947b4b31cd0203ce9e"),
+    ]
+]
 
 GOLDEN = [
     (["emit", "highest-vector", "--lambda", "[2,1|1,0]"], 0,
@@ -70,6 +93,15 @@ GOLDEN = [
      "55806d3c38277c5952f1e10acc78bdf6c5476a76307bb3568e646869c7fac2eb"),
     (["verify", "linkage", "--m", "2", "--n", "3", "--p", "5", "--seed", "1"], 0,
      "540312d61c4876d7cb36d5eb6563e350f2689332caf52c9ad075e0cf8e9d78e1"),
+    # the empty family: the floor-0 vector, the highest vector itself
+    (["emit", "pi-IJ", "--lambda", "[2,1|1,0]", "--pairs", "[]"], 0,
+     "d47937f510b1c3d9f5c238a87ee09ac9ac2c19a0b6ed589473242928044a69b0"),
+    (["primitive-k", "--lambda", "[3,1|2,1]", "--pairs", "[]", "--p", "3"], 0,
+     "1e92dfbfa1a89e3d6ae88bb18130f61bfad56b2c007ae77ba441a2d84a09b76b"),
+    # the wall, which the query pool never reaches: cell (1,1) of the
+    # staircase weight [2,1,0|2,1] at (3,2) and of its mirror [2,1|2,1,0] at
+    # (2,3), in chars 3 and 5
+    *WALL,
 ]
 
 

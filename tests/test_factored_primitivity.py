@@ -1,30 +1,35 @@
-"""Primitivity of a higher-floor vector decided on its weight-free map.
+"""Primitivity of a floor vector decided on its weight-free map.
 
 `is_primitive` decides a factored vector (`FloorElement.factored`) on its
 per-ring map alone and caches the verdict per ring and map; the prefactor it
-skips is a product of nested leading minors and of D.  Every verdict must be
-the parent's, `builder_oracle.parent_is_primitive`, which embeds the vector
-with its coefficients multiplied out.  The premise is checked on its own:
+skips is a product of nested leading minors and of D.  Every first-floor
+vector `pi_ij` and every higher-floor vector is factored.  Every verdict must
+be the parent's, `builder_oracle.parent_is_primitive`, which embeds the vector
+with its coefficients multiplied out, and a first-floor vector must write what
+the parent's eager builder `builder_oracle.parent_pi_ij` writes.  The premise
+is checked on its own:
 every factor the prefactor can hold is killed by every divided power of
 every simple lowering direction.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from superinduce.derivation import divided_power
 from superinduce.floors_primitives import (
     FloorElement,
     divide_floor,
     embed_floor,
+    floor_element_to_json,
     is_primitive,
     pi_IJ,
     pi_IJ_raw,
+    pi_ij,
 )
 from superinduce.fraction import den_power, embed_poly
 from superinduce.superpoly import Ambient, UsageError, ambient
 from superinduce.weights_tableaux import is_admissible_pair, is_robust, leading_minor_power
-from builder_oracle import parent_is_primitive, simple_lowering_directions
+from builder_oracle import parent_is_primitive, parent_pi_ij, simple_lowering_directions
 from test_acceptance import _eigenvalue_sweep_weights, _pair_families
 from test_defect_division import _families, _weight
 
@@ -56,6 +61,33 @@ def test_factored_verdicts_are_the_parents(size, char, data):
     divided = divide_floor(raw, defect)
     vectors = [raw] if divided is None else [raw, divided]
     assert [is_primitive(x) for x in vectors] == expected
+
+
+def _verdict(decide, x):
+    """decide(x), or the message of the UsageError it raises."""
+    try:
+        return decide(x)
+    except UsageError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(SIZES), st.sampled_from(CHARS), st.data())
+def test_first_floor_verdicts_and_output_are_the_parents(size, char, data):
+    amb = Ambient(*size, char)  # fresh: nothing cached yet
+    w = _weight(data, amb)  # plus entries down to -1
+    i = data.draw(st.integers(1, amb.m))
+    j = data.draw(st.integers(1, amb.n))
+    try:
+        vec = pi_ij(amb, w, i, j)
+    except UsageError:
+        assume(False)  # the vector is undefined at this cell
+    assert vec.factored is not None
+    expected = _verdict(parent_is_primitive, _multiplied_out(vec))
+    assert _verdict(is_primitive, vec) == expected
+    # warm: the verdict comes from the cache, on a vector built again
+    assert _verdict(is_primitive, pi_ij(amb, w, i, j)) == expected
+    assert floor_element_to_json(vec) == floor_element_to_json(parent_pi_ij(amb, w, i, j))
 
 
 def test_criterion_8_robust_families_are_primitive_on_both_routes():

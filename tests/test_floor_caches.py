@@ -1,8 +1,9 @@
 """The weight-free floor data built once per ring: each cached family against
-the per-call builders of `builder_oracle`, cached values (the rho products
+the per-call builders of `builder_oracle`, cached values (the rho products,
+the one-pair maps of the first-floor vectors among them, the rho products
 divided by a defect, the divisions that failed, and the primitivity verdicts
-on those maps, among them) never mutated by a caller, and the termination
-bound of the oracle's divided-power loop."""
+on those maps) never mutated by a caller, and the termination bound of the
+oracle's divided-power loop."""
 
 from itertools import combinations
 from math import factorial
@@ -105,6 +106,14 @@ def test_rho_products_equal_fresh_builds(amb, data):
     assert dict(cached) == fresh_rho_product(amb, I, J)
 
 
+@pytest.mark.parametrize("size", SIZES)
+def test_the_empty_family_maps_the_empty_word_to_one(size):
+    amb = Ambient(*size, 3)
+    cached = rho_product(amb, (), ())
+    assert isinstance(cached, MappingProxyType)
+    assert dict(cached) == fresh_rho_product(amb, (), ()) == {(): embed_poly(amb.one())}
+
+
 @settings(max_examples=60, deadline=None)
 @given(RINGS, st.data())
 def test_minor_powers_equal_fresh_builds(amb, data):
@@ -175,6 +184,8 @@ def _run_floor_paths(amb, w):
             vec = pi_ij(amb, w, i, j)
         except UsageError:
             continue  # equal neighbouring entries leave this cell undefined
+        # factored over the one-pair rho product, the map its verdict is on
+        assert vec.factored[1] is rho_product(amb, (i,), (j,))
         image = phi_floor(vec)
         assert fe_eq(image, fe_scale(vec, omega(w, i, j)))
         is_primitive(vec)
@@ -200,6 +211,9 @@ def _check_cached_data_stays(amb, w):
     _run_floor_paths(amb, w)
     before = _snapshot(amb)
     assert {key[0] for key in before} - {QUOTIENTS} == {*CACHED_FAMILIES, VERDICTS}
+    # the first-floor vectors' one-pair maps, and the verdicts on them
+    one_pair = [key for key in before if key[0] == "rhoproduct" and len(key[1]) == 1]
+    assert any((VERDICTS, key) in before for key in one_pair)
     _run_floor_paths(amb, w)
     assert _snapshot(amb) == before
     for key, value in amb._cache.items():

@@ -232,6 +232,65 @@ def test_primitivity_of_a_three_pair_vector_is_decided_on_its_map_once(monkeypat
     assert calls["divided_power"] == 0
 
 
+def _count_primitivity(monkeypatch, decide):
+    """The dot calls, term pairs and divisions of decide(), and the
+    divided_power calls made through floors_primitives, on the ring as the
+    call finds it."""
+    counts = _counts()
+    with monkeypatch.context() as patch:
+        _count_products(patch, counts)
+        calls = {"divided_power": 0}
+        _count_calls(patch, [floors_primitives], "divided_power", calls)
+        assert decide()
+    return {**counts, **calls}
+
+
+def test_primitivity_of_a_first_floor_vector_at_3_2_is_decided_on_its_map_once(monkeypatch):
+    # pi_ij then is_primitive for [2,1,0|2,1] at cell (1,1) in char 5, the
+    # cell of the phi_floor pin.  On a fresh Ambient: 62 dot calls over
+    # 218,771 term pairs, 2 divisions and 3 divided_power calls when the
+    # whole multiplied-out vector was embedded; 62 over 66,437, 2 and 3 now
+    # that only its one-pair map is.  Warm: 6 calls over 217,398 pairs and
+    # 3 divided_power calls, now 5 over 65,046 (the build of the vector's
+    # coefficients) and none (the verdict is cached per ring and map).  The
+    # counts are the same under PYTHONHASHSEED 0, 1 and 7: the margin is zero
+    amb = superpoly.Ambient(3, 2, 5)
+    w = weights_tableaux.parse_weight("[2,1,0|2,1]")
+
+    def decide():
+        return is_primitive(pi_ij(amb, w, 1, 1))
+
+    fresh = _count_primitivity(monkeypatch, decide)
+    assert fresh["calls"] <= 62
+    assert fresh["term_pairs"] <= 66437
+    assert fresh["divides"] <= 2
+    assert fresh["divided_power"] <= 3
+    warm = _count_primitivity(monkeypatch, decide)
+    assert warm["calls"] <= 5
+    assert warm["term_pairs"] <= 65046
+    assert warm["divides"] == 0
+    assert warm["divided_power"] == 0
+
+
+def test_warm_first_floor_primitivity_at_2_2_makes_no_divided_power(monkeypatch):
+    # the first char-5 primitive-ij entry of floors.json, [2,1|1,0] at cell
+    # (1,1), on warm caches as a benchmark round runs it: 3 dot calls over
+    # 36 term pairs and 2 divided_power calls when the multiplied-out vector
+    # was embedded on every call; 2 over 12 and none once the verdict on its
+    # one-pair map is cached
+    amb = superpoly.Ambient(2, 2, 5)
+    w = weights_tableaux.parse_weight("[2,1|1,0]")
+
+    def decide():
+        return is_primitive(pi_ij(amb, w, 1, 1))
+
+    assert decide()
+    warm = _count_primitivity(monkeypatch, decide)
+    assert warm["calls"] <= 2
+    assert warm["term_pairs"] <= 12
+    assert warm["divided_power"] == 0
+
+
 def test_pi_ij_then_phi_floor_at_2_3_peaks_below_its_pin():
     # tracemalloc peak of pi_ij then phi_floor for [2,1|2,1,0] at cell
     # (2,3) in char 0 on warm caches, read in this test: 659,176 bytes with
