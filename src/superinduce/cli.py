@@ -489,12 +489,8 @@ def suite_gen(args, rng) -> dict:
     return {"command": "verify gen", "config": _config_echo(args), "entries": entries}
 
 
-def _phi1_weights(args, rng):
-    if args.weight is not None:
-        if args.count is not None:
-            raise UsageError("verify phi1 draws --count weights only without --lambda")
-        return [_require_weight(args)]
-    m, n = _sizes(args)
+def _phi1_weights(args, m: int, n: int, rng):
+    """The weights verify phi1 draws at (m, n) when no --lambda is given."""
     weights = []
     if (m, n) == (2, 2):
         weights.append(parse_weight("[2,1|1,0]"))
@@ -530,9 +526,14 @@ def _eigenvalue_entries(amb, w, char: int):
 
 
 def suite_phi1(args, rng) -> dict:
-    weights = _phi1_weights(args, rng)
-    m, n = (weights[0].m, weights[0].n) if weights else _sizes(args)
+    if args.weight is not None and args.count is not None:
+        raise UsageError("verify phi1 draws --count weights only without --lambda")
+    given = None if args.weight is None else _require_weight(args)
+    m, n = _sizes(args) if given is None else (given.m, given.n)
+    # the ring comes first: its size cap refuses a huge --m before a weight
+    # of that length is drawn
     amb = ambient(m, n, args.p)
+    weights = _phi1_weights(args, m, n, rng) if given is None else [given]
     return {
         "command": "verify phi1",
         "config": _config_echo(args),
@@ -1031,49 +1032,46 @@ def _seeded(suite):
 
 
 #: Every command form: its handler, the options it reads besides --p and
-#: --out, whether its --m and --n size a ring (capped at RING_SIZE_CAP), and
-#: its help line.  A form rejects every option outside its row.
+#: --out, and its help line.  A form rejects every option outside its row.
 COMMANDS = {
-    "verify lemmas": (_seeded(suite_lemmas), "--m --n --seed", True, None),
-    "verify identities": (_seeded(suite_identities), "--m --seed --count", True, None),
-    "verify gen": (_seeded(suite_gen), "--m --n --seed --count", True, None),
-    "verify phi1": (_seeded(suite_phi1), "--m --n --seed --count --lambda", True, None),
-    "verify fwedge": (_seeded(suite_fwedge), "--m --n --seed --max-entry", False, None),
-    "verify linkage": (_seeded(suite_linkage), "--m --n --seed --count --max-entry", False, None),
-    "verify-lemmas": (
-        _seeded(suite_lemmas), "--m --n --seed", True, "shorthand for: verify lemmas"
-    ),
+    "verify lemmas": (_seeded(suite_lemmas), "--m --n --seed", None),
+    "verify identities": (_seeded(suite_identities), "--m --seed --count", None),
+    "verify gen": (_seeded(suite_gen), "--m --n --seed --count", None),
+    "verify phi1": (_seeded(suite_phi1), "--m --n --seed --count --lambda", None),
+    "verify fwedge": (_seeded(suite_fwedge), "--m --n --seed --max-entry", None),
+    "verify linkage": (_seeded(suite_linkage), "--m --n --seed --count --max-entry", None),
+    "verify-lemmas": (_seeded(suite_lemmas), "--m --n --seed", "shorthand for: verify lemmas"),
     "verify-identities": (
-        _seeded(suite_identities), "--m --seed --count", True, "shorthand for: verify identities"
+        _seeded(suite_identities), "--m --seed --count", "shorthand for: verify identities"
     ),
-    "emit highest-vector": (emit_highest_vector, "--lambda --m --n", False, None),
-    "emit pi-ij": (emit_pi_ij, "--lambda --m --n --i --j", False, None),
-    "emit pi-IJ": (emit_pi_IJ, "--lambda --m --n --pairs", False, None),
-    "emit omega-grid": (emit_omega_grid, "--lambda --m --n", False, None),
-    "emit linkage-graph": (emit_linkage_graph, "--m --n --max-entry", False, None),
+    "emit highest-vector": (emit_highest_vector, "--lambda --m --n", None),
+    "emit pi-ij": (emit_pi_ij, "--lambda --m --n --i --j", None),
+    "emit pi-IJ": (emit_pi_IJ, "--lambda --m --n --pairs", None),
+    "emit omega-grid": (emit_omega_grid, "--lambda --m --n", None),
+    "emit linkage-graph": (emit_linkage_graph, "--m --n --max-entry", None),
     "primitive": (
-        cmd_primitive, "--lambda --m --n --i --j", False,
+        cmd_primitive, "--lambda --m --n --i --j",
         "build one first-floor vector and test primitivity",
     ),
     "primitive-k": (
-        cmd_primitive_k, "--lambda --m --n --pairs", False,
+        cmd_primitive_k, "--lambda --m --n --pairs",
         "build a higher-floor vector and test primitivity",
     ),
     "phi1": (
-        cmd_phi1, "--lambda --m --n --seed", False,
+        cmd_phi1, "--lambda --m --n --seed",
         "eigenvalue table of the first-floor twisting map",
     ),
-    "typicality": (cmd_typicality, "--lambda --m --n", False, "typicality of a weight"),
+    "typicality": (cmd_typicality, "--lambda --m --n", "typicality of a weight"),
     "linkage": (
-        cmd_linkage, "--lambda --m --n --mu --max-steps", False,
+        cmd_linkage, "--lambda --m --n --mu --max-steps",
         "even linkage of two weights, with certificates",
     ),
     "odd-chain": (
-        cmd_odd_chain, "--lambda --m --n --pairs", False,
+        cmd_odd_chain, "--lambda --m --n --pairs",
         "sequential vanishing condition for an index family",
     ),
-    "alcove": (cmd_alcove, "--lambda --m --n", False, "alcove membership"),
-    "lr": (cmd_lr, "--outer --inner --content --tableaux", False, "skew lattice-filling count"),
+    "alcove": (cmd_alcove, "--lambda --m --n", "alcove membership"),
+    "lr": (cmd_lr, "--outer --inner --content --tableaux", "skew lattice-filling count"),
 }
 
 
@@ -1132,7 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     groups, defaults = {}, {}
-    for form, (_, _, _, blurb) in COMMANDS.items():
+    for form, (_, _, blurb) in COMMANDS.items():
         group, _, name = form.rpartition(" ")
         if group and group not in groups:
             group_blurb, dest = _GROUPS[group]
@@ -1159,13 +1157,6 @@ _shared_parser = lru_cache(maxsize=None)(build_parser)
 #: at most 100.
 COUNT_CAP = 1_000
 
-#: Largest --m and --n of the forms that build a ring from them.  The ring's
-#: packing tables grow with the square of its size, so --m 1000000 ran out of
-#: memory; a larger block also needs determinants past superpoly.DET_CAP.
-#: Sizes within the cap are not bounded in time: verify lemmas at (3,3) takes
-#: about 26 s of CPU (Python 3.11, 2-core machine).
-RING_SIZE_CAP = 8
-
 
 def main(argv=None) -> int:
     parser = _shared_parser()
@@ -1175,7 +1166,7 @@ def main(argv=None) -> int:
     unread = list(dict.fromkeys(o for o in (a.partition("=")[0] for a in extra) if o in _OPTIONS))
     if extra and not unread:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    handler, _, builds_ring, _ = COMMANDS[args.form]
+    handler, _, _ = COMMANDS[args.form]
     try:
         if args.p:
             check_odd_prime(args.p)
@@ -1183,12 +1174,6 @@ def main(argv=None) -> int:
             raise UsageError(
                 f"--count must lie in 0..{COUNT_CAP} (COUNT_CAP), got {args.count}"
             )
-        for option, size in (("--m", args.m), ("--n", args.n)):
-            if builds_ring and size is not None and size > RING_SIZE_CAP:
-                raise UsageError(
-                    f"{option} must not exceed {RING_SIZE_CAP} (RING_SIZE_CAP) for "
-                    f"{args.form}, got {size}"
-                )
         if unread:
             raise UsageError(f"{args.form} does not read {', '.join(unread)}")
         return _publish(handler(args), args.out)

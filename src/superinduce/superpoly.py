@@ -142,6 +142,14 @@ FIELD_BITS = 16
 EXPONENT_CAP = (1 << (FIELD_BITS - 1)) - 1
 FIELD_MASK = (1 << FIELD_BITS) - 1
 
+#: Largest block size m or n of a ring.  The packing tables hold (m+n)^2
+#: fields and take time that grows as (m+n)^4 to build (Ambient(320, 1) took
+#: 5.8 s of CPU and Ambient(160, 1) 0.34 s; --m 1000000 ran out of memory),
+#: and a larger block also needs determinants past DET_CAP.  Rings within the
+#: cap are not bounded in time: verify lemmas at (3,3) takes about 26 s of
+#: CPU (Python 3.11, 2-core machine).
+RING_SIZE_CAP = 8
+
 
 def check_exponents(amb: "Ambient", monos) -> None:
     """Raise UsageError when a packed result exceeds EXPONENT_CAP anywhere."""
@@ -182,8 +190,9 @@ class Ambient:
     row_fold: tuple = dataclass_field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise UsageError(f"sizes must be at least 1, got m={self.m}, n={self.n}")
+        if not (1 <= self.m <= RING_SIZE_CAP and 1 <= self.n <= RING_SIZE_CAP):
+            raise UsageError(f"block sizes must lie in 1..{RING_SIZE_CAP} (RING_SIZE_CAP), "
+                             f"got m={self.m}, n={self.n}")
         coeffs = PrimeField(check_odd_prime(self.char)) if self.char else Rationals()
         object.__setattr__(self, "field", coeffs)
         s = self.size
@@ -665,11 +674,10 @@ def det(amb: Ambient, entries) -> SuperPolynomial:
 def leibniz_det(amb: Ambient, rows, cols) -> SuperPolynomial:
     """det of the submatrix of (c[i,j]) on the given rows and cols; a repeated
     row or column gives zero by convention.  More than DET_CAP rows raise
-    UsageError."""
+    UsageError in det."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise UsageError("minor specification must have equally many rows and columns")
-    check_det_size(len(rows))
     for idx in (*rows, *cols):
         amb.index_parity(idx)
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):

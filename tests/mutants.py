@@ -19,6 +19,11 @@ FALLBACK = "tests/test_defect_division.py::test_the_fallback_and_its_retry_decid
 WARM_FIRST_FLOOR = ("tests/test_work_pins.py::"
                     "test_warm_first_floor_primitivity_at_2_2_makes_no_divided_power")
 PHI1_AT_2_2 = "tests/test_work_pins.py::test_verify_phi1_at_2_2_builds_its_vectors_in_lowest_terms"
+# subprocess tests under a time and a memory limit: without the ring cap the
+# in-process tests would build a ring of any size, and the runner has no timeout
+LONG_BLOCK = "tests/test_cli.py::test_a_640_entry_block_exits_2_at_once"
+NINE_ROWS = "tests/test_cli.py::test_oversized_determinant_exits_2_naming_the_cap"
+PHI1_RING_FIRST = "tests/test_cli.py::test_verify_phi1_builds_its_ring_before_drawing_a_weight"
 FLOOR_0 = ("tests/test_floor_caches.py::test_the_empty_family_maps_the_empty_word_to_one",
            "tests/test_cli_golden.py::test_cli_output_is_byte_identical")
 
@@ -143,5 +148,23 @@ MUTANTS = [
         "old": "        if not I:\n            return MappingProxyType({(): embed_poly(amb.one())})\n",
         "new": "",
         "tests": [*FLOOR_0],
+    },
+    {
+        "id": "ambient-without-the-ring-cap",
+        "origin": "the ring size cap checked where every ring is built",
+        "file": "src/superinduce/superpoly.py",
+        "old": "        if not (1 <= self.m <= RING_SIZE_CAP and 1 <= self.n <= RING_SIZE_CAP):\n",
+        "new": "        if not (1 <= self.m and 1 <= self.n):\n",
+        "tests": [NINE_ROWS, LONG_BLOCK],
+    },
+    {
+        "id": "suite-phi1-draws-its-weights-before-its-ring",
+        "origin": "the ring size cap checked where every ring is built",
+        "file": "src/superinduce/cli.py",
+        "old": "    amb = ambient(m, n, args.p)\n"
+               "    weights = _phi1_weights(args, m, n, rng) if given is None else [given]\n",
+        "new": "    weights = _phi1_weights(args, m, n, rng) if given is None else [given]\n"
+               "    amb = ambient(m, n, args.p)\n",
+        "tests": [PHI1_RING_FIRST],
     },
 ]

@@ -2,10 +2,11 @@
 
     python3 tests/run_mutants.py
 
-Copies `src/` and `tests/` to a temporary directory, runs every named test
-once on the unmutated copy, and then, one live mutant at a time, plants its
-snippet, runs `python -m pytest -x -q` on the mutant's tests and restores the
-file.  Prints one JSON line per run: `killed` (a named test failed),
+Copies `src/`, `tests/`, `pyproject.toml` and `perfbench/expected/` (the
+recorded pool that some tests read) to a temporary directory, runs every
+named test once on the unmutated copy, and then, one live mutant at a time,
+plants its snippet, runs `python -m pytest -x -q` on the mutant's tests and
+restores the file.  Prints one JSON line per run: `killed` (a named test failed),
 `survived` (all passed), `did not apply` (the snippet does not occur exactly
 once) or `error` (pytest could not run the tests).  The working tree is
 never written.  Exits 1 unless the baseline passes and every live mutant is
@@ -49,6 +50,7 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")  # pytest settings
+        shutil.copytree(ROOT / "perfbench" / "expected", copy / "perfbench" / "expected")
 
         node_ids = sorted({t for m in live for t in m["tests"]})
         code, seconds = _pytest(copy, node_ids)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import shlex
 import subprocess
 import sys
@@ -15,7 +16,6 @@ import superinduce.weights_tableaux as weights_tableaux
 from superinduce.cli import (
     COUNT_CAP,
     LR_CELL_CAP,
-    RING_SIZE_CAP,
     SWEEP_CAP,
     build_parser,
     main,
@@ -36,7 +36,7 @@ from superinduce.linkage import (
     omega_via_form,
 )
 from superinduce.lr_oracle import admissible_count, lr_multiplicity, wedge_hypotheses_hold
-from superinduce.superpoly import DET_CAP, ambient
+from superinduce.superpoly import RING_SIZE_CAP, ambient
 from superinduce.weights_tableaux import (
     content_of_pairs,
     is_dominant,
@@ -616,6 +616,11 @@ def test_default_fwedge_sweep_checks_something_or_exits_2(capsys, m, n):
     assert len(doc["entries"]) >= 1
 
 
+def _limit_memory():
+    # a runaway allocation fails its call instead of the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def _module_run(argv, timeout):
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
@@ -624,6 +629,7 @@ def _module_run(argv, timeout):
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=timeout,
+        preexec_fn=_limit_memory,
     )
 
 
@@ -647,8 +653,10 @@ def test_count_outside_the_cap_is_a_usage_error(capsys, suite, count):
 
 
 def test_oversized_determinant_exits_2_naming_the_cap():
+    # a 9-entry block needed a 9-row determinant past DET_CAP; the ring's
+    # own size cap now refuses it first
     proc = _module_run(["emit", "highest-vector", "--lambda", "[1,1,1,1,1,1,1,1,1|0]"], 30)
-    assert f"DET_CAP = {DET_CAP}" in _one_error_line(proc)
+    assert f"{RING_SIZE_CAP} (RING_SIZE_CAP)" in _one_error_line(proc)
 
 
 @pytest.mark.parametrize(
@@ -875,6 +883,43 @@ def test_ring_sizes_past_the_cap_are_usage_errors(capsys, argv):
     # these ran out of memory (or, at 10**30, never returned) building the ring
     assert main(argv) == 2
     assert f"{RING_SIZE_CAP} (RING_SIZE_CAP)" in _one_json_error_line(capsys)["error"]
+
+
+# every form that builds a ring from --lambda, with the options it needs
+LAMBDA_RING_FORMS = [
+    ["emit", "highest-vector"],
+    ["emit", "pi-ij", "--i", "1", "--j", "1"],
+    ["emit", "pi-IJ", "--pairs", "[[1,1]]"],
+    ["primitive", "--i", "1", "--j", "1"],
+    ["primitive-k", "--pairs", "[[1,1]]"],
+    ["phi1"],
+    ["verify", "phi1"],
+]
+
+
+@pytest.mark.parametrize("form", LAMBDA_RING_FORMS,
+                         ids=lambda form: "-".join(w for w in form if w[0].isalpha()))
+@pytest.mark.parametrize("literal", ["[0,0,0,0,0,0,0,0,0|0]", "[0|0,0,0,0,0,0,0,0,0]"],
+                         ids=["plus", "minus"])
+def test_lambda_blocks_past_the_cap_are_usage_errors(capsys, form, literal):
+    # a --lambda literal sized its ring with no check: the plus block here
+    # made emit highest-vector exit 0
+    assert main([*form, "--lambda", literal]) == 2
+    assert f"{RING_SIZE_CAP} (RING_SIZE_CAP)" in _one_json_error_line(capsys)["error"]
+
+
+def test_a_640_entry_block_exits_2_at_once():
+    # the ring's packing tables take time that grows as the fourth power of
+    # its size: this literal was still building them after 100 s
+    literal = "[" + ",".join(["0"] * 640) + "|0]"
+    proc = _module_run(["emit", "highest-vector", "--lambda", literal], 30)
+    assert f"{RING_SIZE_CAP} (RING_SIZE_CAP)" in _one_error_line(proc)
+
+
+def test_verify_phi1_builds_its_ring_before_drawing_a_weight():
+    # a weight drawn first would have 10**30 plus entries
+    proc = _module_run(["verify", "phi1", "--m", HUGE], 30)
+    assert f"{RING_SIZE_CAP} (RING_SIZE_CAP)" in _one_error_line(proc)
 
 
 @pytest.mark.parametrize("outer", [HUGE, "1000000", f"{LR_CELL_CAP},1"])

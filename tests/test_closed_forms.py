@@ -14,7 +14,6 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from superinduce.cli import RING_SIZE_CAP
 from superinduce.derivation import (
     apply_loc,
     basic,
@@ -33,6 +32,7 @@ from superinduce.superpoly import (
     EXPONENT_CAP,
     FIELD_BITS,
     FIELD_MASK,
+    RING_SIZE_CAP,
     InternalError,
     SuperPolynomial,
     UsageError,

@@ -161,7 +161,7 @@ def test_loc_det_even_entries():
 
 
 def test_determinants_past_the_cap_are_usage_errors():
-    amb = ambient(DET_CAP + 1, 1)
+    amb = ambient(DET_CAP, 1)  # 9 indices, within RING_SIZE_CAP
     rows = range(1, DET_CAP + 2)
     with pytest.raises(UsageError, match="DET_CAP"):
         leibniz_det(amb, rows, rows)

@@ -101,6 +101,21 @@ def test_phi_floor_at_3_2_offers_no_more_term_pairs(monkeypatch):
     assert counts["divides"] == 0
 
 
+def test_phi_floor_at_2_3_offers_no_more_term_pairs(monkeypatch):
+    # phi_floor of the (2,3) floor vector of [2,1|2,1,0] at cell (2,3), in
+    # char 0, on a fresh Ambient, the vector built before counting: 239 dot
+    # calls offered 17,459 term pairs, and no division was made, when the
+    # ring's size cap moved into Ambient; pinned with no margin
+    amb = superpoly.Ambient(2, 3, 0)
+    vec = pi_ij(amb, weights_tableaux.parse_weight("[2,1|2,1,0]"), 2, 3)
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    phi_floor(vec)
+    assert counts["calls"] <= 239
+    assert counts["term_pairs"] <= 17459
+    assert counts["divides"] == 0
+
+
 def test_char_3_defect_division_at_2_2(monkeypatch):
     # the cleared vector of [3,2|1,1] for the family (1,2|1,2) in char 3,
     # then its defect division, which fails, on warm per-ring caches as a
