@@ -16,14 +16,14 @@ the fraction field and the exact-division gate reports that honestly
 instead of clearing denominators silently.  Their weight-free factors are
 kept in lowest terms in D, once per ring, and no vector divides per call;
 output writes each coefficient over the exponent of the unreduced product
-of minors (a vector's render_exp).  Every first-floor and higher-floor
-vector is its prefactor over the per-ring rho product of its family (one
-pair for a first-floor vector), multiplied out only when its coefficients
-are read; a first-floor vector reads them once as it is built, since
-phi_floor reads every one of them.  Only the prefactor depends on the
-weight, so a defect that divides the rho product divides the vector: that
-division is made once per ring, and the vector's is tried only when it
-fails.  Every lowering divided power kills the prefactor, so the
+of minors (a vector's render_exp).  One builder, pi_IJ_raw, makes every
+vector of a family, the first-floor vector pi_ij as the family of one pair:
+its prefactor over the per-ring rho product of the family, multiplied out
+only when its coefficients are read; a first-floor vector reads them once as
+it is built, since phi_floor reads every one of them.  Only the prefactor
+depends on the weight, so a defect that divides the rho product divides the
+vector: that division is made once per ring, and the vector's is tried only
+when it fails.  Every lowering divided power kills the prefactor, so the
 primitivity of such a vector is decided on its map alone, once per ring and
 map.
 """
@@ -72,10 +72,10 @@ from .superpoly import (
 )
 from .weights_tableaux import (
     Weight,
+    check_highest_weight,
     dminus,
     exponent_ledger,
     is_admissible_pair,
-    is_dominant,
     ledger_exponent,
     minor_power_product,
 )
@@ -94,11 +94,13 @@ class FloorElement:
     factored, when set, is (prefactor, factors, key): the coefficients are
     prefactor·c for each c of the read-only per-ring map factors, which
     Ambient.cached holds under key, and they are multiplied out on the first
-    read of terms, once per element.  Every pi_ij and pi_IJ_raw vector, and
-    every quotient divide_floor makes on a map, is factored; pi_ij reads its
-    terms as it is built.  The prefactor is a product of powers of nested
-    leading minors and of D (``minor_power_product``), which every simple
-    lowering direction kills: is_primitive relies on it."""
+    read of terms, once per element.  Every vector pi_IJ_raw builds, the
+    first-floor vectors of pi_ij among them, and every quotient divide_floor
+    makes on a map, is factored; pi_ij reads its terms as it is built.  The
+    prefactor is a product of powers of nested leading minors and of D
+    (``minor_power_product``), which every simple lowering direction kills:
+    is_primitive relies on it.  Only nonzero coefficients are stored: fe_eq
+    relies on it."""
 
     __slots__ = ("ambient", "floor", "_terms", "render_exp", "factored")
 
@@ -175,20 +177,11 @@ def fe_neg(a: FloorElement) -> FloorElement:
 
 
 def fe_eq(a: FloorElement, b: FloorElement) -> bool:
-    if a.ambient != b.ambient or a.floor != b.floor:
+    """Equal values: only nonzero coefficients are stored, so equal elements
+    of one ring and floor have the same words."""
+    if a.ambient != b.ambient or a.floor != b.floor or a.terms.keys() != b.terms.keys():
         return False
-    for key in set(a.terms) | set(b.terms):
-        x = a.terms.get(key)
-        y = b.terms.get(key)
-        if x is None:
-            if not y.is_zero():
-                return False
-        elif y is None:
-            if not x.is_zero():
-                return False
-        elif not loc_eq(x, y):
-            return False
-    return True
+    return all(loc_eq(x, b.terms[key]) for key, x in a.terms.items())
 
 
 def y_word(amb: Ambient, key) -> LocalizedElement:
@@ -222,33 +215,6 @@ def floor_element_to_json(x: FloorElement) -> list:
 # -- the distinguished first-floor vectors --------------------------------------------
 
 
-def rho_pair(amb: Ambient, i: int, j: int) -> MappingProxyType:
-    """The weight-free part of the (i,j) vector: a read-only map from mixed
-    pairs to localized coefficients in lowest terms, built once per ring.
-    Each is a row minor times a dminus minor over D^(j-1); the row minor of
-    r = m at i = m is D itself.  The minus index j is relative (1..n)."""
-    m, n = amb.m, amb.n
-    if not (1 <= i <= m and 1 <= j <= n):
-        raise UsageError("rho indices out of range")
-
-    def build():
-        out = {}
-        for r in range(i, m + 1):
-            left = embed_poly(row_initial_minor(amb, tuple(range(1, i)) + (r,)))
-            if left.is_zero():
-                continue
-            for s in range(1, j + 1):
-                cols = tuple(m + u for u in range(1, j + 1) if u != s)
-                coeff = loc_mul(left, dminus(amb, cols))
-                if (s + j) % 2 == 1:
-                    coeff = loc_scale(coeff, -1)
-                if not coeff.is_zero():
-                    out[(r, m + s)] = lowest_terms(coeff)
-        return MappingProxyType(out)
-
-    return amb.cached(("rho", i, j), build)
-
-
 def _check_pi_preconditions(w: Weight, i: int, j: int):
     m, n = w.m, w.n
     if not (1 <= i <= m and 1 <= j <= n):
@@ -278,32 +244,23 @@ def _times(prefactor: LocalizedElement, coeffs) -> dict:
 def pi_ij(amb: Ambient, w: Weight, i: int, j: int) -> FloorElement:
     """The first-floor vector at (i, j): the highest vector divided by the
     (i, j) leading minors, times the weight-free double sum.  It is the
-    one-pair case of the higher-floor vectors, factored over the per-ring rho
-    product of (i|j), so its primitivity is decided on that map.  Its
-    coefficients are multiplied out before it returns: phi_floor reads every
-    one of them anyway."""
-    if (w.m, w.n) != (amb.m, amb.n):
-        raise UsageError("weight block sizes do not match the ambient")
-    if not is_dominant(w):
-        raise UsageError("weight must be dominant")
-    if w.minus[-1] < 0:
-        raise UsageError("normalize away the determinant twist first")
+    vector pi_IJ_raw builds for the one-pair family (i|j), factored over its
+    per-ring rho product, so its primitivity is decided on that map.  Where
+    the cell's preconditions hold, that family is admissible and its defect
+    is one; at i = m a last plus entry of zero is refused, though the family
+    is admissible there.  Its coefficients are multiplied out before it
+    returns: phi_floor reads every one of them anyway."""
     _check_pi_preconditions(w, i, j)
-    plus_exps, minus_exps = exponent_ledger(w)
-    plus_exps[i - 1] -= 1
-    if j > 1:
-        minus_exps[j - 2] -= 1
-    vec = _factored_vector(amb, (i,), (j,), plus_exps, minus_exps)
+    vec, _ = pi_IJ_raw(amb, w, (i,), (j,))
     vec.terms  # multiplied out once, here
     return vec
 
 
 def pi_plus(amb: Ambient, w: Weight, i: int) -> FloorElement:
     """Independent transcription of the one-minus-row case (n = 1)."""
-    if amb.n != 1 or (w.m, w.n) != (amb.m, 1):
+    if amb.n != 1:
         raise UsageError("this construction is for a single minus row")
-    if not is_dominant(w) or w.minus[0] < 0:
-        raise UsageError("weight must be dominant with nonnegative minus entry")
+    check_highest_weight(amb, w)
     _check_pi_preconditions(w, i, 1)
     m = amb.m
     plus_exps, _ = exponent_ledger(w)
@@ -321,10 +278,9 @@ def pi_plus(amb: Ambient, w: Weight, i: int) -> FloorElement:
 
 def pi_minus(amb: Ambient, w: Weight, j: int) -> FloorElement:
     """Independent transcription of the one-plus-row case (m = 1)."""
-    if amb.m != 1 or (w.m, w.n) != (1, amb.n):
+    if amb.m != 1:
         raise UsageError("this construction is for a single plus row")
-    if not is_dominant(w) or w.minus[-1] < 0:
-        raise UsageError("weight must be dominant with nonnegative last minus entry")
+    check_highest_weight(amb, w)
     _check_pi_preconditions(w, 1, j)
     # the single surviving row minor cancels the ledger decrement, so the
     # full power of the corner generator remains up front
@@ -354,20 +310,43 @@ def pi_minus(amb: Ambient, w: Weight, j: int) -> FloorElement:
 def rho_product(amb: Ambient, I, J) -> MappingProxyType:
     """The signed product of the rho factors of the family (I|J), in its
     order: a read-only map from exterior words to localized coefficients in
-    lowest terms, built once per ring and family.  The empty family maps the
-    empty word to one."""
+    lowest terms, built once per ring and family.  The rho factor of one
+    pair (i|j), the weight-free part of the first-floor vector, maps the
+    word ((r, m+s),) to a row minor times a dminus minor over D^(j-1); the
+    row minor of r = m at i = m is D itself, and the minus index j is
+    relative (1..n).  A longer family multiplies its first pair's map by
+    each later pair's in turn, and the empty family maps the empty word to
+    one."""
     I, J = tuple(I), tuple(J)
+    m = amb.m
 
     def build():
         if not I:
             return MappingProxyType({(): embed_poly(amb.one())})
-        # the first factor's map, which rho_pair holds in lowest terms already
-        words = {(pair,): c for pair, c in rho_pair(amb, I[0], J[0]).items()}
+        if len(I) == 1:
+            (i,), (j,) = I, J
+            if not (1 <= i <= m and 1 <= j <= amb.n):
+                raise UsageError("rho indices out of range")
+            out = {}
+            for r in range(i, m + 1):
+                left = embed_poly(row_initial_minor(amb, tuple(range(1, i)) + (r,)))
+                if left.is_zero():
+                    continue
+                for s in range(1, j + 1):
+                    cols = tuple(m + u for u in range(1, j + 1) if u != s)
+                    coeff = loc_mul(left, dminus(amb, cols))
+                    if (s + j) % 2 == 1:
+                        coeff = loc_scale(coeff, -1)
+                    if not coeff.is_zero():
+                        out[((r, m + s),)] = lowest_terms(coeff)
+            return MappingProxyType(out)
+        # the first pair's map, which is in lowest terms already
+        words = rho_product(amb, I[:1], J[:1])
         for i_s, j_s in zip(I[1:], J[1:]):
             new: dict = {}
             for word, c in words.items():
-                for pair, c2 in rho_pair(amb, i_s, j_s).items():
-                    sign, merged = sort_with_sign(word + (pair,))
+                for pair, c2 in rho_product(amb, (i_s,), (j_s,)).items():
+                    sign, merged = sort_with_sign(word + pair)
                     if merged is None:
                         continue
                     add = loc_mul(c, c2)
@@ -378,33 +357,20 @@ def rho_product(amb: Ambient, I, J) -> MappingProxyType:
     return amb.cached(("rhoproduct", I, J), build)
 
 
-def _factored_vector(amb: Ambient, I, J, plus_exps, minus_exps) -> FloorElement:
-    """The vector of the family (I|J) over a ledger of minor powers: their
-    product over the family's per-ring rho product, factored (see
-    FloorElement).  It renders over the ledger's exponent plus j - 1 for each
-    rho factor."""
-    exp = ledger_exponent(plus_exps, minus_exps) + sum(j_s - 1 for j_s in J)
-    factored = (minor_power_product(amb, plus_exps, minus_exps), rho_product(amb, I, J),
-                ("rhoproduct", I, J))
-    return FloorElement(amb, len(I), None, exp, factored)
-
-
 def _family_ledger(w: Weight, I, J):
     """(vector, defect): the (plus, minus) minor powers of a family's cleared
     vector and of its defect.  Each pair (i, j) takes one power off the plus
     minor of size i and, for j > 1, off the minus minor of size j - 1; a
     power driven negative moves to the defect, except on the full even-block
     minor, which is D and stays in the vector's denominator."""
-    m = w.m
     plus_exps, minus_exps = exponent_ledger(w)
     for i_s, j_s in zip(I, J):
         plus_exps[i_s - 1] -= 1
         if j_s > 1:
             minus_exps[j_s - 2] -= 1
-    vector = ([e if e >= 0 or a == m else 0 for a, e in enumerate(plus_exps, start=1)],
-              [max(e, 0) for e in minus_exps])
-    defect = ([-e if e < 0 and a < m else 0 for a, e in enumerate(plus_exps, start=1)],
-              [max(-e, 0) for e in minus_exps])
+    *partial, full = plus_exps
+    vector = ([max(e, 0) for e in partial] + [full], [max(e, 0) for e in minus_exps])
+    defect = ([max(-e, 0) for e in partial] + [0], [max(-e, 0) for e in minus_exps])
     return vector, defect
 
 
@@ -414,7 +380,8 @@ def defect_exponent(w: Weight, I, J) -> int:
 
 
 def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
-    """Cleared form of the higher-floor vector: returns (element, defect).
+    """Cleared form of the vector of an admissible family, the one builder of
+    the pi vectors (pi_ij is its one-pair case): returns (element, defect).
 
     The element carries the positive-part minor powers; the defect collects
     the minor powers the weight's gaps could not absorb.  Dividing every
@@ -426,16 +393,14 @@ def pi_IJ_raw(amb: Ambient, w: Weight, I, J):
     family's per-ring rho product, multiplied out when first read.
     """
     I, J = tuple(I), tuple(J)
-    if (w.m, w.n) != (amb.m, amb.n):
-        raise UsageError("weight block sizes do not match the ambient")
-    if not is_dominant(w):
-        raise UsageError("weight must be dominant")
+    check_highest_weight(amb, w)
     if not is_admissible_pair(w, I, J):
         raise UsageError("index family is not admissible for this weight")
-    if w.minus[-1] < 0:
-        raise UsageError("normalize away the determinant twist first")
-    vector, defect = _family_ledger(w, I, J)
-    return _factored_vector(amb, I, J, *vector), minor_power_product(amb, *defect)
+    (plus_exps, minus_exps), defect = _family_ledger(w, I, J)
+    exp = ledger_exponent(plus_exps, minus_exps) + sum(j_s - 1 for j_s in J)
+    factored = (minor_power_product(amb, plus_exps, minus_exps), rho_product(amb, I, J),
+                ("rhoproduct", I, J))
+    return FloorElement(amb, len(I), None, exp, factored), minor_power_product(amb, *defect)
 
 
 def divide_floor(x: FloorElement, defect: LocalizedElement):

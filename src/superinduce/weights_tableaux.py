@@ -376,19 +376,26 @@ def ledger_exponent(plus_exps, minus_exps) -> int:
     return sum(b * e for b, e in enumerate(minus_exps, start=1)) + max(0, -plus_exps[-1])
 
 
+def check_highest_weight(amb: Ambient, w: Weight):
+    """Raise UsageError unless w has the ring's block sizes, is dominant and
+    has a nonnegative last minus entry: the weights that the highest vector
+    and every floor vector are built for."""
+    if (w.m, w.n) != (amb.m, amb.n):
+        raise UsageError("weight block sizes do not match the ambient")
+    if not is_dominant(w):
+        raise UsageError("weight must be dominant")
+    if w.minus[-1] < 0:
+        raise UsageError(
+            "last minus entry is negative; normalize away the determinant twist first"
+        )
+
+
 def highest_vector(amb: Ambient, w: Weight) -> LocalizedElement:
     """Product of nested leading minors with exponents the consecutive
     differences of the weight; a negative last plus entry folds into the
     denominator, while a negative last minus entry is rejected (normalize
     away the twist first)."""
-    if (w.m, w.n) != (amb.m, amb.n):
-        raise UsageError("weight block sizes do not match the ambient")
-    if not is_dominant(w):
-        raise UsageError("highest vectors exist for dominant weights only")
-    if w.minus[-1] < 0:
-        raise UsageError(
-            "last minus entry is negative; normalize away the determinant twist first"
-        )
+    check_highest_weight(amb, w)
     out = minor_power_product(amb, *exponent_ledger(w))
     if loc_weight(out) != w.as_tuple():
         raise InternalError("highest vector has the wrong weight")

@@ -140,6 +140,18 @@ MUTANTS = [
         "old": "        words = {(pair,): c for pair, c in rho_pair(amb, I[0], J[0]).items()}\n",
         "new": "        words = {(pair,): lowest_terms(c) for pair, c in rho_pair(amb, I[0], J[0]).items()}\n",
         "tests": [PHI1_AT_2_2],
+        "retired": "rho_pair folded into rho_product, whose one-pair case is built "
+                   "apart from the longer families; reducing the first pair's map again "
+                   "inside a longer family survives every work pin",
+    },
+    {
+        "id": "pi-ij-without-its-cell-preconditions",
+        "origin": "pi_ij built as the one-pair family of pi_IJ_raw",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "    _check_pi_preconditions(w, i, j)\n    vec, _ = pi_IJ_raw(amb, w, (i,), (j,))\n",
+        "new": "    vec, _ = pi_IJ_raw(amb, w, (i,), (j,))\n",
+        "tests": ["tests/test_floors.py::"
+                  "test_pi_ij_refuses_a_cell_whose_one_pair_family_is_admissible"],
     },
     {
         "id": "rho-product-without-the-empty-family",

@@ -5,12 +5,14 @@
 Copies `src/`, `tests/`, `pyproject.toml` and `perfbench/expected/` (the
 recorded pool that some tests read) to a temporary directory, runs every
 named test once on the unmutated copy, and then, one live mutant at a time,
-plants its snippet, runs `python -m pytest -x -q` on the mutant's tests and
-restores the file.  Prints one JSON line per run: `killed` (a named test failed),
-`survived` (all passed), `did not apply` (the snippet does not occur exactly
-once) or `error` (pytest could not run the tests).  The working tree is
-never written.  Exits 1 unless the baseline passes and every live mutant is
-killed.  Standard library only; not part of tier-1.
+plants its snippet, runs `python -m pytest -x -q` on each of the mutant's
+tests on its own (`-x` stops only at the first failing case of that one
+test) and restores the file.  Prints one JSON line per run: `killed`
+(every named test failed), `survived` (at least one passed; `passed` lists
+those), `did not apply` (the snippet does not occur exactly once) or `error`
+(pytest could not run a test).  The working tree is never written.  Exits 1
+unless the baseline passes and every live mutant is killed.  Standard
+library only; not part of tier-1.
 """
 
 from __future__ import annotations
@@ -67,11 +69,14 @@ def main() -> int:
             else:
                 path.write_text(original.replace(mutant["old"], mutant["new"]))
                 try:
-                    code, seconds = _pytest(copy, mutant["tests"])
+                    runs = {t: _pytest(copy, [t]) for t in mutant["tests"]}
                 finally:
                     path.write_text(original)
-                status = {0: "survived", 1: "killed"}.get(code, "error")
-                record.update(status=status, exit=code, seconds=seconds)
+                codes = {code for code, _ in runs.values()}
+                passed = [t for t, (code, _) in runs.items() if code == 0]
+                status = ("error" if codes - {0, 1} else "survived" if passed else "killed")
+                record.update(status=status, passed=passed,
+                              seconds=round(sum(s for _, s in runs.values()), 2))
             ok = ok and record["status"] == "killed"
             print(json.dumps(record), flush=True)
     return 0 if ok else 1

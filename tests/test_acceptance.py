@@ -568,3 +568,38 @@ def test_criterion_13_primitivity_of_the_raw_vectors_at_the_wall(capsys):
             f"and (2,3), chars 3 and 5, are primitive; {sampled} of them agree with "
             "the multiplied-out route"
         )
+
+
+# Criterion 13's sweep in chars 0 and 7: the same weights, families, sizes
+# and sample, each case on a fresh Ambient.  On a 2-core machine the (3,2)
+# and (2,3) cases took about 2.95 + 1.29 s of CPU in char 0 and 3.49 + 1.33 s
+# in char 7; the budget covers all four cases and was set before the first
+# run.
+CRITERION_13_CHARS_0_7_BUDGET_S = 20
+
+
+def test_criterion_13_primitivity_of_the_raw_vectors_at_the_wall_in_chars_0_and_7(capsys):
+    info = {}
+    with _criterion("13 (chars 0 and 7)", CRITERION_13_CHARS_0_7_BUDGET_S, info, capsys):
+        verdicts, sampled = {}, 0
+        for (m, n), char in product([(3, 2), (2, 3)], [0, 7]):
+            amb = Ambient(m, n, char)
+            count = 0
+            for w in _dominant_weights(m, n, 3, minus_top=2):
+                for I, J in _pair_families(m, n, 2):
+                    if not is_admissible_pair(w, I, J):
+                        continue
+                    raw = pi_IJ_raw(amb, w, I, J)[0]
+                    assert is_primitive(raw) is True, (m, n, char, w, I, J)
+                    if count % CRITERION_13_SAMPLE_STEP == 0:
+                        eager = FloorElement(amb, raw.floor, dict(raw.terms), raw.render_exp)
+                        assert parent_is_primitive(eager) is True, (m, n, char, w, I, J)
+                        sampled += 1
+                    count += 1
+            verdicts[m, n, char] = count
+        assert verdicts == {(3, 2, 0): 1288, (3, 2, 7): 1288, (2, 3, 0): 1002, (2, 3, 7): 1002}
+        info["detail"] = (
+            f"{sum(verdicts.values())} raw vectors of one- and two-pair families at (3,2) "
+            f"and (2,3), chars 0 and 7, are primitive; {sampled} of them agree with "
+            "the multiplied-out route"
+        )

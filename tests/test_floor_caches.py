@@ -23,7 +23,6 @@ from superinduce.floors_primitives import (
     pi_IJ,
     pi_IJ_raw,
     pi_ij,
-    rho_pair,
     rho_product,
     search_module_combinations,
     y_word,
@@ -54,7 +53,7 @@ SIZES = [(2, 1), (1, 2), (2, 2), (3, 1)]
 CHARS = [0, 3]
 RINGS = st.builds(lambda size, char: ambient(*size, char),
                   st.sampled_from(SIZES), st.sampled_from(CHARS))
-CACHED_FAMILIES = ("rho", "rhoproduct", "minorpow", "yword")
+CACHED_FAMILIES = ("rhoproduct", "minorpow", "yword")
 # a per-ring map divided by a defect, or None where a division failed
 QUOTIENTS = "rhoquotient"
 # is_primitive's verdict on a factored vector's map, None where the map is
@@ -92,9 +91,9 @@ def _weight(data, amb):
 @given(RINGS, st.data())
 def test_rho_pairs_equal_fresh_builds(amb, data):
     i, j = data.draw(st.sampled_from(_pairs(amb)))
-    cached = rho_pair(amb, i, j)
+    cached = rho_product(amb, (i,), (j,))
     assert isinstance(cached, MappingProxyType)
-    assert dict(cached) == fresh_rho_pair(amb, i, j)
+    assert dict(cached) == {(pair,): c for pair, c in fresh_rho_pair(amb, i, j).items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +216,7 @@ def _check_cached_data_stays(amb, w):
     _run_floor_paths(amb, w)
     assert _snapshot(amb) == before
     for key, value in amb._cache.items():
-        if isinstance(key, tuple) and key[0] in ("rho", "rhoproduct", QUOTIENTS) and value is not None:
+        if isinstance(key, tuple) and key[0] in ("rhoproduct", QUOTIENTS) and value is not None:
             assert isinstance(value, MappingProxyType)
             with pytest.raises(TypeError):
                 value[()] = embed_poly(amb.one())

@@ -1,6 +1,8 @@
 """Floor model: exterior words with localized coefficients, the distinguished
 first-floor vectors, extraction back out of the raw ring, and primitivity."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,13 +43,15 @@ from superinduce.fraction import (
 )
 from superinduce.minors import row_initial_minor, twisted_generator, y_entry
 from superinduce.superpoly import (
+    Ambient,
     UsageError,
     ambient,
     exact_divide,
     monomial_items,
     sort_with_sign,
 )
-from superinduce.weights_tableaux import dminus, highest_vector, make_weight
+from superinduce.weights_tableaux import dminus, highest_vector, is_admissible_pair, make_weight
+from builder_oracle import parent_pi_ij
 from floor_oracle import (
     floor_decompose,
     highest_vector_recursion_check,
@@ -263,6 +267,58 @@ def test_pi_precondition_messages():
         pi_ij(amb, make_weight((2, 0), (1, 0)), 2, 1)
     with pytest.raises(UsageError, match="minus entries 1 and 2 coincide"):
         pi_ij(amb, make_weight((2, 1), (1, 1)), 1, 2)
+
+
+def _weights_from(m, n, plus_entries, minus_entries):
+    """Every dominant weight of block sizes (m, n) with entries in the given
+    ranges."""
+    for plus in combinations_with_replacement(plus_entries, m):
+        for minus in combinations_with_replacement(minus_entries, n):
+            yield make_weight(reversed(plus), reversed(minus))
+
+
+# pi_ij against the one-pair family of pi_IJ_raw at every cell it accepts
+# (678 cells over both chars), and against the parent's eager builder where
+# that builder is quick
+ONE_PAIR_CELLS = {(2, 1): 39, (1, 2): 27, (2, 2): 117, (3, 1): 102, (1, 3): 54}
+PARENT_SIZES = [(2, 1), (1, 2), (2, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("size", ONE_PAIR_CELLS)
+def test_pi_ij_is_the_one_pair_family_of_pi_IJ_raw(size, char):
+    amb = Ambient(*size, char)
+    cells = 0
+    for w in _weights_from(*size, range(-1, 3), range(3)):
+        for i in range(1, amb.m + 1):
+            for j in range(1, amb.n + 1):
+                try:
+                    vec = pi_ij(amb, w, i, j)
+                except UsageError:
+                    continue
+                raw, defect = pi_IJ_raw(amb, w, (i,), (j,))
+                assert defect == embed_poly(amb.one())
+                assert vec.render_exp == raw.render_exp
+                assert vec.factored[2] == raw.factored[2] == ("rhoproduct", (i,), (j,))
+                assert floor_element_to_json(vec) == floor_element_to_json(raw)
+                if size in PARENT_SIZES:
+                    parent = parent_pi_ij(amb, w, i, j)
+                    assert floor_element_to_json(vec) == floor_element_to_json(parent)
+                cells += 1
+    assert cells == ONE_PAIR_CELLS[size]
+
+
+def test_pi_ij_refuses_a_cell_whose_one_pair_family_is_admissible():
+    # [1,0|0] at (2,1), cell (2,1): the family (2|1) is admissible and
+    # pi_IJ_raw builds it with a defect of one, but the first-floor vector
+    # is undefined when the last plus entry is zero
+    amb = ambient(2, 1)
+    w = make_weight((1, 0), (0,))
+    assert is_admissible_pair(w, (2,), (1,))
+    _, defect = pi_IJ_raw(amb, w, (2,), (1,))
+    assert defect == embed_poly(amb.one())
+    with pytest.raises(UsageError, match="last plus entry is zero"):
+        pi_ij(amb, w, 2, 1)
 
 
 def test_pi_one_row_transcriptions_match():

@@ -222,6 +222,26 @@ def test_fallback_division_at_2_3_multiplies_out_and_divides_each_coefficient(mo
     assert counts["divides"] <= 8
 
 
+def test_three_pair_division_at_3_2_whose_map_and_fallback_fail(monkeypatch):
+    # [2,1,1|1,0] for (1,2,3|1,1,2) in char 3 at (3,2), built and divided on
+    # a fresh Ambient: the defect does not divide the rho product's map
+    # (cached as None), and the multiplied-out fallback fails too.  90 dot
+    # calls over 1,445 term pairs and 9 exact_divide calls, the lowest-terms
+    # reductions of the per-ring factors included, before and after pi_ij
+    # became the one-pair case of pi_IJ_raw, the same under PYTHONHASHSEED
+    # 0, 1 and 7.  The margin is zero: the counts are exact
+    amb = superpoly.Ambient(3, 2, 3)
+    w, family = weights_tableaux.parse_weight("[2,1,1|1,0]"), ((1, 2, 3), (1, 1, 2))
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    raw, defect = pi_IJ_raw(amb, w, *family)
+    assert divide_floor(raw, defect) is None
+    assert amb.cached(("rhoquotient", raw.factored[2], defect), lambda: "unbuilt") is None
+    assert counts["calls"] <= 90
+    assert counts["term_pairs"] <= 1445
+    assert counts["divides"] <= 9
+
+
 def test_primitivity_of_a_three_pair_vector_is_decided_on_its_map_once(monkeypatch):
     # pi_IJ then is_primitive for [3,2|4,0] and (1,2,2|1,1,2) in char 5, the
     # first three-pair primitive-IJ entry of floors.json.  On a fresh
