@@ -12,10 +12,8 @@ from superinduce.derivation import (
     FDplus,
     FPhi,
     apply_loc,
-    basic,
     embed_formal,
     embed_formal_factor,
-    render_op,
     structured_rule,
 )
 from superinduce.fraction import loc_eq, render_loc
@@ -34,18 +32,18 @@ def _short(x) -> str:
 def main():
     amb = ambient(2, 2)
     showcases = [
-        (FY(1, 3), basic(1, 3), "a fraction entry under an upward mixed step"),
-        (FY(1, 3), basic(3, 1), "the same entry under the reversed step"),
-        (FPhi(3, 4), basic(3, 4), "a twisted odd-block generator"),
-        (FDminus((3, 4)), basic(2, 3), "an odd-column minor leaving its block"),
-        (FDplus((1, 2)), basic(2, 4), "an even-column minor raised out of its block"),
+        (FY(1, 3), (1, 3), "a fraction entry under an upward mixed step"),
+        (FY(1, 3), (3, 1), "the same entry under the reversed step"),
+        (FPhi(3, 4), (3, 4), "a twisted odd-block generator"),
+        (FDminus((3, 4)), (2, 3), "an odd-column minor leaving its block"),
+        (FDplus((1, 2)), (2, 4), "an even-column minor raised out of its block"),
     ]
-    for factor, op, blurb in showcases:
-        closed = embed_formal(amb, structured_rule(amb, factor, op))
-        raw = apply_loc(op, embed_formal_factor(amb, factor))
+    for factor, (k, l), blurb in showcases:
+        closed = embed_formal(amb, structured_rule(amb, factor, (k, l)))
+        raw = apply_loc((k, l), embed_formal_factor(amb, factor))
         agree = loc_eq(closed, raw)
         print(f"{blurb}:")
-        print(f"  operator      {render_op(op)}")
+        print(f"  operator      d[{k},{l}]")
         print(f"  closed form   {_short(closed)}")
         print(f"  raw route     {_short(raw)}")
         print(f"  exact match   {agree}")

@@ -31,7 +31,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 from operator import add
 
-from .derivation import FDminus, FDplus, FPhi, FY, basic, rewrite_rule_check
+from .derivation import FDminus, FDplus, FPhi, FY, direction_class, rewrite_rule_check
 from .floors_primitives import (
     defect_exponent,
     divide_floor,
@@ -345,25 +345,15 @@ def _publish(document: dict, out) -> int:
 # -- the verify suites --------------------------------------------------------------
 
 
-def _direction_class(m: int, k: int, l: int) -> str:
-    if k <= m and l <= m:
-        return "top"
-    if k <= m < l:
-        return "raise"
-    if l <= m < k:
-        return "lower"
-    return "bottom"
-
-
 def _rewrite_rule_id(factor, m: int, k: int, l: int) -> str:
-    cls = _direction_class(m, k, l)
+    cls = direction_class(m, k, l)
     if isinstance(factor, FY):
         return f"y-{cls}"
     if isinstance(factor, FPhi):
         return f"phi-{cls}"
     if isinstance(factor, FDminus):
         return f"dminus-{cls}"
-    if k > m:
+    if cls in ("lower", "bottom"):
         # both vanishing direction classes of the plus minor collapse
         return "dplus-source-odd"
     return f"dplus-{cls}"
@@ -406,7 +396,7 @@ def suite_lemmas(args, rng) -> dict:
                         "size": [m, n],
                         "factor": _render_factor(factor),
                         "direction": [k, l],
-                        "ok": rewrite_rule_check(amb, factor, basic(k, l)),
+                        "ok": rewrite_rule_check(amb, factor, (k, l)),
                     }
                 )
     return {"command": "verify lemmas", "config": _config_echo(args), "entries": entries}

@@ -1,15 +1,18 @@
 """Right superderivations of the coordinate ring and its localization.
 
-The basic operator for a direction (k, l) sends a generator c[a,b] to
-c[a,l] when b == k and to zero otherwise, extended as a right derivation
-with the sign rule (xy)D = (-1)^(|D||y|) (x)D·y + x·(y)D.  On fractions it
-acts by the quotient rule, in closed form: D is multilinear in the columns
-1..m and D22 in the others.  So a diagonal d[k,k] fixes its own block's
-determinant and kills the other, and a term c·M / (D^s·D22^t) goes to
-c·(μ - λ)·M over the same exponents (μ the column-k content of M, λ = s for
-k <= m, else t).  Only a raise direction (k <= m < l) moves D and only a lower
-one (l <= m < k) moves D22, by the one fused product dN·D - s·N·dD over
-D^(s+1) (or its D22 twin); every other direction kills both.
+A direction is its pair (k, l), and `direction_class` sorts it by the blocks
+it joins: top (both indices in the even block 1..m), raise (k <= m < l),
+lower (l <= m < k) or bottom (both beyond m).  The basic derivation d[k,l]
+sends a generator c[a,b] to c[a,l] when b == k and to zero otherwise,
+extended as a right derivation with the sign rule
+(xy)D = (-1)^(|D||y|) (x)D·y + x·(y)D.  On fractions it acts by the quotient
+rule, in closed form: D is multilinear in the columns 1..m and D22 in the
+others.  So a diagonal d[k,k] fixes its own block's determinant and kills
+the other, and a term c·M / (D^s·D22^t) goes to c·(μ - λ)·M over the same
+exponents (μ the column-k content of M, λ = s for k <= m, else t).  Only a
+raise direction moves D and only a lower one moves D22, by the one fused
+product dN·D - s·N·dD over D^(s+1) (or its D22 twin); every other direction
+kills both.
 
 The one divided-power kernel, `divided_power`, serves primitivity: an even
 off-diagonal direction kills D and D22, and its d^(r) = d^r/r! is a product
@@ -51,20 +54,16 @@ from .superpoly import (
 from .weights_tableaux import dminus
 
 
-@dataclass(frozen=True)
-class Op:
-    """A right operator: the basic derivation of the direction (k, l)."""
-
-    k: int
-    l: int
-
-
-def basic(k: int, l: int) -> Op:
-    return Op(k, l)
-
-
-def render_op(op: Op) -> str:
-    return f"d[{op.k},{op.l}]"
+def direction_class(m: int, k: int, l: int) -> str:
+    """The blocks the direction (k, l) joins, the even block being 1..m:
+    top, raise, lower or bottom."""
+    if k <= m and l <= m:
+        return "top"
+    if k <= m < l:
+        return "raise"
+    if l <= m < k:
+        return "lower"
+    return "bottom"
 
 
 # -- the basic derivation on polynomials --------------------------------------------
@@ -72,7 +71,7 @@ def render_op(op: Op) -> str:
 
 def _slots(amb: Ambient, k: int, l: int) -> tuple:
     """Per row a: c[a,k]'s shift, the step to c[a,l], the odd bits whose parity
-    signs the image (an odd operator passes the odd factors after c[a,k], an
+    signs the image (an odd direction passes the odd factors after c[a,k], an
     odd c[a,l] those between the two), and c[a,l] when it is odd (else 0)."""
 
     def build():
@@ -113,9 +112,10 @@ def _d_poly(p: SuperPolynomial, k: int, l: int) -> SuperPolynomial:
     return SuperPolynomial(amb, acc)
 
 
-def _den_derivative(amb: Ambient, which: int, k: int, l: int) -> SuperPolynomial:
-    base = det_block11 if which == 11 else det_block22
-    return amb.cached(("dden", which, k, l), lambda: _d_poly(base(amb), k, l))
+def _den_derivative(amb: Ambient, k: int, l: int) -> SuperPolynomial:
+    """d[k,l] of the determinant of column k's block, the only one it can move."""
+    base = det_block11 if k <= amb.m else det_block22
+    return amb.cached(("dden", k, l), lambda: _d_poly(base(amb), k, l))
 
 
 def _column_mask(amb: Ambient, k: int) -> int:
@@ -124,17 +124,19 @@ def _column_mask(amb: Ambient, k: int) -> int:
         FIELD_MASK << shift for shift, *_ in _slots(amb, k, k)))
 
 
-def apply_loc(op: Op, x: LocalizedElement) -> LocalizedElement:
-    k, l = op.k, op.l
+def apply_loc(direction: tuple, x: LocalizedElement) -> LocalizedElement:
+    """The basic derivation d[k,l] of the direction (k, l) on a fraction."""
+    k, l = direction
     if k == l:
         return _diagonal(x, k)
-    amb, m, s, t = x.ambient, x.ambient.m, x.d_exp, x.d22_exp
+    amb, s, t = x.ambient, x.d_exp, x.d22_exp
     dn = _d_poly(x.num, k, l)
-    if k <= m < l and s:
-        dden = _den_derivative(amb, 11, k, l).scale(-s)
+    cls = direction_class(amb.m, k, l)
+    if cls == "raise" and s:
+        dden = _den_derivative(amb, k, l).scale(-s)
         return LocalizedElement(dot(amb, ((dn, det_block11(amb)), (x.num, dden))), s + 1, t)
-    if l <= m < k and t:
-        dden = _den_derivative(amb, 22, k, l).scale(-t)
+    if cls == "lower" and t:
+        dden = _den_derivative(amb, k, l).scale(-t)
         return LocalizedElement(dot(amb, ((dn, det_block22(amb)), (x.num, dden))), s, t + 1)
     return LocalizedElement(dn, s, t)
 
@@ -239,55 +241,54 @@ class FDplus:
     cols: tuple
 
 
-def structured_rule(amb: Ambient, factor, op: Op):
-    """Derivative of a single formal factor, straight from the rewrite table.
+def structured_rule(amb: Ambient, factor, direction: tuple):
+    """Derivative of a single formal factor under the direction (k, l),
+    straight from the rewrite table.
 
-    Returns a formal expression; embedding it must agree with applying the
-    operator to the embedded factor, which is exactly what the rewrite-rule
-    tests check.
+    Returns a formal expression; embedding it must agree with applying d[k,l]
+    to the embedded factor, which is exactly what the rewrite-rule tests
+    check.
     """
-    k, l, m = op.k, op.l, amb.m
-    mixed_up = k <= m < l
-    mixed_down = k > m >= l
-    odd_block = k > m and l > m
+    k, l = direction
+    cls = direction_class(amb.m, k, l)
     if isinstance(factor, FY):
         i, j = factor.i, factor.j
-        if mixed_up:
+        if cls == "raise":
             return [(1, (FY(i, l), FY(k, j)))]
-        if mixed_down:
+        if cls == "lower":
             return [(1, ())] if (i == l and j == k) else []
-        if odd_block:
+        if cls == "bottom":
             return [(1, (FY(i, l),))] if j == k else []
         return [(-1, (FY(k, j),))] if l == i else []
     if isinstance(factor, FPhi):
         i, j = factor.i, factor.j
-        if mixed_up:
+        if cls == "raise":
             return [(1, (FPhi(i, l), FY(k, j)))]
-        if odd_block:
+        if cls == "bottom":
             return [(1, (FPhi(i, l),))] if j == k else []
         return []
     if isinstance(factor, FDminus):
         cols = factor.cols
-        if mixed_down or (k <= m and l <= m):
+        if cls in ("lower", "top"):
             return []
         out = []
         for t, jt in enumerate(cols):
             newcols = cols[:t] + (l,) + cols[t + 1 :]
-            if mixed_up:
+            if cls == "raise":
                 out.append((1, (FDminus(newcols), FY(k, jt))))
             elif jt == k:
                 out.append((1, (FDminus(newcols),)))
         return out
     if isinstance(factor, FDplus):
         cols = factor.cols
-        if k > m:
+        if cls in ("lower", "bottom"):
             return []
         out = []
         for t, it in enumerate(cols):
             if it != k:
                 continue
-            if mixed_up:
-                for a in range(1, m + 1):
+            if cls == "raise":
+                for a in range(1, amb.m + 1):
                     sign, norm = sort_with_sign(cols[:t] + (a,) + cols[t + 1 :])
                     if norm is None:
                         continue
@@ -318,8 +319,8 @@ def embed_formal(amb: Ambient, expr) -> LocalizedElement:
         for coeff, factors in expr])
 
 
-def rewrite_rule_check(amb: Ambient, factor, op: Op) -> bool:
+def rewrite_rule_check(amb: Ambient, factor, direction: tuple) -> bool:
     """Compare the rewrite table against the direct quotient-rule route."""
-    raw = apply_loc(op, embed_formal_factor(amb, factor))
-    table = embed_formal(amb, structured_rule(amb, factor, op))
+    raw = apply_loc(direction, embed_formal_factor(amb, factor))
+    table = embed_formal(amb, structured_rule(amb, factor, direction))
     return loc_eq(raw, table)

@@ -35,7 +35,7 @@ from itertools import product as iter_product
 from math import gcd
 from types import MappingProxyType
 
-from .derivation import apply_loc, basic, divided_power
+from .derivation import apply_loc, direction_class, divided_power
 from .fraction import (
     LocalizedElement,
     den_power,
@@ -119,9 +119,6 @@ class FloorElement:
             prefactor, factors, _ = self.factored
             self._terms = _checked_terms(self.ambient, self.floor, _times(prefactor, factors))
         return self._terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         inner = ", ".join(
@@ -615,7 +612,7 @@ def phi_floor(x: FloorElement) -> FloorElement:
     pieces = []
     for key, cur in x.terms.items():
         for i, j in key:
-            cur = apply_loc(basic(i, j), cur)
+            cur = apply_loc((i, j), cur)
         pieces.append(cur)
     floors = extract_floors(loc_sum(amb, pieces))
     if floors is None:
@@ -678,13 +675,13 @@ def generation_identity_check(amb: Ambient, w: LocalizedElement, k: int, l: int)
     """A mixed derivative of a bideterminant product is generated by the
     derivatives in even directions times y entries — and the reversed mixed
     direction annihilates it."""
-    if not (k <= amb.m < l):
+    if direction_class(amb.m, k, l) != "raise":
         raise UsageError("the generation identity is for upward mixed directions")
-    lhs = apply_loc(basic(k, l), w)
+    lhs = apply_loc((k, l), w)
     rhs = loc_dot(amb, [
-        *((apply_loc(basic(k, a), w), y_entry(amb, a, l)) for a in range(1, amb.m + 1)),
-        *((apply_loc(basic(b, l), w), y_entry(amb, k, b)) for b in range(amb.m + 1, amb.size + 1)),
+        *((apply_loc((k, a), w), y_entry(amb, a, l)) for a in range(1, amb.m + 1)),
+        *((apply_loc((b, l), w), y_entry(amb, k, b)) for b in range(amb.m + 1, amb.size + 1)),
     ])
     if not loc_eq(lhs, rhs):
         return False
-    return apply_loc(basic(l, k), w).is_zero()
+    return apply_loc((l, k), w).is_zero()

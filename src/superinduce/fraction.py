@@ -83,9 +83,6 @@ class LocalizedElement:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def parity(self):
-        return self.num.parity()
-
     def __repr__(self):
         return f"LocalizedElement({render_loc(self)!r})"
 

@@ -61,7 +61,7 @@ from heapq import heapify, heappop, heappush
 from itertools import permutations
 from math import factorial
 
-from superinduce.derivation import _d_poly, _den_derivative, apply_loc, basic, divided_power
+from superinduce.derivation import _d_poly, apply_loc, divided_power
 from superinduce.floors_primitives import FloorElement, embed_floor
 from superinduce.fraction import (
     LocalizedElement,
@@ -483,7 +483,7 @@ def lifted_apply(k, l, r, x):
     factorial divided off, and the result lowered back to x's field."""
     cur = LocalizedElement(lift(x.num), x.d_exp, x.d22_exp)
     for _ in range(r):
-        cur = apply_loc(basic(k, l), cur)
+        cur = apply_loc((k, l), cur)
     cur = loc_scale(cur, Fraction(1, factorial(r)))
     return LocalizedElement(lower(cur.num, x.ambient.char), cur.d_exp, cur.d22_exp)
 
@@ -512,7 +512,7 @@ def divided_powers_vanish(emb, k, l):
             bound = total_degree(lifted.num) + 1
         if r > bound:
             raise InternalError("divided-power iteration failed to terminate")
-        u = apply_loc(basic(k, l), u)
+        u = apply_loc((k, l), u)
         if not lower(u.num.scale(Fraction(1, factorial(r))), char).is_zero():
             return False
     return True
@@ -529,10 +529,10 @@ def parent_d_loc(x, k, l):
         eigen = s if k <= m else t
         return LocalizedElement(dn - x.num.scale(eigen) if eigen else dn, s, t)
     if k <= m < l and s:
-        dden = _den_derivative(amb, 11, k, l).scale(-s)
+        dden = _d_poly(det_block11(amb), k, l).scale(-s)
         return LocalizedElement(dot(amb, ((dn, det_block11(amb)), (x.num, dden))), s + 1, t)
     if l <= m < k and t:
-        dden = _den_derivative(amb, 22, k, l).scale(-t)
+        dden = _d_poly(det_block22(amb), k, l).scale(-t)
         return LocalizedElement(dot(amb, ((dn, det_block22(amb)), (x.num, dden))), s, t + 1)
     return LocalizedElement(dn, s, t)
 
@@ -605,7 +605,7 @@ def loc_det(amb, entries) -> LocalizedElement:
         if len(row) != n:
             raise UsageError("determinant needs a square matrix")
         for e in row:
-            if e.parity() not in (0, None):
+            if e.num.parity() not in (0, None):
                 raise UsageError("localized determinant entries must be even")
     terms = []
     for perm in permutations(range(n)):

@@ -4,7 +4,7 @@ the weight's even-subgroup module, and the recursion for the highest
 vector's mixed derivatives.  Each is a second route to a fact the package
 computes another way."""
 
-from superinduce.derivation import apply_loc, basic
+from superinduce.derivation import apply_loc
 from superinduce.floors_primitives import extract_floors
 from superinduce.fraction import (
     LocalizedElement,
@@ -147,13 +147,13 @@ def highest_vector_recursion_check(amb: Ambient, w: Weight, k: int, l: int) -> b
     if not (k <= amb.m < l):
         raise UsageError("the recursion is for upward mixed directions")
     v = highest_vector(amb, w)
-    lhs = apply_loc(basic(k, l), v)
+    lhs = apply_loc((k, l), v)
     lead = w.plus[k - 1] + w.minus[l - amb.m - 1]
     rhs = loc_dot(amb, [
         (loc_scale(v, lead), y_entry(amb, k, l)),
-        *((apply_loc(basic(k, s), v), y_entry(amb, s, l)) for s in range(k + 1, amb.m + 1)),
-        *((apply_loc(basic(t, l), v), y_entry(amb, k, t)) for t in range(amb.m + 1, l)),
+        *((apply_loc((k, s), v), y_entry(amb, s, l)) for s in range(k + 1, amb.m + 1)),
+        *((apply_loc((t, l), v), y_entry(amb, k, t)) for t in range(amb.m + 1, l)),
     ])
     if not loc_eq(lhs, rhs):
         return False
-    return apply_loc(basic(l, k), v).is_zero()
+    return apply_loc((l, k), v).is_zero()

@@ -19,8 +19,12 @@ FALLBACK = "tests/test_defect_division.py::test_the_fallback_and_its_retry_decid
 WARM_FIRST_FLOOR = ("tests/test_work_pins.py::"
                     "test_warm_first_floor_primitivity_at_2_2_makes_no_divided_power")
 PHI1_AT_2_2 = "tests/test_work_pins.py::test_verify_phi1_at_2_2_builds_its_vectors_in_lowest_terms"
+RHO_FIRST_PAIR = ("tests/test_work_pins.py::"
+                  "test_a_longer_rho_product_reads_its_first_pair_map_as_it_is")
+DOT_ORACLE = "tests/test_superpoly.py::test_dot_equals_the_parent_loop_and_the_word_oracle"
 # subprocess tests under a time and a memory limit: without the ring cap the
-# in-process tests would build a ring of any size, and the runner has no timeout
+# in-process tests would build a ring of any size, and the runner's time
+# limit on a pytest run bounds its time but not its memory
 LONG_BLOCK = "tests/test_cli.py::test_a_640_entry_block_exits_2_at_once"
 NINE_ROWS = "tests/test_cli.py::test_oversized_determinant_exits_2_naming_the_cap"
 PHI1_RING_FIRST = "tests/test_cli.py::test_verify_phi1_builds_its_ring_before_drawing_a_weight"
@@ -145,6 +149,15 @@ MUTANTS = [
                    "inside a longer family survives every work pin",
     },
     {
+        "id": "rho-product-reduces-its-first-pair-map-again",
+        "origin": "a direction is its pair, classified in one place",
+        "file": "src/superinduce/floors_primitives.py",
+        "old": "        words = rho_product(amb, I[:1], J[:1])\n",
+        "new": "        words = {key: lowest_terms(c) for key, c in "
+               "rho_product(amb, I[:1], J[:1]).items()}\n",
+        "tests": [RHO_FIRST_PAIR],
+    },
+    {
         "id": "pi-ij-without-its-cell-preconditions",
         "origin": "pi_ij built as the one-pair family of pi_IJ_raw",
         "file": "src/superinduce/floors_primitives.py",
@@ -178,5 +191,40 @@ MUTANTS = [
         "new": "    weights = _phi1_weights(args, m, n, rng) if given is None else [given]\n"
                "    amb = ambient(m, n, args.p)\n",
         "tests": [PHI1_RING_FIRST],
+    },
+    {
+        "id": "dot-reads-the-koszul-sign-from-the-left-term",
+        "origin": "the product loop, second pass",
+        "file": "src/superinduce/superpoly.py",
+        "old": "                if (oa & kb).bit_count() & 1:\n",
+        "new": "                if (ob & koszul_mask(oa)).bit_count() & 1:\n",
+        "tests": [DOT_ORACLE],
+    },
+    {
+        "id": "dot-without-the-shared-odd-generator-skip",
+        "origin": "the product loop, second pass",
+        "file": "src/superinduce/superpoly.py",
+        "old": "                if oa & ob:\n"
+               "                    continue  # a shared odd generator squares to zero\n",
+        "new": "",
+        "tests": [DOT_ORACLE],
+    },
+    {
+        "id": "dot-odd-free-right-term-meets-odd-free-left-terms-only",
+        "origin": "the product loop, second pass",
+        "file": "src/superinduce/superpoly.py",
+        "old": "            if not ob:\n                for ma, ca in left:\n",
+        "new": "            if not ob:\n                for ma, ca in even_left:\n",
+        "tests": [DOT_ORACLE],
+    },
+    {
+        "id": "direction-class-swaps-raise-and-lower",
+        "origin": "a direction is its pair, classified in one place",
+        "file": "src/superinduce/derivation.py",
+        "old": "    if k <= m < l:\n        return \"raise\"\n    if l <= m < k:\n        return \"lower\"\n",
+        "new": "    if k <= m < l:\n        return \"lower\"\n    if l <= m < k:\n        return \"raise\"\n",
+        "tests": ["tests/test_derivation.py::test_a_pair_is_classed_by_the_blocks_it_joins",
+                  "tests/test_derivation.py::test_closed_form_quotient_rule_equals_the_parents",
+                  "tests/test_derivation.py::test_rewrite_y_all_directions"],
     },
 ]

@@ -1,12 +1,12 @@
 """Ring helpers that only the tests read: the total degree of a polynomial,
 a derivation on a polynomial that checks no denominator appears, the
-supercommutator identity of the basic operators, negation and difference of
+supercommutator identity of the basic derivations, negation and difference of
 localized elements, and the parser that inverts `render_loc` for text round
 trips."""
 
 import re
 
-from superinduce.derivation import Op, apply_loc, basic
+from superinduce.derivation import apply_loc
 from superinduce.fraction import (
     LocalizedElement,
     embed_poly,
@@ -61,33 +61,30 @@ def parse_loc(amb: Ambient, text: str) -> LocalizedElement:
 # -- derivations ---------------------------------------------------------------------
 
 
-def apply_poly(op: Op, p: SuperPolynomial) -> SuperPolynomial:
-    out = apply_loc(op, embed_poly(p))
+def apply_poly(direction: tuple, p: SuperPolynomial) -> SuperPolynomial:
+    out = apply_loc(direction, embed_poly(p))
     if out.d_exp or out.d22_exp:
         raise InternalError("polynomial input acquired a denominator")
     return out.num
 
 
-def op_parity(amb: Ambient, op: Op) -> int:
-    return amb.gen_parity(op.k, op.l)
-
-
-def bracket_check(x: LocalizedElement, a: Op, b: Op) -> bool:
-    """The supercommutator of two basic operators acts as the expected
-    combination of basic operators: on x,
+def bracket_check(x: LocalizedElement, a: tuple, b: tuple) -> bool:
+    """The supercommutator of the basic derivations of two directions a and b
+    acts as the expected combination of basic derivations: on x,
 
         ((x)a)b - (-1)^(|a||b|) ((x)b)a
 
     equals [l_a == k_b] (x)d[k_a,l_b] - (-1)^(|a||b|) [l_b == k_a] (x)d[k_b,l_a].
     """
     amb = x.ambient
-    sgn = -1 if op_parity(amb, a) and op_parity(amb, b) else 1
+    (ka, la), (kb, lb) = a, b
+    sgn = -1 if amb.gen_parity(ka, la) and amb.gen_parity(kb, lb) else 1
     xab = apply_loc(b, apply_loc(a, x))
     xba = apply_loc(a, apply_loc(b, x))
     lhs = loc_sub(xab, loc_scale(xba, sgn))
     rhs = loc_zero(amb)
-    if a.l == b.k:
-        rhs = loc_add(rhs, apply_loc(basic(a.k, b.l), x))
-    if b.l == a.k:
-        rhs = loc_sub(rhs, loc_scale(apply_loc(basic(b.k, a.l), x), sgn))
+    if la == kb:
+        rhs = loc_add(rhs, apply_loc((ka, lb), x))
+    if lb == ka:
+        rhs = loc_sub(rhs, loc_scale(apply_loc((kb, la), x), sgn))
     return loc_eq(lhs, rhs)

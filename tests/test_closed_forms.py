@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from superinduce.derivation import (
     apply_loc,
-    basic,
     divided_power,
 )
 from superinduce.floors_primitives import FloorElement, is_primitive, pi_ij
@@ -149,7 +148,7 @@ def test_every_direction_equals_the_parents_diagonal_route(amb, data):
     assume(weight_of(num) is None)
     x = LocalizedElement(num, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
     for k, l in _gens(amb):  # the same numerator and exponents, or the same error
-        assert _outcome(lambda: apply_loc(basic(k, l), x)) == _outcome(
+        assert _outcome(lambda: apply_loc((k, l), x)) == _outcome(
             lambda: parent_d_loc(x, k, l)), (k, l)
 
 
@@ -196,7 +195,7 @@ def test_a_pth_power_survives_its_pth_divided_power():
     # the third divided power is c11^3, so c12^3 is not killed
     amb = ambient(2, 1, 3)
     x = embed_poly(amb.gen(1, 2) ** 3)
-    assert apply_poly(basic(2, 1), x.num).is_zero()
+    assert apply_poly((2, 1), x.num).is_zero()
     assert lifted_apply(2, 1, 3, x).num == amb.gen(1, 1) ** 3
     assert divided_power(x.num, 2, 1) == amb.gen(1, 1) ** 3 == lifted_divided_powers(x.num, 2, 1)
     assert not _vanishes(x, 2, 1) and not divided_powers_vanish(x, 2, 1)
@@ -211,19 +210,19 @@ def test_odd_rows_sign_their_moves_and_are_blocked_by_their_targets():
     amb = ambient(3, 2, 3)
     g = amb.gen
     x = g(4, 1) * g(4, 2) * g(5, 1) * g(5, 2)
-    first = apply_poly(basic(1, 3), x)
+    first = apply_poly((1, 3), x)
     both = g(4, 3) * g(4, 2) * g(5, 3) * g(5, 2)
     assert lifted_apply(1, 3, 2, embed_poly(x)).num == both
     assert divided_power(x, 1, 3) == first + both == lifted_divided_powers(x, 1, 3)
     blocked = g(4, 1) * g(4, 3) * g(5, 1) * g(5, 2)
     assert lifted_apply(1, 3, 2, embed_poly(blocked)).is_zero()
-    assert divided_power(blocked, 1, 3) == apply_poly(basic(1, 3), blocked)
+    assert divided_power(blocked, 1, 3) == apply_poly((1, 3), blocked)
     assert not divided_power(blocked, 1, 3).is_zero()
     # row 4 passes its odd c[4,2] and row 5 passes nothing: only the odd
     # bits between a row's own two slots sign its move
     mixed = g(4, 1) * g(4, 2) * g(5, 1)
     assert lifted_apply(1, 3, 2, embed_poly(mixed)).num == g(4, 3) * g(4, 2) * g(5, 3)
-    assert divided_power(mixed, 1, 3) == apply_poly(basic(1, 3), mixed) + g(4, 3) * g(4, 2) * g(5, 3)
+    assert divided_power(mixed, 1, 3) == apply_poly((1, 3), mixed) + g(4, 3) * g(4, 2) * g(5, 3)
     assert divided_power(mixed, 1, 3) == lifted_divided_powers(mixed, 1, 3)
 
 

@@ -20,7 +20,7 @@ from superinduce.derivation import (
     FPhi,
     FY,
     apply_loc,
-    basic,
+    direction_class,
     divided_power,
     embed_formal,
     embed_formal_factor,
@@ -35,10 +35,20 @@ from ring_oracle import apply_poly, bracket_check
 from word_oracle import SIZES, pack, random_words, unpack, word_derivative
 
 
+def test_a_pair_is_classed_by_the_blocks_it_joins():
+    # at m = 2: both indices in the even block, up out of it, down into it,
+    # and both beyond it, the diagonal included
+    got = {(k, l): direction_class(2, k, l) for k, l in product(range(1, 5), repeat=2)}
+    assert got == {
+        (k, l): ("top" if l <= 2 else "raise") if k <= 2 else ("lower" if l <= 2 else "bottom")
+        for k, l in product(range(1, 5), repeat=2)
+    }
+
+
 def test_generator_rule():
     amb = ambient(2, 2)
     for a, b, k, l in product(range(1, 5), repeat=4):
-        got = apply_poly(basic(k, l), amb.gen(a, b))
+        got = apply_poly((k, l), amb.gen(a, b))
         expect = amb.gen(a, l) if b == k else amb.zero()
         assert got == expect, (a, b, k, l)
 
@@ -48,13 +58,13 @@ def test_sign_of_odd_direction_past_odd_suffix():
     # operator passes the odd suffix factor c21, so the sign is negative
     amb = ambient(1, 1)
     x = amb.gen(1, 2) * amb.gen(2, 1)
-    got = apply_poly(basic(2, 1), x)
+    got = apply_poly((2, 1), x)
     assert got == -(amb.gen(1, 1) * amb.gen(2, 1))
 
 
 def test_even_exponent_pulls_down():
     amb = ambient(2, 1)
-    assert apply_poly(basic(1, 2), amb.gen(1, 1) ** 3) == (
+    assert apply_poly((1, 2), amb.gen(1, 1) ** 3) == (
         amb.gen(1, 1) ** 2 * amb.gen(1, 2)
     ).scale(3)
 
@@ -66,7 +76,7 @@ def test_basic_derivation_matches_word_oracle(data, size, char):
     words = random_words(amb, data)
     x = pack(amb, words)
     for k, l in product(range(1, amb.size + 1), repeat=2):
-        got = apply_poly(basic(k, l), x)
+        got = apply_poly((k, l), x)
         assert unpack(got) == word_derivative(amb, words, k, l), (k, l)
 
 
@@ -75,7 +85,7 @@ def test_odd_image_passes_the_odd_factors_it_moves_across():
     # the odd operator passes c13 once and the new odd c14 passes it again
     amb = ambient(2, 2)
     x = amb.gen(1, 1) * amb.gen(1, 3)
-    assert apply_poly(basic(1, 4), x) == amb.gen(1, 3) * amb.gen(1, 4)
+    assert apply_poly((1, 4), x) == amb.gen(1, 3) * amb.gen(1, 4)
 
 
 def test_derivation_respects_the_exponent_cap():
@@ -83,9 +93,9 @@ def test_derivation_respects_the_exponent_cap():
     c11, c12 = amb.gen(1, 1), amb.gen(1, 2)
     # d[2,1] turns the factor c12 into c11; at the cap that is one too many
     below = c11 ** (EXPONENT_CAP - 1) * c12
-    assert apply_poly(basic(2, 1), below) == c11 ** EXPONENT_CAP
+    assert apply_poly((2, 1), below) == c11 ** EXPONENT_CAP
     with pytest.raises(UsageError, match=str(EXPONENT_CAP)):
-        apply_poly(basic(2, 1), c11 ** EXPONENT_CAP * c12)
+        apply_poly((2, 1), c11 ** EXPONENT_CAP * c12)
 
 
 def _random_poly(amb, data, max_terms=3, max_factors=3):
@@ -106,7 +116,7 @@ def test_super_leibniz(data):
     amb = ambient(2, 1)
     k = data.draw(st.integers(1, 3))
     l = data.draw(st.integers(1, 3))
-    op = basic(k, l)
+    op = (k, l)
     dpar = amb.gen_parity(k, l)
     x = _random_poly(amb, data)
     y = _random_poly(amb, data)
@@ -140,13 +150,13 @@ def test_quotient_rule_representation_independent(data):
     l = data.draw(st.integers(1, 2))
     x = LocalizedElement(p, s, t)
     inflated = LocalizedElement(p * det_block11(amb) * det_block22(amb), s + 1, t + 1)
-    assert loc_eq(apply_loc(basic(k, l), x), apply_loc(basic(k, l), inflated))
+    assert loc_eq(apply_loc((k, l), x), apply_loc((k, l), inflated))
 
 
 def test_inverse_determinant_eigenvalue():
     amb = ambient(1, 1)
     inv_d = LocalizedElement(amb.one(), 1, 0)
-    got = apply_loc(basic(1, 1), inv_d)
+    got = apply_loc((1, 1), inv_d)
     assert loc_eq(got, loc_scale(inv_d, -1))
 
 
@@ -154,20 +164,23 @@ def test_block_determinant_derivatives():
     amb = ambient(2, 2)
     d, d22 = det_block11(amb), det_block22(amb)
     # within the even block: Kronecker delta times D
-    assert _den_derivative(amb, 11, 1, 1) == d
-    assert _den_derivative(amb, 11, 1, 2).is_zero()
+    assert _d_poly(d, 1, 1) == d
+    assert _d_poly(d, 1, 2).is_zero()
     # mixed upward: the numerator of the matching y entry
-    assert _den_derivative(amb, 11, 1, 3) == y_entry(amb, 1, 3).num
+    assert _d_poly(d, 1, 3) == y_entry(amb, 1, 3).num
     # columns beyond the even block never touch D
-    assert _den_derivative(amb, 11, 3, 1).is_zero()
-    assert _den_derivative(amb, 11, 4, 4).is_zero()
+    assert _d_poly(d, 3, 1).is_zero()
+    assert _d_poly(d, 4, 4).is_zero()
     # and dually for the odd block determinant
-    assert _den_derivative(amb, 22, 3, 3) == d22
-    assert _den_derivative(amb, 22, 3, 4).is_zero()
-    assert _den_derivative(amb, 22, 1, 3).is_zero()
-    assert _den_derivative(amb, 22, 2, 2).is_zero()
+    assert _d_poly(d22, 3, 3) == d22
+    assert _d_poly(d22, 3, 4).is_zero()
+    assert _d_poly(d22, 1, 3).is_zero()
+    assert _d_poly(d22, 2, 2).is_zero()
     # downward mixed direction: generically nonzero
-    assert not _den_derivative(amb, 22, 3, 1).is_zero()
+    assert not _d_poly(d22, 3, 1).is_zero()
+    # the quotient rule's cached derivative is that of column k's block
+    for k, l in product(range(1, 5), repeat=2):
+        assert _den_derivative(amb, k, l) == _d_poly(d if k <= 2 else d22, k, l), (k, l)
 
 
 @pytest.mark.parametrize("m, n", list(product(range(1, 4), repeat=2)))
@@ -201,20 +214,20 @@ def _parent_d_loc(x, k, l):
     amb = x.ambient
     da = _d_poly(x.num, k, l)
     s, t = x.d_exp, x.d22_exp
-    bump_s = bool(s) and not _den_derivative(amb, 11, k, l).is_zero()
-    bump_t = bool(t) and not _den_derivative(amb, 22, k, l).is_zero()
+    bump_s = bool(s) and not _d_poly(det_block11(amb), k, l).is_zero()
+    bump_t = bool(t) and not _d_poly(det_block22(amb), k, l).is_zero()
     num = da
     if bump_s:
         num = num * det_block11(amb)
     if bump_t:
         num = num * det_block22(amb)
     if bump_s:
-        corr = (x.num * _den_derivative(amb, 11, k, l)).scale(s)
+        corr = (x.num * _d_poly(det_block11(amb), k, l)).scale(s)
         if bump_t:
             corr = corr * det_block22(amb)
         num = num - corr
     if bump_t:
-        corr = (x.num * _den_derivative(amb, 22, k, l)).scale(t)
+        corr = (x.num * _d_poly(det_block22(amb), k, l)).scale(t)
         if bump_s:
             corr = corr * det_block11(amb)
         num = num - corr
@@ -234,7 +247,7 @@ def test_closed_form_quotient_rule_equals_the_parents(data, size, char):
         _random_poly(amb, data), data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     )
     for k, l in product(range(1, amb.size + 1), repeat=2):
-        got = apply_loc(basic(k, l), x)
+        got = apply_loc((k, l), x)
         assert loc_eq(got, _parent_d_loc(x, k, l)), (k, l, x)
         if got.is_zero():
             continue
@@ -252,8 +265,8 @@ def test_simple_lowering_directions_leave_denominators_inert():
         amb = ambient(m, n)
         simples = [l + 1 for l in range(1, m)] + [l + 1 for l in range(m + 1, m + n)]
         for k in simples:
-            assert _den_derivative(amb, 11, k, k - 1).is_zero()
-            assert _den_derivative(amb, 22, k, k - 1).is_zero()
+            assert _d_poly(det_block11(amb), k, k - 1).is_zero()
+            assert _d_poly(det_block22(amb), k, k - 1).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +276,7 @@ def test_odd_direction_squares_to_zero(data):
     p = _random_poly(amb, data)
     x = LocalizedElement(p, data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1)))
     k = data.draw(st.sampled_from([1, 2]))
-    odd_op = basic(k, 3) if data.draw(st.booleans()) else basic(3, k)
+    odd_op = (k, 3) if data.draw(st.booleans()) else (3, k)
     twice = apply_loc(odd_op, apply_loc(odd_op, x))
     assert twice.is_zero()
 
@@ -278,8 +291,8 @@ def test_bracket_identity(data):
         data.draw(st.integers(0, 1)),
     )
     idx = st.integers(1, 3)
-    a = basic(data.draw(idx), data.draw(idx))
-    b = basic(data.draw(idx), data.draw(idx))
+    a = (data.draw(idx), data.draw(idx))
+    b = (data.draw(idx), data.draw(idx))
     assert bracket_check(x, a, b)
 
 
@@ -288,7 +301,7 @@ def test_divided_power_char0():
     # vanishes once d does
     amb = ambient(2, 1)
     p = amb.gen(1, 2) ** 3 + amb.gen(2, 2) * amb.gen(1, 1)
-    assert divided_power(p, 2, 1) == apply_poly(basic(2, 1), p)
+    assert divided_power(p, 2, 1) == apply_poly((2, 1), p)
     assert divided_power(amb.gen(1, 1) ** 3, 2, 1).is_zero()
 
 
@@ -298,7 +311,7 @@ def test_divided_power_charp_lift():
     # third divided power c11^3, and the lower two vanish mod 3
     amb = ambient(2, 1, 3)
     p = amb.gen(1, 2) ** 3
-    naive = apply_poly(basic(2, 1), p)
+    naive = apply_poly((2, 1), p)
     assert naive.is_zero()  # 3·c12^2·c11 vanishes mod 3
     assert divided_power(p, 2, 1) == amb.gen(1, 1) ** 3
 
@@ -316,12 +329,12 @@ def test_rewrite_y_all_directions():
     amb = ambient(2, 1)
     fy = FY(1, 3)
     for k, l in product(range(1, 4), repeat=2):
-        assert rewrite_rule_check(amb, fy, basic(k, l)), (k, l)
+        assert rewrite_rule_check(amb, fy, (k, l)), (k, l)
 
 
 def test_rewrite_y_downward_delta():
     amb = ambient(1, 1)
-    expr = structured_rule(amb, FY(1, 2), basic(2, 1))
+    expr = structured_rule(amb, FY(1, 2), (2, 1))
     assert expr == [(1, ())]
     assert loc_eq(embed_formal(amb, expr), embed_poly(amb.one()))
 
@@ -330,28 +343,28 @@ def test_rewrite_phi_all_directions():
     amb = ambient(2, 2)
     fphi = FPhi(3, 4)
     for k, l in product(range(1, 5), repeat=2):
-        assert rewrite_rule_check(amb, fphi, basic(k, l)), (k, l)
+        assert rewrite_rule_check(amb, fphi, (k, l)), (k, l)
 
 
 def test_rewrite_dminus_all_directions():
     amb = ambient(2, 2)
     for cols in [(3,), (4,), (3, 4), (4, 3)]:
         for k, l in product(range(1, 5), repeat=2):
-            assert rewrite_rule_check(amb, FDminus(cols), basic(k, l)), (cols, k, l)
+            assert rewrite_rule_check(amb, FDminus(cols), (k, l)), (cols, k, l)
 
 
 def test_rewrite_dplus_all_directions():
     amb = ambient(2, 2)
     for cols in [(1,), (2,), (1, 2)]:
         for k, l in product(range(1, 5), repeat=2):
-            assert rewrite_rule_check(amb, FDplus(cols), basic(k, l)), (cols, k, l)
+            assert rewrite_rule_check(amb, FDplus(cols), (k, l)), (cols, k, l)
 
 
 def test_rewrite_dplus_muir_case_by_hand():
     # d[1,3] on the single-column minor c[1,1] is c[1,3]; the table rewrites it
     # through the y entries, and the two must agree as fractions
     amb = ambient(2, 1)
-    expr = structured_rule(amb, FDplus((1,)), basic(1, 3))
+    expr = structured_rule(amb, FDplus((1,)), (1, 3))
     assert loc_eq(embed_formal(amb, expr), embed_poly(amb.gen(1, 3)))
 
 

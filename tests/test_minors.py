@@ -62,7 +62,7 @@ def test_twisted_generator_images():
         amb.gen(3, 1) * y_entry(amb, 1, 3).num + amb.gen(3, 2) * y_entry(amb, 2, 3).num
     )
     assert z.num == expect_num and z.d_exp == 1
-    assert z.parity() == 0
+    assert z.num.parity() == 0
 
 
 def test_twisted_lower_right_kills_lower_left_content():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import superinduce.superpoly as superpoly
 from superinduce.cli import main
-from superinduce.derivation import apply_loc, basic
+from superinduce.derivation import apply_loc
 from superinduce.fraction import LocalizedElement, den_power, render_loc
 from superinduce.superpoly import (
     EXPONENT_CAP,
@@ -308,7 +308,7 @@ def test_q_coefficients_are_ints_unless_proper_fractions(data):
     k = data.draw(st.integers(1, 4))
     l = data.draw(st.integers(1, 4))
     d_exp, d22_exp = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
-    routes = [lambda x: apply_loc(basic(k, l), x)]
+    routes = [lambda x: apply_loc((k, l), x)]
     if (k <= 2) == (l <= 2):  # an even direction's lifted divided power: over 1/r!
         r = data.draw(st.integers(1, 3))
         routes.append(lambda x: lifted_apply(k, l, r, x))

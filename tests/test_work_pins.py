@@ -30,7 +30,9 @@ from superinduce.floors_primitives import (
     pi_IJ,
     pi_IJ_raw,
     pi_ij,
+    rho_product,
 )
+from superinduce.fraction import det_block11
 
 LINKAGE_ARGV = ["verify", "linkage", "--m", "3", "--n", "3", "--p", "3"]
 
@@ -169,6 +171,20 @@ def test_fresh_defect_division_at_2_2(monkeypatch):
     assert counts["calls"] <= 33
     assert counts["term_pairs"] <= 156
     assert counts["divides"] <= 12
+
+
+def test_a_longer_rho_product_reads_its_first_pair_map_as_it_is(monkeypatch):
+    # rho_product of (1,2|2,2) at (2,2) in char 0, its two one-pair maps
+    # built first: 4 exact_divide calls, all in lowest_terms of the product's
+    # words; 8 when the first pair's map, in lowest terms already, is
+    # reduced again
+    amb = superpoly.Ambient(2, 2, 0)
+    rho_product(amb, (1,), (2,))
+    rho_product(amb, (2,), (2,))
+    counts = _counts()
+    _count_products(monkeypatch, counts)
+    rho_product(amb, (1, 2), (2, 2))
+    assert counts["divides"] <= 4
 
 
 def test_an_unread_higher_floor_vector_multiplies_nothing_out(monkeypatch):
@@ -343,6 +359,24 @@ def test_pi_ij_then_phi_floor_at_2_3_peaks_below_its_pin():
     finally:
         tracemalloc.stop()
     assert peak <= 528_000, peak
+
+
+def test_lopsided_product_at_3_3_peaks_below_its_pin():
+    # tracemalloc peak of dot on one lopsided pair at (3,3) in char 0, the
+    # dminus minor of the odd block (4,5,6) times D, both built first:
+    # 20,240,160 bytes with the split lists of dot (PYTHONHASHSEED 0 and 1
+    # alike) and 15,899,720 with builder_oracle.parent_dot's loop; the pin
+    # leaves 2.0 % of margin
+    amb = superpoly.Ambient(3, 3, 0)
+    pairs = ((weights_tableaux.dminus(amb, (4, 5, 6)).num, det_block11(amb)),)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        superpoly.dot(amb, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_645_000, peak
 
 
 def _count_cli_products(monkeypatch, argv):
